@@ -16,6 +16,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import eq, itemgetter
 
 from .errors import BudgetError, InvalidChainError
 from .words import GeneratorAlphabet, Word
@@ -24,6 +25,35 @@ DEFAULT_DEPTH_LIMIT = 24
 DEFAULT_MEMORY_BUDGET = 4_000_000  # total stored points across levels
 
 PRNG_ALGORITHM = "mt19937-rejection"
+
+
+def compose(p, q) -> tuple[int, ...]:
+    """The image array of ``p`` after ``q``: ``compose(p, q)[x] == p[q[x]]``.
+
+    One C-level gather; ``p`` may be any sequence, ``q`` any index array.
+    """
+    if len(q) == 1:
+        return (p[q[0]],)
+    return itemgetter(*q)(p)
+
+
+def invert(p) -> tuple[int, ...]:
+    out = [0] * len(p)
+    for i, v in enumerate(p):
+        out[v] = i
+    return tuple(out)
+
+
+def count_fixed(image, points=None) -> int:
+    """Fixed points of an image array, among ``points`` when given."""
+    if points is None:
+        return sum(map(eq, image, range(len(image))))
+    return sum(map(eq, compose(image, points), points))
+
+
+def check_depth(depth: int) -> None:
+    if depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
 
 
 class LevelAction:
@@ -46,11 +76,7 @@ class LevelAction:
     def inverse_perm(self, name: str) -> tuple[int, ...]:
         inv = self._inverses.get(name)
         if inv is None:
-            perm = self.perms[name]
-            out = [0] * self.size
-            for i, v in enumerate(perm):
-                out[v] = i
-            inv = tuple(out)
+            inv = invert(self.perms[name])
             self._inverses[name] = inv
         return inv
 
@@ -111,6 +137,11 @@ class ChainAction:
     (1-based) and must be pure; levels are cached under a lock so at most
     one builder runs per level.  ``depth_limit`` and ``memory_budget`` are
     hard budgets: exceeding them raises a budget error, never truncates.
+
+    The permutation kernel every analysis calls lives here: word images
+    built over shared prefixes (:meth:`images`), projection of one deep
+    image to every coarser level (:meth:`level_images`) and memoized
+    ancestor tables (:meth:`ancestors`).
     """
 
     def __init__(
@@ -134,6 +165,8 @@ class ChainAction:
         self._levels: list[LevelAction] = []
         self._stored_points = 0
         self._lock = threading.Lock()
+        self._ancestor_tables: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._sections: dict[int, tuple[int, ...]] = {}
 
     def level(self, level: int) -> LevelAction:
         if level < 1:
@@ -196,16 +229,70 @@ class ChainAction:
 
     def word_permutation(self, word: Word, level: int) -> tuple[int, ...]:
         """The full permutation of ``word`` at ``level`` as an image array."""
+        for _, image in self.images([word], level):
+            return image
+
+    def images(self, words, level: int):
+        """Yield ``(i, image)``: the level-``level`` image array of each ``words[i]``.
+
+        Words are visited in lexicographic letter order.  The appended
+        letter acts first, so extending a prefix by one letter costs one
+        gather, and the stack keeps only the prefix images the next word
+        shares: at most ``max(len(w))`` images are alive at once.  Callers
+        store results by ``i`` to keep input order.
+        """
         if level == 0:
-            return (0,)
+            for i in range(len(words)):
+                yield i, (0,)
+            return
         lv = self.level(level)
-        names = self.alphabet.names
-        image = list(range(lv.size))
-        for gen, sign in reversed(word.letters):
-            name = names[gen]
-            perm = lv.perms[name] if sign > 0 else lv.inverse_perm(name)
-            image = [perm[v] for v in image]
-        return tuple(image)
+        perms = {}
+        for gen, name in enumerate(self.alphabet.names):
+            perms[(gen, 1)] = lv.perms[name]
+            perms[(gen, -1)] = lv.inverse_perm(name)
+        order = sorted(range(len(words)), key=lambda i: words[i].letters)
+        # stack[t]: image of the current word's first t letters; None stands
+        # for the identity, so a word's first letter costs no gather
+        stack = [None]
+        for pos, i in enumerate(order):
+            letters = words[i].letters
+            following = words[order[pos + 1]].letters if pos + 1 < len(order) else ()
+            keep = 0
+            for a, b in zip(letters, following):
+                if a != b:
+                    break
+                keep += 1
+            image = stack[-1]
+            for t in range(len(stack) - 1, len(letters)):
+                perm = perms[letters[t]]
+                image = perm if image is None else compose(image, perm)
+                if t < keep:
+                    stack.append(image)
+            del stack[keep + 1:]
+            yield i, tuple(range(lv.size)) if image is None else image
+
+    def level_images(self, image, level: int) -> list[tuple[int, ...]]:
+        """Entry ``L`` is the level-``L`` image of the permutation given at ``level``.
+
+        Equivariance gives ``perm_{L-1}[v] = parent_L[perm_L[s_L(v)]]`` for
+        any level-``L`` point ``s_L(v)`` over ``v``, so one deep image
+        yields every coarser one at O(n_L) per level.
+        """
+        out = [image]
+        for lvl in range(level, 0, -1):
+            lv = self.level(lvl)
+            sections = self._sections.get(lvl)
+            if sections is None:
+                over = [0] * self.size(lvl - 1)
+                # a perm lists every point once, and reusing its int objects
+                # keeps this cache to one pointer per point
+                for x in lv.perms[self.alphabet.names[0]]:
+                    over[lv.parent[x]] = x
+                sections = self._sections[lvl] = tuple(over)
+            image = compose(lv.parent, compose(image, sections))
+            out.append(image)
+        out.reverse()
+        return out
 
     def stabilizer_contains(self, word: Word, level: int) -> bool:
         """Membership in the level-``level`` basepoint stabilizer subgroup."""
@@ -216,17 +303,31 @@ class ChainAction:
         return self.size(level)
 
     def fixed_count(self, word: Word, level: int) -> int:
-        perm = self.word_permutation(word, level)
-        return sum(1 for i, v in enumerate(perm) if i == v)
+        return count_fixed(self.word_permutation(word, level))
+
+    def ancestors(self, level: int, base_level: int) -> tuple[int, ...]:
+        """``table[x]``: the level-``base_level`` ancestor of level-``level`` point ``x``.
+
+        Memoized per (level, base level); each table is one gather of the
+        table a level below through the parent array.
+        """
+        if not 0 <= base_level <= level:
+            raise ValueError("ancestor levels must satisfy 0 <= base_level <= level")
+        key = (level, base_level)
+        table = self._ancestor_tables.get(key)
+        if table is None:
+            if base_level == 0:
+                table = (0,) * self.size(level)
+            elif base_level == level:
+                table = tuple(range(self.size(level)))
+            else:
+                table = compose(self.ancestors(level - 1, base_level), self.level(level).parent)
+            self._ancestor_tables[key] = table
+        return table
 
     def ancestor(self, level: int, x: int, to_level: int) -> int:
         """Iterated parent of a level-``level`` point down to ``to_level``."""
-        if not 0 <= to_level <= level:
-            raise ValueError("ancestor levels must satisfy 0 <= to_level <= level")
-        while level > to_level:
-            x = self.level(level).parent[x]
-            level -= 1
-        return x if to_level > 0 else 0
+        return self.ancestors(level, to_level)[x]
 
     def fiber(self, base_level: int, level: int, vertex: int) -> tuple[int, ...]:
         """All level-``level`` points over ``vertex`` at ``base_level``."""
@@ -234,9 +335,7 @@ class ChainAction:
             raise ValueError("fiber requires base_level <= level")
         if not 0 <= vertex < self.size(base_level):
             raise ValueError(f"vertex {vertex} out of range at level {base_level}")
-        return tuple(
-            x for x in range(self.size(level)) if self.ancestor(level, x, base_level) == vertex
-        )
+        return tuple(x for x, a in enumerate(self.ancestors(level, base_level)) if a == vertex)
 
 
 def transversal(chain: ChainAction, level: int) -> list[Word]:
@@ -364,21 +463,22 @@ def validate_chain(chain: ChainAction, depth: int) -> ValidationReport:
             add("generator-set", level, None, None,
                 f"permutations present for {sorted(lv.perms)}, expected {sorted(expected)}")
             break
+        # equivariance and transitivity index through the perms and parents,
+        # so they are skipped on a level whose arrays are already broken
+        broken = False
         for name in chain.alphabet.names:
             perm = lv.perms[name]
             seen = [False] * n
-            ok = True
             for x, v in enumerate(perm):
                 if not 0 <= v < n or seen[v]:
                     add("bijectivity", level, name, x, f"perm[{x}] = {v} breaks bijectivity")
-                    ok = False
+                    broken = True
                     break
                 seen[v] = True
-            if not ok:
-                continue
         for x, p in enumerate(lv.parent):
             if not 0 <= p < prev_size:
                 add("parent-range", level, None, x, f"parent[{x}] = {p} not a level-{level - 1} point")
+                broken = True
                 break
         if lv.parent[0] != 0:
             add("basepoint", level, None, 0, f"parent of basepoint is {lv.parent[0]}, expected 0")
@@ -392,6 +492,10 @@ def validate_chain(chain: ChainAction, depth: int) -> ValidationReport:
                 add("fiber-constancy", level, None, v,
                     f"level-{level - 1} point {v} has {c} preimages, expected {fiber_size}")
                 break
+        if broken:
+            prev = lv
+            prev_size = n
+            continue
         if prev is not None:
             done = False
             for name in chain.alphabet.names:

@@ -3,8 +3,7 @@
 Exit codes: 0 completed (verdicts live in the report, never in the exit
 code), 1 invalid input, 2 resource budget exceeded.  Reports go to stdout
 or the -o file; diagnostics and wall-time go to stderr so repeated runs
-with identical (config, seed, input) produce byte-identical reports at any
-thread count.
+with identical (config, seed, input) produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -46,7 +45,8 @@ def _add_common(sp, *, depth_default=10):
     sp.add_argument("--depth", type=int, default=depth_default, help="report depth N")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--threads", type=int, default=None,
-                    help=f"worker threads (flag wins over ${THREADS_ENV})")
+                    help=f"accepted and validated, but analyses run on one thread "
+                         f"(flag wins over ${THREADS_ENV})")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("-o", "--output", default=None)
     sp.add_argument("--depth-limit", type=int, default=DEFAULT_DEPTH_LIMIT)
@@ -117,16 +117,15 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise SchemaError(f"${THREADS_ENV} must be an integer, got {env!r}")
-    return 1
+def _check_threads(args) -> None:
+    """Validate ``--threads`` / ``$CANTORACT_THREADS``; the value itself is unused."""
+    if args.threads is None:
+        env = os.environ.get(THREADS_ENV)
+        if env:
+            try:
+                int(env)
+            except ValueError:
+                raise SchemaError(f"${THREADS_ENV} must be an integer, got {env!r}")
 
 
 def _tolerance(text: str) -> Fraction:
@@ -257,13 +256,13 @@ def _run_farber(args) -> int:
         with open(args.words, "r", encoding="utf-8") as fh:
             words = [parse_word(line.strip(), chain.alphabet)
                      for line in fh if line.strip()]
+    _check_threads(args)
     report = farber_check(
         chain,
         words=words,
         max_word_len=args.max_word_len,
         depth=args.depth,
         tolerance=tol,
-        threads=_threads(args),
     )
     config = _config(args, tolerance=reports.frac(tol), max_word_len=args.max_word_len,
                      words_file=args.words)
@@ -276,6 +275,7 @@ def _run_farber(args) -> int:
 def _run_local_farber(args) -> int:
     chain = _load(args)
     tol = _tolerance(args.tol)
+    _check_threads(args)
     report = local_farber_check(
         chain,
         args.base_level,
@@ -283,7 +283,6 @@ def _run_local_farber(args) -> int:
         depth=args.depth,
         tolerance=tol,
         max_generators=args.max_schreier,
-        threads=_threads(args),
     )
     config = _config(args, tolerance=reports.frac(tol), max_word_len=args.max_word_len,
                      base_level=args.base_level, max_schreier=args.max_schreier)
@@ -327,6 +326,7 @@ def _run_density(args) -> int:
 
 def _run_lcs(args) -> int:
     chain = _load(args)
+    _check_threads(args)
     report = witness_search(
         chain,
         args.max_class,
@@ -334,7 +334,6 @@ def _run_lcs(args) -> int:
         conj_len=args.conj_len,
         depth=args.depth,
         max_candidates=args.max_candidates,
-        threads=_threads(args),
     )
     config = _config(args, max_class=args.max_class, max_word_len=args.max_word_len,
                      conj_len=args.conj_len, max_candidates=args.max_candidates)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chain import ChainAction, schreier_generators
+from .chain import ChainAction, check_depth, compose, count_fixed, schreier_generators
 from .errors import BudgetError
 from .words import Word, reduced_words
 
@@ -99,27 +99,10 @@ def core_membership(chain: ChainAction, word: Word, base_level: int, level: int)
     return all(perm[x] == x for x in chain.fiber(base_level, level, 0))
 
 
-def _verdicts(
-    candidates: list[Word],
-    *,
-    trajectory_of,
-    is_core,
-    tolerance: Fraction,
-    threads: int,
-) -> list[WordVerdict]:
-    def evaluate(word: Word) -> WordVerdict:
-        if is_core(word):
-            return WordVerdict(word, INDISTINGUISHABLE, trajectory_of(word))
-        traj = trajectory_of(word)
-        final = traj[-1][1]
-        return WordVerdict(word, PASS if final < tolerance else FAIL, traj)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(evaluate, candidates))
-    return [evaluate(word) for word in candidates]
+def _verdict(word: Word, trajectory: tuple, core: bool, tolerance: Fraction) -> WordVerdict:
+    if core:
+        return WordVerdict(word, INDISTINGUISHABLE, trajectory)
+    return WordVerdict(word, PASS if trajectory[-1][1] < tolerance else FAIL, trajectory)
 
 
 def _overall(words: list[WordVerdict]) -> str:
@@ -133,7 +116,6 @@ def farber_check(
     max_word_len: int = 4,
     depth: int = 10,
     tolerance: Fraction = DEFAULT_TOLERANCE,
-    threads: int = 1,
 ) -> FarberReport:
     """Fixed-coset ratios per candidate word with a depth-stamped verdict.
 
@@ -144,6 +126,7 @@ def farber_check(
     """
     if not 0 < tolerance < 1:
         raise ValueError("tolerance must lie strictly between 0 and 1")
+    check_depth(depth)
     if words is None:
         candidates = list(reduced_words(chain.alphabet, max_word_len))
         cap = max_word_len
@@ -152,24 +135,14 @@ def farber_check(
         cap = None
         if any(not w.letters for w in candidates):
             raise ValueError("candidate words must exclude the identity")
-    chain.level(depth)  # materialize once before any parallel sweep
-
-    def trajectory_of(word: Word) -> tuple[tuple[int, Fraction], ...]:
-        return tuple(
-            (level, Fraction(chain.fixed_count(word, level), chain.size(level)))
+    verdicts: list = [None] * len(candidates)
+    for i, image in chain.images(candidates, depth):
+        levels = chain.level_images(image, depth)
+        traj = tuple(
+            (level, Fraction(count_fixed(levels[level]), len(levels[level])))
             for level in range(1, depth + 1)
         )
-
-    def is_core(word: Word) -> bool:
-        return chain.fixed_count(word, depth) == chain.size(depth)
-
-    verdicts = _verdicts(
-        candidates,
-        trajectory_of=trajectory_of,
-        is_core=is_core,
-        tolerance=tolerance,
-        threads=threads,
-    )
+        verdicts[i] = _verdict(candidates[i], traj, traj[-1][1] == 1, tolerance)
     return FarberReport(
         kind="farber",
         base_level=0,
@@ -233,7 +206,6 @@ def local_farber_check(
     depth: int = 10,
     tolerance: Fraction = DEFAULT_TOLERANCE,
     max_generators: int = DEFAULT_MAX_SCHREIER,
-    threads: int = 1,
 ) -> FarberReport:
     """The fixed-coset test localized to the basepoint fiber at ``base_level``.
 
@@ -244,34 +216,24 @@ def local_farber_check(
     """
     if not 0 < tolerance < 1:
         raise ValueError("tolerance must lie strictly between 0 and 1")
+    check_depth(depth)
     if base_level >= depth:
         raise ValueError("base level must be smaller than the report depth")
-    chain.level(depth)
     derived = derived_chain(chain, base_level, depth)
     _, candidates = local_candidates(
         chain, base_level, max_word_len, max_generators=max_generators
     )
-    start = max(base_level, 1)
-
-    def trajectory_of(word: Word) -> tuple[tuple[int, Fraction], ...]:
-        traj = []
-        for level in range(start, depth + 1):
-            fiber = derived.fiber(level)
-            perm = chain.word_permutation(word, level)
-            fixed = sum(1 for x in fiber if perm[x] == x)
-            traj.append((level, Fraction(fixed, len(fiber))))
-        return tuple(traj)
-
-    def is_core(word: Word) -> bool:
-        return core_membership(chain, word, base_level, depth)
-
-    verdicts = _verdicts(
-        candidates,
-        trajectory_of=trajectory_of,
-        is_core=is_core,
-        tolerance=tolerance,
-        threads=threads,
-    )
+    scored = [(level, derived.fiber(level)) for level in range(max(base_level, 1), depth + 1)]
+    verdicts: list = [None] * len(candidates)
+    for i, image in chain.images(candidates, depth):
+        levels = chain.level_images(image, depth)
+        traj = tuple(
+            (level, Fraction(count_fixed(levels[level], fiber), len(fiber)))
+            for level, fiber in scored
+        )
+        # the base fiber holds the basepoint, so a word fixing all of it at
+        # depth also stabilizes the basepoint at the base level: a core word
+        verdicts[i] = _verdict(candidates[i], traj, traj[-1][1] == 1, tolerance)
     return FarberReport(
         kind="local-farber",
         base_level=base_level,
@@ -307,7 +269,7 @@ def image_group(chain: ChainAction, level: int, max_order: int) -> list[tuple[in
         nxt = []
         for p in frontier:
             for g in gens:
-                q = tuple(g[v] for v in p)
+                q = compose(g, p)
                 if q not in elements:
                     elements.add(q)
                     nxt.append(q)
@@ -336,7 +298,7 @@ def stabilizer_count_oracle(
     image = chain.word_permutation(word, level)
     containing = sum(1 for s in distinct if image in s)
     ratio = Fraction(containing, len(distinct))
-    fixed = Fraction(chain.fixed_count(word, level), n)
+    fixed = Fraction(count_fixed(image), n)
     if ratio != fixed:
         raise AssertionError(
             f"fibration identity failed at level {level}: {ratio} != {fixed}"

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import ne
 
-from .chain import ChainAction, Cylinder, PointApprox
+from .chain import ChainAction, Cylinder, PointApprox, check_depth, count_fixed
 from .mealy import is_trivial as mealy_is_trivial
 from .words import Word, reduced_words
 
@@ -95,36 +97,33 @@ def _require_nonidentity(word: Word):
         raise ValueError("the identity word is excluded from holonomy queries")
 
 
-def _fully_fixed_by_level(chain: ChainAction, fixed: list[bool], depth: int) -> list[list[bool]]:
-    """For each level 0..depth, whether every depth-``depth`` point below is fixed."""
-    tables = [fixed]
-    cur = fixed
-    for level in range(depth, 0, -1):
+def _moved_by_level(chain: ChainAction, perm: tuple[int, ...], depth: int) -> list[set[int]]:
+    """Entry L, for L = 0..depth-1: the level-L vertices whose depth-``depth`` fiber moves.
+
+    Entry 0 is empty exactly when the word moves nothing at this depth.
+    """
+    parent = chain.level(depth).parent
+    moved = set(compress(parent, map(ne, perm, range(len(perm)))))
+    tables = [moved]
+    for level in range(depth - 1, 0, -1):
         parent = chain.level(level).parent
-        nxt = [True] * chain.size(level - 1)
-        for x, ok in enumerate(cur):
-            if not ok:
-                nxt[parent[x]] = False
-        tables.append(nxt)
-        cur = nxt
+        moved = {parent[x] for x in moved}
+        tables.append(moved)
     tables.reverse()
     return tables
 
 
 def _maximal_fixed_cylinders(
-    chain: ChainAction, tables: list[list[bool]], cap: int
+    chain: ChainAction, moved: list[set[int]], cap: int
 ) -> list[Cylinder]:
+    if not moved[0]:
+        return [Cylinder(0, 0)]
     out: list[Cylinder] = []
-    for level in range(0, cap + 1):
-        table = tables[level]
-        if level == 0:
-            if table[0]:
-                return [Cylinder(0, 0)]
-            continue
+    for level in range(1, cap + 1):
         parent = chain.level(level).parent
-        above = tables[level - 1]
-        for v, ok in enumerate(table):
-            if ok and not above[parent[v]]:
+        here, above = moved[level], moved[level - 1]
+        for v in range(chain.size(level)):
+            if v not in here and parent[v] in above:
                 out.append(Cylinder(level, v))
     return out
 
@@ -138,19 +137,13 @@ def fixed_set_report(chain: ChainAction, word: Word, depth: int) -> FixedSetRepo
     points not yet explained by any fixed cylinder.
     """
     _require_nonidentity(word)
-    sizes = []
-    counts = []
-    perm_at_depth: tuple[int, ...] = ()
-    for level in range(1, depth + 1):
-        perm = chain.word_permutation(word, level)
-        sizes.append(len(perm))
-        counts.append(sum(1 for i, v in enumerate(perm) if i == v))
-        if level == depth:
-            perm_at_depth = perm
-    fixed = [i == v for i, v in enumerate(perm_at_depth)]
-    tables = _fully_fixed_by_level(chain, fixed, depth)
+    check_depth(depth)
+    perm = chain.word_permutation(word, depth)
+    levels = chain.level_images(perm, depth)[1:]
+    sizes = [len(image) for image in levels]
+    counts = [count_fixed(image) for image in levels]
     cap = interior_scan_limit(depth)
-    cylinders = _maximal_fixed_cylinders(chain, tables, cap)
+    cylinders = _maximal_fixed_cylinders(chain, _moved_by_level(chain, perm, depth), cap)
     interior = sum((Fraction(1, chain.size(c.level)) for c in cylinders), Fraction(0))
     hol = Fraction(counts[-1], sizes[-1]) - interior
     if hol < 0:
@@ -173,12 +166,15 @@ def density_profile(chain: ChainAction, word: Word, center: PointApprox) -> Dens
     _require_nonidentity(word)
     depth = center.depth
     perm = chain.word_permutation(word, depth)
+    if not 0 <= center.index < len(perm):
+        raise ValueError(f"point {center.index} out of range at level {depth}")
+    fixed = [x for x, v in enumerate(perm) if x == v]
     entries = []
     for level in range(0, depth + 1):
-        anc = chain.ancestor(depth, center.index, level)
-        fiber = chain.fiber(level, depth, anc)
-        fixed = sum(1 for x in fiber if perm[x] == x)
-        entries.append(Fraction(fixed, len(fiber)))
+        anc = chain.ancestors(depth, level)
+        vertex = anc[center.index]
+        inside = sum(1 for x in fixed if anc[x] == vertex)
+        entries.append(Fraction(inside, anc.count(vertex)))
     return DensityProfile(word=word, center=center, entries=tuple(entries))
 
 
@@ -206,23 +202,21 @@ def partial_triviality_witnesses(
     permutation evaluation.  Transducer-backed chains upgrade witnesses to
     exact statements where the section oracle certifies them.
     """
-    out: list[TrivialityWitness] = []
+    check_depth(depth)
     cap = interior_scan_limit(depth)
-    for word in reduced_words(chain.alphabet, max_word_len, max_count=max_words):
-        perm = chain.word_permutation(word, depth)
-        fixed = [i == v for i, v in enumerate(perm)]
-        if all(fixed):
+    words = list(reduced_words(chain.alphabet, max_word_len, max_count=max_words))
+    found: list[list[TrivialityWitness]] = [[] for _ in words]
+    for i, perm in chain.images(words, depth):
+        moved = _moved_by_level(chain, perm, depth)
+        if not moved[0]:
             continue  # indistinguishable from identity at this depth: moves nothing
-        tables = _fully_fixed_by_level(chain, fixed, depth)
-        for cyl in _maximal_fixed_cylinders(chain, tables, cap):
-            if cyl.level < 1:
-                continue
+        for cyl in _maximal_fixed_cylinders(chain, moved, cap):
             fiber = chain.fiber(cyl.level, depth, cyl.vertex)
-            if any(perm[x] != x for x in fiber):
+            if count_fixed(perm, fiber) != len(fiber):
                 raise AssertionError("witness failed direct re-check")
-            exact = bool(chain.mealy) and _mealy_exact(chain, word, cyl)
-            out.append(TrivialityWitness(word=word, cylinder=cyl, exact=exact))
-    return out
+            exact = bool(chain.mealy) and _mealy_exact(chain, words[i], cyl)
+            found[i].append(TrivialityWitness(word=words[i], cylinder=cyl, exact=exact))
+    return [w for witnesses in found for w in witnesses]
 
 
 def lqa_scale_estimate(
@@ -241,21 +235,21 @@ def lqa_scale_estimate(
     the answer is the first witness-free k; 0 means no witnesses at all
     (quasi-analytic candidate at this depth and word length).
     """
+    check_depth(depth)
     cap = interior_scan_limit(depth)
     deepest_witness = -1
-    for word in reduced_words(chain.alphabet, max_word_len, max_count=max_words):
-        perm = chain.word_permutation(word, depth)
-        fixed = [i == v for i, v in enumerate(perm)]
-        if all(fixed):
+    words = list(reduced_words(chain.alphabet, max_word_len, max_count=max_words))
+    for _, perm in chain.images(words, depth):
+        moved = _moved_by_level(chain, perm, depth)
+        if not moved[0]:
             continue
-        tables = _fully_fixed_by_level(chain, fixed, depth)
         for m in range(1, cap + 1):
-            for u, ok in enumerate(tables[m]):
-                if not ok:
+            for u in range(chain.size(m)):
+                if u in moved[m]:
                     continue
                 # deepest ambient level k < m whose fiber over u's ancestor moves
                 for k in range(m - 1, deepest_witness, -1):
-                    if not tables[k][chain.ancestor(m, u, k)]:
+                    if chain.ancestors(m, k)[u] in moved[k]:
                         deepest_witness = max(deepest_witness, k)
                         break
     scale = deepest_witness + 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chain import ChainAction
+from .chain import ChainAction, check_depth, compose, invert
 from .holonomy import FixedSetReport, fixed_set_report
 from .words import GeneratorAlphabet, Word, commutator, conjugate, reduced_words
 
@@ -104,7 +104,6 @@ def witness_search(
     conj_len: int = 2,
     depth: int = 10,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
-    threads: int = 1,
 ) -> LcsWitnessReport:
     """Per class, the candidate with the largest depth-stamped holonomy estimate.
 
@@ -116,23 +115,14 @@ def witness_search(
     with witnesses at infinite depth, while a collapse to zero at some
     class bounds the depth at the explored budget.
     """
+    check_depth(depth)
     chain.level(depth)
     reports: list[ClassReport] = []
     for n in range(1, max_class + 1):
         stream = gamma_candidates(
             chain.alphabet, n, max_word_len, conj_len, max_candidates=max_candidates
         )
-
-        def evaluate(word: Word) -> FixedSetReport:
-            return fixed_set_report(chain, word, depth)
-
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(evaluate, stream.words))
-        else:
-            results = [evaluate(w) for w in stream.words]
+        results = [fixed_set_report(chain, w, depth) for w in stream.words]
         best: FixedSetReport | None = None
         for rep in results:
             if best is None:
@@ -162,17 +152,6 @@ def witness_search(
     )
 
 
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(p[v] for v in q)
-
-
-def _invert(p: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
-
-
 def _closure(generators: set, n: int) -> set:
     identity = tuple(range(n))
     elements = {identity}
@@ -182,7 +161,7 @@ def _closure(generators: set, n: int) -> set:
         nxt = []
         for p in frontier:
             for g in gens:
-                q = _compose(g, p)
+                q = compose(g, p)
                 if q not in elements:
                     elements.add(q)
                     nxt.append(q)
@@ -204,7 +183,7 @@ def image_lower_central_series(elements: list[tuple[int, ...]]) -> list[set]:
     current = group
     while True:
         comms = {
-            _compose(_compose(g, x), _compose(_invert(g), _invert(x)))
+            compose(compose(g, x), compose(invert(g), invert(x)))
             for g in group
             for x in current
         }

@@ -90,13 +90,15 @@ class Word:
         return Word(tuple((g, -s) for g, s in reversed(self.letters)))
 
     def power(self, k: int) -> "Word":
-        if k == 0:
-            return Word(())
+        """``self^k`` in O(k |self|): with self = u*c*u^-1 and c cyclically
+        reduced, self^k = u * c^k * u^-1 and c^k needs no reduction."""
         base = self if k > 0 else self.inverse()
-        out = Word(())
-        for _ in range(abs(k)):
-            out = out * base
-        return out
+        letters = base.letters
+        m = 0
+        while 2 * m + 1 < len(letters) and letters[m] == (letters[-1 - m][0], -letters[-1 - m][1]):
+            m += 1
+        core = letters[m:len(letters) - m]
+        return Word.of(letters[:m] + core * abs(k) + letters[len(letters) - m:])
 
     def key(self) -> tuple:
         # canonical order: length first, then letters with +1 before -1

@@ -201,3 +201,33 @@ def test_env_thread_variable(chains, tmp_path):
     env["CANTORACT_THREADS"] = "3"
     proc = run_cli(["farber", chains["odometer"], "--max-word-len", "2", "--depth", "6"], env=env)
     assert proc.returncode == 0
+
+
+def test_out_of_range_perm_entry_is_one_violation(tmp_path):
+    broken = tmp_path / "range.json"
+    broken.write_text(json.dumps({
+        "name": "range", "generators": ["a"],
+        "levels": [{"size": 4, "parent": None, "perms": {"a": [1, 2, 3, 9]}}],
+    }))
+    proc = run_cli(["validate", str(broken)])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    violations = [line for line in proc.stderr.splitlines() if line.startswith("violation:")]
+    assert len(violations) == 1 and "bijectivity" in violations[0]
+    proc = run_cli(["holonomy", str(broken), "--word", "a", "--depth", "1"])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["holonomy", "--word", "g"],
+    ["farber"],
+    ["local-farber", "--base-level", "0"],
+    ["lcs-witness"],
+])
+def test_depth_below_one_is_a_one_line_error(chains, argv):
+    proc = run_cli([argv[0], chains["fragmented"], *argv[1:], "--depth", "0"])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert errors == ["error: depth must be at least 1, got 0"]

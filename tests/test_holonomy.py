@@ -15,6 +15,21 @@ def test_identity_word_rejected(odo2):
         ca.density_profile(odo2, ca.Word.identity(), ca.PointApprox(4, 0))
 
 
+def test_depth_below_one_rejected(frag):
+    g = word(frag, "g")
+    calls = (
+        lambda: ca.fixed_set_report(frag, g, 0),
+        lambda: ca.farber_check(frag, depth=0),
+        lambda: ca.local_farber_check(frag, 0, depth=0),
+        lambda: ca.witness_search(frag, 1, depth=0),
+        lambda: ca.partial_triviality_witnesses(frag, 1, 0),
+        lambda: ca.lqa_scale_estimate(frag, 1, 0),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="depth must be at least 1"):
+            call()
+
+
 def test_fragmented_report(frag):
     rep = ca.fixed_set_report(frag, word(frag, "g"), 5)
     assert rep.fixed_ratio(5) == Fraction(1, 2)

@@ -1,0 +1,123 @@
+"""The permutation kernel against independent derivations.
+
+Word images built over shared prefixes, projections of one deep image and
+the memoized ancestor tables are each compared with a brute-force oracle:
+point-by-point action for images, a parent walk for ancestors and fibers.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+import cantoract as ca
+import cantoract.chain as chain_module
+from cantoract.chain import compose, count_fixed, invert
+
+# every builder family at depths small enough for brute force
+_FAMILIES = [
+    (ca.odometer(2), 6),
+    (ca.toral(2, 2), 4),
+    (ca.dihedral(), 6),
+    (ca.heisenberg(2), 4),
+    (ca.fragmented(), 6),
+    (ca.fat_cantor(), 4),
+    (ca.adding_machine_chain(2), 6),
+]
+
+common = settings(max_examples=60, deadline=None)
+
+
+def _letters(chain, max_len):
+    m = len(chain.alphabet)
+    return st.lists(st.tuples(st.integers(0, m - 1), st.sampled_from((1, -1))),
+                    max_size=max_len)
+
+
+@st.composite
+def chain_words_level(draw):
+    chain, max_depth = draw(st.sampled_from(_FAMILIES))
+    level = draw(st.integers(1, max_depth))
+    words = [ca.Word.of(w) for w in draw(st.lists(_letters(chain, 5), max_size=6))]
+    # repeat some words and extend others, so the list shares prefixes
+    # without being prefix-closed, then shuffle it
+    if words:
+        words += draw(st.lists(st.sampled_from(words), max_size=3))
+    words += [w * ca.Word.of(draw(_letters(chain, 3))) for w in words[:2]]
+    return chain, draw(st.permutations(words)), level
+
+
+def _brute_image(chain, word, level):
+    return tuple(chain.act(word, level, x) for x in range(chain.size(level)))
+
+
+def _brute_ancestor(chain, level, x, base_level):
+    while level > base_level:
+        x = chain.level(level).parent[x]
+        level -= 1
+    return x if base_level > 0 else 0
+
+
+@common
+@given(chain_words_level())
+def test_images_match_word_permutation_and_brute_force(cwl):
+    chain, words, level = cwl
+    seen = set()
+    for i, image in chain.images(words, level):
+        assert i not in seen
+        seen.add(i)
+        assert image == chain.word_permutation(words[i], level)
+        assert image == _brute_image(chain, words[i], level)
+    assert seen == set(range(len(words)))
+
+
+@common
+@given(chain_words_level())
+def test_projection_gives_every_level(cwl):
+    chain, words, depth = cwl
+    for i, image in chain.images(words, depth):
+        levels = chain.level_images(image, depth)
+        assert len(levels) == depth + 1
+        assert levels[0] == (0,)
+        for level in range(1, depth + 1):
+            assert levels[level] == _brute_image(chain, words[i], level)
+            assert count_fixed(levels[level]) == chain.fixed_count(words[i], level)
+
+
+@common
+@given(st.sampled_from(_FAMILIES), st.data())
+def test_ancestor_tables_and_fibers_match_parent_walk(family, data):
+    chain, max_depth = family
+    level = data.draw(st.integers(0, max_depth))
+    base = data.draw(st.integers(0, level))
+    table = chain.ancestors(level, base)
+    brute = [_brute_ancestor(chain, level, x, base) for x in range(chain.size(level))]
+    assert list(table) == brute
+    x = data.draw(st.integers(0, chain.size(level) - 1))
+    assert chain.ancestor(level, x, base) == brute[x]
+    vertex = data.draw(st.integers(0, chain.size(base) - 1))
+    assert chain.fiber(base, level, vertex) == tuple(
+        y for y in range(chain.size(level)) if brute[y] == vertex)
+
+
+def test_images_share_prefixes(frag, monkeypatch):
+    """One gather per extended prefix, and no more live prefix images than letters."""
+    words = list(ca.reduced_words(frag.alphabet, 3))[::-1]
+    gathers = []
+    monkeypatch.setattr(chain_module, "compose", lambda p, q: gathers.append(1) or compose(p, q))
+    stream = frag.images(words, 5)
+    order = []
+    for i, image in stream:
+        assert len(stream.gi_frame.f_locals["stack"]) <= 3 + 1
+        assert image == _brute_image(frag, words[i], 5)
+        order.append(i)
+    assert sorted(order) == list(range(len(words)))
+    assert order != list(range(len(words)))  # visited in letter order, reported by index
+    # the first letter's image is its permutation; every later letter is one gather
+    assert len(gathers) == sum(1 for w in words if len(w) >= 2)
+
+
+def test_compose_and_invert():
+    p, q = (1, 2, 0, 3), (3, 0, 2, 1)
+    assert compose(p, q) == tuple(p[v] for v in q)
+    assert compose(invert(p), p) == (0, 1, 2, 3)
+    assert compose((0,), (0,)) == (0,)
+    assert count_fixed(p) == 1
+    assert count_fixed(q, (1, 2)) == 1

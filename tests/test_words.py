@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 
 from cantoract.errors import BudgetError, SchemaError
@@ -82,3 +85,27 @@ def test_enumeration_order_and_counts():
 def test_enumeration_budget():
     with pytest.raises(BudgetError):
         list(reduced_words(AB, 5, max_count=10))
+
+
+def _power_by_products(word, k):
+    base = word if k > 0 else word.inverse()
+    out = Word.identity()
+    for _ in range(abs(k)):
+        out = out * base
+    return out
+
+
+def test_power_matches_repeated_product():
+    rng = random.Random(7)
+    for _ in range(300):
+        word = Word.of((rng.randrange(2), rng.choice((1, -1))) for _ in range(rng.randrange(9)))
+        k = rng.randrange(-5, 6)
+        assert word.power(k) == _power_by_products(word, k)
+
+
+def test_power_is_linear():
+    started = time.perf_counter()
+    word = w("a^100000")
+    assert word.letters == ((0, 1),) * 100000
+    assert w("(b*a^2*b^-1)^50000") == Word.of([(1, 1)] + [(0, 1)] * 100000 + [(1, -1)])
+    assert time.perf_counter() - started < 2.0
