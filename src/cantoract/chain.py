@@ -44,6 +44,34 @@ def invert(p) -> tuple[int, ...]:
     return tuple(out)
 
 
+def closure(generators, n: int, max_order: int | None = None,
+            name: str = "group closure") -> set[tuple[int, ...]]:
+    """The group on ``n`` points generated by ``generators``, breadth first.
+
+    Holding more than ``max_order`` elements is a ``group_order`` budget
+    error; its message starts with ``name``.
+    """
+    gens = list(generators)
+    identity = tuple(range(n))
+    elements = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = compose(g, p)
+                if q not in elements:
+                    elements.add(q)
+                    nxt.append(q)
+                    if max_order is not None and len(elements) > max_order:
+                        raise BudgetError(
+                            "group_order",
+                            f"{name} exceeds max_order={max_order} (frontier size {len(nxt)})",
+                        )
+        frontier = nxt
+    return elements
+
+
 def count_fixed(image, points=None) -> int:
     """Fixed points of an image array, among ``points`` when given."""
     if points is None:
@@ -198,9 +226,6 @@ class ChainAction:
         if level == 0:
             return 1
         return self.level(level).size
-
-    def materialized_depth(self) -> int:
-        return len(self._levels)
 
     def apply_letter(self, level: int, gen: int, sign: int, x: int) -> int:
         if level == 0:

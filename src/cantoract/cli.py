@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Exit codes: 0 completed (verdicts live in the report, never in the exit
-code), 1 invalid input, 2 resource budget exceeded.  Reports go to stdout
+code), 1 invalid input or an unreadable file, 2 resource budget exceeded.  Reports go to stdout
 or the -o file; diagnostics and wall-time go to stderr so repeated runs
 with identical (config, seed, input) produce byte-identical reports.
 """
@@ -143,7 +143,9 @@ def _load(args):
                       memory_budget=args.memory_budget)
 
 
-def _config(args, **extra) -> dict:
+def _emit(args, command: str, chain, result, csv_parts, **config) -> None:
+    """Write the report of ``command``: its config (the common flags plus
+    ``config``), the chain, and ``result``; CSV renders ``csv_parts``."""
     # thread count is deliberately not echoed: reports are byte-identical
     # across thread counts by contract
     cfg = {
@@ -152,43 +154,24 @@ def _config(args, **extra) -> dict:
         "format": args.format,
         "depth_limit": args.depth_limit,
         "memory_budget": args.memory_budget,
+        **config,
     }
-    cfg.update(extra)
-    return cfg
-
-
-def _envelope(command: str, args, config: dict, chain=None) -> dict:
-    payload = {
-        "tool": {"name": "cantoract", "version": __version__},
-        "command": command,
-        "prng": PRNG_ALGORITHM,
-        "config": config,
-    }
-    if chain is not None:
-        payload["chain"] = {
-            "name": chain.name,
-            "generators": list(chain.alphabet.names),
-            "source": getattr(args, "chain", None),
-        }
-    return payload
-
-
-def _csv_meta(envelope: dict) -> dict:
-    meta = {"tool": f"cantoract {__version__}", "command": envelope["command"],
-            "prng": envelope["prng"]}
-    for key, value in envelope["config"].items():
-        meta[f"config.{key}"] = json.dumps(value, sort_keys=True)
-    if "chain" in envelope:
-        meta["chain"] = envelope["chain"]["name"]
-    return meta
-
-
-def _emit(args, envelope: dict, csv_parts=None) -> None:
-    if args.format == "csv" and csv_parts is not None:
-        header, rows = csv_parts
-        text = reports.render_csv(envelope["command"], header, rows, _csv_meta(envelope))
+    if args.format == "csv":
+        meta = {"tool": f"cantoract {__version__}", "command": command,
+                "prng": PRNG_ALGORITHM, "chain": chain.name}
+        for key, value in cfg.items():
+            meta[f"config.{key}"] = json.dumps(value, sort_keys=True)
+        text = reports.render_csv(command, *csv_parts, meta)
     else:
-        text = reports.render_json(envelope)
+        text = reports.render_json({
+            "tool": {"name": "cantoract", "version": __version__},
+            "command": command,
+            "prng": PRNG_ALGORITHM,
+            "config": cfg,
+            "chain": {"name": chain.name, "generators": list(chain.alphabet.names),
+                      "source": args.chain},
+            "result": result,
+        })
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -233,10 +216,8 @@ def _run_validate(args) -> int:
                        memory_budget=args.memory_budget)
     depth = args.depth if args.depth > 0 else chain.depth_limit
     report = validate_chain(chain, depth)
-    config = _config(args, depth=depth)
-    envelope = _envelope("validate", args, config, chain)
-    envelope["result"] = reports.validation_payload(report)
-    _emit(args, envelope, reports.validation_csv(report))
+    _emit(args, "validate", chain, reports.validation_payload(report),
+          reports.validation_csv(report), depth=depth)
     if not report.ok:
         for v in report.violations:
             print(
@@ -256,7 +237,6 @@ def _run_farber(args) -> int:
         with open(args.words, "r", encoding="utf-8") as fh:
             words = [parse_word(line.strip(), chain.alphabet)
                      for line in fh if line.strip()]
-    _check_threads(args)
     report = farber_check(
         chain,
         words=words,
@@ -264,18 +244,15 @@ def _run_farber(args) -> int:
         depth=args.depth,
         tolerance=tol,
     )
-    config = _config(args, tolerance=reports.frac(tol), max_word_len=args.max_word_len,
-                     words_file=args.words)
-    envelope = _envelope("farber", args, config, chain)
-    envelope["result"] = reports.farber_payload(report, chain.alphabet)
-    _emit(args, envelope, reports.farber_csv(report, chain.alphabet))
+    _emit(args, "farber", chain, reports.farber_payload(report, chain.alphabet),
+          reports.farber_csv(report, chain.alphabet), tolerance=reports.frac(tol),
+          max_word_len=args.max_word_len, words_file=args.words)
     return 0
 
 
 def _run_local_farber(args) -> int:
     chain = _load(args)
     tol = _tolerance(args.tol)
-    _check_threads(args)
     report = local_farber_check(
         chain,
         args.base_level,
@@ -284,11 +261,10 @@ def _run_local_farber(args) -> int:
         tolerance=tol,
         max_generators=args.max_schreier,
     )
-    config = _config(args, tolerance=reports.frac(tol), max_word_len=args.max_word_len,
-                     base_level=args.base_level, max_schreier=args.max_schreier)
-    envelope = _envelope("local-farber", args, config, chain)
-    envelope["result"] = reports.farber_payload(report, chain.alphabet)
-    _emit(args, envelope, reports.farber_csv(report, chain.alphabet))
+    _emit(args, "local-farber", chain, reports.farber_payload(report, chain.alphabet),
+          reports.farber_csv(report, chain.alphabet), tolerance=reports.frac(tol),
+          max_word_len=args.max_word_len, base_level=args.base_level,
+          max_schreier=args.max_schreier)
     return 0
 
 
@@ -296,10 +272,8 @@ def _run_holonomy(args) -> int:
     chain = _load(args)
     word = parse_word(args.word, chain.alphabet)
     report = fixed_set_report(chain, word, args.depth)
-    config = _config(args, word=args.word)
-    envelope = _envelope("holonomy", args, config, chain)
-    envelope["result"] = reports.fixed_set_payload(report, chain.alphabet)
-    _emit(args, envelope, reports.fixed_set_csv(report, chain.alphabet))
+    _emit(args, "holonomy", chain, reports.fixed_set_payload(report, chain.alphabet),
+          reports.fixed_set_csv(report, chain.alphabet), word=args.word)
     return 0
 
 
@@ -317,16 +291,13 @@ def _run_density(args) -> int:
         if not 0 <= index < chain.size(args.depth):
             raise SchemaError(f"point {index} out of range at depth {args.depth}")
     profile = density_profile(chain, word, point)
-    config = _config(args, word=args.word, point=args.point)
-    envelope = _envelope("density", args, config, chain)
-    envelope["result"] = reports.density_payload(profile, chain.alphabet)
-    _emit(args, envelope, reports.density_csv(profile, chain.alphabet))
+    _emit(args, "density", chain, reports.density_payload(profile, chain.alphabet),
+          reports.density_csv(profile, chain.alphabet), word=args.word, point=args.point)
     return 0
 
 
 def _run_lcs(args) -> int:
     chain = _load(args)
-    _check_threads(args)
     report = witness_search(
         chain,
         args.max_class,
@@ -335,11 +306,10 @@ def _run_lcs(args) -> int:
         depth=args.depth,
         max_candidates=args.max_candidates,
     )
-    config = _config(args, max_class=args.max_class, max_word_len=args.max_word_len,
-                     conj_len=args.conj_len, max_candidates=args.max_candidates)
-    envelope = _envelope("lcs-witness", args, config, chain)
-    envelope["result"] = reports.lcs_payload(report, chain.alphabet)
-    _emit(args, envelope, reports.lcs_csv(report, chain.alphabet))
+    _emit(args, "lcs-witness", chain, reports.lcs_payload(report, chain.alphabet),
+          reports.lcs_csv(report, chain.alphabet), max_class=args.max_class,
+          max_word_len=args.max_word_len, conj_len=args.conj_len,
+          max_candidates=args.max_candidates)
     return 0
 
 
@@ -347,10 +317,9 @@ def _run_oracle(args) -> int:
     chain = _load(args)
     word = parse_word(args.word, chain.alphabet)
     report = stabilizer_count_oracle(chain, word, args.level, args.max_order)
-    config = _config(args, word=args.word, level=args.level, max_order=args.max_order)
-    envelope = _envelope("oracle-stab-count", args, config, chain)
-    envelope["result"] = reports.stab_count_payload(report, chain.alphabet)
-    _emit(args, envelope, reports.stab_count_csv(report, chain.alphabet))
+    _emit(args, "oracle-stab-count", chain, reports.stab_count_payload(report, chain.alphabet),
+          reports.stab_count_csv(report, chain.alphabet), word=args.word, level=args.level,
+          max_order=args.max_order)
     return 0
 
 
@@ -370,6 +339,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         args = _build_parser().parse_args(argv)
+        _check_threads(args)
         return _RUNNERS[args.command](args)
     except BudgetError as exc:
         print(f"error: budget {exc.budget} exceeded: {exc}", file=sys.stderr)
@@ -377,7 +347,7 @@ def main(argv=None) -> int:
     except (SchemaError, InvalidChainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

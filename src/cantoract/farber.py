@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chain import ChainAction, check_depth, compose, count_fixed, schreier_generators
+from .chain import ChainAction, check_depth, closure, count_fixed, schreier_generators
 from .errors import BudgetError
 from .words import Word, reduced_words
 
@@ -99,14 +99,53 @@ def core_membership(chain: ChainAction, word: Word, base_level: int, level: int)
     return all(perm[x] == x for x in chain.fiber(base_level, level, 0))
 
 
-def _verdict(word: Word, trajectory: tuple, core: bool, tolerance: Fraction) -> WordVerdict:
-    if core:
-        return WordVerdict(word, INDISTINGUISHABLE, trajectory)
-    return WordVerdict(word, PASS if trajectory[-1][1] < tolerance else FAIL, trajectory)
+def _check(tolerance: Fraction, depth: int) -> None:
+    if not 0 < tolerance < 1:
+        raise ValueError("tolerance must lie strictly between 0 and 1")
+    check_depth(depth)
 
 
-def _overall(words: list[WordVerdict]) -> str:
-    return PASS if all(w.verdict != FAIL for w in words) else FAIL
+def _score(
+    chain: ChainAction,
+    kind: str,
+    base_level: int,
+    candidates: list[Word],
+    max_word_len: int | None,
+    depth: int,
+    tolerance: Fraction,
+    scored: list[tuple[int, tuple[int, ...] | None]],
+) -> FarberReport:
+    """Score every candidate on the ``(level, points)`` pairs of ``scored``.
+
+    A trajectory entry is the fraction of ``points`` (the whole level when
+    ``None``) that the candidate fixes.  A candidate fixing every scored
+    point at ``depth`` is indistinguishable from the identity there: on the
+    whole level it acts trivially, and on the base fiber, which holds the
+    basepoint, it also stabilizes the basepoint, so it lies in the core.
+    """
+    sizes = [(level, points, chain.size(level) if points is None else len(points))
+             for level, points in scored]
+    verdicts: list = [None] * len(candidates)
+    for i, image in chain.images(candidates, depth):
+        levels = chain.level_images(image, depth)
+        traj = tuple(
+            (level, Fraction(count_fixed(levels[level], points), size))
+            for level, points, size in sizes
+        )
+        if traj[-1][1] == 1:
+            verdict = INDISTINGUISHABLE
+        else:
+            verdict = PASS if traj[-1][1] < tolerance else FAIL
+        verdicts[i] = WordVerdict(candidates[i], verdict, traj)
+    return FarberReport(
+        kind=kind,
+        base_level=base_level,
+        depth=depth,
+        max_word_len=max_word_len,
+        tolerance=tolerance,
+        words=tuple(verdicts),
+        overall=PASS if all(w.verdict != FAIL for w in verdicts) else FAIL,
+    )
 
 
 def farber_check(
@@ -124,9 +163,7 @@ def farber_check(
     point at the report depth is indistinguishable from the identity there
     and is excluded from the overall verdict.
     """
-    if not 0 < tolerance < 1:
-        raise ValueError("tolerance must lie strictly between 0 and 1")
-    check_depth(depth)
+    _check(tolerance, depth)
     if words is None:
         candidates = list(reduced_words(chain.alphabet, max_word_len))
         cap = max_word_len
@@ -135,23 +172,8 @@ def farber_check(
         cap = None
         if any(not w.letters for w in candidates):
             raise ValueError("candidate words must exclude the identity")
-    verdicts: list = [None] * len(candidates)
-    for i, image in chain.images(candidates, depth):
-        levels = chain.level_images(image, depth)
-        traj = tuple(
-            (level, Fraction(count_fixed(levels[level]), len(levels[level])))
-            for level in range(1, depth + 1)
-        )
-        verdicts[i] = _verdict(candidates[i], traj, traj[-1][1] == 1, tolerance)
-    return FarberReport(
-        kind="farber",
-        base_level=0,
-        depth=depth,
-        max_word_len=cap,
-        tolerance=tolerance,
-        words=tuple(verdicts),
-        overall=_overall(verdicts),
-    )
+    whole = [(level, None) for level in range(1, depth + 1)]
+    return _score(chain, "farber", 0, candidates, cap, depth, tolerance, whole)
 
 
 def local_candidates(
@@ -163,11 +185,11 @@ def local_candidates(
 ) -> tuple[list[Word], list[Word]]:
     """Schreier alphabet of the base stabilizer and candidate words over it.
 
-    Candidates are all non-backtracking sequences of Schreier letters up to
-    ``max_word_len``, freely reduced in the ambient generators and
-    deduplicated in enumeration order.  At base level 0 the Schreier
-    alphabet is the generator set itself, so the candidates coincide with
-    the classic enumeration.
+    Candidates are the reduced words over the Schreier letters up to
+    ``max_word_len`` with each letter replaced by its generator, freely
+    reduced in the ambient generators and deduplicated in enumeration
+    order.  At base level 0 the Schreier alphabet is the generator set
+    itself, so the candidates coincide with the classic enumeration.
     """
     gens = schreier_generators(chain, base_level)
     if len(gens) > max_generators:
@@ -176,25 +198,14 @@ def local_candidates(
             f"{len(gens)} Schreier generators at level {base_level} exceed the "
             f"cap of {max_generators}",
         )
-    letters = [(i, s) for i in range(len(gens)) for s in (1, -1)]
+    images = {1: [g.letters for g in gens], -1: [g.inverse().letters for g in gens]}
     seen: set[tuple] = set()
     out: list[Word] = []
-    frontier: list[tuple[tuple[int, int], ...]] = [()]
-    for _ in range(max_word_len):
-        nxt = []
-        for prefix in frontier:
-            for idx, sign in letters:
-                if prefix and prefix[-1] == (idx, -sign):
-                    continue
-                seq = prefix + ((idx, sign),)
-                nxt.append(seq)
-                word = Word.identity()
-                for j, s in seq:
-                    word = word * (gens[j] if s > 0 else gens[j].inverse())
-                if word.letters and word.letters not in seen:
-                    seen.add(word.letters)
-                    out.append(word)
-        frontier = nxt
+    for seq in reduced_words(gens, max_word_len):
+        word = Word.of(letter for j, s in seq.letters for letter in images[s][j])
+        if word.letters and word.letters not in seen:
+            seen.add(word.letters)
+            out.append(word)
     return gens, out
 
 
@@ -214,35 +225,16 @@ def local_farber_check(
     candidates are scored by the fraction of the base fiber they fix, level
     by level.  With ``base_level=0`` this reduces to the classic check.
     """
-    if not 0 < tolerance < 1:
-        raise ValueError("tolerance must lie strictly between 0 and 1")
-    check_depth(depth)
+    _check(tolerance, depth)
     if base_level >= depth:
         raise ValueError("base level must be smaller than the report depth")
     derived = derived_chain(chain, base_level, depth)
     _, candidates = local_candidates(
         chain, base_level, max_word_len, max_generators=max_generators
     )
-    scored = [(level, derived.fiber(level)) for level in range(max(base_level, 1), depth + 1)]
-    verdicts: list = [None] * len(candidates)
-    for i, image in chain.images(candidates, depth):
-        levels = chain.level_images(image, depth)
-        traj = tuple(
-            (level, Fraction(count_fixed(levels[level], fiber), len(fiber)))
-            for level, fiber in scored
-        )
-        # the base fiber holds the basepoint, so a word fixing all of it at
-        # depth also stabilizes the basepoint at the base level: a core word
-        verdicts[i] = _verdict(candidates[i], traj, traj[-1][1] == 1, tolerance)
-    return FarberReport(
-        kind="local-farber",
-        base_level=base_level,
-        depth=depth,
-        max_word_len=max_word_len,
-        tolerance=tolerance,
-        words=tuple(verdicts),
-        overall=_overall(verdicts),
-    )
+    fibers = [(level, derived.fiber(level)) for level in range(max(base_level, 1), depth + 1)]
+    return _score(chain, "local-farber", base_level, candidates, max_word_len, depth,
+                  tolerance, fibers)
 
 
 @dataclass(frozen=True)
@@ -259,28 +251,10 @@ class StabilizerCountReport:
 
 def image_group(chain: ChainAction, level: int, max_order: int) -> list[tuple[int, ...]]:
     """All permutations in the finite image at ``level`` (breadth-first closure)."""
-    n = chain.size(level)
-    lv = chain.level(level)
-    gens = [lv.perms[name] for name in chain.alphabet.names]
-    identity = tuple(range(n))
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = compose(g, p)
-                if q not in elements:
-                    elements.add(q)
-                    nxt.append(q)
-                    if len(elements) > max_order:
-                        raise BudgetError(
-                            "group_order",
-                            f"image group at level {level} exceeds max_order={max_order} "
-                            f"(frontier size {len(nxt)})",
-                        )
-        frontier = nxt
-    return sorted(elements)
+    perms = chain.level(level).perms
+    gens = [perms[name] for name in chain.alphabet.names]
+    return sorted(closure(gens, chain.size(level), max_order,
+                          f"image group at level {level}"))
 
 
 def stabilizer_count_oracle(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chain import ChainAction, check_depth, compose, invert
+from .chain import ChainAction, check_depth, closure, compose, invert
 from .holonomy import FixedSetReport, fixed_set_report
 from .words import GeneratorAlphabet, Word, commutator, conjugate, reduced_words
 
@@ -152,23 +152,6 @@ def witness_search(
     )
 
 
-def _closure(generators: set, n: int) -> set:
-    identity = tuple(range(n))
-    elements = {identity}
-    frontier = [identity]
-    gens = list(generators)
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = compose(g, p)
-                if q not in elements:
-                    elements.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return elements
-
-
 def image_lower_central_series(elements: list[tuple[int, ...]]) -> list[set]:
     """Lower central series of a small finite permutation group, by closure.
 
@@ -187,7 +170,7 @@ def image_lower_central_series(elements: list[tuple[int, ...]]) -> list[set]:
             for g in group
             for x in current
         }
-        nxt = _closure(comms, n)
+        nxt = closure(comms, n)
         if nxt == current:
             break
         series.append(nxt)

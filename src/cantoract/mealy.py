@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import BudgetError, SchemaError
+from .words import free_reduce
 
 StateLetter = tuple[str, int]  # (state name, sign)
 StateWord = tuple[StateLetter, ...]
@@ -74,7 +75,7 @@ class MealyMachine:
                 pre = self._inverse_outputs[state][cur]
                 sections.append((self.transitions[state][pre], -1))
                 cur = pre
-        return cur, _reduce_state_word(tuple(reversed(sections)))
+        return cur, free_reduce(reversed(sections))
 
     def section(self, word: StateWord, vertex: tuple[int, ...]) -> StateWord:
         """The state word governing the subtree below ``vertex``."""
@@ -95,16 +96,6 @@ class MealyMachine:
             img, word = self.step(word, letter)
             out.append(img)
         return tuple(out)
-
-
-def _reduce_state_word(word: StateWord) -> StateWord:
-    stack: list[StateLetter] = []
-    for state, sign in word:
-        if stack and stack[-1][0] == state and stack[-1][1] == -sign:
-            stack.pop()
-        else:
-            stack.append((state, sign))
-    return tuple(stack)
 
 
 def identity_states(machine: MealyMachine) -> frozenset[str]:
@@ -155,7 +146,7 @@ def is_trivial(machine: MealyMachine, word: StateWord, *, max_closure: int = 100
 
 
 def _strip_identity(word: StateWord, trivial: frozenset[str]) -> StateWord:
-    return _reduce_state_word(tuple(l for l in word if l[0] not in trivial))
+    return free_reduce(l for l in word if l[0] not in trivial)
 
 
 def minimize(machine: MealyMachine) -> MealyMachine:
@@ -266,7 +257,7 @@ class MealyBackend:
         for gen, sign in word.letters:
             name = self.generator_order[gen]
             letters.append((self.machine.generator_map[name], sign))
-        return _reduce_state_word(tuple(letters))
+        return free_reduce(letters)
 
     def vertex_path(self, vertex: int, level: int) -> tuple[int, ...]:
         d = self.machine.alphabet_size

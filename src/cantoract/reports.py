@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .chain import ValidationReport
 from .farber import FarberReport, StabilizerCountReport
-from .holonomy import DensityProfile, FixedSetReport, LqaScaleEstimate, TrivialityWitness
+from .holonomy import DensityProfile, FixedSetReport
 from .lcs import LcsWitnessReport
 from .words import GeneratorAlphabet, render_word
 
@@ -162,28 +162,6 @@ def density_csv(profile: DensityProfile, alphabet: GeneratorAlphabet) -> tuple[l
         for level, value in enumerate(profile.entries)
     ]
     return header, rows
-
-
-def witnesses_payload(
-    witnesses: list[TrivialityWitness], alphabet: GeneratorAlphabet
-) -> list[dict]:
-    return [
-        {
-            "word": render_word(w.word, alphabet),
-            "cylinder": {"level": w.cylinder.level, "vertex": w.cylinder.vertex},
-            "exact": w.exact,
-        }
-        for w in witnesses
-    ]
-
-
-def lqa_payload(estimate: LqaScaleEstimate) -> dict:
-    return {
-        "depth": estimate.depth,
-        "max_word_len": estimate.max_word_len,
-        "scale_level": estimate.scale_level,
-        "scale": frac(estimate.scale) if estimate.scale is not None else None,
-    }
 
 
 def lcs_payload(report: LcsWitnessReport, alphabet: GeneratorAlphabet) -> dict:

@@ -17,6 +17,10 @@ IDENTITY_SYMBOL = "e"
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
+# Deepest bracket nesting the word parser accepts; each level costs three
+# Python frames, so this stays far below the interpreter's recursion limit.
+MAX_NESTING = 100
+
 Letter = tuple[int, int]
 
 
@@ -49,8 +53,9 @@ class GeneratorAlphabet:
             raise SchemaError(f"unknown generator: {name!r}") from None
 
 
-def _reduce(letters) -> tuple[Letter, ...]:
-    stack: list[Letter] = []
+def free_reduce(letters) -> tuple:
+    """Cancel adjacent ``(x, s), (x, -s)`` pairs; letters are ``(symbol, sign)``."""
+    stack: list = []
     for gen, sign in letters:
         if stack and stack[-1][0] == gen and stack[-1][1] == -sign:
             stack.pop()
@@ -67,7 +72,7 @@ class Word:
 
     @staticmethod
     def of(letters) -> "Word":
-        return Word(_reduce(letters))
+        return Word(free_reduce(letters))
 
     @staticmethod
     def identity() -> "Word":
@@ -84,7 +89,7 @@ class Word:
         return bool(self.letters)
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(_reduce(self.letters + other.letters))
+        return Word(free_reduce(self.letters + other.letters))
 
     def inverse(self) -> "Word":
         return Word(tuple((g, -s) for g, s in reversed(self.letters)))
@@ -138,6 +143,8 @@ class _Parser:
     grammar:  expr := factor ('*' factor)*
               factor := atom ('^' int)?
               atom := name | 'e' | '[' expr ',' expr ']' | '(' expr ')'
+
+    Brackets nest at most :data:`MAX_NESTING` deep.
     """
 
     def __init__(self, text: str, alphabet: GeneratorAlphabet):
@@ -146,6 +153,11 @@ class _Parser:
         self.alphabet = alphabet
 
     def parse(self) -> Word:
+        nesting = 0
+        for column, ch in enumerate(self.text):
+            nesting += (ch in "([") - (ch in ")]")
+            if nesting > MAX_NESTING:
+                raise SchemaError(f"brackets nest deeper than {MAX_NESTING} at column {column}")
         word = self._expr()
         self._skip_ws()
         if self.pos != len(self.text):
@@ -161,11 +173,12 @@ class _Parser:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def _expr(self) -> Word:
-        word = self._factor()
+        # reduce the product once, not once per factor
+        letters = list(self._factor().letters)
         while self._peek() == "*":
             self.pos += 1
-            word = word * self._factor()
-        return word
+            letters += self._factor().letters
+        return Word.of(letters)
 
     def _factor(self) -> Word:
         atom = self._atom()
@@ -227,7 +240,8 @@ def reduced_words(
 
     Canonical order is by length, then lexicographic over letters with the
     letter order (gen 0, +1) < (gen 0, -1) < (gen 1, +1) < ...  Raises a
-    word-budget error when ``max_count`` is exceeded.
+    word-budget error when ``max_count`` is exceeded.  Only
+    ``len(alphabet)`` is read, so any sized collection of generators works.
     """
     letters = [(g, s) for g in range(len(alphabet)) for s in (1, -1)]
     count = 0

@@ -201,6 +201,25 @@ def test_env_thread_variable(chains, tmp_path):
     env["CANTORACT_THREADS"] = "3"
     proc = run_cli(["farber", chains["odometer"], "--max-word-len", "2", "--depth", "6"], env=env)
     assert proc.returncode == 0
+    env["CANTORACT_THREADS"] = "abc"
+    odometer = chains["odometer"]
+    for argv in (
+        ["build", "odometer", "--depth", "3", "-o", str(tmp_path / "odo.json")],
+        ["validate", odometer],
+        ["farber", odometer, "--max-word-len", "1", "--depth", "3"],
+        ["local-farber", odometer, "--max-word-len", "1", "--depth", "3"],
+        ["holonomy", odometer, "--word", "a", "--depth", "3"],
+        ["density", odometer, "--word", "a", "--point", "0", "--depth", "3"],
+        ["lcs-witness", odometer, "--class", "1", "--max-word-len", "1", "--depth", "3"],
+        ["oracle", "stab-count", odometer, "--level", "2", "--word", "a"],
+    ):
+        proc = run_cli(argv, env=env)
+        assert proc.returncode == 1, argv
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert errors == ["error: $CANTORACT_THREADS must be an integer, got 'abc'"], argv
+        assert proc.stdout == ""
+    assert not (tmp_path / "odo.json").exists()
 
 
 def test_out_of_range_perm_entry_is_one_violation(tmp_path):
@@ -231,3 +250,26 @@ def test_depth_below_one_is_a_one_line_error(chains, argv):
     assert "Traceback" not in proc.stderr
     errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
     assert errors == ["error: depth must be at least 1, got 0"]
+
+
+NESTED_WORD = "(" * 3000 + "g" + ")" * 3000
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["farber", "{tmp}/missing.json"], "No such file or directory"),
+    (["farber", "{fragmented}", "--words", "{tmp}/missing.txt", "--depth", "3"],
+     "No such file or directory"),
+    (["farber", "{fragmented}", "--max-word-len", "1", "--depth", "3",
+      "-o", "{tmp}/missing/report.json"], "No such file or directory"),
+    (["build", "mealy", "--machine", "{tmp}/missing.json", "-o", "{tmp}/chain.json"],
+     "No such file or directory"),
+    (["holonomy", "{fragmented}", "--word", NESTED_WORD, "--depth", "3"], "nest deeper"),
+])
+def test_bad_input_is_a_one_line_error(chains, tmp_path, argv, message):
+    argv = [arg.replace("{tmp}", str(tmp_path)).replace("{fragmented}", chains["fragmented"])
+            for arg in argv]
+    proc = run_cli(argv)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and message in errors[0]

@@ -1,7 +1,8 @@
 """Golden reports: sha256 digests of JSON and CSV reports on small chains.
 
 The digests were recorded before the permutation kernel replaced the
-per-level word walks, so any change in what a report says fails here.
+per-level word walks, and the ``validate`` digests before the commands
+shared one report writer, so any change in what a report says fails here.
 Chain files are written to a temporary directory and passed by relative
 name, because reports echo the chain path.  Re-record only after checking
 that a report change is intended:
@@ -26,8 +27,20 @@ CHAINS = {
     "heis.json": (lambda: ca.heisenberg(2), 6),
 }
 
+# Chain files written verbatim; "range.json" has an out-of-range perm entry.
+RAW_CHAINS = {
+    "range.json": {
+        "name": "range", "generators": ["a"],
+        "levels": [{"size": 4, "parent": None, "perms": {"a": [1, 2, 3, 9]}}],
+    },
+}
+
+# Exit code of every CLI case on a chain file, where it is not 0.
+EXIT_CODES = {"range.json": 1}
+
 COMMANDS = {
     "frag.json": [
+        ["validate"],
         ["farber", "--max-word-len", "3", "--depth", "8"],
         ["local-farber", "--base-level", "1", "--max-word-len", "2", "--depth", "8"],
         ["holonomy", "--word", "g*h^2", "--depth", "8"],
@@ -36,6 +49,7 @@ COMMANDS = {
         ["oracle", "stab-count", "--level", "3", "--word", "g", "--max-order", "5000"],
     ],
     "adding.json": [
+        ["validate"],
         ["farber", "--max-word-len", "3", "--depth", "8"],
         ["local-farber", "--base-level", "1", "--max-word-len", "2", "--depth", "8"],
         ["holonomy", "--word", "a^4", "--depth", "8"],
@@ -44,12 +58,16 @@ COMMANDS = {
         ["oracle", "stab-count", "--level", "3", "--word", "a^2", "--max-order", "5000"],
     ],
     "heis.json": [
+        ["validate"],
         ["farber", "--max-word-len", "2", "--depth", "6"],
         ["local-farber", "--base-level", "1", "--max-word-len", "2", "--depth", "6"],
         ["holonomy", "--word", "[A,B]", "--depth", "6"],
         ["density", "--word", "B", "--point", "sample", "--depth", "6", "--seed", "1"],
         ["lcs-witness", "--class", "2", "--max-word-len", "1", "--depth", "5"],
         ["oracle", "stab-count", "--level", "2", "--word", "B", "--max-order", "5000"],
+    ],
+    "range.json": [
+        ["validate"],
     ],
 }
 
@@ -63,7 +81,8 @@ def _cases() -> dict[str, tuple]:
         for argv in commands:
             for fmt in ("json", "csv"):
                 cases[f"{path}:{' '.join(argv)}:{fmt}"] = (path, argv, fmt)
-        cases[f"{path}:library"] = (path, None, "json")
+        if path in LIBRARY:
+            cases[f"{path}:library"] = (path, None, "json")
     return cases
 
 
@@ -73,7 +92,7 @@ CASES = _cases()
 def _cli_report(path: str, argv: list[str], fmt: str) -> bytes:
     command = argv[:2] if argv[0] == "oracle" else argv[:1]
     args = [*command, path, *argv[len(command):], "--format", fmt, "-o", "report.out"]
-    assert main(args) == 0
+    assert main(args) == EXIT_CODES.get(path, 0)
     with open("report.out", "rb") as fh:
         return fh.read()
 
@@ -99,9 +118,16 @@ def report_digest(case: str) -> str:
 def write_chains(directory: str) -> None:
     for path, (build, depth) in CHAINS.items():
         ca.save_chain(build(), depth, os.path.join(directory, path))
+    for path, data in RAW_CHAINS.items():
+        with open(os.path.join(directory, path), "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
 
 
 GOLDEN = {
+    "frag.json:validate:json":
+        "9677931f87f592359da72ec8efd21411f1a411dada1b287ce947945670a5795a",
+    "frag.json:validate:csv":
+        "9f32b5df1f17e4501cc392b348e3df1b58ff20995e81d901fee8a68165770aed",
     "frag.json:farber --max-word-len 3 --depth 8:json":
         "8360fa5cb42b7265f4ee7b01caa7d2b077d8c3cb5bfc0a1c0964b960fa93e651",
     "frag.json:farber --max-word-len 3 --depth 8:csv":
@@ -128,6 +154,10 @@ GOLDEN = {
         "81e3044f0712921220e3ba44501a0e5b223355d9d7c86138aaaf14c78293ebe2",
     "frag.json:library":
         "caec1968ce5e9011173cecd06a8505bcdce64cce418c3f1882b31d6c77b40b01",
+    "adding.json:validate:json":
+        "9bb91d6590f2e8ee46b6be52ac0ea74a86738c76055c8e8ece7b81dd8549764c",
+    "adding.json:validate:csv":
+        "ebedc60faa69c2258bcd411db0837df9774455e5f14e0629b6a9f7620600a4f9",
     "adding.json:farber --max-word-len 3 --depth 8:json":
         "aead6ca2159da01cc8d81621b2ed35d3d29d81da0e681b2ae3907bf58d54ffc2",
     "adding.json:farber --max-word-len 3 --depth 8:csv":
@@ -154,6 +184,10 @@ GOLDEN = {
         "aa6492ca65cdddc6f987043592f236bf675ada67a24952a1c0d0d64f89b482b0",
     "adding.json:library":
         "81619ed9f00812aa77eb0166857a48ce0990344cd47e40782136b8ce65aad1bd",
+    "heis.json:validate:json":
+        "c90118cad563df1d461653123a0c6d231023e5486c942ee5c86e94943f911c67",
+    "heis.json:validate:csv":
+        "f3ff42763b13dad3f8e8a32307c10539c71224cddab223fabed3c9f934863ac7",
     "heis.json:farber --max-word-len 2 --depth 6:json":
         "991d0fe8566a355fde1caa911c281e19166f2227c4f2c19d05794caef06d1822",
     "heis.json:farber --max-word-len 2 --depth 6:csv":
@@ -180,6 +214,10 @@ GOLDEN = {
         "e2d07664ac79cfae24521193590daf520f51556ea5df8523b4bcc0af8cea47a0",
     "heis.json:library":
         "81619ed9f00812aa77eb0166857a48ce0990344cd47e40782136b8ce65aad1bd",
+    "range.json:validate:json":
+        "b9f2b2d564bc56c3552ea4b40ad06b751d0e25b5e3584110c69f5b35a34b2439",
+    "range.json:validate:csv":
+        "08b1dd13904bb9373f38417002e26aab3b6630b924afc2dd935253b1a28f9385",
 }
 
 

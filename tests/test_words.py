@@ -5,6 +5,7 @@ import pytest
 
 from cantoract.errors import BudgetError, SchemaError
 from cantoract.words import (
+    MAX_NESTING,
     GeneratorAlphabet,
     Word,
     commutator,
@@ -109,3 +110,19 @@ def test_power_is_linear():
     assert word.letters == ((0, 1),) * 100000
     assert w("(b*a^2*b^-1)^50000") == Word.of([(1, 1)] + [(0, 1)] * 100000 + [(1, -1)])
     assert time.perf_counter() - started < 2.0
+
+
+def test_product_parse_is_linear():
+    started = time.perf_counter()
+    assert w("a*" * 100000 + "b") == Word.of([(0, 1)] * 100000 + [(1, 1)])
+    assert w("a*a^-1*" * 50000 + "b") == w("b")
+    assert time.perf_counter() - started < 2.0
+
+
+def test_bracket_nesting_is_bounded():
+    inner = "(" * MAX_NESTING + "a" + ")" * MAX_NESTING
+    assert w(inner) == w("a")
+    for deep in ("(" * 3000 + "a" + ")" * 3000, "[a," * 3000 + "b" + "]" * 3000,
+                 "(" * (MAX_NESTING + 1) + "a" + ")" * (MAX_NESTING + 1)):
+        with pytest.raises(SchemaError, match=f"deeper than {MAX_NESTING}"):
+            w(deep)
