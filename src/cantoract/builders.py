@@ -18,12 +18,14 @@ import json
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 
 from .chain import (
     DEFAULT_DEPTH_LIMIT,
     DEFAULT_MEMORY_BUDGET,
     ChainAction,
     LevelAction,
+    compose,
     validate_chain,
 )
 from .errors import InvalidChainError, SchemaError
@@ -100,6 +102,7 @@ def odometer(base: int = 2, **budgets) -> ChainAction:
         return LevelAction(level, n, parent, {"a": shift})
 
     return ChainAction(alphabet, provider, name=f"odometer({base})",
+                       level_size=lambda level: base**level,
                        metadata={"family": "odometer", "base": base}, **budgets)
 
 
@@ -132,6 +135,7 @@ def toral(dim: int = 2, base: int = 2, **budgets) -> ChainAction:
         return LevelAction(level, n, tuple(parent), perms)
 
     return ChainAction(alphabet, provider, name=f"toral({dim},{base})",
+                       level_size=lambda level: (base**level) ** dim,
                        metadata={"family": "toral", "dim": dim, "base": base}, **budgets)
 
 
@@ -146,6 +150,7 @@ def dihedral(**budgets) -> ChainAction:
         return LevelAction(level, n, parent, {"a": shift, "r": flip})
 
     return ChainAction(alphabet, provider, name="dihedral",
+                       level_size=lambda level: 2**level,
                        metadata={"family": "dihedral"}, **budgets)
 
 
@@ -178,6 +183,7 @@ def heisenberg(base: int = 2, **budgets) -> ChainAction:
         return LevelAction(level, n, tuple(parent), {"A": tuple(a), "B": tuple(b), "C": tuple(c)})
 
     return ChainAction(alphabet, provider, name=f"heisenberg({base})",
+                       level_size=lambda level: (base**level) ** 2,
                        metadata={"family": "heisenberg", "base": base}, **budgets)
 
 
@@ -199,6 +205,7 @@ def fragmented(**budgets) -> ChainAction:
         return LevelAction(level, n, parent, {"h": shift, "g": frag})
 
     return ChainAction(alphabet, provider, name="fragmented",
+                       level_size=lambda level: 2**level,
                        metadata={"family": "fragmented"}, **budgets)
 
 
@@ -360,6 +367,7 @@ def fat_cantor(schedule: dict[int, int] | None = None, **budgets) -> ChainAction
         alphabet,
         provider,
         name="fat_cantor",
+        level_size=lambda level: 3**level,
         metadata={"family": "fat_cantor", "plan": plan},
         **budgets,
     )
@@ -370,6 +378,13 @@ def mealy_chain(machine: MealyMachine, name: str = "mealy", **budgets) -> ChainA
 
     The basepoint is the all-zeros string, index 0, so the output is already
     basepoint normalized.
+
+    Levels are built from the level below by self-similarity: with
+    m = d^(L-1), vertex ``x + c*m`` (letter ``c`` appended below vertex
+    ``x``) maps to ``prev[x] + img*m`` and carries section ``sec``, where
+    ``(img, sec) = machine.step(section[x], c)``.  Sections are interned,
+    and each (section, letter) pair is stepped once, so a level costs a
+    few gathers per generator instead of transducing every string.
     """
     gen_names = tuple(machine.generator_map)
     if not gen_names:
@@ -377,24 +392,66 @@ def mealy_chain(machine: MealyMachine, name: str = "mealy", **budgets) -> ChainA
     alphabet = GeneratorAlphabet(gen_names)
     backend = MealyBackend(machine, gen_names)
     d = machine.alphabet_size
+    sections: list = []  # interned section words; a section's id is its index
+    section_ids: dict = {}
+    moves: list[list] = []  # moves[s][c] = (image letter, section id), filled lazily
+
+    def intern(word) -> int:
+        sid = section_ids.get(word)
+        if sid is None:
+            sid = section_ids[word] = len(sections)
+            sections.append(word)
+            moves.append([None] * d)
+        return sid
+
+    def move(sid: int, c: int) -> tuple[int, int]:
+        if moves[sid][c] is None:
+            img, sec = machine.step(sections[sid], c)
+            moves[sid][c] = (img, intern(sec))
+        return moves[sid][c]
+
+    # The last level built, and per generator its image array (the tuple the
+    # level stores, not a copy) and the section id at each vertex; sections
+    # of lower levels are dropped.  Level 0 is the root, whose section is
+    # the generator's state.
+    last: LevelAction | None = None
+    carried = {gen: ((0,), (intern(machine.state_word(gen)),)) for gen in gen_names}
+
+    def grow() -> None:
+        nonlocal last, carried
+        level = 1 if last is None else last.level + 1
+        m = d ** (level - 1)
+        perms = {}
+        below = {}
+        for gen, (prev, sids) in carried.items():
+            present = set(sids)
+            perm: list[int] = []
+            secs: list[int] = []
+            for c in range(d):
+                offset = [0] * len(sections)
+                nxt = [0] * len(sections)
+                for sid in present:
+                    img, nxt[sid] = move(sid, c)
+                    offset[sid] = img * m
+                perm.extend(map(add, prev, compose(offset, sids)))
+                secs.extend(compose(nxt, sids))
+            perms[gen] = tuple(perm)
+            # one byte per vertex while section ids fit in a byte
+            below[gen] = bytes(secs) if len(sections) <= 256 else secs
+        action = LevelAction(level, m * d, tuple(range(m)) * d, perms)
+        last, carried = action, {gen: (action.perms[gen], below[gen]) for gen in gen_names}
 
     def provider(level: int) -> LevelAction:
-        n = d**level
-        perms = {}
-        for gen in gen_names:
-            word = machine.state_word(gen)
-            perm = []
-            for x in range(n):
-                out = machine.transduce(word, backend.vertex_path(x, level))
-                perm.append(sum(c * d**i for i, c in enumerate(out)))
-            perms[gen] = tuple(perm)
-        parent = tuple(x % (n // d) for x in range(n))
-        return LevelAction(level, n, parent, perms)
+        # a repeated call for the last level returns it again
+        while last is None or last.level < level:
+            grow()
+        return last
 
     return ChainAction(
         alphabet,
         provider,
         name=name,
+        level_size=lambda level: d**level,
         mealy=backend,
         metadata={"family": "mealy"},
         **budgets,
@@ -441,6 +498,7 @@ def chain_from_dict(data: dict, *, validate: bool = True, **budgets) -> ChainAct
     budgets.setdefault("depth_limit", len(levels))
     budgets["depth_limit"] = min(budgets["depth_limit"], len(levels))
     chain = ChainAction(alphabet, provider, name=name,
+                        level_size=lambda level: levels[level - 1].size,
                         metadata={"family": "file"}, **budgets)
     if validate:
         report = validate_chain(chain, len(levels))

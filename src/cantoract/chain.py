@@ -161,10 +161,15 @@ class ValidationReport:
 class ChainAction:
     """A lazily materialized tower of level actions.
 
-    ``provider(level)`` must return the :class:`LevelAction` for ``level``
-    (1-based) and must be pure; levels are cached under a lock so at most
-    one builder runs per level.  ``depth_limit`` and ``memory_budget`` are
-    hard budgets: exceeding them raises a budget error, never truncates.
+    ``provider(level)`` returns the :class:`LevelAction` for ``level``
+    (1-based).  It is called under the chain's lock, once per level and in
+    increasing level order, so it may carry state from the level below; it
+    is not required to be pure, but a repeated call for a level (after an
+    error) must return an equal level.  ``level_size(level)`` is the
+    closed-form size of a level: the memory budget is checked against the
+    sizes of every level a request needs before the provider builds any.  ``depth_limit`` and
+    ``memory_budget`` are hard budgets: exceeding them raises a budget
+    error, never truncates.
 
     The permutation kernel every analysis calls lives here: word images
     built over shared prefixes (:meth:`images`), projection of one deep
@@ -178,6 +183,7 @@ class ChainAction:
         provider,
         *,
         name: str,
+        level_size,
         depth_limit: int = DEFAULT_DEPTH_LIMIT,
         memory_budget: int = DEFAULT_MEMORY_BUDGET,
         mealy=None,
@@ -190,6 +196,7 @@ class ChainAction:
         self.mealy = mealy
         self.metadata = metadata or {}
         self._provider = provider
+        self._level_size = level_size
         self._levels: list[LevelAction] = []
         self._stored_points = 0
         self._lock = threading.Lock()
@@ -207,19 +214,26 @@ class ChainAction:
         if level <= len(self._levels):
             return self._levels[level - 1]
         with self._lock:
-            while len(self._levels) < level:
-                nxt = len(self._levels) + 1
-                built = self._provider(nxt)
-                if built.level != nxt:
-                    raise InvalidChainError(f"provider returned level {built.level}, expected {nxt}")
-                if self._stored_points + built.size > self.memory_budget:
+            # refuse before building anything, not after the levels below
+            sizes = {nxt: self._level_size(nxt) for nxt in range(len(self._levels) + 1, level + 1)}
+            total = self._stored_points
+            for nxt, size in sizes.items():
+                total += size
+                if total > self.memory_budget:
                     raise BudgetError(
                         "memory_budget",
-                        f"materializing level {nxt} ({built.size} points) exceeds "
+                        f"materializing level {nxt} ({size} points) exceeds "
                         f"memory_budget={self.memory_budget} for chain {self.name!r}",
                     )
+            for nxt, size in sizes.items():
+                built = self._provider(nxt)
+                if built.level != nxt or built.size != size:
+                    raise InvalidChainError(
+                        f"provider returned level {built.level} of size {built.size}, "
+                        f"expected level {nxt} of size {size}"
+                    )
                 self._levels.append(built)
-                self._stored_points += built.size
+                self._stored_points += size
         return self._levels[level - 1]
 
     def size(self, level: int) -> int:
@@ -472,6 +486,7 @@ def validate_chain(chain: ChainAction, depth: int) -> ValidationReport:
             kinds_seen.add(invariant)
             violations.append(Violation(invariant, level, generator, point, detail))
 
+    chain.level(depth)  # a budget error comes before any level is built
     prev: LevelAction | None = None
     prev_size = 1
     for level in range(1, depth + 1):

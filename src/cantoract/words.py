@@ -16,12 +16,23 @@ from .errors import BudgetError, SchemaError
 IDENTITY_SYMBOL = "e"
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_INT_RE = re.compile(r"-?\d+")
 
 # Deepest bracket nesting the word parser accepts; each level costs three
 # Python frames, so this stays far below the interpreter's recursion limit.
 MAX_NESTING = 100
 
+# Longest input an error message quotes in full; longer text is cut.
+MAX_QUOTED = 60
+
 Letter = tuple[int, int]
+
+
+def _quote(text: str) -> str:
+    """``repr(text)``, cut to :data:`MAX_QUOTED` characters for error messages."""
+    if len(text) <= MAX_QUOTED:
+        return repr(text)
+    return f"{text[:MAX_QUOTED]!r}... ({len(text)} characters)"
 
 
 @dataclass(frozen=True)
@@ -36,11 +47,11 @@ class GeneratorAlphabet:
         seen = set()
         for name in self.names:
             if not name or not _NAME_RE.fullmatch(name):
-                raise SchemaError(f"bad generator name: {name!r}")
+                raise SchemaError(f"bad generator name: {_quote(name)}")
             if name == IDENTITY_SYMBOL:
                 raise SchemaError(f"{IDENTITY_SYMBOL!r} is reserved for the identity word")
             if name in seen:
-                raise SchemaError(f"duplicate generator name: {name!r}")
+                raise SchemaError(f"duplicate generator name: {_quote(name)}")
             seen.add(name)
 
     def __len__(self) -> int:
@@ -50,7 +61,7 @@ class GeneratorAlphabet:
         try:
             return self.names.index(name)
         except ValueError:
-            raise SchemaError(f"unknown generator: {name!r}") from None
+            raise SchemaError(f"unknown generator: {_quote(name)}") from None
 
 
 def free_reduce(letters) -> tuple:
@@ -144,7 +155,8 @@ class _Parser:
               factor := atom ('^' int)?
               atom := name | 'e' | '[' expr ',' expr ']' | '(' expr ')'
 
-    Brackets nest at most :data:`MAX_NESTING` deep.
+    Brackets nest at most :data:`MAX_NESTING` deep.  Error messages quote
+    at most :data:`MAX_QUOTED` characters of the word.
     """
 
     def __init__(self, text: str, alphabet: GeneratorAlphabet):
@@ -161,7 +173,7 @@ class _Parser:
         word = self._expr()
         self._skip_ws()
         if self.pos != len(self.text):
-            raise SchemaError(f"unexpected {self.text[self.pos]!r} at column {self.pos} in word {self.text!r}")
+            raise SchemaError(f"unexpected {self.text[self.pos]!r} at column {self.pos} in word {_quote(self.text)}")
         return word
 
     def _skip_ws(self):
@@ -189,10 +201,10 @@ class _Parser:
 
     def _int(self) -> int:
         self._skip_ws()
-        m = re.match(r"-?\d+", self.text[self.pos:])
+        m = _INT_RE.match(self.text, self.pos)
         if not m:
-            raise SchemaError(f"expected integer exponent at column {self.pos} in {self.text!r}")
-        self.pos += len(m.group())
+            raise SchemaError(f"expected integer exponent at column {self.pos} in {_quote(self.text)}")
+        self.pos = m.end()
         return int(m.group())
 
     def _atom(self) -> Word:
@@ -201,23 +213,23 @@ class _Parser:
             self.pos += 1
             word = self._expr()
             if self._peek() != ")":
-                raise SchemaError(f"missing ')' in word {self.text!r}")
+                raise SchemaError(f"missing ')' at column {self.pos} in word {_quote(self.text)}")
             self.pos += 1
             return word
         if ch == "[":
             self.pos += 1
             u = self._expr()
             if self._peek() != ",":
-                raise SchemaError(f"missing ',' in commutator in {self.text!r}")
+                raise SchemaError(f"missing ',' in commutator at column {self.pos} in {_quote(self.text)}")
             self.pos += 1
             v = self._expr()
             if self._peek() != "]":
-                raise SchemaError(f"missing ']' in word {self.text!r}")
+                raise SchemaError(f"missing ']' at column {self.pos} in word {_quote(self.text)}")
             self.pos += 1
             return commutator(u, v)
         m = _NAME_RE.match(self.text, self.pos)
         if not m:
-            raise SchemaError(f"expected generator name at column {self.pos} in {self.text!r}")
+            raise SchemaError(f"expected generator name at column {self.pos} in {_quote(self.text)}")
         self.pos = m.end()
         name = m.group()
         if name == IDENTITY_SYMBOL:

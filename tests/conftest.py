@@ -2,6 +2,19 @@ import pytest
 
 import cantoract as ca
 
+# The Grigorchuk machine: a swaps the first letter; b, c, d fix it and
+# hand the rest to (a, c), (a, d), (e, b) on letters 0 and 1.
+GRIGORCHUK = {
+    "alphabet": 2,
+    "states": ["a", "b", "c", "d", "e"],
+    "transitions": {"a": {"0": "e", "1": "e"}, "b": {"0": "a", "1": "c"},
+                    "c": {"0": "a", "1": "d"}, "d": {"0": "e", "1": "b"},
+                    "e": {"0": "e", "1": "e"}},
+    "outputs": {"a": {"0": 1, "1": 0}, "b": {"0": 0, "1": 1}, "c": {"0": 0, "1": 1},
+                "d": {"0": 0, "1": 1}, "e": {"0": 0, "1": 1}},
+    "generators": {"a": "a", "b": "b", "c": "c", "d": "d"},
+}
+
 
 @pytest.fixture(scope="session")
 def odo2():

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -185,6 +186,33 @@ def test_budget_errors(odo2):
     with pytest.raises(BudgetError) as err:
         small.level(4)
     assert err.value.budget == "memory_budget"
+
+
+@pytest.mark.parametrize("build, budget, built, refused", [
+    (lambda b: ca.toral(3, 2, memory_budget=b), 5000, 4, "level 5 (32768 points)"),
+    (lambda b: ca.odometer(2, memory_budget=b), 10, 2, "level 3 (8 points)"),
+    (lambda b: ca.adding_machine_chain(3, memory_budget=b), 100, 3, "level 4 (81 points)"),
+    (lambda b: ca.heisenberg(2, memory_budget=b), 100, 3, "level 4 (256 points)"),
+])
+def test_memory_budget_refuses_before_building(build, budget, built, refused):
+    chain = build(budget)
+    requested = []
+    provider = chain._provider
+
+    def counting(level):
+        requested.append(level)
+        return provider(level)
+
+    chain._provider = counting
+    with pytest.raises(BudgetError) as err:
+        chain.level(built + 3)
+    assert err.value.budget == "memory_budget"
+    assert f"materializing {refused} exceeds memory_budget={budget}" in str(err.value)
+    assert requested == []  # not even the levels that fit are built
+    assert chain.level(built).level == built
+    with pytest.raises(BudgetError, match=re.escape(f"materializing {refused} exceeds")):
+        chain.level(built + 1)
+    assert requested == list(range(1, built + 1))
 
 
 def test_transversal_raises_on_intransitive_chain():

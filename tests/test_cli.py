@@ -273,3 +273,26 @@ def test_bad_input_is_a_one_line_error(chains, tmp_path, argv, message):
     assert "Traceback" not in proc.stderr
     errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and message in errors[0]
+
+
+def test_malformed_long_word_error_is_short(chains):
+    long_word = "g*" * 50000 + "+"
+    proc = run_cli(["holonomy", chains["fragmented"], "--word", long_word, "--depth", "3"])
+    assert proc.returncode == 1
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and f"column {len(long_word) - 1}" in errors[0]
+    assert len(proc.stderr) < 300
+
+
+def test_build_over_budget_is_refused_before_any_level(tmp_path):
+    # the depth-8 level alone holds 2^24 points; levels 1-7 fit but take
+    # seconds to build, so a refusal after them would be slow
+    proc = run_cli(["build", "toral", "--dim", "3", "--depth", "8",
+                    "-o", str(tmp_path / "toral.json")], timeout=60)
+    assert proc.returncode == 2
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert errors == ["error: budget memory_budget exceeded: materializing level 8 "
+                      "(16777216 points) exceeds memory_budget=4000000 for chain 'toral(3,2)'"]
+    wall = [line for line in proc.stderr.splitlines() if line.startswith("wall-time:")]
+    assert float(wall[0].split()[1]) < 2000
+    assert not (tmp_path / "toral.json").exists()

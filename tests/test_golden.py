@@ -1,8 +1,10 @@
 """Golden reports: sha256 digests of JSON and CSV reports on small chains.
 
 The digests were recorded before the permutation kernel replaced the
-per-level word walks, and the ``validate`` digests before the commands
-shared one report writer, so any change in what a report says fails here.
+per-level word walks, the ``validate`` digests before the commands
+shared one report writer, and the Grigorchuk digests before the Mealy
+builder carried sections from one level to the next, so any change in
+what a report says fails here.
 Chain files are written to a temporary directory and passed by relative
 name, because reports echo the chain path.  Re-record only after checking
 that a report change is intended:
@@ -20,11 +22,15 @@ import pytest
 
 import cantoract as ca
 from cantoract.cli import main
+from cantoract.mealy import machine_from_dict
+
+from conftest import GRIGORCHUK
 
 CHAINS = {
     "frag.json": (ca.fragmented, 8),
     "adding.json": (lambda: ca.adding_machine_chain(2), 8),
     "heis.json": (lambda: ca.heisenberg(2), 6),
+    "grig.json": (lambda: ca.mealy_chain(machine_from_dict(GRIGORCHUK), name="grigorchuk"), 9),
 }
 
 # Chain files written verbatim; "range.json" has an out-of-range perm entry.
@@ -65,6 +71,10 @@ COMMANDS = {
         ["density", "--word", "B", "--point", "sample", "--depth", "6", "--seed", "1"],
         ["lcs-witness", "--class", "2", "--max-word-len", "1", "--depth", "5"],
         ["oracle", "stab-count", "--level", "2", "--word", "B", "--max-order", "5000"],
+    ],
+    "grig.json": [
+        ["validate"],
+        ["lcs-witness", "--class", "2", "--max-word-len", "1", "--conj-len", "1", "--depth", "9"],
     ],
     "range.json": [
         ["validate"],
@@ -214,6 +224,14 @@ GOLDEN = {
         "e2d07664ac79cfae24521193590daf520f51556ea5df8523b4bcc0af8cea47a0",
     "heis.json:library":
         "81619ed9f00812aa77eb0166857a48ce0990344cd47e40782136b8ce65aad1bd",
+    "grig.json:validate:json":
+        "748f62af82d36f32494bf42b46f1d15a0b01d08ac5ccc58dd82c97dc3c8fd2bd",
+    "grig.json:validate:csv":
+        "df1e2149e363ad7966a5d844dcf13b8f093a13ab58260728f9e045375f406da2",
+    "grig.json:lcs-witness --class 2 --max-word-len 1 --conj-len 1 --depth 9:json":
+        "0525eea715b07954192806daeb71a8f6f9c8186f2a3c39a7ad1e57fd23acc8a5",
+    "grig.json:lcs-witness --class 2 --max-word-len 1 --conj-len 1 --depth 9:csv":
+        "c8e436bd8b3527e4273faa5c8da14c7f52bc4ce430187351ec04f0e17f79bceb",
     "range.json:validate:json":
         "b9f2b2d564bc56c3552ea4b40ad06b751d0e25b5e3584110c69f5b35a34b2439",
     "range.json:validate:csv":

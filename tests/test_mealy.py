@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cantoract as ca
 from cantoract.errors import SchemaError
@@ -12,7 +13,7 @@ from cantoract.mealy import (
     minimize,
 )
 
-from conftest import word
+from conftest import GRIGORCHUK, word
 
 
 def test_adding_machine_sections():
@@ -113,3 +114,90 @@ def test_mealy_chain_against_transduction(adding):
             path = backend.vertex_path(x, level)
             out = backend.machine.transduce(backend.machine.state_word("a"), path)
             assert perm[x] == sum(c * 2**i for i, c in enumerate(out))
+
+
+@st.composite
+def invertible_machines(draw):
+    d = draw(st.integers(2, 4))
+    states = tuple(f"q{i}" for i in range(draw(st.integers(1, 5))))
+    transitions = {q: {c: draw(st.sampled_from(states)) for c in range(d)} for q in states}
+    outputs = {q: dict(enumerate(draw(st.permutations(range(d))))) for q in states}
+    gens = draw(st.lists(st.sampled_from(states), min_size=1, max_size=3))
+    generator_map = {f"g{i}": q for i, q in enumerate(gens)}
+    return MealyMachine(d, states, transitions, outputs, generator_map)
+
+
+@given(invertible_machines(), st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_level_by_level_builder_matches_transduction(machine, depth):
+    d = machine.alphabet_size
+    while d**depth > 1024:
+        depth -= 1
+    chain = ca.mealy_chain(machine)
+    backend = chain.mealy
+    for level in range(1, depth + 1):
+        lv = chain.level(level)
+        n = d**level
+        assert lv.size == n
+        assert lv.parent == tuple(x % (n // d) for x in range(n))
+        for gen in machine.generator_map:
+            state = machine.state_word(gen)
+            expected = tuple(
+                sum(c * d**i for i, c in enumerate(
+                    machine.transduce(state, backend.vertex_path(x, level))))
+                for x in range(n)
+            )
+            assert lv.perms[gen] == expected
+
+
+def test_builder_with_more_sections_than_a_byte_holds():
+    k = 300
+    states = tuple(f"q{i}" for i in range(k))
+    transitions = {f"q{i}": {0: f"q{(i + 1) % k}", 1: f"q{(7 * i) % k}"} for i in range(k)}
+    outputs = {f"q{i}": ({0: 1, 1: 0} if i % 3 == 0 else {0: 0, 1: 1}) for i in range(k)}
+    machine = MealyMachine(2, states, transitions, outputs, {f"g{i}": f"q{i}" for i in range(k)})
+    chain = ca.mealy_chain(machine)
+    for gen in ("g0", "g1", "g150", "g299"):
+        for level in (3, 4):
+            perm = chain.level(level).perms[gen]
+            for x in range(2**level):
+                out = machine.transduce(machine.state_word(gen), chain.mealy.vertex_path(x, level))
+                assert perm[x] == sum(c * 2**i for i, c in enumerate(out))
+
+
+def test_grigorchuk_build_steps_each_section_letter_once():
+    machine = machine_from_dict(GRIGORCHUK)
+    step = machine.step
+    calls = []
+
+    def counting(word, letter):
+        calls.append((word, letter))
+        return step(word, letter)
+
+    machine.step = counting
+    chain = ca.mealy_chain(machine, name="grigorchuk")
+    chain.level(13)
+    # transducing every string from the root made 786,440 step calls here
+    assert len(calls) <= len(machine.states) * machine.alphabet_size
+    assert len(set(calls)) == len(calls)
+    assert ca.validate_chain(chain, 13).ok
+    lv = chain.level(13)
+    for x in range(0, lv.size, 97):
+        path = chain.mealy.vertex_path(x, 13)
+        for gen in "abcd":
+            out = machine.transduce(machine.state_word(gen), path)
+            assert lv.perms[gen][x] == sum(c * 2**i for i, c in enumerate(out))
+
+
+def test_repeated_provider_call_returns_an_equal_level():
+    chain = ca.mealy_chain(machine_from_dict(GRIGORCHUK), name="grigorchuk")
+    fresh = ca.mealy_chain(machine_from_dict(GRIGORCHUK), name="grigorchuk")
+
+    def same(a, b):
+        return (a.level, a.size, a.parent, a.perms) == (b.level, b.size, b.parent, b.perms)
+
+    stored = chain.level(6)
+    assert same(chain._provider(6), stored)
+    assert same(chain._provider(6), fresh.level(6))
+    for level in range(7, 10):
+        assert same(chain.level(level), fresh.level(level))

@@ -6,6 +6,7 @@ import pytest
 from cantoract.errors import BudgetError, SchemaError
 from cantoract.words import (
     MAX_NESTING,
+    MAX_QUOTED,
     GeneratorAlphabet,
     Word,
     commutator,
@@ -126,3 +127,44 @@ def test_bracket_nesting_is_bounded():
                  "(" * (MAX_NESTING + 1) + "a" + ")" * (MAX_NESTING + 1)):
         with pytest.raises(SchemaError, match=f"deeper than {MAX_NESTING}"):
             w(deep)
+
+
+def test_parse_errors_quote_a_bounded_excerpt():
+    text = "a*" * 50000 + "+"
+    with pytest.raises(SchemaError) as err:
+        w(text)
+    message = str(err.value)
+    assert f"column {len(text) - 1}" in message
+    assert f"({len(text)} characters)" in message
+    assert len(message) < 2 * MAX_QUOTED + 100
+    for bad in ("(" + "a*" * 50000 + "a", "[a," + "b*" * 50000 + "b", "a^" + "x" * 50000,
+                "c" * 50000):
+        with pytest.raises(SchemaError) as err:
+            w(bad)
+        assert len(str(err.value)) < 2 * MAX_QUOTED + 100
+    for names in (("a" * 50000 + "-",), ("a" * 50000,) * 2):
+        with pytest.raises(SchemaError) as err:
+            GeneratorAlphabet(names)
+        assert len(str(err.value)) < 2 * MAX_QUOTED + 100
+    with pytest.raises(SchemaError, match=r"^unexpected '\+' at column 3 in word 'a\*b\+'$"):
+        w("a*b+")
+
+
+class _SliceCounter(str):
+    """A string that counts the characters its slices copy."""
+
+    copied = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            _SliceCounter.copied += len(range(*key.indices(len(self))))
+        return str.__getitem__(self, key)
+
+
+def test_exponents_do_not_copy_the_rest_of_the_word():
+    # each exponent used to be matched against a copy of the remaining
+    # text, so k factors a^1 cost O(k^2)
+    text = _SliceCounter("a^1*" * 2000 + "b^-2")
+    _SliceCounter.copied = 0
+    assert parse_word(text, AB) == Word.of([(0, 1)] * 2000 + [(1, -1)] * 2)
+    assert _SliceCounter.copied <= len(text)
