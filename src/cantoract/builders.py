@@ -18,14 +18,12 @@ import json
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add
 
 from .chain import (
     DEFAULT_DEPTH_LIMIT,
     DEFAULT_MEMORY_BUDGET,
     ChainAction,
     LevelAction,
-    compose,
     validate_chain,
 )
 from .errors import InvalidChainError, SchemaError
@@ -379,12 +377,14 @@ def mealy_chain(machine: MealyMachine, name: str = "mealy", **budgets) -> ChainA
     The basepoint is the all-zeros string, index 0, so the output is already
     basepoint normalized.
 
-    Levels are built from the level below by self-similarity: with
-    m = d^(L-1), vertex ``x + c*m`` (letter ``c`` appended below vertex
-    ``x``) maps to ``prev[x] + img*m`` and carries section ``sec``, where
-    ``(img, sec) = machine.step(section[x], c)``.  Sections are interned,
-    and each (section, letter) pair is stepped once, so a level costs a
-    few gathers per generator instead of transducing every string.
+    Levels are built from the level below by self-similarity.  A generator
+    is a single state, and a state ``q`` acts below its first letter ``c``
+    as its section ``r`` does: with ``(img, ((r, 1),)) = machine.step(((q, 1),), c)``,
+    vertex ``c + d*y`` (letter ``c``, then the string ``y``) maps to
+    ``img + d*perm_r[y]``, where ``perm_r`` is the image array of ``r`` one
+    level down.  Each (state, letter) pair a generator reaches is stepped
+    once, and a level costs one pass over its vertices per reached state
+    instead of transducing every string.
     """
     gen_names = tuple(machine.generator_map)
     if not gen_names:
@@ -392,54 +392,37 @@ def mealy_chain(machine: MealyMachine, name: str = "mealy", **budgets) -> ChainA
     alphabet = GeneratorAlphabet(gen_names)
     backend = MealyBackend(machine, gen_names)
     d = machine.alphabet_size
-    sections: list = []  # interned section words; a section's id is its index
-    section_ids: dict = {}
-    moves: list[list] = []  # moves[s][c] = (image letter, section id), filled lazily
+    # moves[q][c] = (image letter, section state) for every state reached
+    # from a generator
+    moves: dict[str, list[tuple[int, str]]] = {}
+    todo = list(machine.generator_map.values())
+    while todo:
+        q = todo.pop()
+        if q not in moves:
+            moves[q] = [(img, sec[0][0]) for img, sec in
+                        (machine.step(((q, 1),), c) for c in range(d))]
+            todo.extend(r for _, r in moves[q])
 
-    def intern(word) -> int:
-        sid = section_ids.get(word)
-        if sid is None:
-            sid = section_ids[word] = len(sections)
-            sections.append(word)
-            moves.append([None] * d)
-        return sid
-
-    def move(sid: int, c: int) -> tuple[int, int]:
-        if moves[sid][c] is None:
-            img, sec = machine.step(sections[sid], c)
-            moves[sid][c] = (img, intern(sec))
-        return moves[sid][c]
-
-    # The last level built, and per generator its image array (the tuple the
-    # level stores, not a copy) and the section id at each vertex; sections
-    # of lower levels are dropped.  Level 0 is the root, whose section is
-    # the generator's state.
+    # The last level built and each reached state's image array there;
+    # a generator's is the tuple its level stores, and lower levels' arrays
+    # are dropped.  Level 0 is the root.
     last: LevelAction | None = None
-    carried = {gen: ((0,), (intern(machine.state_word(gen)),)) for gen in gen_names}
+    images = dict.fromkeys(moves, (0,))
 
     def grow() -> None:
-        nonlocal last, carried
+        nonlocal last, images
         level = 1 if last is None else last.level + 1
-        m = d ** (level - 1)
-        perms = {}
+        n = d**level
+        vertex = tuple(range(n))  # one int object per value, shared by every array
         below = {}
-        for gen, (prev, sids) in carried.items():
-            present = set(sids)
-            perm: list[int] = []
-            secs: list[int] = []
-            for c in range(d):
-                offset = [0] * len(sections)
-                nxt = [0] * len(sections)
-                for sid in present:
-                    img, nxt[sid] = move(sid, c)
-                    offset[sid] = img * m
-                perm.extend(map(add, prev, compose(offset, sids)))
-                secs.extend(compose(nxt, sids))
-            perms[gen] = tuple(perm)
-            # one byte per vertex while section ids fit in a byte
-            below[gen] = bytes(secs) if len(sections) <= 256 else secs
-        action = LevelAction(level, m * d, tuple(range(m)) * d, perms)
-        last, carried = action, {gen: (action.perms[gen], below[gen]) for gen in gen_names}
+        for q, row in moves.items():
+            perm = [0] * n
+            for c, (img, r) in enumerate(row):
+                perm[c::d] = [vertex[img + d * y] for y in images[r]]
+            below[q] = tuple(perm)
+        images = below
+        perms = {gen: below[q] for gen, q in machine.generator_map.items()}
+        last = LevelAction(level, n, vertex[: n // d] * d, perms)
 
     def provider(level: int) -> LevelAction:
         # a repeated call for the last level returns it again

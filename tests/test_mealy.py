@@ -150,7 +150,7 @@ def test_level_by_level_builder_matches_transduction(machine, depth):
             assert lv.perms[gen] == expected
 
 
-def test_builder_with_more_sections_than_a_byte_holds():
+def test_builder_with_many_states_matches_transduction():
     k = 300
     states = tuple(f"q{i}" for i in range(k))
     transitions = {f"q{i}": {0: f"q{(i + 1) % k}", 1: f"q{(7 * i) % k}"} for i in range(k)}
