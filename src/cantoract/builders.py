@@ -463,6 +463,8 @@ def chain_from_dict(data: dict, *, validate: bool = True, **budgets) -> ChainAct
             perms = {str(g): tuple(int(v) for v in p) for g, p in entry["perms"].items()}
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed level {i + 1}: {exc}") from exc
+        if size < 1:
+            raise SchemaError(f"level {i + 1}: size must be at least 1, got {size}")
         if parent is None:
             if i != 0:
                 raise SchemaError(f"level {i + 1}: only the first level may omit the parent array")

@@ -16,6 +16,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from operator import eq, itemgetter
 
 from .errors import BudgetError, InvalidChainError
@@ -32,9 +33,22 @@ def compose(p, q) -> tuple[int, ...]:
 
     One C-level gather; ``p`` may be any sequence, ``q`` any index array.
     """
-    if len(q) == 1:
-        return (p[q[0]],)
-    return itemgetter(*q)(p)
+    if len(q) > 1:
+        return itemgetter(*q)(p)
+    return (p[q[0]],) if q else ()
+
+
+def _packed(values, n: int):
+    """``values``, each below ``n``, in the narrowest array type that holds them.
+
+    Gathers through a packed table return plain ints, so the memoized
+    kernel tables cost one to four bytes per point instead of a pointer.
+    """
+    if n <= 256:
+        return bytes(values)
+    from array import array  # imported here: CLI runs on small chains never load it
+
+    return array("H" if n <= 1 << 16 else "I", values)
 
 
 def invert(p) -> tuple[int, ...]:
@@ -172,9 +186,11 @@ class ChainAction:
     error, never truncates.
 
     The permutation kernel every analysis calls lives here: word images
-    built over shared prefixes (:meth:`images`), projection of one deep
-    image to every coarser level (:meth:`level_images`) and memoized
-    ancestor tables (:meth:`ancestors`).
+    built over shared prefixes (:meth:`images`), fixed counts of one deep
+    image at every coarser level, walked top-down through the nested fixed
+    sets (:meth:`fixed_counts`), and the memoized tables both read:
+    ancestors (:meth:`ancestors`), children (:meth:`children`) and one
+    deep point over each vertex (:meth:`representatives`).
     """
 
     def __init__(
@@ -200,8 +216,9 @@ class ChainAction:
         self._levels: list[LevelAction] = []
         self._stored_points = 0
         self._lock = threading.Lock()
-        self._ancestor_tables: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._sections: dict[int, tuple[int, ...]] = {}
+        self._ancestor_tables: dict[tuple[int, int], object] = {}
+        self._children: dict[int, tuple] = {}
+        self._representatives: dict[tuple[int, int], object] = {}
 
     def level(self, level: int) -> LevelAction:
         if level < 1:
@@ -310,28 +327,44 @@ class ChainAction:
             del stack[keep + 1:]
             yield i, tuple(range(lv.size)) if image is None else image
 
-    def level_images(self, image, level: int) -> list[tuple[int, ...]]:
-        """Entry ``L`` is the level-``L`` image of the permutation given at ``level``.
+    def fixed_counts(self, image, level: int, base_level: int = 0) -> list[int]:
+        """Fixed counts of ``image``, given at ``level``, at levels ``max(base_level, 1)..level``.
 
-        Equivariance gives ``perm_{L-1}[v] = parent_L[perm_L[s_L(v)]]`` for
-        any level-``L`` point ``s_L(v)`` over ``v``, so one deep image
-        yields every coarser one at O(n_L) per level.
+        Only the points over the basepoint at ``base_level`` count.  Fixed
+        sets are nested, since a point fixed at level ``L`` lies over a
+        vertex fixed at ``L - 1``, so the walk goes top-down and tests at
+        level ``L`` only the children of the vertices fixed one level up:
+        level-``L`` point ``x`` is fixed iff the ancestor at ``L`` of
+        ``image[rep_L[x]]`` is ``x``, where ``rep_L[x]`` is a level-``level``
+        point over ``x``.  Once the fixed set is empty every deeper count is 0.
         """
-        out = [image]
-        for lvl in range(level, 0, -1):
-            lv = self.level(lvl)
-            sections = self._sections.get(lvl)
-            if sections is None:
-                over = [0] * self.size(lvl - 1)
-                # a perm lists every point once, and reusing its int objects
-                # keeps this cache to one pointer per point
-                for x in lv.perms[self.alphabet.names[0]]:
-                    over[lv.parent[x]] = x
-                sections = self._sections[lvl] = tuple(over)
-            image = compose(lv.parent, compose(image, sections))
-            out.append(image)
-        out.reverse()
-        return out
+        if not 0 <= base_level <= level or level < 1:
+            raise ValueError("fixed counts need 1 <= level and 0 <= base_level <= level")
+        if base_level:
+            lvl, points = base_level, (0,)
+        else:
+            lvl, points = 1, self._children_of(1, (0,))
+        counts = []
+        while True:
+            if lvl == level:
+                got = compose(image, points)
+            else:
+                reps = compose(self.representatives(level, lvl), points)
+                got = compose(self.ancestors(level, lvl), compose(image, reps))
+            fixed = tuple(compress(points, map(eq, got, points)))
+            counts.append(len(fixed))
+            if lvl == level:
+                return counts
+            if not fixed:
+                return counts + [0] * (level - lvl)
+            lvl += 1
+            points = self._children_of(lvl, fixed)
+
+    def _children_of(self, level: int, vertices) -> tuple[int, ...]:
+        points = ()
+        for column in self.children(level):
+            points += compose(column, vertices)
+        return points
 
     def stabilizer_contains(self, word: Word, level: int) -> bool:
         """Membership in the level-``level`` basepoint stabilizer subgroup."""
@@ -344,24 +377,80 @@ class ChainAction:
     def fixed_count(self, word: Word, level: int) -> int:
         return count_fixed(self.word_permutation(word, level))
 
-    def ancestors(self, level: int, base_level: int) -> tuple[int, ...]:
+    def ancestors(self, level: int, base_level: int):
         """``table[x]``: the level-``base_level`` ancestor of level-``level`` point ``x``.
 
-        Memoized per (level, base level); each table is one gather of the
-        table a level below through the parent array.
+        Memoized per (level, base level) and built from the deep side: the
+        table one level up is the parent array itself, and each coarser one
+        is one gather of the table below it, so all base levels of one
+        ``level`` cost one gather each.  Tables are packed (see ``_packed``).
         """
         if not 0 <= base_level <= level:
             raise ValueError("ancestor levels must satisfy 0 <= base_level <= level")
         key = (level, base_level)
-        table = self._ancestor_tables.get(key)
+        tables = self._ancestor_tables
+        table = tables.get(key)
         if table is None:
             if base_level == 0:
-                table = (0,) * self.size(level)
+                table = tables[key] = bytes(self.size(level))
             elif base_level == level:
-                table = tuple(range(self.size(level)))
+                table = tables[key] = _packed(range(self.size(level)), self.size(level))
             else:
-                table = compose(self.ancestors(level - 1, base_level), self.level(level).parent)
-            self._ancestor_tables[key] = table
+                table = tables[(level, level - 1)] = self.level(level).parent
+                for b in range(level - 2, base_level - 1, -1):
+                    # gather through the unpacked table, whose ints are the
+                    # parent arrays' own, and keep a packed copy
+                    table = compose(self.level(b + 1).parent, table)
+                    tables[(level, b)] = _packed(table, self.size(b))
+                table = tables[key]
+        return table
+
+    def children(self, level: int) -> tuple:
+        """``table[j][v]``: the ``j``-th level-``level`` point over vertex ``v`` one level up.
+
+        The points over one vertex are listed in increasing order, and
+        every vertex must have the same number of them (fiber constancy);
+        a level without it is an :class:`InvalidChainError`.
+        """
+        table = self._children.get(level)
+        if table is None:
+            lv = self.level(level)
+            n, below = lv.size, self.size(level - 1)
+            parent = lv.parent
+            k = n // below
+            # a sorted perm lists every point once and reuses the perm's int
+            # objects, so sorting makes none; the stable sort by parent keeps
+            # siblings ascending
+            order = sorted(sorted(lv.perms[self.alphabet.names[0]]), key=parent.__getitem__)
+            columns = [order[j::k] for j in range(k)]
+            if k * below != n or not all(all(map(eq, compose(parent, c), range(below)))
+                                         for c in columns):
+                counts = [0] * below
+                for p in parent:
+                    counts[p] += 1
+                v = next(v for v, c in enumerate(counts) if c != k)
+                raise InvalidChainError(
+                    f"level {level}: level-{level - 1} point {v} has {counts[v]} "
+                    f"preimages, expected {k}")
+            table = self._children[level] = tuple(_packed(c, n) for c in columns)
+        return table
+
+    def representatives(self, level: int, base_level: int):
+        """``table[v]``: one level-``level`` point over level-``base_level`` vertex ``v``.
+
+        Memoized per (level, base level) and built from the deep side, one
+        gather per level: a vertex's point is the one over its first child.
+        """
+        if not 0 <= base_level < level:
+            raise ValueError("representative levels must satisfy 0 <= base_level < level")
+        key = (level, base_level)
+        table = self._representatives.get(key)
+        if table is None:
+            first = self.children(base_level + 1)[0]
+            if base_level < level - 1:
+                first = _packed(compose(self.representatives(level, base_level + 1), first),
+                                self.size(level))
+            table = self._representatives[key] = first
         return table
 
     def ancestor(self, level: int, x: int, to_level: int) -> int:

@@ -113,25 +113,23 @@ def _score(
     max_word_len: int | None,
     depth: int,
     tolerance: Fraction,
-    scored: list[tuple[int, tuple[int, ...] | None]],
+    sizes: list[int],
 ) -> FarberReport:
-    """Score every candidate on the ``(level, points)`` pairs of ``scored``.
+    """Score every candidate on the points over the basepoint at ``base_level``.
 
-    A trajectory entry is the fraction of ``points`` (the whole level when
-    ``None``) that the candidate fixes.  A candidate fixing every scored
-    point at ``depth`` is indistinguishable from the identity there: on the
-    whole level it acts trivially, and on the base fiber, which holds the
-    basepoint, it also stabilizes the basepoint, so it lies in the core.
+    ``sizes[i]`` is the number of those points at level ``max(base_level, 1) + i``,
+    and a trajectory entry is the fraction of them the candidate fixes.  A
+    candidate fixing every scored point at ``depth`` is indistinguishable
+    from the identity there: on the whole level it acts trivially, and on
+    the base fiber, which holds the basepoint, it also stabilizes the
+    basepoint, so it lies in the core.
     """
-    sizes = [(level, points, chain.size(level) if points is None else len(points))
-             for level, points in scored]
+    levels = range(max(base_level, 1), depth + 1)
     verdicts: list = [None] * len(candidates)
     for i, image in chain.images(candidates, depth):
-        levels = chain.level_images(image, depth)
-        traj = tuple(
-            (level, Fraction(count_fixed(levels[level], points), size))
-            for level, points, size in sizes
-        )
+        counts = chain.fixed_counts(image, depth, base_level)
+        traj = tuple((level, Fraction(count, size))
+                     for level, count, size in zip(levels, counts, sizes))
         if traj[-1][1] == 1:
             verdict = INDISTINGUISHABLE
         else:
@@ -172,8 +170,8 @@ def farber_check(
         cap = None
         if any(not w.letters for w in candidates):
             raise ValueError("candidate words must exclude the identity")
-    whole = [(level, None) for level in range(1, depth + 1)]
-    return _score(chain, "farber", 0, candidates, cap, depth, tolerance, whole)
+    sizes = [chain.size(level) for level in range(1, depth + 1)]
+    return _score(chain, "farber", 0, candidates, cap, depth, tolerance, sizes)
 
 
 def local_candidates(
@@ -232,9 +230,9 @@ def local_farber_check(
     _, candidates = local_candidates(
         chain, base_level, max_word_len, max_generators=max_generators
     )
-    fibers = [(level, derived.fiber(level)) for level in range(max(base_level, 1), depth + 1)]
+    sizes = [len(derived.fiber(level)) for level in range(max(base_level, 1), depth + 1)]
     return _score(chain, "local-farber", base_level, candidates, max_word_len, depth,
-                  tolerance, fibers)
+                  tolerance, sizes)
 
 
 @dataclass(frozen=True)

@@ -97,17 +97,17 @@ def _require_nonidentity(word: Word):
         raise ValueError("the identity word is excluded from holonomy queries")
 
 
-def _moved_by_level(chain: ChainAction, perm: tuple[int, ...], depth: int) -> list[set[int]]:
-    """Entry L, for L = 0..depth-1: the level-L vertices whose depth-``depth`` fiber moves.
+def _moved_by_level(
+    chain: ChainAction, perm: tuple[int, ...], depth: int, cap: int
+) -> list[set[int]]:
+    """Entry L, for L = 0..cap: the level-L vertices whose depth-``depth`` fiber moves.
 
     Entry 0 is empty exactly when the word moves nothing at this depth.
     """
-    parent = chain.level(depth).parent
-    moved = set(compress(parent, map(ne, perm, range(len(perm)))))
+    moved = set(compress(chain.ancestors(depth, cap), map(ne, perm, range(len(perm)))))
     tables = [moved]
-    for level in range(depth - 1, 0, -1):
-        parent = chain.level(level).parent
-        moved = {parent[x] for x in moved}
+    for level in range(cap, 0, -1):
+        moved = set(map(chain.level(level).parent.__getitem__, moved))
         tables.append(moved)
     tables.reverse()
     return tables
@@ -139,11 +139,10 @@ def fixed_set_report(chain: ChainAction, word: Word, depth: int) -> FixedSetRepo
     _require_nonidentity(word)
     check_depth(depth)
     perm = chain.word_permutation(word, depth)
-    levels = chain.level_images(perm, depth)[1:]
-    sizes = [len(image) for image in levels]
-    counts = [count_fixed(image) for image in levels]
+    sizes = [chain.size(level) for level in range(1, depth + 1)]
+    counts = chain.fixed_counts(perm, depth)
     cap = interior_scan_limit(depth)
-    cylinders = _maximal_fixed_cylinders(chain, _moved_by_level(chain, perm, depth), cap)
+    cylinders = _maximal_fixed_cylinders(chain, _moved_by_level(chain, perm, depth, cap), cap)
     interior = sum((Fraction(1, chain.size(c.level)) for c in cylinders), Fraction(0))
     hol = Fraction(counts[-1], sizes[-1]) - interior
     if hol < 0:
@@ -207,7 +206,7 @@ def partial_triviality_witnesses(
     words = list(reduced_words(chain.alphabet, max_word_len, max_count=max_words))
     found: list[list[TrivialityWitness]] = [[] for _ in words]
     for i, perm in chain.images(words, depth):
-        moved = _moved_by_level(chain, perm, depth)
+        moved = _moved_by_level(chain, perm, depth, cap)
         if not moved[0]:
             continue  # indistinguishable from identity at this depth: moves nothing
         for cyl in _maximal_fixed_cylinders(chain, moved, cap):
@@ -240,7 +239,7 @@ def lqa_scale_estimate(
     deepest_witness = -1
     words = list(reduced_words(chain.alphabet, max_word_len, max_count=max_words))
     for _, perm in chain.images(words, depth):
-        moved = _moved_by_level(chain, perm, depth)
+        moved = _moved_by_level(chain, perm, depth, cap)
         if not moved[0]:
             continue
         for m in range(1, cap + 1):

@@ -296,3 +296,24 @@ def test_build_over_budget_is_refused_before_any_level(tmp_path):
     wall = [line for line in proc.stderr.splitlines() if line.startswith("wall-time:")]
     assert float(wall[0].split()[1]) < 2000
     assert not (tmp_path / "toral.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["farber"],
+    ["local-farber"],
+    ["holonomy", "--word", "a"],
+    ["density", "--word", "a", "--point", "0"],
+    ["lcs-witness"],
+])
+def test_empty_level_is_a_one_line_error(tmp_path, argv):
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({
+        "name": "zero", "generators": ["a"],
+        "levels": [{"size": 0, "parent": None, "perms": {"a": []}}],
+    }))
+    proc = run_cli([argv[0], str(zero), *argv[1:]])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert errors == ["error: level 1: size must be at least 1, got 0"]

@@ -1,10 +1,12 @@
 """The permutation kernel against independent derivations.
 
-Word images built over shared prefixes, projections of one deep image and
-the memoized ancestor tables are each compared with a brute-force oracle:
-point-by-point action for images, a parent walk for ancestors and fibers.
+Word images built over shared prefixes, the top-down fixed counts of one
+deep image and the memoized ancestor, children and representative tables
+are each compared with a brute-force oracle: point-by-point action for
+images and fixed counts, a parent walk for tables and fibers.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import cantoract as ca
@@ -68,17 +70,60 @@ def test_images_match_word_permutation_and_brute_force(cwl):
     assert seen == set(range(len(words)))
 
 
+def _brute_fiber(chain, base_level, level):
+    return tuple(y for y in range(chain.size(level))
+                 if _brute_ancestor(chain, level, y, base_level) == 0)
+
+
 @common
 @given(chain_words_level())
-def test_projection_gives_every_level(cwl):
+def test_fixed_counts_match_brute_force(cwl):
     chain, words, depth = cwl
     for i, image in chain.images(words, depth):
-        levels = chain.level_images(image, depth)
-        assert len(levels) == depth + 1
-        assert levels[0] == (0,)
-        for level in range(1, depth + 1):
-            assert levels[level] == _brute_image(chain, words[i], level)
-            assert count_fixed(levels[level]) == chain.fixed_count(words[i], level)
+        brute = {level: _brute_image(chain, words[i], level) for level in range(1, depth + 1)}
+        for base in range(depth):
+            counts = chain.fixed_counts(image, depth, base)
+            levels = range(max(base, 1), depth + 1)
+            assert len(counts) == len(levels)
+            for level, count in zip(levels, counts):
+                assert count == count_fixed(brute[level], _brute_fiber(chain, base, level))
+        for level, count in enumerate(chain.fixed_counts(image, depth), 1):
+            assert count == chain.fixed_count(words[i], level)
+
+
+@pytest.mark.parametrize("family", _FAMILIES, ids=lambda f: f[0].name)
+def test_fixed_counts_of_the_identity_are_whole_fibers(family):
+    chain, depth = family
+    image = tuple(range(chain.size(depth)))
+    for base in range(depth):
+        assert chain.fixed_counts(image, depth, base) == [
+            len(_brute_fiber(chain, base, level)) for level in range(max(base, 1), depth + 1)]
+
+
+def test_fixed_counts_stop_once_the_fixed_set_empties(monkeypatch):
+    odo = ca.odometer(2)
+    a = odo.word_permutation(ca.Word.generator(0), 8)  # moves both level-1 points
+    assert odo.fixed_counts(a, 8) == [0] * 8
+    gathers = []
+    monkeypatch.setattr(chain_module, "compose", lambda p, q: gathers.append(q) or compose(p, q))
+    assert odo.fixed_counts(a, 8) == [0] * 8
+    assert odo.fixed_counts(a, 8, 1) == [0] * 8
+    # level 1 alone is tested: the root's two children are gathered one
+    # column at a time, then three gathers over them; at base level 1 three
+    # over the basepoint; nothing deeper either time
+    assert [len(q) for q in gathers] == [1, 1, 2, 2, 2, 1, 1, 1]
+
+
+def test_fixed_counts_refuse_a_level_without_constant_fibers():
+    # level-1 point 0 has three preimages and point 1 one; only an
+    # unvalidated chain gets this far
+    data = {"name": "uneven", "generators": ["a"], "levels": [
+        {"size": 2, "parent": None, "perms": {"a": [1, 0]}},
+        {"size": 4, "parent": [0, 0, 0, 1], "perms": {"a": [3, 0, 1, 2]}},
+    ]}
+    chain = ca.chain_from_dict(data, validate=False)
+    with pytest.raises(ca.InvalidChainError, match="level-1 point 0 has 3 preimages, expected 2"):
+        chain.fixed_counts((0, 1, 2, 3), 2)
 
 
 @common
@@ -95,6 +140,12 @@ def test_ancestor_tables_and_fibers_match_parent_walk(family, data):
     vertex = data.draw(st.integers(0, chain.size(base) - 1))
     assert chain.fiber(base, level, vertex) == tuple(
         y for y in range(chain.size(level)) if brute[y] == vertex)
+    if level > base:
+        below = [y for y in range(chain.size(base + 1))
+                 if _brute_ancestor(chain, base + 1, y, base) == vertex]
+        assert [column[vertex] for column in chain.children(base + 1)] == below
+        rep = chain.representatives(level, base)[vertex]
+        assert brute[rep] == vertex
 
 
 def test_images_share_prefixes(frag, monkeypatch):
@@ -121,3 +172,5 @@ def test_compose_and_invert():
     assert compose((0,), (0,)) == (0,)
     assert count_fixed(p) == 1
     assert count_fixed(q, (1, 2)) == 1
+    assert compose(p, ()) == ()
+    assert count_fixed(p, ()) == 0
