@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 import threading
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,11 +45,7 @@ def _packed(values, n: int):
     Gathers through a packed table return plain ints, so the memoized
     kernel tables cost one to four bytes per point instead of a pointer.
     """
-    if n <= 256:
-        return bytes(values)
-    from array import array  # imported here: CLI runs on small chains never load it
-
-    return array("H" if n <= 1 << 16 else "I", values)
+    return array("B" if n <= 256 else "H" if n <= 1 << 16 else "I", values)
 
 
 def invert(p) -> tuple[int, ...]:
@@ -360,10 +357,10 @@ class ChainAction:
             lvl += 1
             points = self._children_of(lvl, fixed)
 
-    def _children_of(self, level: int, vertices) -> tuple[int, ...]:
-        points = ()
+    def _children_of(self, level: int, vertices) -> list[int]:
+        points = []
         for column in self.children(level):
-            points += compose(column, vertices)
+            points.extend(compose(column, vertices))
         return points
 
     def stabilizer_contains(self, word: Word, level: int) -> bool:
@@ -382,27 +379,39 @@ class ChainAction:
 
         Memoized per (level, base level) and built from the deep side: the
         table one level up is the parent array itself, and each coarser one
-        is one gather of the table below it, so all base levels of one
-        ``level`` cost one gather each.  Tables are packed (see ``_packed``).
+        is one gather of the table below it.  A missing table is built from
+        the nearest memoized one above it, so all base levels of one
+        ``level`` cost one gather each, in any request order.
+
+        The table is the memoized object itself: a read-only sequence of
+        ints whose type varies (the parent tuple for ``level - 1``, a packed
+        ``array`` otherwise; see ``_packed``).  Callers must not mutate it.
         """
         if not 0 <= base_level <= level:
             raise ValueError("ancestor levels must satisfy 0 <= base_level <= level")
-        key = (level, base_level)
         tables = self._ancestor_tables
-        table = tables.get(key)
+        table = tables.get((level, base_level))
         if table is None:
             if base_level == 0:
-                table = tables[key] = bytes(self.size(level))
+                table = tables[(level, 0)] = _packed(bytes(self.size(level)), 1)
             elif base_level == level:
-                table = tables[key] = _packed(range(self.size(level)), self.size(level))
+                table = tables[(level, level)] = _packed(range(self.size(level)), self.size(level))
             else:
-                table = tables[(level, level - 1)] = self.level(level).parent
-                for b in range(level - 2, base_level - 1, -1):
-                    # gather through the unpacked table, whose ints are the
-                    # parent arrays' own, and keep a packed copy
+                above = base_level + 1
+                while above < level - 1 and (level, above) not in tables:
+                    above += 1
+                if above < level - 1:
+                    table = tables[(level, above)]
+                else:
+                    above = level - 1
+                    table = tables[(level, above)] = self.level(level).parent
+                for b in range(above - 1, base_level - 1, -1):
+                    # after the first step this gathers through an unpacked
+                    # tuple, whose ints are the parent arrays' own (a packed
+                    # table makes an int per point), and keeps a packed copy
                     table = compose(self.level(b + 1).parent, table)
                     tables[(level, b)] = _packed(table, self.size(b))
-                table = tables[key]
+                table = tables[(level, base_level)]
         return table
 
     def children(self, level: int) -> tuple:
@@ -410,7 +419,9 @@ class ChainAction:
 
         The points over one vertex are listed in increasing order, and
         every vertex must have the same number of them (fiber constancy);
-        a level without it is an :class:`InvalidChainError`.
+        a level without it is an :class:`InvalidChainError`.  The columns
+        are memoized packed arrays (see ``_packed``); callers must not
+        mutate them.
         """
         table = self._children.get(level)
         if table is None:
@@ -440,6 +451,8 @@ class ChainAction:
 
         Memoized per (level, base level) and built from the deep side, one
         gather per level: a vertex's point is the one over its first child.
+        The table is a memoized packed array (see ``_packed``); callers must
+        not mutate it.
         """
         if not 0 <= base_level < level:
             raise ValueError("representative levels must satisfy 0 <= base_level < level")

@@ -226,11 +226,13 @@ def local_farber_check(
     _check(tolerance, depth)
     if base_level >= depth:
         raise ValueError("base level must be smaller than the report depth")
-    derived = derived_chain(chain, base_level, depth)
     _, candidates = local_candidates(
         chain, base_level, max_word_len, max_generators=max_generators
     )
-    sizes = [len(derived.fiber(level)) for level in range(max(base_level, 1), depth + 1)]
+    # fiber constancy (checked by ``children``) makes each fiber over the
+    # basepoint the level's size over the base level's
+    sizes = [chain.size(level) // chain.size(base_level)
+             for level in range(max(base_level, 1), depth + 1)]
     return _score(chain, "local-farber", base_level, candidates, max_word_len, depth,
                   tolerance, sizes)
 

@@ -148,6 +148,20 @@ def test_ancestor_tables_and_fibers_match_parent_walk(family, data):
         assert brute[rep] == vertex
 
 
+@pytest.mark.parametrize("bases", [[8, 7, 6, 5, 4, 3, 2, 1], [1, 2, 3, 4, 5, 6, 7, 8],
+                                   [4, 7, 1, 8, 2, 6, 3, 5]])
+def test_ancestor_tables_cost_one_gather_per_level_in_any_order(monkeypatch, bases):
+    """Every base level of one level costs one gather, and no table is rebuilt."""
+    chain = ca.odometer(2)
+    chain.level(9)
+    gathers = []
+    monkeypatch.setattr(chain_module, "compose", lambda p, q: gathers.append(1) or compose(p, q))
+    tables = {b: chain.ancestors(9, b) for b in bases}
+    assert len(gathers) == 7  # base levels 7..1; level 8's table is the parent array
+    assert all(chain.ancestors(9, b) is tables[b] for b in bases)
+    assert len(gathers) == 7
+
+
 def test_images_share_prefixes(frag, monkeypatch):
     """One gather per extended prefix, and no more live prefix images than letters."""
     words = list(ca.reduced_words(frag.alphabet, 3))[::-1]
