@@ -48,6 +48,7 @@ COMMANDS = {
     "frag.json": [
         ["validate"],
         ["farber", "--max-word-len", "3", "--depth", "8"],
+        ["farber", "--max-word-len", "4", "--depth", "8"],
         ["local-farber", "--base-level", "1", "--max-word-len", "2", "--depth", "8"],
         ["holonomy", "--word", "g*h^2", "--depth", "8"],
         ["density", "--word", "g", "--point", "sample", "--depth", "8", "--seed", "3"],
@@ -142,6 +143,10 @@ GOLDEN = {
         "8360fa5cb42b7265f4ee7b01caa7d2b077d8c3cb5bfc0a1c0964b960fa93e651",
     "frag.json:farber --max-word-len 3 --depth 8:csv":
         "ca0ad8ed056ad32fe53c0baf0b3f7596152eb517f798154622de63efab6c8ba2",
+    "frag.json:farber --max-word-len 4 --depth 8:json":
+        "a8c49593fb75103ac25a5626278463d48151da7f1e7d6416d17b5bb89fdfc700",
+    "frag.json:farber --max-word-len 4 --depth 8:csv":
+        "e2124925366b495c684385818ec7d5adf15cbc78fde672938527c002190f6b5b",
     "frag.json:local-farber --base-level 1 --max-word-len 2 --depth 8:json":
         "ac79150d5721b09dee0ba5ff1b430b4f1b122e5830fc9244d4a82aa71c2d0e29",
     "frag.json:local-farber --base-level 1 --max-word-len 2 --depth 8:csv":
