@@ -445,6 +445,36 @@ def adding_machine_chain(base: int = 2, **budgets) -> ChainAction:
     return mealy_chain(adding_machine(base), name=f"adding-machine({base})", **budgets)
 
 
+def _json_type(value) -> str:
+    return {dict: "an object", list: "an array", str: "a string", int: "an integer",
+            float: "a number", bool: "a boolean", type(None): "null"}.get(
+                type(value), type(value).__name__)
+
+
+def _level_fields(level: int, entry) -> tuple:
+    """The size, parent and perms of a chain-file level entry, type-checked
+    so that a wrong JSON type is a one-line ``SchemaError``."""
+    if not isinstance(entry, dict):
+        raise SchemaError(f"level {level}: expected an object, got {_json_type(entry)}")
+    try:
+        size, parent, perms = entry["size"], entry["parent"], entry["perms"]
+    except KeyError as exc:
+        raise SchemaError(f"malformed level {level}: missing {exc}") from exc
+    arrays = (list, tuple)
+    if not isinstance(size, int) or isinstance(size, bool):
+        raise SchemaError(f"level {level}: size must be an integer, got {_json_type(size)}")
+    if parent is not None and not isinstance(parent, arrays):
+        raise SchemaError(f"level {level}: parent must be null or an array, "
+                          f"got {_json_type(parent)}")
+    if not isinstance(perms, dict):
+        raise SchemaError(f"level {level}: perms must be an object, got {_json_type(perms)}")
+    for g, perm in perms.items():
+        if not isinstance(perm, arrays):
+            raise SchemaError(f"level {level}: perms[{g!r}] must be an array, "
+                              f"got {_json_type(perm)}")
+    return size, parent, perms
+
+
 def chain_from_dict(data: dict, *, validate: bool = True, **budgets) -> ChainAction:
     try:
         name = str(data["name"])
@@ -457,24 +487,31 @@ def chain_from_dict(data: dict, *, validate: bool = True, **budgets) -> ChainAct
     alphabet = GeneratorAlphabet(generators)
     levels: list[LevelAction] = []
     for i, entry in enumerate(raw_levels):
+        size, parent, perms = _level_fields(i + 1, entry)
         try:
-            size = int(entry["size"])
-            parent = entry["parent"]
-            perms = {str(g): tuple(int(v) for v in p) for g, p in entry["perms"].items()}
+            perms = {str(g): tuple(int(v) for v in p) for g, p in perms.items()}
+            if parent is not None:
+                parent = tuple(int(v) for v in parent)
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed level {i + 1}: {exc}") from exc
         if size < 1:
             raise SchemaError(f"level {i + 1}: size must be at least 1, got {size}")
-        if parent is None:
-            if i != 0:
-                raise SchemaError(f"level {i + 1}: only the first level may omit the parent array")
-            parent = (0,) * size
-        else:
-            parent = tuple(int(v) for v in parent)
         if set(perms) != set(generators):
             raise SchemaError(
                 f"level {i + 1}: permutations given for {sorted(perms)}, expected {sorted(generators)}"
             )
+        # every level has a permutation (the alphabet is never empty), so
+        # this bounds the size by the file's own data before (0,) * size
+        for g in generators:
+            if len(perms[g]) != size:
+                raise SchemaError(
+                    f"level {i + 1}: size {size} disagrees with the {len(perms[g])} entries "
+                    f"of permutation {g!r}"
+                )
+        if parent is None:
+            if i != 0:
+                raise SchemaError(f"level {i + 1}: only the first level may omit the parent array")
+            parent = (0,) * size
         levels.append(LevelAction(i + 1, size, parent, perms))
 
     def provider(level: int) -> LevelAction:

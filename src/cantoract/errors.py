@@ -18,7 +18,8 @@ class BudgetError(CantorActError):
     """A hard resource budget was exceeded. Never a silent truncation.
 
     `budget` names the budget that was hit (e.g. "depth_limit",
-    "memory_budget", "word_budget", "group_order", "schreier_generators").
+    "memory_budget", "word_budget", "word_letters", "group_order",
+    "schreier_generators").
     """
 
     def __init__(self, budget, message):

@@ -7,8 +7,8 @@ decimal column.  All rendering is byte-deterministic for a fixed payload.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .chain import ValidationReport
 from .farber import FarberReport, StabilizerCountReport
@@ -28,7 +28,65 @@ def dec(value: Fraction) -> str:
 
 
 def render_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    The payload holds dicts with str keys, lists, str, int, bool and None,
+    of exactly these types; anything else raises ``TypeError``.  The
+    caches below live for one call.  Each dict renders through
+    one ``%``-template per (key tuple, indent), and a container that
+    occurs more than once in the payload renders once per indent, so
+    reports whose rows are shared objects (see :func:`farber_payload`)
+    cost one rendering per distinct row.
+    """
+    templates: dict = {}
+    rendered: dict = {}
+
+    def dict_text(d: dict, pad: str) -> str:
+        inner = pad + "  "
+        shape = (tuple(d), pad)
+        compiled = templates.get(shape)
+        if compiled is None:
+            for k in shape[0]:
+                if type(k) is not str:
+                    raise TypeError(f"keys must be str, not {type(k).__name__}")
+            keys = sorted(shape[0])
+            fields = (",\n" + inner).join(
+                encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys)
+            template = "{\n" + inner + fields + "\n" + pad + "}"
+            compiled = templates[shape] = (template, keys)
+        template, keys = compiled
+        return template % tuple([value(d[k], inner) for k in keys])
+
+    def list_text(items: list, pad: str) -> str:
+        inner = pad + "  "
+        return ("[\n" + inner + (",\n" + inner).join([value(v, inner) for v in items])
+                + "\n" + pad + "]")
+
+    def value(v, pad: str) -> str:
+        t = type(v)
+        if t is str:
+            return encode_basestring_ascii(v)
+        if t is int:
+            return int.__repr__(v)
+        if v is None:
+            return "null"
+        if t is bool:
+            return "true" if v else "false"
+        if t is dict:
+            render = dict_text
+        elif t is list:
+            render = list_text
+        else:
+            raise TypeError(f"cannot render {t.__name__} as JSON")
+        if not v:
+            return "{}" if t is dict else "[]"
+        memo = (id(v), pad)
+        text = rendered.get(memo)
+        if text is None:
+            text = rendered[memo] = render(v, pad)
+        return text
+
+    return value(payload, "") + "\n"
 
 
 def render_csv(command: str, header: list[str], rows: list[list], meta: dict) -> str:
@@ -69,6 +127,22 @@ def validation_csv(report: ValidationReport) -> tuple[list[str], list[list]]:
 
 
 def farber_payload(report: FarberReport, alphabet: GeneratorAlphabet) -> dict:
+    """The farber report; equal trajectory rows and equal trajectories are
+    one shared object each, which :func:`render_json` renders once."""
+    rows: dict = {}
+    trajectories: dict = {}
+
+    def trajectory(pairs: tuple) -> list:
+        # keyed by ints: hashing a Fraction runs Python code
+        key = tuple([(level, ratio.numerator, ratio.denominator) for level, ratio in pairs])
+        shared = trajectories.get(key)
+        if shared is None:
+            shared = trajectories[key] = [
+                rows.setdefault(row, {"level": level, "ratio": frac(ratio)})
+                for row, (level, ratio) in zip(key, pairs)
+            ]
+        return shared
+
     return {
         "kind": report.kind,
         "base_level": report.base_level,
@@ -81,9 +155,7 @@ def farber_payload(report: FarberReport, alphabet: GeneratorAlphabet) -> dict:
             {
                 "word": render_word(w.word, alphabet),
                 "verdict": w.verdict,
-                "trajectory": [
-                    {"level": level, "ratio": frac(ratio)} for level, ratio in w.trajectory
-                ],
+                "trajectory": trajectory(w.trajectory),
             }
             for w in report.words
         ],

@@ -22,6 +22,10 @@ _INT_RE = re.compile(r"-?\d+")
 # Python frames, so this stays far below the interpreter's recursion limit.
 MAX_NESTING = 100
 
+# Most letters a word may expand to before free reduction; a power, a
+# product or a commutator past it is refused before its letters are built.
+MAX_WORD_LETTERS = 10**6
+
 # Longest input an error message quotes in full; longer text is cut.
 MAX_QUOTED = 60
 
@@ -107,18 +111,27 @@ class Word:
 
     def power(self, k: int) -> "Word":
         """``self^k`` in O(k |self|): with self = u*c*u^-1 and c cyclically
-        reduced, self^k = u * c^k * u^-1 and c^k needs no reduction."""
+        reduced, self^k = u * c^k * u^-1 and c^k needs no reduction.  Raises
+        a ``word_letters`` BudgetError, before building anything, when that
+        is more than :data:`MAX_WORD_LETTERS` letters."""
         base = self if k > 0 else self.inverse()
         letters = base.letters
         m = 0
         while 2 * m + 1 < len(letters) and letters[m] == (letters[-1 - m][0], -letters[-1 - m][1]):
             m += 1
         core = letters[m:len(letters) - m]
+        _check_letters(2 * m + len(core) * abs(k))
         return Word.of(letters[:m] + core * abs(k) + letters[len(letters) - m:])
 
     def key(self) -> tuple:
         # canonical order: length first, then letters with +1 before -1
         return (len(self.letters), tuple((g, 0 if s > 0 else 1) for g, s in self.letters))
+
+
+def _check_letters(count: int) -> None:
+    if count > MAX_WORD_LETTERS:
+        raise BudgetError("word_letters", f"word expands to {count} letters, "
+                                          f"more than the limit of {MAX_WORD_LETTERS}")
 
 
 def commutator(u: Word, v: Word) -> Word:
@@ -155,7 +168,8 @@ class _Parser:
               factor := atom ('^' int)?
               atom := name | 'e' | '[' expr ',' expr ']' | '(' expr ')'
 
-    Brackets nest at most :data:`MAX_NESTING` deep.  Error messages quote
+    Brackets nest at most :data:`MAX_NESTING` deep, and a word expands to
+    at most :data:`MAX_WORD_LETTERS` letters.  Error messages quote
     at most :data:`MAX_QUOTED` characters of the word.
     """
 
@@ -189,7 +203,9 @@ class _Parser:
         letters = list(self._factor().letters)
         while self._peek() == "*":
             self.pos += 1
-            letters += self._factor().letters
+            factor = self._factor().letters
+            _check_letters(len(letters) + len(factor))
+            letters += factor
         return Word.of(letters)
 
     def _factor(self) -> Word:
@@ -226,6 +242,7 @@ class _Parser:
             if self._peek() != "]":
                 raise SchemaError(f"missing ']' at column {self.pos} in word {_quote(self.text)}")
             self.pos += 1
+            _check_letters(2 * (len(u) + len(v)))
             return commutator(u, v)
         m = _NAME_RE.match(self.text, self.pos)
         if not m:

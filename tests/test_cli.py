@@ -275,6 +275,20 @@ def test_bad_input_is_a_one_line_error(chains, tmp_path, argv, message):
     assert len(errors) == 1 and message in errors[0]
 
 
+@pytest.mark.parametrize("word, letters", [
+    ("g^999999999999999999999", 999999999999999999999),
+    ("g^1000001", 1000001),
+    ("g^600000*g^600000", 1200000),
+])
+def test_word_over_the_letter_limit_is_a_budget_error(chains, word, letters):
+    proc = run_cli(["holonomy", chains["fragmented"], "--word", word, "--depth", "3"])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: budget word_letters exceeded: word expands to {letters} "
+                      "letters, more than the limit of 1000000"]
+
+
 def test_malformed_long_word_error_is_short(chains):
     long_word = "g*" * 50000 + "+"
     proc = run_cli(["holonomy", chains["fragmented"], "--word", long_word, "--depth", "3"])
@@ -307,13 +321,21 @@ def test_build_over_budget_is_refused_before_any_level(tmp_path):
     ["lcs-witness"],
 ])
 def test_empty_level_is_a_one_line_error(tmp_path, argv):
-    zero = tmp_path / "zero.json"
-    zero.write_text(json.dumps({
-        "name": "zero", "generators": ["a"],
-        "levels": [{"size": 0, "parent": None, "perms": {"a": []}}],
-    }))
-    proc = run_cli([argv[0], str(zero), *argv[1:]])
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
-    assert errors == ["error: level 1: size must be at least 1, got 0"]
+    # the same one-line refusal for an empty level, perms given as a list,
+    # and a size no array could hold that the perm lengths contradict
+    cases = {
+        "zero": ({"size": 0, "parent": None, "perms": {"a": []}},
+                 "level 1: size must be at least 1, got 0"),
+        "listed": ({"size": 2, "parent": None, "perms": [[1, 0]]},
+                   "level 1: perms must be an object, got an array"),
+        "huge": ({"size": 10**30, "parent": None, "perms": {"a": [1, 0]}},
+                 f"level 1: size {10**30} disagrees with the 2 entries of permutation 'a'"),
+    }
+    for name, (level, message) in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"name": name, "generators": ["a"], "levels": [level]}))
+        proc = run_cli([argv[0], str(path), *argv[1:]])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: {message}"]

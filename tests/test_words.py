@@ -7,6 +7,7 @@ from cantoract.errors import BudgetError, SchemaError
 from cantoract.words import (
     MAX_NESTING,
     MAX_QUOTED,
+    MAX_WORD_LETTERS,
     GeneratorAlphabet,
     Word,
     commutator,
@@ -118,6 +119,28 @@ def test_product_parse_is_linear():
     assert w("a*" * 100000 + "b") == Word.of([(0, 1)] * 100000 + [(1, 1)])
     assert w("a*a^-1*" * 50000 + "b") == w("b")
     assert time.perf_counter() - started < 2.0
+
+
+@pytest.mark.parametrize("text", [
+    "a^1000001",
+    "a^-1000001",
+    "a^600000*a^600000",
+    "b*a^999999*b^-1",
+    "[a^300000,b^300000]",
+    "a^999999999999999999999",
+])
+def test_word_letters_are_bounded(text):
+    assert MAX_WORD_LETTERS == 10**6
+    with pytest.raises(BudgetError, match=f"more than the limit of {MAX_WORD_LETTERS}") as info:
+        w(text)
+    assert info.value.budget == "word_letters"
+
+
+def test_word_at_the_letter_limit_parses():
+    assert len(w("a^500000*a^500000")) == MAX_WORD_LETTERS
+    assert len(Word.generator(1).power(-MAX_WORD_LETTERS)) == MAX_WORD_LETTERS
+    with pytest.raises(BudgetError):
+        Word.generator(1).power(MAX_WORD_LETTERS + 1)
 
 
 def test_bracket_nesting_is_bounded():
