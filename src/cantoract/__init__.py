@@ -17,9 +17,7 @@ from .chain import (
     validate_chain,
 )
 from .builders import (
-    FamilySpec,
     adding_machine_chain,
-    build,
     chain_from_dict,
     chain_to_dict,
     dihedral,
@@ -34,10 +32,8 @@ from .builders import (
 )
 from .errors import BudgetError, CantorActError, InvalidChainError, SchemaError
 from .farber import (
-    DerivedChain,
     FarberReport,
     core_membership,
-    derived_chain,
     farber_check,
     local_farber_check,
     stabilizer_count_oracle,

@@ -9,80 +9,22 @@ Families:
   fat_cantor(s)    ternary tree with a sparsely punctured fixed set; see
                    :class:`FatCantorPlan`.
   mealy(machine)   transduction action of an invertible letter transducer.
-  file(path)       static levels loaded from a chain file.
+
+Chain files hold static levels: :func:`load_chain` reads one and
+:func:`save_chain` writes one.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .chain import (
-    DEFAULT_DEPTH_LIMIT,
-    DEFAULT_MEMORY_BUDGET,
-    ChainAction,
-    LevelAction,
-    validate_chain,
-)
-from .errors import InvalidChainError, SchemaError
+from .chain import ChainAction, LevelAction, validate_chain
+from .errors import InvalidChainError, SchemaError, expect, json_type
 from .mealy import MealyBackend, MealyMachine, adding_machine
 from .words import GeneratorAlphabet
-
-FAMILIES = (
-    "odometer",
-    "toral",
-    "dihedral",
-    "heisenberg",
-    "fragmented",
-    "fat_cantor",
-    "mealy",
-    "file",
-)
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    family: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise SchemaError(f"unknown family {self.family!r}; choose from {FAMILIES}")
-
-
-def _budget_kwargs(params: dict) -> dict:
-    return {
-        "depth_limit": params.get("depth_limit", DEFAULT_DEPTH_LIMIT),
-        "memory_budget": params.get("memory_budget", DEFAULT_MEMORY_BUDGET),
-    }
-
-
-def build(spec: FamilySpec) -> ChainAction:
-    params = dict(spec.params)
-    family = spec.family
-    if family == "odometer":
-        return odometer(params.get("base", 2), **_budget_kwargs(params))
-    if family == "toral":
-        return toral(params.get("dim", 2), params.get("base", 2), **_budget_kwargs(params))
-    if family == "dihedral":
-        return dihedral(**_budget_kwargs(params))
-    if family == "heisenberg":
-        return heisenberg(params.get("base", 2), **_budget_kwargs(params))
-    if family == "fragmented":
-        return fragmented(**_budget_kwargs(params))
-    if family == "fat_cantor":
-        return fat_cantor(params.get("schedule"), **_budget_kwargs(params))
-    if family == "mealy":
-        machine = params.get("machine")
-        if machine is None:
-            raise SchemaError("mealy family needs a machine")
-        return mealy_chain(machine, **_budget_kwargs(params))
-    if family == "file":
-        return load_chain(params["path"], **_budget_kwargs(params))
-    raise SchemaError(f"unknown family {family!r}")
-
 
 def _check_base(p: int):
     if p < 2:
@@ -445,33 +387,37 @@ def adding_machine_chain(base: int = 2, **budgets) -> ChainAction:
     return mealy_chain(adding_machine(base), name=f"adding-machine({base})", **budgets)
 
 
-def _json_type(value) -> str:
-    return {dict: "an object", list: "an array", str: "a string", int: "an integer",
-            float: "a number", bool: "a boolean", type(None): "null"}.get(
-                type(value), type(value).__name__)
+_INT = frozenset({int})
+
+
+def _int_array(values, where: str) -> tuple:
+    """``values`` as a tuple, refused with a one-line ``SchemaError``
+    unless it is an array of JSON integers (so no bool, float or str)."""
+    if not isinstance(values, (list, tuple)):
+        raise SchemaError(f"{where} must be an array, got {json_type(values)}")
+    if not _INT.issuperset(map(type, values)):
+        bad = next(v for v in values if type(v) is not int)
+        raise SchemaError(f"{where} entries must be integers, got {json_type(bad)}")
+    return tuple(values)
 
 
 def _level_fields(level: int, entry) -> tuple:
     """The size, parent and perms of a chain-file level entry, type-checked
     so that a wrong JSON type is a one-line ``SchemaError``."""
     if not isinstance(entry, dict):
-        raise SchemaError(f"level {level}: expected an object, got {_json_type(entry)}")
+        raise SchemaError(f"level {level}: expected an object, got {json_type(entry)}")
     try:
         size, parent, perms = entry["size"], entry["parent"], entry["perms"]
     except KeyError as exc:
         raise SchemaError(f"malformed level {level}: missing {exc}") from exc
-    arrays = (list, tuple)
-    if not isinstance(size, int) or isinstance(size, bool):
-        raise SchemaError(f"level {level}: size must be an integer, got {_json_type(size)}")
-    if parent is not None and not isinstance(parent, arrays):
-        raise SchemaError(f"level {level}: parent must be null or an array, "
-                          f"got {_json_type(parent)}")
-    if not isinstance(perms, dict):
-        raise SchemaError(f"level {level}: perms must be an object, got {_json_type(perms)}")
-    for g, perm in perms.items():
-        if not isinstance(perm, arrays):
-            raise SchemaError(f"level {level}: perms[{g!r}] must be an array, "
-                              f"got {_json_type(perm)}")
+    expect(size, int, f"level {level}: size")
+    if parent is not None:
+        if not isinstance(parent, (list, tuple)):
+            raise SchemaError(f"level {level}: parent must be null or an array, "
+                              f"got {json_type(parent)}")
+        parent = _int_array(parent, f"level {level}: parent")
+    perms = {str(g): _int_array(perm, f"level {level}: perms[{g!r}]")
+             for g, perm in expect(perms, dict, f"level {level}: perms").items()}
     return size, parent, perms
 
 
@@ -488,12 +434,6 @@ def chain_from_dict(data: dict, *, validate: bool = True, **budgets) -> ChainAct
     levels: list[LevelAction] = []
     for i, entry in enumerate(raw_levels):
         size, parent, perms = _level_fields(i + 1, entry)
-        try:
-            perms = {str(g): tuple(int(v) for v in p) for g, p in perms.items()}
-            if parent is not None:
-                parent = tuple(int(v) for v in parent)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"malformed level {i + 1}: {exc}") from exc
         if size < 1:
             raise SchemaError(f"level {i + 1}: size must be at least 1, got {size}")
         if set(perms) != set(generators):

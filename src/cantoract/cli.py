@@ -15,8 +15,8 @@ import sys
 import time
 from fractions import Fraction
 
-from . import __version__
-from .builders import FamilySpec, build, load_chain, save_chain
+from . import __version__, builders, reports
+from .builders import load_chain, save_chain
 from .chain import (
     DEFAULT_DEPTH_LIMIT,
     DEFAULT_MEMORY_BUDGET,
@@ -30,7 +30,6 @@ from .farber import farber_check, local_farber_check, stabilizer_count_oracle
 from .holonomy import density_profile, fixed_set_report
 from .lcs import witness_search
 from .mealy import load_machine
-from . import reports
 from .words import parse_word
 
 THREADS_ENV = "CANTORACT_THREADS"
@@ -58,8 +57,7 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="build a family chain and write a chain file")
-    b.add_argument("family", choices=("odometer", "toral", "dihedral", "heisenberg",
-                                      "fragmented", "fat_cantor", "mealy"))
+    b.add_argument("family", choices=_FAMILIES)
     b.add_argument("--base", type=int, default=2)
     b.add_argument("--dim", type=int, default=2)
     b.add_argument("--machine", default=None, help="machine file for the mealy family")
@@ -74,15 +72,16 @@ def _build_parser() -> _Parser:
     f = sub.add_parser("farber", help="fixed-coset ratio check per word")
     f.add_argument("chain")
     f.add_argument("--max-word-len", type=int, default=4)
-    f.add_argument("--words", default=None, help="file with one word per line")
-    f.add_argument("--tol", default="1/64")
+    f.add_argument("--words", dest="words_file", default=None,
+                   help="file with one word per line")
+    f.add_argument("--tol", dest="tolerance", type=_tolerance, default="1/64")
     _add_common(f)
 
     lf = sub.add_parser("local-farber", help="fixed-coset check localized to a base level")
     lf.add_argument("chain")
     lf.add_argument("--base-level", type=int, default=1)
     lf.add_argument("--max-word-len", type=int, default=4)
-    lf.add_argument("--tol", default="1/64")
+    lf.add_argument("--tol", dest="tolerance", type=_tolerance, default="1/64")
     lf.add_argument("--max-schreier", type=int, default=128)
     _add_common(lf)
 
@@ -143,25 +142,24 @@ def _load(args):
                       memory_budget=args.memory_budget)
 
 
-def _emit(args, command: str, chain, result, csv_parts, **config) -> None:
-    """Write the report of ``command``: its config (the common flags plus
-    ``config``), the chain, and ``result``; CSV renders ``csv_parts``."""
-    # thread count is deliberately not echoed: reports are byte-identical
-    # across thread counts by contract
-    cfg = {
-        "depth": args.depth,
-        "seed": args.seed,
-        "format": args.format,
-        "depth_limit": args.depth_limit,
-        "memory_budget": args.memory_budget,
-        **config,
-    }
+# Parsed flags the config echo leaves out: the subcommand names, the chain
+# path (echoed as chain.source), and the output file and thread count,
+# which change no report byte.
+_NOT_ECHOED = frozenset({"command", "oracle_command", "chain", "threads", "output"})
+
+
+def _emit(args, command: str, chain, result: dict, to_csv) -> None:
+    """Write the report of ``command``: its config (every parsed flag but
+    :data:`_NOT_ECHOED`), the chain, and ``result``; CSV renders the table
+    ``to_csv`` projects from ``result``."""
+    cfg = {key: reports.frac(value) if isinstance(value, Fraction) else value
+           for key, value in vars(args).items() if key not in _NOT_ECHOED}
     if args.format == "csv":
         meta = {"tool": f"cantoract {__version__}", "command": command,
                 "prng": PRNG_ALGORITHM, "chain": chain.name}
         for key, value in cfg.items():
             meta[f"config.{key}"] = json.dumps(value, sort_keys=True)
-        text = reports.render_csv(command, *csv_parts, meta)
+        text = reports.render_csv(command, *to_csv(result), meta)
     else:
         text = reports.render_json({
             "tool": {"name": "cantoract", "version": __version__},
@@ -179,24 +177,37 @@ def _emit(args, command: str, chain, result, csv_parts, **config) -> None:
         sys.stdout.write(text)
 
 
+def _schedule(text):
+    """The fat_cantor ``--schedule`` map, or None for the default plan."""
+    if text is None:
+        return None
+    try:
+        return {int(k): int(v) for k, v in json.loads(text).items()}
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise SchemaError(f"bad --schedule value: {exc}") from exc
+
+
+def _machine(path):
+    if not path:
+        raise SchemaError("the mealy family needs --machine FILE")
+    return load_machine(path)
+
+
+# Each build family's constructor, called with the parsed flags and budgets.
+_FAMILIES = {
+    "odometer": lambda args, **budgets: builders.odometer(args.base, **budgets),
+    "toral": lambda args, **budgets: builders.toral(args.dim, args.base, **budgets),
+    "dihedral": lambda args, **budgets: builders.dihedral(**budgets),
+    "heisenberg": lambda args, **budgets: builders.heisenberg(args.base, **budgets),
+    "fragmented": lambda args, **budgets: builders.fragmented(**budgets),
+    "fat_cantor": lambda args, **budgets: builders.fat_cantor(_schedule(args.schedule), **budgets),
+    "mealy": lambda args, **budgets: builders.mealy_chain(_machine(args.machine), **budgets),
+}
+
+
 def _run_build(args) -> int:
-    params: dict = {"depth_limit": args.depth_limit, "memory_budget": args.memory_budget}
-    if args.family in ("odometer", "heisenberg"):
-        params["base"] = args.base
-    elif args.family == "toral":
-        params["base"] = args.base
-        params["dim"] = args.dim
-    elif args.family == "fat_cantor" and args.schedule is not None:
-        try:
-            raw = json.loads(args.schedule)
-            params["schedule"] = {int(k): int(v) for k, v in raw.items()}
-        except (json.JSONDecodeError, TypeError, ValueError, AttributeError) as exc:
-            raise SchemaError(f"bad --schedule value: {exc}") from exc
-    elif args.family == "mealy":
-        if not args.machine:
-            raise SchemaError("the mealy family needs --machine FILE")
-        params["machine"] = load_machine(args.machine)
-    chain = build(FamilySpec(args.family, params))
+    chain = _FAMILIES[args.family](args, depth_limit=args.depth_limit,
+                                   memory_budget=args.memory_budget)
     report = validate_chain(chain, args.depth)
     if not report.ok:
         v = report.violations[0]
@@ -214,10 +225,10 @@ def _run_build(args) -> int:
 def _run_validate(args) -> int:
     chain = load_chain(args.chain, validate=False, depth_limit=args.depth_limit,
                        memory_budget=args.memory_budget)
-    depth = args.depth if args.depth > 0 else chain.depth_limit
-    report = validate_chain(chain, depth)
-    _emit(args, "validate", chain, reports.validation_payload(report),
-          reports.validation_csv(report), depth=depth)
+    if args.depth <= 0:
+        args.depth = chain.depth_limit
+    report = validate_chain(chain, args.depth)
+    _emit(args, "validate", chain, reports.validation_payload(report), reports.validation_csv)
     if not report.ok:
         for v in report.violations:
             print(
@@ -231,40 +242,25 @@ def _run_validate(args) -> int:
 
 def _run_farber(args) -> int:
     chain = _load(args)
-    tol = _tolerance(args.tol)
     words = None
-    if args.words:
-        with open(args.words, "r", encoding="utf-8") as fh:
+    if args.words_file:
+        with open(args.words_file, "r", encoding="utf-8") as fh:
             words = [parse_word(line.strip(), chain.alphabet)
                      for line in fh if line.strip()]
-    report = farber_check(
-        chain,
-        words=words,
-        max_word_len=args.max_word_len,
-        depth=args.depth,
-        tolerance=tol,
-    )
+    report = farber_check(chain, words=words, max_word_len=args.max_word_len,
+                          depth=args.depth, tolerance=args.tolerance)
     _emit(args, "farber", chain, reports.farber_payload(report, chain.alphabet),
-          reports.farber_csv(report, chain.alphabet), tolerance=reports.frac(tol),
-          max_word_len=args.max_word_len, words_file=args.words)
+          reports.farber_csv)
     return 0
 
 
 def _run_local_farber(args) -> int:
     chain = _load(args)
-    tol = _tolerance(args.tol)
-    report = local_farber_check(
-        chain,
-        args.base_level,
-        max_word_len=args.max_word_len,
-        depth=args.depth,
-        tolerance=tol,
-        max_generators=args.max_schreier,
-    )
+    report = local_farber_check(chain, args.base_level, max_word_len=args.max_word_len,
+                                depth=args.depth, tolerance=args.tolerance,
+                                max_generators=args.max_schreier)
     _emit(args, "local-farber", chain, reports.farber_payload(report, chain.alphabet),
-          reports.farber_csv(report, chain.alphabet), tolerance=reports.frac(tol),
-          max_word_len=args.max_word_len, base_level=args.base_level,
-          max_schreier=args.max_schreier)
+          reports.farber_csv)
     return 0
 
 
@@ -273,7 +269,7 @@ def _run_holonomy(args) -> int:
     word = parse_word(args.word, chain.alphabet)
     report = fixed_set_report(chain, word, args.depth)
     _emit(args, "holonomy", chain, reports.fixed_set_payload(report, chain.alphabet),
-          reports.fixed_set_csv(report, chain.alphabet), word=args.word)
+          reports.fixed_set_csv)
     return 0
 
 
@@ -292,24 +288,17 @@ def _run_density(args) -> int:
             raise SchemaError(f"point {index} out of range at depth {args.depth}")
     profile = density_profile(chain, word, point)
     _emit(args, "density", chain, reports.density_payload(profile, chain.alphabet),
-          reports.density_csv(profile, chain.alphabet), word=args.word, point=args.point)
+          reports.density_csv)
     return 0
 
 
 def _run_lcs(args) -> int:
     chain = _load(args)
-    report = witness_search(
-        chain,
-        args.max_class,
-        max_word_len=args.max_word_len,
-        conj_len=args.conj_len,
-        depth=args.depth,
-        max_candidates=args.max_candidates,
-    )
+    report = witness_search(chain, args.max_class, max_word_len=args.max_word_len,
+                            conj_len=args.conj_len, depth=args.depth,
+                            max_candidates=args.max_candidates)
     _emit(args, "lcs-witness", chain, reports.lcs_payload(report, chain.alphabet),
-          reports.lcs_csv(report, chain.alphabet), max_class=args.max_class,
-          max_word_len=args.max_word_len, conj_len=args.conj_len,
-          max_candidates=args.max_candidates)
+          reports.lcs_csv)
     return 0
 
 
@@ -318,8 +307,7 @@ def _run_oracle(args) -> int:
     word = parse_word(args.word, chain.alphabet)
     report = stabilizer_count_oracle(chain, word, args.level, args.max_order)
     _emit(args, "oracle-stab-count", chain, reports.stab_count_payload(report, chain.alphabet),
-          reports.stab_count_csv(report, chain.alphabet), word=args.word, level=args.level,
-          max_order=args.max_order)
+          reports.stab_count_csv)
     return 0
 
 

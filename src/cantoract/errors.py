@@ -6,6 +6,23 @@ class SchemaError(CantorActError):
     """Malformed input: chain/machine file, word syntax, or point syntax."""
 
 
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def json_type(value) -> str:
+    """How an error message names the JSON type of ``value``."""
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+def expect(value, kind: type, where: str):
+    """``value`` if its type is exactly ``kind`` (so a bool is no
+    integer), else a one-line ``SchemaError`` naming ``where``."""
+    if type(value) is not kind:
+        raise SchemaError(f"{where} must be {_JSON_TYPES[kind]}, got {json_type(value)}")
+    return value
+
+
 class InvalidChainError(CantorActError):
     """A chain failed structural validation; carries the validation report."""
 

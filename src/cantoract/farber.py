@@ -51,39 +51,6 @@ class FarberReport:
     note: str = EVIDENCE_NOTE
 
 
-@dataclass(frozen=True)
-class DerivedChain:
-    """Base-level stabilizer acting on its fiber, truncated at ``depth``.
-
-    ``fibers[i - base_level]`` lists the level-i points over the base
-    vertex 0; its size is the subgroup index between the two levels.
-    """
-
-    base_level: int
-    depth: int
-    fibers: tuple[tuple[int, ...], ...]
-
-    def fiber(self, level: int) -> tuple[int, ...]:
-        if not self.base_level <= level <= self.depth:
-            raise ValueError(f"level {level} outside {self.base_level}..{self.depth}")
-        return self.fibers[level - self.base_level]
-
-
-def derived_chain(chain: ChainAction, base_level: int, depth: int) -> DerivedChain:
-    if base_level > depth:
-        raise ValueError("base level must not exceed depth")
-    fibers = []
-    base_size = chain.size(base_level)
-    for level in range(base_level, depth + 1):
-        fiber = chain.fiber(base_level, level, 0)
-        if len(fiber) * base_size != chain.size(level):
-            raise AssertionError("fiber size does not match the subgroup index")
-        fibers.append(fiber)
-    if fibers[0] != (0,):
-        raise AssertionError("base fiber must be the basepoint alone")
-    return DerivedChain(base_level=base_level, depth=depth, fibers=tuple(fibers))
-
-
 def core_membership(chain: ChainAction, word: Word, base_level: int, level: int) -> bool:
     """Membership in the depth-truncated core at ``base_level``.
 

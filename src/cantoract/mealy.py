@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import BudgetError, SchemaError
+from .errors import BudgetError, SchemaError, expect
 from .words import free_reduce
 
 StateLetter = tuple[str, int]  # (state name, sign)
@@ -37,17 +37,22 @@ class MealyMachine:
         state_set = set(self.states)
         if len(state_set) != len(self.states):
             raise SchemaError("duplicate state names")
-        self.transitions = {q: dict(transitions[q]) for q in self.states}
-        self.outputs = {q: dict(outputs[q]) for q in self.states}
+        try:
+            self.transitions = {q: dict(transitions[q]) for q in self.states}
+            self.outputs = {q: dict(outputs[q]) for q in self.states}
+        except KeyError as exc:
+            raise SchemaError(f"no transition or output row for state {exc}") from exc
         self.generator_map = dict(generator_map)
-        letters = set(range(alphabet_size))
+        # a range, so that a huge alphabet costs nothing before a row refutes it
+        letters = range(alphabet_size)
         for q in self.states:
-            if set(self.transitions[q]) != letters or set(self.outputs[q]) != letters:
+            if any(len(row) != alphabet_size or set(row) != set(letters)
+                   for row in (self.transitions[q], self.outputs[q])):
                 raise SchemaError(f"state {q!r} is not total over the alphabet")
             for c in letters:
                 if self.transitions[q][c] not in state_set:
                     raise SchemaError(f"state {q!r} transitions to unknown state on letter {c}")
-            if sorted(self.outputs[q].values()) != sorted(letters):
+            if sorted(self.outputs[q].values()) != list(letters):
                 raise SchemaError(f"state {q!r} output row is not a permutation (machine not invertible)")
         for gen, q in self.generator_map.items():
             if q not in state_set:
@@ -188,20 +193,33 @@ def minimize(machine: MealyMachine) -> MealyMachine:
     return MealyMachine(machine.alphabet_size, states, transitions, outputs, generator_map)
 
 
+def _rows(table, name: str, kind: type) -> dict:
+    """A machine-file table, state -> letter -> ``kind``, with int letters."""
+    where = f"machine file: {name}"
+    return {
+        q: {int(c): expect(v, kind, f"{where}[{q!r}][{c!r}]")
+            for c, v in expect(row, dict, f"{where}[{q!r}]").items()}
+        for q, row in expect(table, dict, where).items()
+    }
+
+
 def machine_from_dict(data: dict) -> MealyMachine:
+    """The machine a machine file describes, type-checked so that a wrong
+    JSON type is a one-line ``SchemaError``."""
+    expect(data, dict, "machine file")
     try:
-        alphabet = int(data["alphabet"])
-        states = tuple(data["states"])
-        transitions = {
-            q: {int(c): s for c, s in row.items()} for q, row in data["transitions"].items()
-        }
-        outputs = {
-            q: {int(c): int(v) for c, v in row.items()} for q, row in data["outputs"].items()
-        }
-        generators = dict(data["generators"])
-    except (KeyError, TypeError, ValueError) as exc:
+        alphabet, states, transitions, outputs, generators = [
+            data[key] for key in ("alphabet", "states", "transitions", "outputs", "generators")]
+        states = tuple(expect(q, str, f"machine file: states[{i}]")
+                       for i, q in enumerate(expect(states, list, "machine file: states")))
+        transitions = _rows(transitions, "transitions", str)
+        outputs = _rows(outputs, "outputs", int)
+        generators = {g: expect(q, str, f"machine file: generators[{g!r}]")
+                      for g, q in expect(generators, dict, "machine file: generators").items()}
+    except (KeyError, ValueError) as exc:
         raise SchemaError(f"malformed machine file: {exc}") from exc
-    return MealyMachine(alphabet, states, transitions, outputs, generators)
+    return MealyMachine(expect(alphabet, int, "machine file: alphabet"), states,
+                        transitions, outputs, generators)
 
 
 def machine_to_dict(machine: MealyMachine) -> dict:

@@ -1,8 +1,10 @@
 """Report payloads and deterministic JSON/CSV rendering.
 
-Rationals stay exact: JSON renders them as {"num": ..., "den": ...} and CSV
-carries exact numerator/denominator columns next to a 12-significant-digit
-decimal column.  All rendering is byte-deterministic for a fixed payload.
+Each report is one JSON payload; its CSV table is projected from that
+payload by :func:`csv_table`.  Rationals stay exact: JSON renders them as
+{"num": ..., "den": ...} and CSV carries exact numerator/denominator
+columns next to a 12-significant-digit decimal column.  All rendering is
+byte-deterministic for a fixed payload.
 """
 
 from __future__ import annotations
@@ -21,10 +23,6 @@ CSV_SCHEMA_VERSION = "v1"
 
 def frac(value: Fraction) -> dict:
     return {"num": value.numerator, "den": value.denominator}
-
-
-def dec(value: Fraction) -> str:
-    return format(float(value), ".12g")
 
 
 def render_json(payload: dict) -> str:
@@ -99,6 +97,42 @@ def render_csv(command: str, header: list[str], rows: list[list], meta: dict) ->
     return "\n".join(lines) + "\n"
 
 
+def _ratio(stem: str = "") -> tuple[str, str, str]:
+    """The headers of an exact-ratio column: ``stem_num, stem_den, stem_dec``,
+    or bare ``num, den, dec`` without a stem."""
+    prefix = f"{stem}_" if stem else ""
+    return (prefix + "num", prefix + "den", prefix + "dec")
+
+
+def csv_table(rows: list[dict], columns: list) -> tuple[list[str], list[list]]:
+    """The CSV header and rows projected from a report's JSON ``rows``.
+
+    ``columns`` lists ``(json key, header)`` pairs in column order, or a
+    bare name that is both.  Under a :func:`_ratio` header an exact
+    ``{"num", "den"}`` value fills three cells, the last its
+    12-significant-digit decimal.  A null or missing value gives empty
+    cells.
+    """
+    columns = [(c, c) if type(c) is str else c for c in columns]
+    header = []
+    for _, head in columns:
+        header += head if type(head) is tuple else [head]
+    table = []
+    for row in rows:
+        cells = []
+        for key, head in columns:
+            value = row.get(key)
+            if type(head) is not tuple:
+                cells.append("" if value is None else value)
+            elif value is None:
+                cells += ("", "", "")
+            else:
+                num, den = value["num"], value["den"]
+                cells += (num, den, format(num / den, ".12g"))
+        table.append(cells)
+    return header, table
+
+
 def validation_payload(report: ValidationReport) -> dict:
     return {
         "depth": report.depth,
@@ -116,14 +150,11 @@ def validation_payload(report: ValidationReport) -> dict:
     }
 
 
-def validation_csv(report: ValidationReport) -> tuple[list[str], list[list]]:
-    header = ["invariant", "level", "generator", "point", "detail"]
-    rows = [
-        [v.invariant, v.level, v.generator or "", "" if v.point is None else v.point,
-         '"' + v.detail.replace('"', "'") + '"']
-        for v in report.violations
-    ]
-    return header, rows
+def validation_csv(payload: dict) -> tuple[list[str], list[list]]:
+    # a detail is free text, so its cell is quoted with inner quotes swapped
+    rows = [{**v, "detail": '"' + v["detail"].replace('"', "'") + '"'}
+            for v in payload["violations"]]
+    return csv_table(rows, ["invariant", "level", "generator", "point", "detail"])
 
 
 def farber_payload(report: FarberReport, alphabet: GeneratorAlphabet) -> dict:
@@ -162,14 +193,10 @@ def farber_payload(report: FarberReport, alphabet: GeneratorAlphabet) -> dict:
     }
 
 
-def farber_csv(report: FarberReport, alphabet: GeneratorAlphabet) -> tuple[list[str], list[list]]:
-    header = ["word", "verdict", "level", "ratio_num", "ratio_den", "ratio_dec"]
-    rows = []
-    for w in report.words:
-        name = render_word(w.word, alphabet)
-        for level, ratio in w.trajectory:
-            rows.append([name, w.verdict, level, ratio.numerator, ratio.denominator, dec(ratio)])
-    return header, rows
+def farber_csv(payload: dict) -> tuple[list[str], list[list]]:
+    # one row per trajectory step, repeating its word's cells
+    rows = [{**w, **step} for w in payload["words"] for step in w["trajectory"]]
+    return csv_table(rows, ["word", "verdict", "level", ("ratio", _ratio("ratio"))])
 
 
 def fixed_set_payload(report: FixedSetReport, alphabet: GeneratorAlphabet) -> dict:
@@ -195,25 +222,16 @@ def fixed_set_payload(report: FixedSetReport, alphabet: GeneratorAlphabet) -> di
     }
 
 
-def fixed_set_csv(report: FixedSetReport, alphabet: GeneratorAlphabet) -> tuple[list[str], list[list]]:
-    header = ["record", "level", "vertex", "size", "fixed", "num", "den", "dec"]
-    rows = []
-    name = render_word(report.word, alphabet)
-    for i in range(report.depth):
-        ratio = Fraction(report.fixed_counts[i], report.sizes[i])
-        rows.append(["fixed-ratio", i + 1, "", report.sizes[i], report.fixed_counts[i],
-                     ratio.numerator, ratio.denominator, dec(ratio)])
-    for c in report.max_fixed_cylinders:
-        measure = Fraction(1, report.sizes[c.level - 1]) if c.level >= 1 else Fraction(1)
-        rows.append(["max-fixed-cylinder", c.level, c.vertex, "", "",
-                     measure.numerator, measure.denominator, dec(measure)])
-    rows.append(["interior-bound", "", "", "", "",
-                 report.interior_bound.numerator, report.interior_bound.denominator,
-                 dec(report.interior_bound)])
-    rows.append(["hol-estimate", "", "", "", "",
-                 report.hol_estimate.numerator, report.hol_estimate.denominator,
-                 dec(report.hol_estimate)])
-    return header, rows
+def fixed_set_csv(payload: dict) -> tuple[list[str], list[list]]:
+    levels = payload["levels"]
+    rows = [{"record": "fixed-ratio", **lv} for lv in levels]
+    # CSV alone gives a max-fixed cylinder a measure: 1/size of its level
+    rows += [{"record": "max-fixed-cylinder", **c,
+              "ratio": {"num": 1, "den": levels[c["level"] - 1]["size"] if c["level"] else 1}}
+             for c in payload["max_fixed_cylinders"]]
+    rows += [{"record": "interior-bound", "ratio": payload["interior_bound"]},
+             {"record": "hol-estimate", "ratio": payload["hol_estimate"]}]
+    return csv_table(rows, ["record", "level", "vertex", "size", "fixed", ("ratio", _ratio())])
 
 
 def density_payload(profile: DensityProfile, alphabet: GeneratorAlphabet) -> dict:
@@ -227,13 +245,8 @@ def density_payload(profile: DensityProfile, alphabet: GeneratorAlphabet) -> dic
     }
 
 
-def density_csv(profile: DensityProfile, alphabet: GeneratorAlphabet) -> tuple[list[str], list[list]]:
-    header = ["level", "num", "den", "dec"]
-    rows = [
-        [level, value.numerator, value.denominator, dec(value)]
-        for level, value in enumerate(profile.entries)
-    ]
-    return header, rows
+def density_csv(payload: dict) -> tuple[list[str], list[list]]:
+    return csv_table(payload["entries"], ["level", ("density", _ratio())])
 
 
 def lcs_payload(report: LcsWitnessReport, alphabet: GeneratorAlphabet) -> dict:
@@ -260,23 +273,9 @@ def lcs_payload(report: LcsWitnessReport, alphabet: GeneratorAlphabet) -> dict:
     }
 
 
-def lcs_csv(report: LcsWitnessReport, alphabet: GeneratorAlphabet) -> tuple[list[str], list[list]]:
-    header = ["class", "examined", "truncated", "best_word", "hol_num", "hol_den",
-              "hol_dec", "nonvanishing"]
-    rows = []
-    for c in report.classes:
-        hol = c.best.hol_estimate if c.best else None
-        rows.append([
-            c.class_index,
-            c.examined,
-            c.truncated,
-            render_word(c.best_word, alphabet) if c.best_word else "",
-            hol.numerator if hol is not None else "",
-            hol.denominator if hol is not None else "",
-            dec(hol) if hol is not None else "",
-            c.nonvanishing,
-        ])
-    return header, rows
+def lcs_csv(payload: dict) -> tuple[list[str], list[list]]:
+    return csv_table(payload["classes"], ["class", "examined", "truncated", "best_word",
+                                          ("hol_estimate", _ratio("hol")), "nonvanishing"])
 
 
 def stab_count_payload(report: StabilizerCountReport, alphabet: GeneratorAlphabet) -> dict:
@@ -292,18 +291,8 @@ def stab_count_payload(report: StabilizerCountReport, alphabet: GeneratorAlphabe
     }
 
 
-def stab_count_csv(report: StabilizerCountReport, alphabet: GeneratorAlphabet) -> tuple[list[str], list[list]]:
-    header = ["level", "word", "group_order", "stabilizers", "containing",
-              "ratio_num", "ratio_den", "ratio_dec", "identity_holds"]
-    rows = [[
-        report.level,
-        render_word(report.word, alphabet),
-        report.group_order,
-        report.stabilizer_count,
-        report.containing_count,
-        report.conjugacy_ratio.numerator,
-        report.conjugacy_ratio.denominator,
-        dec(report.conjugacy_ratio),
-        report.identity_holds,
-    ]]
-    return header, rows
+def stab_count_csv(payload: dict) -> tuple[list[str], list[list]]:
+    return csv_table([payload], ["level", "word", "group_order",
+                                 ("stabilizer_count", "stabilizers"),
+                                 ("containing_count", "containing"),
+                                 ("conjugacy_ratio", _ratio("ratio")), "identity_holds"])

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import cantoract as ca
-from cantoract.builders import FamilySpec, FatCantorPlan, build
+from cantoract.builders import FatCantorPlan
 from cantoract.errors import SchemaError
 
 from conftest import word
@@ -32,14 +32,12 @@ def test_other_bases_validate():
 
 
 def test_build_dispatch():
-    chain = build(FamilySpec("odometer", {"base": 3}))
-    assert chain.size(2) == 9
-    chain = build(FamilySpec("toral", {"dim": 2, "base": 3}))
-    assert chain.size(2) == 81
+    # the CLI calls these constructors directly; see test_cli for an
+    # unknown family
+    assert ca.odometer(3).size(2) == 9
+    assert ca.toral(2, 3).size(2) == 81
     with pytest.raises(SchemaError):
-        build(FamilySpec("odometer", {"base": 1}))
-    with pytest.raises(SchemaError):
-        FamilySpec("nonsense")
+        ca.odometer(1)
 
 
 def test_heisenberg_commutator_relation(hei2):

@@ -322,7 +322,8 @@ def test_build_over_budget_is_refused_before_any_level(tmp_path):
 ])
 def test_empty_level_is_a_one_line_error(tmp_path, argv):
     # the same one-line refusal for an empty level, perms given as a list,
-    # and a size no array could hold that the perm lengths contradict
+    # a size no array could hold that the perm lengths contradict, and perm
+    # entries that are not JSON integers
     cases = {
         "zero": ({"size": 0, "parent": None, "perms": {"a": []}},
                  "level 1: size must be at least 1, got 0"),
@@ -330,6 +331,8 @@ def test_empty_level_is_a_one_line_error(tmp_path, argv):
                    "level 1: perms must be an object, got an array"),
         "huge": ({"size": 10**30, "parent": None, "perms": {"a": [1, 0]}},
                  f"level 1: size {10**30} disagrees with the 2 entries of permutation 'a'"),
+        "floats": ({"size": 2, "parent": None, "perms": {"a": [1.9, "0"]}},
+                   "level 1: perms['a'] entries must be integers, got a number"),
     }
     for name, (level, message) in cases.items():
         path = tmp_path / f"{name}.json"
@@ -339,3 +342,52 @@ def test_empty_level_is_a_one_line_error(tmp_path, argv):
         assert "Traceback" not in proc.stderr
         errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
         assert errors == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"transitions": {"add": [0, 1], "id": {"0": "id", "1": "id"}}},
+     "machine file: transitions['add'] must be an object, got an array"),
+    ({"states": [["add"], "id"]}, "machine file: states[0] must be a string, got an array"),
+    ({"outputs": {"add": {"0": 1, "1": "0"}, "id": {"0": 0, "1": 1}}},
+     "machine file: outputs['add']['1'] must be an integer, got a string"),
+    ({"alphabet": 2.0}, "machine file: alphabet must be an integer, got a number"),
+])
+def test_machine_file_types_are_one_line_errors(tmp_path, change, message):
+    from cantoract.mealy import adding_machine, machine_to_dict
+
+    machine_path = tmp_path / "machine.json"
+    machine_path.write_text(json.dumps({**machine_to_dict(adding_machine(2)), **change}))
+    proc = run_cli(["build", "mealy", "--machine", str(machine_path), "--depth", "3",
+                    "-o", str(tmp_path / "chain.json")])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {message}"]
+
+
+def test_unknown_family_is_a_one_line_error(tmp_path):
+    proc = run_cli(["build", "nonsense", "-o", str(tmp_path / "chain.json")])
+    assert proc.returncode == 1
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "invalid choice: 'nonsense'" in errors[0]
+
+
+def test_json_reports_build_no_csv_table(chains, tmp_path, monkeypatch):
+    from cantoract import reports
+
+    def refuse(payload):
+        raise AssertionError("a JSON run built a CSV table")
+
+    for kind in ("validation", "farber", "fixed_set", "density", "lcs", "stab_count"):
+        monkeypatch.setattr(reports, f"{kind}_csv", refuse)
+    odometer = chains["odometer"]
+    for argv in (
+        ["validate", odometer],
+        ["farber", odometer, "--max-word-len", "1", "--depth", "3"],
+        ["local-farber", odometer, "--max-word-len", "1", "--depth", "3"],
+        ["holonomy", odometer, "--word", "a", "--depth", "3"],
+        ["density", odometer, "--word", "a", "--point", "0", "--depth", "3"],
+        ["lcs-witness", odometer, "--class", "1", "--max-word-len", "1", "--depth", "3"],
+        ["oracle", "stab-count", odometer, "--level", "2", "--word", "a"],
+    ):
+        assert main([*argv, "-o", str(tmp_path / "report.json")]) == 0, argv

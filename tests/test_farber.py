@@ -8,7 +8,6 @@ from cantoract.farber import (
     FAIL,
     INDISTINGUISHABLE,
     PASS,
-    derived_chain,
     local_candidates,
 )
 
@@ -145,13 +144,6 @@ def test_residual_finiteness_probe(odo2, dih, hei2):
                 assert exits is None, ca.render_word(w, chain.alphabet)
             else:
                 assert exits is not None, ca.render_word(w, chain.alphabet)
-
-
-def test_derived_chain_shape(frag):
-    dc = derived_chain(frag, 1, 6)
-    assert dc.fiber(1) == (0,)
-    for level in range(1, 7):
-        assert len(dc.fiber(level)) == frag.size(level) // frag.size(1)
 
 
 def test_local_candidates_budget(frag):

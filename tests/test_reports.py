@@ -1,4 +1,5 @@
-"""``render_json`` renders exactly what ``json.dumps(sort_keys=True, indent=2)`` does."""
+"""``render_json`` renders exactly what ``json.dumps(sort_keys=True, indent=2)`` does,
+and CSV tables are projected from the JSON payload."""
 
 import json
 from fractions import Fraction
@@ -6,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantoract.reports import render_json
+from cantoract.reports import density_csv, lcs_csv, render_json
 
 # characters a template or an escape could get wrong: the template's own
 # '%', JSON's quote and backslash, control characters, and non-ASCII ones
@@ -75,3 +76,31 @@ def test_edge_values():
 def test_values_outside_json_types_raise(payload):
     with pytest.raises(TypeError):
         render_json(payload)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions() | st.fractions(max_denominator=10**30))
+def test_csv_ratio_cells_are_the_exact_fraction(value):
+    payload = {"entries": [{"level": 0, "density": {"num": value.numerator,
+                                                    "den": value.denominator}}]}
+    header, rows = density_csv(payload)
+    assert header == ["level", "num", "den", "dec"]
+    assert rows == [[0, value.numerator, value.denominator, format(float(value), ".12g")]]
+
+
+def test_csv_null_and_missing_values_are_empty_cells():
+    classes = [
+        {"class": 1, "examined": 3, "truncated": False, "nonvanishing": True,
+         "best_word": "g", "hol_estimate": {"num": 1, "den": 3}},
+        {"class": 2, "examined": 0, "truncated": True, "nonvanishing": False,
+         "best_word": None, "hol_estimate": None},
+        {"class": 3},
+    ]
+    header, rows = lcs_csv({"classes": classes})
+    assert header == ["class", "examined", "truncated", "best_word", "hol_num", "hol_den",
+                      "hol_dec", "nonvanishing"]
+    assert rows == [
+        [1, 3, False, "g", 1, 3, "0.333333333333", True],
+        [2, 0, True, "", "", "", "", False],
+        [3, "", "", "", "", "", "", ""],
+    ]
