@@ -9,7 +9,6 @@ from .chain import (
     LevelAction,
     PointApprox,
     ValidationReport,
-    cylinder_measure,
     distance,
     sample_uniform,
     schreier_generators,
@@ -50,5 +49,5 @@ from .holonomy import (
     partial_triviality_witnesses,
 )
 from .lcs import LcsWitnessReport, gamma_candidates, witness_search
-from .mealy import MealyMachine, adding_machine, is_trivial, load_machine, minimize
+from .mealy import MealyMachine, adding_machine, is_trivial, load_machine
 from .words import GeneratorAlphabet, Word, commutator, parse_word, reduced_words, render_word

@@ -422,12 +422,15 @@ def _level_fields(level: int, entry) -> tuple:
 
 
 def chain_from_dict(data: dict, *, validate: bool = True, **budgets) -> ChainAction:
+    expect(data, dict, "chain file")
     try:
-        name = str(data["name"])
-        generators = tuple(str(g) for g in data["generators"])
-        raw_levels = list(data["levels"])
-    except (KeyError, TypeError) as exc:
+        name, generators, raw_levels = data["name"], data["generators"], data["levels"]
+    except KeyError as exc:
         raise SchemaError(f"malformed chain file: {exc}") from exc
+    expect(name, str, "chain file: name")
+    generators = tuple(expect(g, str, f"chain file: generators[{i}]")
+                       for i, g in enumerate(expect(generators, list, "chain file: generators")))
+    expect(raw_levels, list, "chain file: levels")
     if not raw_levels:
         raise SchemaError("chain file provides no levels")
     alphabet = GeneratorAlphabet(generators)

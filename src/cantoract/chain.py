@@ -277,9 +277,6 @@ class ChainAction:
             x = perm[x]
         return x
 
-    def act_point(self, word: Word, point: PointApprox) -> PointApprox:
-        return PointApprox(point.depth, self.act(word, point.depth, point.index))
-
     def word_permutation(self, word: Word, level: int) -> tuple[int, ...]:
         """The full permutation of ``word`` at ``level`` as an image array."""
         for _, image in self.images([word], level):
@@ -366,10 +363,6 @@ class ChainAction:
     def stabilizer_contains(self, word: Word, level: int) -> bool:
         """Membership in the level-``level`` basepoint stabilizer subgroup."""
         return self.act(word, level, 0) == 0
-
-    def index(self, level: int) -> int:
-        """Index of the level-``level`` stabilizer = number of level points."""
-        return self.size(level)
 
     def fixed_count(self, word: Word, level: int) -> int:
         return count_fixed(self.word_permutation(word, level))
@@ -548,14 +541,6 @@ def distance(chain: ChainAction, x: PointApprox, y: PointApprox) -> Distance:
         if m == 0:
             a = b = 0
     return Distance(Fraction(1, 2**m), m, False)
-
-
-def cylinder_measure(chain: ChainAction, cylinder: Cylinder) -> Fraction:
-    """Exact invariant measure 1/n_level of a cylinder (equal coset weights)."""
-    n = chain.size(cylinder.level)
-    if not 0 <= cylinder.vertex < n:
-        raise ValueError(f"vertex {cylinder.vertex} out of range at level {cylinder.level}")
-    return Fraction(1, n)
 
 
 def sample_uniform(chain: ChainAction, depth: int, seed: int) -> PointApprox:

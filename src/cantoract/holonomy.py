@@ -83,12 +83,10 @@ class TrivialityWitness:
 class LqaScaleEstimate:
     depth: int
     max_word_len: int
-    scale_level: int | None  # None means no witness-free scale <= depth
+    scale_level: int
 
     @property
-    def scale(self) -> Fraction | None:
-        if self.scale_level is None:
-            return None
+    def scale(self) -> Fraction:
         return Fraction(1, 2**self.scale_level)
 
 
@@ -97,34 +95,27 @@ def _require_nonidentity(word: Word):
         raise ValueError("the identity word is excluded from holonomy queries")
 
 
-def _moved_by_level(
+def _maximal_fixed_cylinders(
     chain: ChainAction, perm: tuple[int, ...], depth: int, cap: int
-) -> list[set[int]]:
-    """Entry L, for L = 0..cap: the level-L vertices whose depth-``depth`` fiber moves.
+) -> list[Cylinder]:
+    """The maximal cylinders of levels 1..``cap`` whose whole depth-``depth``
+    fiber ``perm`` fixes, ordered by level and then by vertex.
 
-    Entry 0 is empty exactly when the word moves nothing at this depth.
+    The vertices whose fiber moves are found at ``cap`` in one pass over the
+    points and walked up through the parent arrays; a fixed vertex is
+    maximal when its parent moves.  The answer is ``[Cylinder(0, 0)]``
+    exactly when ``perm`` moves nothing.
     """
     moved = set(compress(chain.ancestors(depth, cap), map(ne, perm, range(len(perm)))))
-    tables = [moved]
-    for level in range(cap, 0, -1):
-        moved = set(map(chain.level(level).parent.__getitem__, moved))
-        tables.append(moved)
-    tables.reverse()
-    return tables
-
-
-def _maximal_fixed_cylinders(
-    chain: ChainAction, moved: list[set[int]], cap: int
-) -> list[Cylinder]:
-    if not moved[0]:
+    if not moved:
         return [Cylinder(0, 0)]
     out: list[Cylinder] = []
-    for level in range(1, cap + 1):
+    for level in range(cap, 0, -1):  # moved: the level-``level`` vertices whose fiber moves
         parent = chain.level(level).parent
-        here, above = moved[level], moved[level - 1]
-        for v in range(chain.size(level)):
-            if v not in here and parent[v] in above:
-                out.append(Cylinder(level, v))
+        above = set(map(parent.__getitem__, moved))
+        out[:0] = [Cylinder(level, v) for v in range(chain.size(level))
+                   if v not in moved and parent[v] in above]
+        moved = above
     return out
 
 
@@ -142,7 +133,7 @@ def fixed_set_report(chain: ChainAction, word: Word, depth: int) -> FixedSetRepo
     sizes = [chain.size(level) for level in range(1, depth + 1)]
     counts = chain.fixed_counts(perm, depth)
     cap = interior_scan_limit(depth)
-    cylinders = _maximal_fixed_cylinders(chain, _moved_by_level(chain, perm, depth, cap), cap)
+    cylinders = _maximal_fixed_cylinders(chain, perm, depth, cap)
     interior = sum((Fraction(1, chain.size(c.level)) for c in cylinders), Fraction(0))
     hol = Fraction(counts[-1], sizes[-1]) - interior
     if hol < 0:
@@ -186,12 +177,19 @@ def _mealy_exact(chain: ChainAction, word: Word, cylinder: Cylinder) -> bool:
     return mealy_is_trivial(backend.machine, backend.machine.section(state_word, path))
 
 
+def _fixing_words(chain: ChainAction, words: list[Word], depth: int):
+    """Yield ``(i, perm, cylinders)`` for each ``words[i]`` that moves a
+    depth-``depth`` point and fixes some cylinder fiber; ``perm`` is its
+    image, dropped once the caller is done with it."""
+    cap = interior_scan_limit(depth)
+    for i, perm in chain.images(words, depth):
+        cylinders = _maximal_fixed_cylinders(chain, perm, depth, cap)
+        if cylinders and cylinders[0].level:
+            yield i, perm, cylinders
+
+
 def partial_triviality_witnesses(
-    chain: ChainAction,
-    max_word_len: int,
-    depth: int,
-    *,
-    max_words: int = DEFAULT_WORD_BUDGET,
+    chain: ChainAction, max_word_len: int, depth: int
 ) -> list[TrivialityWitness]:
     """Words fixing an entire depth-``depth`` cylinder fiber while moving points.
 
@@ -202,14 +200,10 @@ def partial_triviality_witnesses(
     exact statements where the section oracle certifies them.
     """
     check_depth(depth)
-    cap = interior_scan_limit(depth)
-    words = list(reduced_words(chain.alphabet, max_word_len, max_count=max_words))
+    words = list(reduced_words(chain.alphabet, max_word_len, max_count=DEFAULT_WORD_BUDGET))
     found: list[list[TrivialityWitness]] = [[] for _ in words]
-    for i, perm in chain.images(words, depth):
-        moved = _moved_by_level(chain, perm, depth, cap)
-        if not moved[0]:
-            continue  # indistinguishable from identity at this depth: moves nothing
-        for cyl in _maximal_fixed_cylinders(chain, moved, cap):
+    for i, perm, cylinders in _fixing_words(chain, words, depth):
+        for cyl in cylinders:
             fiber = chain.fiber(cyl.level, depth, cyl.vertex)
             if count_fixed(perm, fiber) != len(fiber):
                 raise AssertionError("witness failed direct re-check")
@@ -218,13 +212,7 @@ def partial_triviality_witnesses(
     return [w for witnesses in found for w in witnesses]
 
 
-def lqa_scale_estimate(
-    chain: ChainAction,
-    max_word_len: int,
-    depth: int,
-    *,
-    max_words: int = DEFAULT_WORD_BUDGET,
-) -> LqaScaleEstimate:
+def lqa_scale_estimate(chain: ChainAction, max_word_len: int, depth: int) -> LqaScaleEstimate:
     """Smallest level k with no partial-triviality witness inside any level-k cylinder.
 
     A witness at scale k is a word (length <= ``max_word_len``) that fixes
@@ -233,25 +221,18 @@ def lqa_scale_estimate(
     fiber.  Witnesses at a scale imply witnesses at every coarser scale, so
     the answer is the first witness-free k; 0 means no witnesses at all
     (quasi-analytic candidate at this depth and word length).
+
+    In closed form it is the deepest level of a maximal fixed cylinder over
+    the words that move a point.  A word fixing the fiber of a vertex u
+    fixes the fibers of all u's descendants, so the fixed ancestors of u
+    form one unbroken run of levels, ending above at the maximal fixed
+    cylinder that contains u, at some level j >= 1 (level 0 moves).  The
+    deepest moving ancestor of u, the scale u witnesses, is at j - 1, and
+    the first witness-free level is the largest such j.  That level is at
+    most ``depth // 2``, so a scale always exists at this depth.
     """
     check_depth(depth)
-    cap = interior_scan_limit(depth)
-    deepest_witness = -1
-    words = list(reduced_words(chain.alphabet, max_word_len, max_count=max_words))
-    for _, perm in chain.images(words, depth):
-        moved = _moved_by_level(chain, perm, depth, cap)
-        if not moved[0]:
-            continue
-        for m in range(1, cap + 1):
-            for u in range(chain.size(m)):
-                if u in moved[m]:
-                    continue
-                # deepest ambient level k < m whose fiber over u's ancestor moves
-                for k in range(m - 1, deepest_witness, -1):
-                    if chain.ancestors(m, k)[u] in moved[k]:
-                        deepest_witness = max(deepest_witness, k)
-                        break
-    scale = deepest_witness + 1
-    if scale > depth:
-        return LqaScaleEstimate(depth=depth, max_word_len=max_word_len, scale_level=None)
+    words = list(reduced_words(chain.alphabet, max_word_len, max_count=DEFAULT_WORD_BUDGET))
+    scale = max((cylinders[-1].level for _, _, cylinders in _fixing_words(chain, words, depth)),
+                default=0)
     return LqaScaleEstimate(depth=depth, max_word_len=max_word_len, scale_level=scale)

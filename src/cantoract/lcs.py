@@ -123,15 +123,8 @@ def witness_search(
             chain.alphabet, n, max_word_len, conj_len, max_candidates=max_candidates
         )
         results = [fixed_set_report(chain, w, depth) for w in stream.words]
-        best: FixedSetReport | None = None
-        for rep in results:
-            if best is None:
-                best = rep
-                continue
-            key = (-rep.hol_estimate, len(rep.word), rep.word.key())
-            best_key = (-best.hol_estimate, len(best.word), best.word.key())
-            if key < best_key:
-                best = rep
+        best = min(results, key=lambda r: (-r.hol_estimate, len(r.word), r.word.key()),
+                   default=None)
         reports.append(
             ClassReport(
                 class_index=n,

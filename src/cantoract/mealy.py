@@ -20,6 +20,10 @@ from .words import free_reduce
 StateLetter = tuple[str, int]  # (state name, sign)
 StateWord = tuple[StateLetter, ...]
 
+# Most distinct sections :func:`is_trivial` closes a word under before it
+# gives up with a ``section_closure`` budget error.
+MAX_CLOSURE = 100_000
+
 
 class MealyMachine:
     def __init__(
@@ -120,11 +124,12 @@ def identity_states(machine: MealyMachine) -> frozenset[str]:
     return frozenset(candidates)
 
 
-def is_trivial(machine: MealyMachine, word: StateWord, *, max_closure: int = 100_000) -> bool:
+def is_trivial(machine: MealyMachine, word: StateWord) -> bool:
     """Exactly decide whether ``word`` acts as the identity on the whole tree.
 
-    Closes the word under sections; the action is trivial iff every reachable
-    section fixes every letter at its root.
+    Closes the word under sections, at most :data:`MAX_CLOSURE` of them; the
+    action is trivial iff every reachable section fixes every letter at its
+    root.
     """
     trivial = identity_states(machine)
     start = _strip_identity(word, trivial)
@@ -135,10 +140,10 @@ def is_trivial(machine: MealyMachine, word: StateWord, *, max_closure: int = 100
         if w in seen:
             continue
         seen.add(w)
-        if len(seen) > max_closure:
+        if len(seen) > MAX_CLOSURE:
             raise BudgetError(
                 "section_closure",
-                f"section closure exceeded {max_closure} words while deciding triviality",
+                f"section closure exceeded {MAX_CLOSURE} words while deciding triviality",
             )
         for c in range(machine.alphabet_size):
             img, sec = machine.step(w, c)
@@ -152,45 +157,6 @@ def is_trivial(machine: MealyMachine, word: StateWord, *, max_closure: int = 100
 
 def _strip_identity(word: StateWord, trivial: frozenset[str]) -> StateWord:
     return free_reduce(l for l in word if l[0] not in trivial)
-
-
-def minimize(machine: MealyMachine) -> MealyMachine:
-    """Merge behaviorally equivalent states by partition refinement.
-
-    The returned machine uses the first original state of each class as the
-    class representative, so a duplicated identity state collapses into a
-    single class.
-    """
-    letters = range(machine.alphabet_size)
-    # initial partition: by output row
-    sig0 = {q: tuple(machine.outputs[q][c] for c in letters) for q in machine.states}
-    classes = {}
-    for q in machine.states:
-        classes.setdefault(sig0[q], []).append(q)
-    part = {q: i for i, group in enumerate(classes.values()) for q in group}
-    while True:
-        sig = {
-            q: (part[q], tuple(part[machine.transitions[q][c]] for c in letters))
-            for q in machine.states
-        }
-        new_classes: dict = {}
-        for q in machine.states:
-            new_classes.setdefault(sig[q], []).append(q)
-        new_part = {q: i for i, group in enumerate(new_classes.values()) for q in group}
-        if new_part == part:
-            break
-        part = new_part
-    reps: dict[int, str] = {}
-    for q in machine.states:
-        reps.setdefault(part[q], q)
-    rep_of = {q: reps[part[q]] for q in machine.states}
-    states = tuple(sorted(set(rep_of.values()), key=machine.states.index))
-    transitions = {
-        q: {c: rep_of[machine.transitions[q][c]] for c in letters} for q in states
-    }
-    outputs = {q: {c: machine.outputs[q][c] for c in letters} for q in states}
-    generator_map = {g: rep_of[q] for g, q in machine.generator_map.items()}
-    return MealyMachine(machine.alphabet_size, states, transitions, outputs, generator_map)
 
 
 def _rows(table, name: str, kind: type) -> dict:

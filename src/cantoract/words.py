@@ -135,13 +135,13 @@ def _check_letters(count: int) -> None:
 
 
 def commutator(u: Word, v: Word) -> Word:
-    """Reduced word ``u * v * u^-1 * v^-1``."""
-    return u * v * u.inverse() * v.inverse()
+    """Reduced word ``u * v * u^-1 * v^-1``, in one reduction pass."""
+    return Word.of(u.letters + v.letters + u.inverse().letters + v.inverse().letters)
 
 
 def conjugate(t: Word, x: Word) -> Word:
-    """Reduced word ``t * x * t^-1``."""
-    return t * x * t.inverse()
+    """Reduced word ``t * x * t^-1``, in one reduction pass."""
+    return Word.of(t.letters + x.letters + t.inverse().letters)
 
 
 def render_word(word: Word, alphabet: GeneratorAlphabet) -> str:
@@ -199,8 +199,11 @@ class _Parser:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def _expr(self) -> Word:
+        word = self._factor()
+        if self._peek() != "*":
+            return word  # a factor is already reduced
         # reduce the product once, not once per factor
-        letters = list(self._factor().letters)
+        letters = list(word.letters)
         while self._peek() == "*":
             self.pos += 1
             factor = self._factor().letters
@@ -262,10 +265,9 @@ def reduced_words(
     alphabet: GeneratorAlphabet,
     max_len: int,
     *,
-    include_identity: bool = False,
     max_count: int | None = None,
 ) -> Iterator[Word]:
-    """Yield all freely reduced words up to ``max_len`` in canonical order.
+    """Yield all nonempty freely reduced words up to ``max_len`` in canonical order.
 
     Canonical order is by length, then lexicographic over letters with the
     letter order (gen 0, +1) < (gen 0, -1) < (gen 1, +1) < ...  Raises a
@@ -274,9 +276,6 @@ def reduced_words(
     """
     letters = [(g, s) for g in range(len(alphabet)) for s in (1, -1)]
     count = 0
-    if include_identity:
-        count += 1
-        yield Word(())
     frontier: list[tuple[Letter, ...]] = [()]
     for _ in range(max_len):
         nxt: list[tuple[Letter, ...]] = []

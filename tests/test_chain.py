@@ -60,9 +60,9 @@ def test_stabilizer_contains(odo2, dih):
 
 
 def test_index_and_fiber(odo2, hei2):
-    assert odo2.index(5) == 32
+    assert odo2.size(5) == 32
     assert odo2.fiber(1, 3, 0) == (0, 2, 4, 6)
-    assert hei2.index(2) == 16
+    assert hei2.size(2) == 16
     assert odo2.fiber(0, 3, 0) == tuple(range(8))
     assert len(odo2.fiber(2, 5, 3)) == 32 // 4
 
@@ -110,11 +110,6 @@ def test_distance(odo2):
     assert d.indistinguishable and d.value == Fraction(1, 16)
     with pytest.raises(ValueError):
         ca.distance(odo2, x0, ca.PointApprox(3, 0))
-
-
-def test_cylinder_measure(odo2):
-    assert ca.cylinder_measure(odo2, ca.Cylinder(3, 5)) == Fraction(1, 8)
-    assert ca.cylinder_measure(odo2, ca.Cylinder(0, 0)) == 1
 
 
 def test_sample_uniform_chi_square(odo2):

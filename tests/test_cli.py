@@ -322,21 +322,29 @@ def test_build_over_budget_is_refused_before_any_level(tmp_path):
 ])
 def test_empty_level_is_a_one_line_error(tmp_path, argv):
     # the same one-line refusal for an empty level, perms given as a list,
-    # a size no array could hold that the perm lengths contradict, and perm
-    # entries that are not JSON integers
+    # a size no array could hold that the perm lengths contradict, perm
+    # entries that are not JSON integers, and top-level fields of the wrong
+    # JSON type
+    good = [{"size": 2, "parent": None, "perms": {"a": [1, 0]}}]
     cases = {
-        "zero": ({"size": 0, "parent": None, "perms": {"a": []}},
+        "zero": ({"levels": [{"size": 0, "parent": None, "perms": {"a": []}}]},
                  "level 1: size must be at least 1, got 0"),
-        "listed": ({"size": 2, "parent": None, "perms": [[1, 0]]},
+        "listed": ({"levels": [{"size": 2, "parent": None, "perms": [[1, 0]]}]},
                    "level 1: perms must be an object, got an array"),
-        "huge": ({"size": 10**30, "parent": None, "perms": {"a": [1, 0]}},
+        "huge": ({"levels": [{"size": 10**30, "parent": None, "perms": {"a": [1, 0]}}]},
                  f"level 1: size {10**30} disagrees with the 2 entries of permutation 'a'"),
-        "floats": ({"size": 2, "parent": None, "perms": {"a": [1.9, "0"]}},
+        "floats": ({"levels": [{"size": 2, "parent": None, "perms": {"a": [1.9, "0"]}}]},
                    "level 1: perms['a'] entries must be integers, got a number"),
+        "name": ({"name": 7}, "chain file: name must be a string, got an integer"),
+        "generators": ({"generators": "a"},
+                       "chain file: generators must be an array, got a string"),
+        "generator": ({"generators": [1]},
+                      "chain file: generators[0] must be a string, got an integer"),
+        "levels": ({"levels": {"0": 1}}, "chain file: levels must be an array, got an object"),
     }
-    for name, (level, message) in cases.items():
+    for name, (fields, message) in cases.items():
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps({"name": name, "generators": ["a"], "levels": [level]}))
+        path.write_text(json.dumps({"name": name, "generators": ["a"], "levels": good, **fields}))
         proc = run_cli([argv[0], str(path), *argv[1:]])
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr

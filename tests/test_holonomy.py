@@ -4,8 +4,9 @@ import pytest
 
 import cantoract as ca
 from cantoract.holonomy import interior_scan_limit
+from cantoract.mealy import machine_from_dict
 
-from conftest import word
+from conftest import GRIGORCHUK, word
 
 
 def test_identity_word_rejected(odo2):
@@ -192,6 +193,79 @@ def test_lqa_scale(frag, odo2, fat):
     assert ca.lqa_scale_estimate(odo2, 3, 8).scale_level == 0
     est = ca.lqa_scale_estimate(fat, 1, 8)
     assert est.scale_level is not None and est.scale_level <= 8
+
+
+def _brute_force_cylinders(chain, perm, depth):
+    """The maximal fixed cylinders straight from the definition: a fiber
+    wholly fixed whose parent's fiber is not, at levels up to depth // 2."""
+    def fixed(level, v):
+        return all(perm[x] == x for x in chain.fiber(level, depth, v))
+
+    if fixed(0, 0):
+        return [ca.Cylinder(0, 0)]
+    return [ca.Cylinder(level, v) for level in range(1, depth // 2 + 1)
+            for v in range(chain.size(level))
+            if fixed(level, v) and not fixed(level - 1, chain.ancestor(level, v, level - 1))]
+
+
+def _per_ancestor_lqa_scale(chain, max_word_len, depth):
+    """The LQA scale by the per-vertex, per-ancestor scan: one more than the
+    deepest level whose fiber moves above a wholly fixed vertex."""
+    cap = depth // 2
+    deepest = -1
+    for w in ca.reduced_words(chain.alphabet, max_word_len):
+        perm = chain.word_permutation(w, depth)
+        moved_points = [x for x, y in enumerate(perm) if x != y]
+        moved = [{chain.ancestor(depth, x, level) for x in moved_points}
+                 for level in range(cap + 1)]
+        if not moved[0]:
+            continue
+        for m in range(1, cap + 1):
+            for u in range(chain.size(m)):
+                if u in moved[m]:
+                    continue
+                for k in range(m - 1, -1, -1):
+                    if chain.ancestor(m, u, k) in moved[k]:
+                        deepest = max(deepest, k)
+                        break
+    return deepest + 1
+
+
+@pytest.mark.parametrize("family, max_depth, max_word_len", [
+    ("odo2", 8, 3),
+    ("frag", 8, 3),
+    ("hei2", 6, 2),
+    ("fat", 8, 2),
+    ("grigorchuk", 8, 3),
+])
+def test_cylinders_and_scale_match_brute_force(request, family, max_depth, max_word_len):
+    if family == "grigorchuk":
+        chain = ca.mealy_chain(machine_from_dict(GRIGORCHUK), name="grigorchuk")
+    else:
+        chain = request.getfixturevalue(family)
+    for depth in range(1, max_depth + 1):
+        expected_witnesses = []
+        for w in ca.reduced_words(chain.alphabet, max_word_len):
+            rep = ca.fixed_set_report(chain, w, depth)
+            cylinders = _brute_force_cylinders(chain, chain.word_permutation(w, depth), depth)
+            assert list(rep.max_fixed_cylinders) == cylinders
+            assert rep.interior_bound == sum(Fraction(1, chain.size(c.level)) for c in cylinders)
+            if ca.Cylinder(0, 0) not in cylinders:
+                expected_witnesses += [(w, c) for c in cylinders]
+        found = ca.partial_triviality_witnesses(chain, max_word_len, depth)
+        assert [(x.word, x.cylinder) for x in found] == expected_witnesses
+        est = ca.lqa_scale_estimate(chain, max_word_len, depth)
+        assert est.scale_level == _per_ancestor_lqa_scale(chain, max_word_len, depth)
+        assert est.scale == Fraction(1, 2**est.scale_level)
+
+
+def test_witness_scans_keep_the_word_budget(frag):
+    # two generators give 4 * 3^(L-1) reduced words of length L: 118,096 up
+    # to length 10, past the 50,000-word budget before any word is imaged
+    for scan in (ca.partial_triviality_witnesses, ca.lqa_scale_estimate):
+        with pytest.raises(ca.BudgetError) as exc:
+            scan(frag, 10, 4)
+        assert exc.value.budget == "word_budget"
 
 
 def test_interior_scan_limit():

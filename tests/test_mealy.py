@@ -6,11 +6,9 @@ from cantoract.errors import SchemaError
 from cantoract.mealy import (
     MealyMachine,
     adding_machine,
-    identity_states,
     is_trivial,
     machine_from_dict,
     machine_to_dict,
-    minimize,
 )
 
 from conftest import GRIGORCHUK, word
@@ -43,28 +41,6 @@ def test_inverse_section_consistency():
     for x in range(16):
         path = tuple((x >> i) & 1 for i in range(4))
         assert m.transduce(inv, m.transduce(a, path)) == path
-
-
-def test_minimize_merges_duplicate_identity():
-    m = MealyMachine(
-        2,
-        ("add", "id", "id2"),
-        {
-            "add": {0: "id", 1: "add"},
-            "id": {0: "id2", 1: "id"},
-            "id2": {0: "id", 1: "id2"},
-        },
-        {
-            "add": {0: 1, 1: 0},
-            "id": {0: 0, 1: 1},
-            "id2": {0: 0, 1: 1},
-        },
-        {"a": "add"},
-    )
-    mm = minimize(m)
-    assert len(mm.states) == 2
-    assert identity_states(mm) == frozenset({"id"})
-    assert mm.generator_map == {"a": "add"}
 
 
 def test_invertibility_required():
