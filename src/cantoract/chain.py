@@ -185,7 +185,8 @@ class ChainAction:
     The permutation kernel every analysis calls lives here: word images
     built over shared prefixes (:meth:`images`), fixed counts of one deep
     image at every coarser level, walked top-down through the nested fixed
-    sets (:meth:`fixed_counts`), and the memoized tables both read:
+    sets (:meth:`fixed_counts`; :meth:`fixed_walk` also returns the deepest
+    fixed set), and the memoized tables both read:
     ancestors (:meth:`ancestors`), children (:meth:`children`) and one
     deep point over each vertex (:meth:`representatives`).
     """
@@ -295,11 +296,7 @@ class ChainAction:
             for i in range(len(words)):
                 yield i, (0,)
             return
-        lv = self.level(level)
-        perms = {}
-        for gen, name in enumerate(self.alphabet.names):
-            perms[(gen, 1)] = lv.perms[name]
-            perms[(gen, -1)] = lv.inverse_perm(name)
+        perms = self.letter_perms(level)
         order = sorted(range(len(words)), key=lambda i: words[i].letters)
         # stack[t]: image of the current word's first t letters; None stands
         # for the identity, so a word's first letter costs no gather
@@ -319,13 +316,31 @@ class ChainAction:
                 if t < keep:
                     stack.append(image)
             del stack[keep + 1:]
-            yield i, tuple(range(lv.size)) if image is None else image
+            yield i, tuple(range(self.size(level))) if image is None else image
+
+    def letter_perms(self, level: int) -> dict:
+        """``{(gen, sign): image}``: each letter's level-``level`` image array,
+        the level's own permutation or its memoized inverse."""
+        lv = self.level(level)
+        perms = {}
+        for gen, name in enumerate(self.alphabet.names):
+            perms[gen, 1] = lv.perms[name]
+            perms[gen, -1] = lv.inverse_perm(name)
+        return perms
 
     def fixed_counts(self, image, level: int, base_level: int = 0) -> list[int]:
         """Fixed counts of ``image``, given at ``level``, at levels ``max(base_level, 1)..level``.
 
-        Only the points over the basepoint at ``base_level`` count.  Fixed
-        sets are nested, since a point fixed at level ``L`` lies over a
+        Only the points over the basepoint at ``base_level`` count; see
+        :meth:`fixed_walk`.
+        """
+        return self.fixed_walk(image, level, base_level)[0]
+
+    def fixed_walk(self, image, level: int, base_level: int = 0) -> tuple[list[int], tuple]:
+        """``(fixed_counts(image, level, base_level), fixed)``: ``fixed`` holds
+        the counted level-``level`` points that ``image`` fixes, in no order.
+
+        Fixed sets are nested, since a point fixed at level ``L`` lies over a
         vertex fixed at ``L - 1``, so the walk goes top-down and tests at
         level ``L`` only the children of the vertices fixed one level up:
         level-``L`` point ``x`` is fixed iff the ancestor at ``L`` of
@@ -348,9 +363,9 @@ class ChainAction:
             fixed = tuple(compress(points, map(eq, got, points)))
             counts.append(len(fixed))
             if lvl == level:
-                return counts
+                return counts, fixed
             if not fixed:
-                return counts + [0] * (level - lvl)
+                return counts + [0] * (level - lvl), fixed
             lvl += 1
             points = self._children_of(lvl, fixed)
 

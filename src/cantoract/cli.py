@@ -1,7 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 completed (verdicts live in the report, never in the exit
-code), 1 invalid input or an unreadable file, 2 resource budget exceeded.  Reports go to stdout
+code), 1 invalid input or an unreadable file, 2 resource budget exceeded,
+3 an internal error (a fault of the program, reported as one line
+``error: internal: <type>: <message>``).  Reports go to stdout
 or the -o file; diagnostics and wall-time go to stderr so repeated runs
 with identical (config, seed, input) produce byte-identical reports.
 """
@@ -338,6 +340,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"error: internal: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
     finally:
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         print(f"wall-time: {elapsed_ms:.1f} ms", file=sys.stderr)

@@ -13,12 +13,11 @@ the scan cap so consumers can compare like with like.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
-from operator import ne
 
-from .chain import ChainAction, Cylinder, PointApprox, check_depth, count_fixed
+from .chain import ChainAction, Cylinder, PointApprox, check_depth, compose, count_fixed
 from .mealy import is_trivial as mealy_is_trivial
 from .words import Word, reduced_words
 
@@ -95,20 +94,24 @@ def _require_nonidentity(word: Word):
         raise ValueError("the identity word is excluded from holonomy queries")
 
 
-def _maximal_fixed_cylinders(
-    chain: ChainAction, perm: tuple[int, ...], depth: int, cap: int
-) -> list[Cylinder]:
+def _maximal_fixed_cylinders(chain: ChainAction, fixed, depth: int, cap: int) -> list[Cylinder]:
     """The maximal cylinders of levels 1..``cap`` whose whole depth-``depth``
-    fiber ``perm`` fixes, ordered by level and then by vertex.
+    fiber lies in ``fixed``, a word's depth fixed set, ordered by level and
+    then by vertex.
 
-    The vertices whose fiber moves are found at ``cap`` in one pass over the
-    points and walked up through the parent arrays; a fixed vertex is
-    maximal when its parent moves.  The answer is ``[Cylinder(0, 0)]``
-    exactly when ``perm`` moves nothing.
+    A level-``cap`` vertex is fixed iff ``size(depth) // size(cap)`` points
+    of ``fixed`` lie over it, so one gather of the ancestor table over
+    ``fixed`` and a count per vertex find them, in O(|fixed|).  The other
+    vertices, whose fiber moves, are walked up through the parent arrays; a
+    fixed vertex is maximal when its parent moves.  The answer is
+    ``[Cylinder(0, 0)]`` exactly when the word fixes every point.
     """
-    moved = set(compress(chain.ancestors(depth, cap), map(ne, perm, range(len(perm)))))
-    if not moved:
+    if len(fixed) == chain.size(depth):
         return [Cylinder(0, 0)]
+    per_vertex = chain.size(depth) // chain.size(cap)
+    over = Counter(compose(chain.ancestors(depth, cap), fixed))
+    moved = set(range(chain.size(cap))).difference(
+        v for v, count in over.items() if count == per_vertex)
     out: list[Cylinder] = []
     for level in range(cap, 0, -1):  # moved: the level-``level`` vertices whose fiber moves
         parent = chain.level(level).parent
@@ -119,21 +122,25 @@ def _maximal_fixed_cylinders(
     return out
 
 
-def fixed_set_report(chain: ChainAction, word: Word, depth: int) -> FixedSetReport:
+def fixed_set_report(chain: ChainAction, word: Word, depth: int,
+                     image=None) -> FixedSetReport:
     """Fixed counts to ``depth`` plus the interior bound and holonomy estimate.
 
-    The maximal fixed cylinders are found by a top-down scan; their total
-    measure lower-bounds the interior of the fixed set as seen at this
-    depth, so the holonomy estimate is the depth-stamped measure of fixed
-    points not yet explained by any fixed cylinder.
+    ``image`` is the depth-``depth`` image of ``word`` when the caller
+    already has it.  The maximal fixed cylinders are found from the depth
+    fixed set; their total measure lower-bounds the interior of the fixed
+    set as seen at this depth, so the holonomy estimate is the
+    depth-stamped measure of fixed points not yet explained by any fixed
+    cylinder.
     """
     _require_nonidentity(word)
     check_depth(depth)
-    perm = chain.word_permutation(word, depth)
+    if image is None:
+        image = chain.word_permutation(word, depth)
     sizes = [chain.size(level) for level in range(1, depth + 1)]
-    counts = chain.fixed_counts(perm, depth)
+    counts, fixed = chain.fixed_walk(image, depth)
     cap = interior_scan_limit(depth)
-    cylinders = _maximal_fixed_cylinders(chain, perm, depth, cap)
+    cylinders = _maximal_fixed_cylinders(chain, fixed, depth, cap)
     interior = sum((Fraction(1, chain.size(c.level)) for c in cylinders), Fraction(0))
     hol = Fraction(counts[-1], sizes[-1]) - interior
     if hol < 0:
@@ -183,7 +190,7 @@ def _fixing_words(chain: ChainAction, words: list[Word], depth: int):
     image, dropped once the caller is done with it."""
     cap = interior_scan_limit(depth)
     for i, perm in chain.images(words, depth):
-        cylinders = _maximal_fixed_cylinders(chain, perm, depth, cap)
+        cylinders = _maximal_fixed_cylinders(chain, chain.fixed_walk(perm, depth)[1], depth, cap)
         if cylinders and cylinders[0].level:
             yield i, perm, cylinders
 

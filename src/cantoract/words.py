@@ -135,12 +135,17 @@ def _check_letters(count: int) -> None:
 
 
 def commutator(u: Word, v: Word) -> Word:
-    """Reduced word ``u * v * u^-1 * v^-1``, in one reduction pass."""
+    """Reduced word ``u * v * u^-1 * v^-1``, in one reduction pass; a
+    ``word_letters`` BudgetError, before building it, past
+    :data:`MAX_WORD_LETTERS` letters."""
+    _check_letters(2 * (len(u) + len(v)))
     return Word.of(u.letters + v.letters + u.inverse().letters + v.inverse().letters)
 
 
 def conjugate(t: Word, x: Word) -> Word:
-    """Reduced word ``t * x * t^-1``, in one reduction pass."""
+    """Reduced word ``t * x * t^-1``, in one reduction pass, under the same
+    letter limit as :func:`commutator`."""
+    _check_letters(2 * len(t) + len(x))
     return Word.of(t.letters + x.letters + t.inverse().letters)
 
 
@@ -245,7 +250,6 @@ class _Parser:
             if self._peek() != "]":
                 raise SchemaError(f"missing ']' at column {self.pos} in word {_quote(self.text)}")
             self.pos += 1
-            _check_letters(2 * (len(u) + len(v)))
             return commutator(u, v)
         m = _NAME_RE.match(self.text, self.pos)
         if not m:

@@ -399,3 +399,26 @@ def test_json_reports_build_no_csv_table(chains, tmp_path, monkeypatch):
         ["oracle", "stab-count", odometer, "--level", "2", "--word", "a"],
     ):
         assert main([*argv, "-o", str(tmp_path / "report.json")]) == 0, argv
+
+
+def test_deep_lcs_class_is_a_budget_error(chains):
+    # class-n words about double in length per class, so class 40 passes the
+    # letter limit near class 20; the refusal comes before that word is built
+    proc = run_cli(["lcs-witness", chains["fragmented"], "--depth", "3", "--max-word-len", "1",
+                    "--conj-len", "1", "--max-candidates", "2", "--class", "40"], timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error: budget word_letters exceeded:")
+
+
+def test_internal_error_is_one_line_exit_3(chains, monkeypatch, capsys):
+    from cantoract import cli
+
+    def broken(args):
+        raise RuntimeError("kernel fault\nat level 3")
+
+    monkeypatch.setitem(cli._RUNNERS, "validate", broken)
+    assert main(["validate", chains["odometer"]]) == 3
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: internal: RuntimeError: kernel fault at level 3"]

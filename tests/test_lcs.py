@@ -1,10 +1,60 @@
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 import cantoract as ca
+import cantoract.chain as chain_module
+import cantoract.holonomy as holonomy_module
+import cantoract.lcs as lcs_module
 from cantoract.farber import image_group
 from cantoract.lcs import gamma_candidates, image_lower_central_series, witness_search
+from cantoract.mealy import machine_from_dict
+from cantoract.words import conjugate
 
-from conftest import word
+from conftest import GRIGORCHUK, word
+
+# the seven bundled families and the Grigorchuk Mealy chain, each with the
+# deepest level the recipe oracle images at
+_CHAINS = [
+    (ca.odometer(2), 6),
+    (ca.toral(2, 2), 4),
+    (ca.dihedral(), 6),
+    (ca.heisenberg(2), 4),
+    (ca.fragmented(), 6),
+    (ca.fat_cantor(), 4),
+    (ca.adding_machine_chain(2), 6),
+    (ca.mealy_chain(machine_from_dict(GRIGORCHUK), name="grigorchuk"), 6),
+]
+
+
+def _reference_candidates(alphabet, n, max_word_len, conj_len, max_candidates):
+    """Class-``n`` words and truncation flag by the definition, rebuilding
+    classes 1..n-1 recursively: commutators ``[w, u]`` of a generator word
+    with a class-(n-1) word, each followed by its conjugates, deduplicated
+    and cut off at ``max_candidates``."""
+    gen_words = list(ca.reduced_words(alphabet, max_word_len))
+    if n == 1:
+        return gen_words[:max_candidates], len(gen_words) > max_candidates
+    prev, truncated = _reference_candidates(alphabet, n - 1, max_word_len, conj_len,
+                                            max_candidates)
+    out = []
+    for u in prev:
+        for w in gen_words:
+            x = ca.commutator(w, u)
+            if not x:
+                continue
+            for y in [x] + [conjugate(t, x) for t in ca.reduced_words(alphabet, conj_len)]:
+                if y in out:
+                    continue
+                if len(out) == max_candidates:
+                    return out, True
+                out.append(y)
+    return out, truncated
+
+
+def _best(reports):
+    return min(reports, key=lambda r: (-r.hol_estimate, len(r.word), r.word.key()),
+               default=None)
 
 
 def test_commutator_examples(odo2, hei2):
@@ -112,3 +162,61 @@ def test_image_lcs_shapes(dih, hei2):
     assert len(hei_series[0]) == 64
     assert len(hei_series[1]) == 4  # central shifts mod 4
     assert len(hei_series[-1]) == 1  # nilpotent image terminates
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_CHAINS), st.data())
+def test_recipe_images_and_best_reports_match_words(family, data):
+    """Every class-1..3 candidate imaged from its recipe equals its word's
+    image letter by letter, and the search's best report per class is the
+    best ``fixed_set_report`` over that class's ``gamma_candidates`` words."""
+    chain, max_depth = family
+    depth = data.draw(st.integers(1, max_depth), label="depth")
+    max_word_len = data.draw(st.integers(1, 2), label="max_word_len")
+    conj_len = data.draw(st.integers(0, 1), label="conj_len")
+    max_candidates = data.draw(st.integers(1, 24), label="max_candidates")
+    imager = lcs_module._Imager(chain, depth)
+    classes = lcs_module._candidate_classes(chain.alphabet, 3, max_word_len, conj_len,
+                                            max_candidates)
+    for recipes, _ in classes:
+        # in the search's order, and in any other: each group's parts are
+        # rebuilt whenever its u or its w changes
+        shuffled = data.draw(st.permutations(recipes), label="order")
+        for order in (recipes, shuffled):
+            imaged = list(imager.images(order))
+            assert sorted(id(r) for r, _ in imaged) == sorted(map(id, recipes))
+            for r, image in imaged:
+                assert image == chain.word_permutation(r.word, depth)
+    report = witness_search(chain, 3, max_word_len=max_word_len, conj_len=conj_len,
+                            depth=depth, max_candidates=max_candidates)
+    for cls in report.classes:
+        stream = gamma_candidates(chain.alphabet, cls.class_index, max_word_len, conj_len,
+                                  max_candidates=max_candidates)
+        words, truncated = _reference_candidates(chain.alphabet, cls.class_index,
+                                                 max_word_len, conj_len, max_candidates)
+        assert (list(stream.words), stream.truncated) == (words, truncated)
+        reports = [ca.fixed_set_report(chain, w, depth) for w in stream.words]
+        assert (cls.examined, cls.truncated) == (len(stream.words), stream.truncated)
+        assert cls.best == _best(reports)
+        assert cls.all_indistinguishable == all(r.indistinguishable for r in reports)
+
+
+def test_search_makes_at_most_three_full_level_gathers_per_candidate(monkeypatch):
+    """Work count, not time: at depth 13 the Grigorchuk class-1..3 search
+    makes at most three gathers of a whole level per candidate."""
+    chain = ca.mealy_chain(machine_from_dict(GRIGORCHUK), name="grigorchuk")
+    n = chain.size(13)
+    gathers = []
+    compose = chain_module.compose
+
+    def counting(p, q):
+        if len(q) == n:
+            gathers.append(1)
+        return compose(p, q)
+
+    for module in (chain_module, holonomy_module, lcs_module):
+        monkeypatch.setattr(module, "compose", counting)
+    report = witness_search(chain, 3, max_word_len=1, conj_len=1, depth=13, max_candidates=128)
+    examined = sum(c.examined for c in report.classes)
+    assert examined == 8 + 128 + 128
+    assert len(gathers) <= 3 * examined

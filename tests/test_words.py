@@ -11,6 +11,7 @@ from cantoract.words import (
     GeneratorAlphabet,
     Word,
     commutator,
+    conjugate,
     parse_word,
     reduced_words,
     render_word,
@@ -134,6 +135,19 @@ def test_word_letters_are_bounded(text):
     with pytest.raises(BudgetError, match=f"more than the limit of {MAX_WORD_LETTERS}") as info:
         w(text)
     assert info.value.budget == "word_letters"
+
+
+def test_commutators_and_conjugates_keep_the_letter_limit():
+    # the LCS word operations refuse before building, like the parser
+    half = w("a^250000")
+    b = Word.generator(1)
+    assert len(commutator(half, w("b^250000"))) == MAX_WORD_LETTERS
+    assert len(conjugate(half, w("b^500000"))) == MAX_WORD_LETTERS
+    for build, letters in ((lambda: commutator(half, w("b^250001")), 1000002),
+                           (lambda: conjugate(b, w("a^999999")), 1000001)):
+        with pytest.raises(BudgetError, match=f"expands to {letters} letters") as info:
+            build()
+        assert info.value.budget == "word_letters"
 
 
 def test_word_at_the_letter_limit_parses():
