@@ -9,6 +9,17 @@ depth-truncated core (fixing the whole base fiber) are classified as
 indistinguishable from the identity rather than failed.  Verdicts are
 always stamped with (depth, word cap, tolerance): passing at a depth is
 evidence about the limit, not a proof.
+
+Both checks score each conjugacy class once.  A fixed ratio is the same
+for ``w``, its inverse and every conjugate ``t w t^-1`` whose conjugator
+keeps the scored points in place: ``Fix(t w t^-1) = t Fix(w)``.  Classic
+scoring counts the whole level, so every conjugator is allowed; localized
+scoring counts the fiber over the basepoint at the base level, so only
+conjugators in that level's basepoint stabilizer ``G_b`` are.  Each
+candidate is keyed by a canonical such conjugate (:func:`class_keys`), one
+word per key is imaged and walked, and every candidate gets its key's
+trajectory.  A key never joins two words that are not conjugate in this
+way, so results are exact however many conjugates it misses.
 """
 
 from __future__ import annotations
@@ -18,7 +29,7 @@ from fractions import Fraction
 
 from .chain import ChainAction, check_depth, closure, count_fixed, schreier_generators
 from .errors import BudgetError
-from .words import Word, reduced_words
+from .words import Word, cyclic_core, free_reduce, reduced_words
 
 PASS = "pass-at-depth"
 FAIL = "fail-at-depth"
@@ -72,6 +83,41 @@ def _check(tolerance: Fraction, depth: int) -> None:
     check_depth(depth)
 
 
+def class_keys(chain: ChainAction, base_level: int, words: list[Word]) -> list[tuple]:
+    """Per word, the letters of a canonical conjugate with the same fixed ratios.
+
+    Words must be nonempty and, when ``base_level > 0``, lie in the basepoint
+    stabilizer ``G_b`` at ``base_level``.  At base level 0 a word is
+    cyclically reduced (stripping matching ``a ... a^-1`` ends is a
+    conjugation) and keyed by its least rotation or inverse rotation, which
+    is the same for every conjugate and the inverse.  At base level ``b``
+    the rotation ``Y X`` of ``w = X Y`` is ``Y w Y^-1``, allowed iff ``Y``
+    fixes the level-``b`` basepoint; one right-to-left walk of the word
+    over the level-``b`` letter images finds those cuts, and the key is the
+    least allowed rotation or inverse rotation.  A rotation is reduced
+    unless the word's first and last letters cancel, and then all are
+    freely reduced.
+    """
+    perms = chain.letter_perms(base_level) if base_level else None
+    keys = []
+    for word in words:
+        letters = word.letters
+        if perms is None:
+            _, letters = cyclic_core(letters)
+            cuts = range(len(letters))
+        else:
+            cuts, x = [0], 0
+            for i in range(len(letters) - 1, 0, -1):
+                x = perms[letters[i]][x]
+                if x == 0:
+                    cuts.append(i)
+        rotations = [letters[i:] + letters[:i] for i in cuts]
+        if letters[0] == (letters[-1][0], -letters[-1][1]):
+            rotations = [free_reduce(r) for r in rotations]
+        keys.append(min(min(r, Word(r).inverse().letters) for r in rotations))
+    return keys
+
+
 def _score(
     chain: ChainAction,
     kind: str,
@@ -89,11 +135,14 @@ def _score(
     candidate fixing every scored point at ``depth`` is indistinguishable
     from the identity there: on the whole level it acts trivially, and on
     the base fiber, which holds the basepoint, it also stabilizes the
-    basepoint, so it lies in the core.
+    basepoint, so it lies in the core.  Only one word per
+    :func:`class_keys` key is imaged and walked.
     """
     levels = range(max(base_level, 1), depth + 1)
-    verdicts: list = [None] * len(candidates)
-    for i, image in chain.images(candidates, depth):
+    keys = class_keys(chain, base_level, candidates)
+    reps = [Word(key) for key in dict.fromkeys(keys)]
+    scored = {}
+    for i, image in chain.images(reps, depth):
         counts = chain.fixed_counts(image, depth, base_level)
         traj = tuple((level, Fraction(count, size))
                      for level, count, size in zip(levels, counts, sizes))
@@ -101,7 +150,8 @@ def _score(
             verdict = INDISTINGUISHABLE
         else:
             verdict = PASS if traj[-1][1] < tolerance else FAIL
-        verdicts[i] = WordVerdict(candidates[i], verdict, traj)
+        scored[reps[i].letters] = (verdict, traj)
+    verdicts = [WordVerdict(word, *scored[key]) for word, key in zip(candidates, keys)]
     return FarberReport(
         kind=kind,
         base_level=base_level,

@@ -196,6 +196,17 @@ class LcsWitnessReport:
     classes: tuple[ClassReport, ...]
 
 
+def _best(results: list[FixedSetReport]) -> FixedSetReport | None:
+    """The report with the largest estimate, ties to the shorter word, then
+    canonical order; only the reports tied on both are keyed by their word."""
+    if not results:
+        return None
+    top = max(results, key=lambda r: (r.hol_estimate, -len(r.word)))
+    tied = [r for r in results
+            if r.hol_estimate == top.hol_estimate and len(r.word) == len(top.word)]
+    return tied[0] if len(tied) == 1 else min(tied, key=lambda r: r.word.key())
+
+
 def witness_search(
     chain: ChainAction,
     max_class: int,
@@ -223,8 +234,7 @@ def witness_search(
     for n, (recipes, truncated) in enumerate(classes, 1):
         results = [fixed_set_report(chain, r.word, depth, image)
                    for r, image in imager.images(recipes)]
-        best = min(results, key=lambda r: (-r.hol_estimate, len(r.word), r.word.key()),
-                   default=None)
+        best = _best(results)
         reports.append(
             ClassReport(
                 class_index=n,

@@ -116,16 +116,22 @@ class Word:
         is more than :data:`MAX_WORD_LETTERS` letters."""
         base = self if k > 0 else self.inverse()
         letters = base.letters
-        m = 0
-        while 2 * m + 1 < len(letters) and letters[m] == (letters[-1 - m][0], -letters[-1 - m][1]):
-            m += 1
-        core = letters[m:len(letters) - m]
+        m, core = cyclic_core(letters)
         _check_letters(2 * m + len(core) * abs(k))
         return Word.of(letters[:m] + core * abs(k) + letters[len(letters) - m:])
 
     def key(self) -> tuple:
         # canonical order: length first, then letters with +1 before -1
         return (len(self.letters), tuple((g, 0 if s > 0 else 1) for g, s in self.letters))
+
+
+def cyclic_core(letters: tuple) -> tuple[int, tuple]:
+    """``(m, core)`` with ``letters = u + core + u^-1`` for the first ``m``
+    letters ``u`` of a reduced word and ``core`` cyclically reduced."""
+    m = 0
+    while 2 * m + 1 < len(letters) and letters[m] == (letters[-1 - m][0], -letters[-1 - m][1]):
+        m += 1
+    return m, letters[m:len(letters) - m]
 
 
 def _check_letters(count: int) -> None:

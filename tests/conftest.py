@@ -1,6 +1,7 @@
 import pytest
 
 import cantoract as ca
+from cantoract.mealy import machine_from_dict
 
 # The Grigorchuk machine: a swaps the first letter; b, c, d fix it and
 # hand the rest to (a, c), (a, d), (e, b) on letters 0 and 1.
@@ -14,6 +15,19 @@ GRIGORCHUK = {
                 "d": {"0": 0, "1": 1}, "e": {"0": 0, "1": 1}},
     "generators": {"a": "a", "b": "b", "c": "c", "d": "d"},
 }
+
+# the seven bundled families and the Grigorchuk Mealy chain, each with the
+# deepest level the brute-force oracles image at
+ORACLE_CHAINS = [
+    (ca.odometer(2), 6),
+    (ca.toral(2, 2), 4),
+    (ca.dihedral(), 6),
+    (ca.heisenberg(2), 4),
+    (ca.fragmented(), 6),
+    (ca.fat_cantor(), 4),
+    (ca.adding_machine_chain(2), 6),
+    (ca.mealy_chain(machine_from_dict(GRIGORCHUK), name="grigorchuk"), 6),
+]
 
 
 @pytest.fixture(scope="session")

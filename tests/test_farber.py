@@ -1,17 +1,22 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import cantoract as ca
+import cantoract.chain as chain_module
+from cantoract.chain import count_fixed
 from cantoract.errors import BudgetError
 from cantoract.farber import (
     FAIL,
     INDISTINGUISHABLE,
     PASS,
+    class_keys,
     local_candidates,
 )
+from cantoract.words import conjugate
 
-from conftest import word
+from conftest import ORACLE_CHAINS, word
 
 
 def test_dihedral_reflection_passes(dih):
@@ -218,3 +223,89 @@ def test_fibration_identity_sweep(dih, hei2, odo2):
             for level in levels:
                 rep = ca.stabilizer_count_oracle(chain, w, level, 200_000)
                 assert rep.identity_holds
+
+
+def _brute_trajectory(chain, w, base_level, depth):
+    """Per level, the fraction of the points over the level-``base_level``
+    basepoint that ``w`` fixes, from ``w``'s own full image: no class key."""
+    out = []
+    for level in range(max(base_level, 1), depth + 1):
+        points = chain.fiber(base_level, level, 0)
+        fixed = count_fixed(chain.word_permutation(w, level), points)
+        out.append((level, Fraction(fixed, len(points))))
+    return tuple(out)
+
+
+def _assert_brute_force(chain, rep, base_level):
+    for entry in rep.words:
+        traj = _brute_trajectory(chain, entry.word, base_level, rep.depth)
+        assert entry.trajectory == traj, ca.render_word(entry.word, chain.alphabet)
+        last = traj[-1][1]
+        assert entry.verdict == (INDISTINGUISHABLE if last == 1
+                                 else PASS if last < rep.tolerance else FAIL)
+    assert rep.overall == (FAIL if any(e.verdict == FAIL for e in rep.words) else PASS)
+
+
+@pytest.mark.parametrize("family", ORACLE_CHAINS, ids=lambda f: f[0].name)
+def test_trajectories_match_brute_force(family):
+    """Every classic and localized trajectory entry, scored once per class
+    key, equals the candidate's own fixed count over the scored points."""
+    chain, depth = family
+    rep = ca.farber_check(chain, max_word_len=3, depth=depth)
+    assert len(rep.words) == len(list(ca.reduced_words(chain.alphabet, 3)))
+    _assert_brute_force(chain, rep, 0)
+    for base_level in (1, 2):
+        rep = ca.local_farber_check(chain, base_level, max_word_len=2, depth=depth)
+        assert [e.word for e in rep.words] == local_candidates(chain, base_level, 2)[1]
+        _assert_brute_force(chain, rep, base_level)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ORACLE_CHAINS), st.data())
+def test_class_key_is_conjugation_and_inversion_invariant(family, data):
+    chain, depth = family
+    m = len(chain.alphabet)
+    letters = st.lists(st.tuples(st.integers(0, m - 1), st.sampled_from((1, -1))), max_size=6)
+    w = ca.Word.of(data.draw(letters, label="w"))
+    t = ca.Word.of(data.draw(letters, label="t"))
+    assume(w)
+    words = [w, conjugate(t, w), w.inverse()]
+    keys = class_keys(chain, 0, words)
+    assert keys[0] == keys[1] == keys[2]
+    # the key is itself a conjugate of w (or of its inverse) of least length
+    assert len(keys[0]) <= len(w)
+    rep = ca.farber_check(chain, words=words, depth=depth)
+    assert rep.words[0].trajectory == rep.words[1].trajectory == rep.words[2].trajectory
+    assert rep.words[0].trajectory == _brute_trajectory(chain, words[1], 0, depth)
+
+
+def _full_level_gathers(monkeypatch, chain, depth, check):
+    """Calls of ``chain.compose`` over an index array of a whole level at ``depth``."""
+    n = chain.size(depth)
+    compose = chain_module.compose
+    gathers = []
+
+    def counting(p, q):
+        if len(q) == n:
+            gathers.append(1)
+        return compose(p, q)
+
+    monkeypatch.setattr(chain_module, "compose", counting)
+    check()
+    monkeypatch.setattr(chain_module, "compose", compose)
+    return len(gathers)
+
+
+def test_farber_images_one_word_per_class(monkeypatch):
+    """Work count, not time: the fragmented chain's 1,456 classic
+    candidates fall into 117 classes and its 936 localized ones into 207,
+    and only one word per class is imaged."""
+    frag = ca.fragmented()
+    assert len(set(class_keys(frag, 0, list(ca.reduced_words(frag.alphabet, 6))))) == 117
+    assert len(set(class_keys(frag, 1, local_candidates(frag, 1, 4)[1]))) == 207
+    classic = _full_level_gathers(
+        monkeypatch, frag, 12, lambda: ca.farber_check(frag, max_word_len=6, depth=12))
+    assert classic <= 200
+    local = _full_level_gathers(
+        monkeypatch, frag, 10, lambda: ca.local_farber_check(frag, 1, max_word_len=4, depth=10))
+    assert local <= 450

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import cantoract as ca
@@ -11,20 +12,7 @@ from cantoract.lcs import gamma_candidates, image_lower_central_series, witness_
 from cantoract.mealy import machine_from_dict
 from cantoract.words import conjugate
 
-from conftest import GRIGORCHUK, word
-
-# the seven bundled families and the Grigorchuk Mealy chain, each with the
-# deepest level the recipe oracle images at
-_CHAINS = [
-    (ca.odometer(2), 6),
-    (ca.toral(2, 2), 4),
-    (ca.dihedral(), 6),
-    (ca.heisenberg(2), 4),
-    (ca.fragmented(), 6),
-    (ca.fat_cantor(), 4),
-    (ca.adding_machine_chain(2), 6),
-    (ca.mealy_chain(machine_from_dict(GRIGORCHUK), name="grigorchuk"), 6),
-]
+from conftest import GRIGORCHUK, ORACLE_CHAINS, word
 
 
 def _reference_candidates(alphabet, n, max_word_len, conj_len, max_candidates):
@@ -165,7 +153,7 @@ def test_image_lcs_shapes(dih, hei2):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(_CHAINS), st.data())
+@given(st.sampled_from(ORACLE_CHAINS), st.data())
 def test_recipe_images_and_best_reports_match_words(family, data):
     """Every class-1..3 candidate imaged from its recipe equals its word's
     image letter by letter, and the search's best report per class is the
@@ -220,3 +208,22 @@ def test_search_makes_at_most_three_full_level_gathers_per_candidate(monkeypatch
     examined = sum(c.examined for c in report.classes)
     assert examined == 8 + 128 + 128
     assert len(gathers) <= 3 * examined
+
+
+@pytest.mark.parametrize("family", ORACLE_CHAINS, ids=lambda f: f[0].name)
+def test_best_word_keeps_the_full_tie_break(family):
+    """Keying only the reports tied on (estimate, length) picks the same best
+    word per class as keying every report; some class here has such a tie."""
+    chain, max_depth = family
+    depth = min(max_depth, 4)
+    report = witness_search(chain, 3, max_word_len=2, conj_len=1, depth=depth,
+                            max_candidates=24)
+    ties = 0
+    for cls in report.classes:
+        stream = gamma_candidates(chain.alphabet, cls.class_index, 2, 1, max_candidates=24)
+        reports = [ca.fixed_set_report(chain, w, depth) for w in stream.words]
+        best = _best(reports)
+        assert cls.best_word == (best.word if best else None)
+        ties += sum(r.hol_estimate == best.hol_estimate and len(r.word) == len(best.word)
+                    for r in reports) > 1
+    assert ties
