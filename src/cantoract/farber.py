@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .chain import ChainAction, check_depth, closure, count_fixed, schreier_generators
 from .errors import BudgetError
-from .words import Word, cyclic_core, free_reduce, reduced_words
+from .words import Word, cyclic_core, reduced_words
 
 PASS = "pass-at-depth"
 FAIL = "fail-at-depth"
@@ -83,38 +83,58 @@ def _check(tolerance: Fraction, depth: int) -> None:
     check_depth(depth)
 
 
-def class_keys(chain: ChainAction, base_level: int, words: list[Word]) -> list[tuple]:
-    """Per word, the letters of a canonical conjugate with the same fixed ratios.
+def _least_rotation(seq: list) -> tuple:
+    """The lexicographically least rotation of ``seq``, in linear time
+    (two candidate starts, each comparison run moving one past it)."""
+    n = len(seq)
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = seq[(i + k) % n], seq[(j + k) % n]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    start = min(i, j)
+    return tuple(seq[start:] + seq[:start])
 
-    Words must be nonempty and, when ``base_level > 0``, lie in the basepoint
-    stabilizer ``G_b`` at ``base_level``.  At base level 0 a word is
-    cyclically reduced (stripping matching ``a ... a^-1`` ends is a
-    conjugation) and keyed by its least rotation or inverse rotation, which
-    is the same for every conjugate and the inverse.  At base level ``b``
-    the rotation ``Y X`` of ``w = X Y`` is ``Y w Y^-1``, allowed iff ``Y``
-    fixes the level-``b`` basepoint; one right-to-left walk of the word
-    over the level-``b`` letter images finds those cuts, and the key is the
-    least allowed rotation or inverse rotation.  A rotation is reduced
-    unless the word's first and last letters cancel, and then all are
-    freely reduced.
+
+def class_keys(chain: ChainAction, base_level: int, words: list[Word]) -> list[tuple]:
+    """Per word, a key shared only by words with the same fixed ratios.
+
+    Words must be nonempty, reduced and in the basepoint stabilizer ``G_b``
+    at ``base_level`` (every word is, at base level 0).  A word is
+    ``u c u^-1`` with ``c`` cyclically reduced, so it fixes as many points
+    over the basepoint as ``c`` fixes over the level-``b`` vertex
+    ``q = u^-1(basepoint)``.  The rotation ``Z X`` of ``c = X Z`` is
+    ``Z c Z^-1`` and counts over ``Z(q)``; ``c^-1`` counts over ``q``.  The
+    key is the least rotation of the pairs ``(c[i], c[i:](q))``, or of the
+    same pairs for ``c^-1``: words with one key are conjugate, up to
+    inversion, by an element of ``G_b``.  Time and memory are linear in the
+    word's length.
     """
-    perms = chain.letter_perms(base_level) if base_level else None
+    if base_level:
+        perms = chain.letter_perms(base_level)
+    else:  # level 0 is one point, which every letter fixes
+        perms = {(g, s): (0,) for g in range(len(chain.alphabet)) for s in (1, -1)}
     keys = []
     for word in words:
-        letters = word.letters
-        if perms is None:
-            _, letters = cyclic_core(letters)
-            cuts = range(len(letters))
-        else:
-            cuts, x = [0], 0
-            for i in range(len(letters) - 1, 0, -1):
-                x = perms[letters[i]][x]
-                if x == 0:
-                    cuts.append(i)
-        rotations = [letters[i:] + letters[:i] for i in cuts]
-        if letters[0] == (letters[-1][0], -letters[-1][1]):
-            rotations = [free_reduce(r) for r in rotations]
-        keys.append(min(min(r, Word(r).inverse().letters) for r in rotations))
+        m, core = cyclic_core(word.letters)
+        x = 0
+        for g, s in word.letters[:m]:
+            x = perms[g, -s][x]
+        states = [0] * len(core)
+        for i in range(len(core) - 1, -1, -1):
+            x = states[i] = perms[core[i]][x]
+        n = len(core)
+        forward = list(zip(core, states))
+        backward = [((g, -s), states[(n - j) % n]) for j, (g, s) in enumerate(reversed(core))]
+        keys.append(min(_least_rotation(forward), _least_rotation(backward)))
     return keys
 
 
@@ -140,9 +160,12 @@ def _score(
     """
     levels = range(max(base_level, 1), depth + 1)
     keys = class_keys(chain, base_level, candidates)
-    reps = [Word(key) for key in dict.fromkeys(keys)]
+    reps = {}
+    for key, word in zip(keys, candidates):
+        reps.setdefault(key, word)
+    order = list(reps)
     scored = {}
-    for i, image in chain.images(reps, depth):
+    for i, image in chain.images(list(reps.values()), depth):
         counts = chain.fixed_counts(image, depth, base_level)
         traj = tuple((level, Fraction(count, size))
                      for level, count, size in zip(levels, counts, sizes))
@@ -150,7 +173,7 @@ def _score(
             verdict = INDISTINGUISHABLE
         else:
             verdict = PASS if traj[-1][1] < tolerance else FAIL
-        scored[reps[i].letters] = (verdict, traj)
+        scored[order[i]] = (verdict, traj)
     verdicts = [WordVerdict(word, *scored[key]) for word, key in zip(candidates, keys)]
     return FarberReport(
         kind=kind,

@@ -204,7 +204,7 @@ def _best(results: list[FixedSetReport]) -> FixedSetReport | None:
     top = max(results, key=lambda r: (r.hol_estimate, -len(r.word)))
     tied = [r for r in results
             if r.hol_estimate == top.hol_estimate and len(r.word) == len(top.word)]
-    return tied[0] if len(tied) == 1 else min(tied, key=lambda r: r.word.key())
+    return min(tied, key=lambda r: r.word.key())
 
 
 def witness_search(

@@ -56,6 +56,18 @@ def test_farber_command(chains):
     assert g["trajectory"][-1]["ratio"] == {"num": 1, "den": 2}
 
 
+def test_farber_scores_a_long_word_file_line(chains, tmp_path):
+    """A 200,000-letter word, within the letter budget, is keyed and scored
+    in time linear in its length."""
+    words = tmp_path / "words.txt"
+    words.write_text("(g*h)^100000\nh\n")
+    proc = run_cli(["farber", chains["fragmented"], "--words", str(words), "--depth", "3"],
+                   timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    assert [w["word"] == "h" for w in result["words"]] == [False, True]
+
+
 def test_local_farber_command(chains):
     proc = run_cli(
         ["local-farber", chains["fragmented"], "--base-level", "1", "--max-word-len", "2",

@@ -272,11 +272,13 @@ def test_class_key_is_conjugation_and_inversion_invariant(family, data):
     words = [w, conjugate(t, w), w.inverse()]
     keys = class_keys(chain, 0, words)
     assert keys[0] == keys[1] == keys[2]
-    # the key is itself a conjugate of w (or of its inverse) of least length
-    assert len(keys[0]) <= len(w)
     rep = ca.farber_check(chain, words=words, depth=depth)
     assert rep.words[0].trajectory == rep.words[1].trajectory == rep.words[2].trajectory
     assert rep.words[0].trajectory == _brute_trajectory(chain, words[1], 0, depth)
+    # localized: conjugators from the level-1 basepoint stabilizer
+    schreier = local_candidates(chain, 1, 2)[1]
+    w, t = (data.draw(st.sampled_from(schreier), label=label) for label in ("lw", "lt"))
+    assert len(set(class_keys(chain, 1, [w, conjugate(t, w), w.inverse()]))) == 1
 
 
 def _full_level_gathers(monkeypatch, chain, depth, check):
@@ -298,11 +300,11 @@ def _full_level_gathers(monkeypatch, chain, depth, check):
 
 def test_farber_images_one_word_per_class(monkeypatch):
     """Work count, not time: the fragmented chain's 1,456 classic
-    candidates fall into 117 classes and its 936 localized ones into 207,
+    candidates fall into 117 classes and its 936 localized ones into 119,
     and only one word per class is imaged."""
     frag = ca.fragmented()
     assert len(set(class_keys(frag, 0, list(ca.reduced_words(frag.alphabet, 6))))) == 117
-    assert len(set(class_keys(frag, 1, local_candidates(frag, 1, 4)[1]))) == 207
+    assert len(set(class_keys(frag, 1, local_candidates(frag, 1, 4)[1]))) == 119
     classic = _full_level_gathers(
         monkeypatch, frag, 12, lambda: ca.farber_check(frag, max_word_len=6, depth=12))
     assert classic <= 200
