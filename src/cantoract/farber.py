@@ -16,9 +16,9 @@ keeps the scored points in place: ``Fix(t w t^-1) = t Fix(w)``.  Classic
 scoring counts the whole level, so every conjugator is allowed; localized
 scoring counts the fiber over the basepoint at the base level, so only
 conjugators in that level's basepoint stabilizer ``G_b`` are.  Each
-candidate is keyed by a canonical such conjugate (:func:`class_keys`), one
-word per key is imaged and walked, and every candidate gets its key's
-trajectory.  A key never joins two words that are not conjugate in this
+candidate is keyed by its class under such conjugation and inversion
+(:func:`class_keys`), the first candidate of each key is imaged and walked,
+and every candidate gets its key's trajectory.  A key never joins two words that are not conjugate in this
 way, so results are exact however many conjugates it misses.
 """
 
