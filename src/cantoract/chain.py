@@ -21,7 +21,7 @@ from itertools import compress
 from operator import eq, itemgetter
 
 from .errors import BudgetError, InvalidChainError
-from .words import GeneratorAlphabet, Word
+from .words import GeneratorAlphabet, Word, cyclic_core
 
 DEFAULT_DEPTH_LIMIT = 24
 DEFAULT_MEMORY_BUDGET = 4_000_000  # total stored points across levels
@@ -485,6 +485,62 @@ class ChainAction:
         if not 0 <= vertex < self.size(base_level):
             raise ValueError(f"vertex {vertex} out of range at level {base_level}")
         return tuple(x for x, a in enumerate(self.ancestors(level, base_level)) if a == vertex)
+
+
+def _least_rotation(seq: list) -> tuple:
+    """The lexicographically least rotation of ``seq``, in linear time
+    (two candidate starts, each comparison run moving one past it)."""
+    n = len(seq)
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = seq[(i + k) % n], seq[(j + k) % n]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    start = min(i, j)
+    return tuple(seq[start:] + seq[:start])
+
+
+def class_keys(chain: ChainAction, base_level: int, words: list[Word]) -> list[tuple]:
+    """Per word, a key shared only by words with the same fixed ratios,
+    the one conjugacy key of the Farber checks and the LCS witness search.
+
+    Words must be nonempty, reduced and in the basepoint stabilizer ``G_b``
+    at ``base_level`` (every word is, at base level 0).  A word is
+    ``u c u^-1`` with ``c`` cyclically reduced, so it fixes as many points
+    over the basepoint as ``c`` fixes over the level-``b`` vertex
+    ``q = u^-1(basepoint)``.  The rotation ``Z X`` of ``c = X Z`` is
+    ``Z c Z^-1`` and counts over ``Z(q)``; ``c^-1`` counts over ``q``.  The
+    key is the least rotation of the pairs ``(c[i], c[i:](q))``, or of the
+    same pairs for ``c^-1``: words with one key are conjugate, up to
+    inversion, by an element of ``G_b``.  Time and memory are linear in the
+    word's length.
+    """
+    if base_level:
+        perms = chain.letter_perms(base_level)
+    else:  # level 0 is one point, which every letter fixes
+        perms = {(g, s): (0,) for g in range(len(chain.alphabet)) for s in (1, -1)}
+    keys = []
+    for word in words:
+        m, core = cyclic_core(word.letters)
+        x = 0
+        for g, s in word.letters[:m]:
+            x = perms[g, -s][x]
+        states = [0] * len(core)
+        for i in range(len(core) - 1, -1, -1):
+            x = states[i] = perms[core[i]][x]
+        n = len(core)
+        forward = list(zip(core, states))
+        backward = [((g, -s), states[(n - j) % n]) for j, (g, s) in enumerate(reversed(core))]
+        keys.append(min(_least_rotation(forward), _least_rotation(backward)))
+    return keys
 
 
 def transversal(chain: ChainAction, level: int) -> list[Word]:

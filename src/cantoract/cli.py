@@ -42,16 +42,32 @@ class _Parser(argparse.ArgumentParser):
         raise SchemaError(message)
 
 
-def _add_common(sp, *, depth_default=10):
-    sp.add_argument("--depth", type=int, default=depth_default, help="report depth N")
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+_count = _at_least(0)  # lengths, counts and budgets
+
+
+def _add_common(sp, *, depth_default=10, depth_type=int):
+    sp.add_argument("--depth", type=depth_type, default=depth_default, help="report depth N")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--threads", type=int, default=None,
                     help=f"accepted and validated, but analyses run on one thread "
                          f"(flag wins over ${THREADS_ENV})")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("-o", "--output", default=None)
-    sp.add_argument("--depth-limit", type=int, default=DEFAULT_DEPTH_LIMIT)
-    sp.add_argument("--memory-budget", type=int, default=DEFAULT_MEMORY_BUDGET)
+    sp.add_argument("--depth-limit", type=_count, default=DEFAULT_DEPTH_LIMIT)
+    sp.add_argument("--memory-budget", type=_count, default=DEFAULT_MEMORY_BUDGET)
 
 
 def _build_parser() -> _Parser:
@@ -69,11 +85,11 @@ def _build_parser() -> _Parser:
 
     v = sub.add_parser("validate", help="check every tower invariant to a depth")
     v.add_argument("chain")
-    _add_common(v, depth_default=0)  # 0 means: all levels in the file
+    _add_common(v, depth_default=0, depth_type=_count)  # 0 means: all levels in the file
 
     f = sub.add_parser("farber", help="fixed-coset ratio check per word")
     f.add_argument("chain")
-    f.add_argument("--max-word-len", type=int, default=4)
+    f.add_argument("--max-word-len", type=_count, default=4)
     f.add_argument("--words", dest="words_file", default=None,
                    help="file with one word per line")
     f.add_argument("--tol", dest="tolerance", type=_tolerance, default="1/64")
@@ -82,9 +98,9 @@ def _build_parser() -> _Parser:
     lf = sub.add_parser("local-farber", help="fixed-coset check localized to a base level")
     lf.add_argument("chain")
     lf.add_argument("--base-level", type=int, default=1)
-    lf.add_argument("--max-word-len", type=int, default=4)
+    lf.add_argument("--max-word-len", type=_count, default=4)
     lf.add_argument("--tol", dest="tolerance", type=_tolerance, default="1/64")
-    lf.add_argument("--max-schreier", type=int, default=128)
+    lf.add_argument("--max-schreier", type=_count, default=128)
     _add_common(lf)
 
     h = sub.add_parser("holonomy", help="fixed set, interior bound, holonomy estimate")
@@ -100,10 +116,10 @@ def _build_parser() -> _Parser:
 
     lw = sub.add_parser("lcs-witness", help="holonomy witness search per commutator class")
     lw.add_argument("chain")
-    lw.add_argument("--class", dest="max_class", type=int, default=2)
-    lw.add_argument("--max-word-len", type=int, default=4)
-    lw.add_argument("--conj-len", type=int, default=2)
-    lw.add_argument("--max-candidates", type=int, default=256)
+    lw.add_argument("--class", dest="max_class", type=_at_least(1), default=2)
+    lw.add_argument("--max-word-len", type=_count, default=4)
+    lw.add_argument("--conj-len", type=_count, default=2)
+    lw.add_argument("--max-candidates", type=_count, default=256)
     _add_common(lw)
 
     oracle = sub.add_parser("oracle", help="small-group oracles")
@@ -112,7 +128,7 @@ def _build_parser() -> _Parser:
     sc.add_argument("chain")
     sc.add_argument("--level", type=int, required=True)
     sc.add_argument("--word", required=True)
-    sc.add_argument("--max-order", type=int, default=100_000)
+    sc.add_argument("--max-order", type=_count, default=100_000)
     _add_common(sc)
 
     return p
@@ -227,7 +243,7 @@ def _run_build(args) -> int:
 def _run_validate(args) -> int:
     chain = load_chain(args.chain, validate=False, depth_limit=args.depth_limit,
                        memory_budget=args.memory_budget)
-    if args.depth <= 0:
+    if args.depth == 0:
         args.depth = chain.depth_limit
     report = validate_chain(chain, args.depth)
     _emit(args, "validate", chain, reports.validation_payload(report), reports.validation_csv)

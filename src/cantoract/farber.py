@@ -17,9 +17,11 @@ scoring counts the whole level, so every conjugator is allowed; localized
 scoring counts the fiber over the basepoint at the base level, so only
 conjugators in that level's basepoint stabilizer ``G_b`` are.  Each
 candidate is keyed by its class under such conjugation and inversion
-(:func:`class_keys`), the first candidate of each key is imaged and walked,
-and every candidate gets its key's trajectory.  A key never joins two words that are not conjugate in this
-way, so results are exact however many conjugates it misses.
+(:func:`cantoract.chain.class_keys`, the key the LCS witness search shares),
+the first candidate of each key is imaged and walked, and every candidate
+gets its key's trajectory.  A key never joins two words that are not
+conjugate in this way, so results are exact however many conjugates it
+misses.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chain import ChainAction, check_depth, closure, count_fixed, schreier_generators
+from .chain import (ChainAction, check_depth, class_keys, closure, count_fixed,
+                    schreier_generators)
 from .errors import BudgetError
-from .words import Word, cyclic_core, reduced_words
+from .words import Word, reduced_words
 
 PASS = "pass-at-depth"
 FAIL = "fail-at-depth"
@@ -83,61 +86,6 @@ def _check(tolerance: Fraction, depth: int) -> None:
     check_depth(depth)
 
 
-def _least_rotation(seq: list) -> tuple:
-    """The lexicographically least rotation of ``seq``, in linear time
-    (two candidate starts, each comparison run moving one past it)."""
-    n = len(seq)
-    i, j, k = 0, 1, 0
-    while i < n and j < n and k < n:
-        a, b = seq[(i + k) % n], seq[(j + k) % n]
-        if a == b:
-            k += 1
-            continue
-        if a > b:
-            i += k + 1
-        else:
-            j += k + 1
-        if i == j:
-            j += 1
-        k = 0
-    start = min(i, j)
-    return tuple(seq[start:] + seq[:start])
-
-
-def class_keys(chain: ChainAction, base_level: int, words: list[Word]) -> list[tuple]:
-    """Per word, a key shared only by words with the same fixed ratios.
-
-    Words must be nonempty, reduced and in the basepoint stabilizer ``G_b``
-    at ``base_level`` (every word is, at base level 0).  A word is
-    ``u c u^-1`` with ``c`` cyclically reduced, so it fixes as many points
-    over the basepoint as ``c`` fixes over the level-``b`` vertex
-    ``q = u^-1(basepoint)``.  The rotation ``Z X`` of ``c = X Z`` is
-    ``Z c Z^-1`` and counts over ``Z(q)``; ``c^-1`` counts over ``q``.  The
-    key is the least rotation of the pairs ``(c[i], c[i:](q))``, or of the
-    same pairs for ``c^-1``: words with one key are conjugate, up to
-    inversion, by an element of ``G_b``.  Time and memory are linear in the
-    word's length.
-    """
-    if base_level:
-        perms = chain.letter_perms(base_level)
-    else:  # level 0 is one point, which every letter fixes
-        perms = {(g, s): (0,) for g in range(len(chain.alphabet)) for s in (1, -1)}
-    keys = []
-    for word in words:
-        m, core = cyclic_core(word.letters)
-        x = 0
-        for g, s in word.letters[:m]:
-            x = perms[g, -s][x]
-        states = [0] * len(core)
-        for i in range(len(core) - 1, -1, -1):
-            x = states[i] = perms[core[i]][x]
-        n = len(core)
-        forward = list(zip(core, states))
-        backward = [((g, -s), states[(n - j) % n]) for j, (g, s) in enumerate(reversed(core))]
-        keys.append(min(_least_rotation(forward), _least_rotation(backward)))
-    return keys
-
-
 def _score(
     chain: ChainAction,
     kind: str,
@@ -156,7 +104,7 @@ def _score(
     from the identity there: on the whole level it acts trivially, and on
     the base fiber, which holds the basepoint, it also stabilizes the
     basepoint, so it lies in the core.  Only one word per
-    :func:`class_keys` key is imaged and walked.
+    :func:`~cantoract.chain.class_keys` key is imaged and walked.
     """
     levels = range(max(base_level, 1), depth + 1)
     keys = class_keys(chain, base_level, candidates)

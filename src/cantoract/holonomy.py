@@ -122,23 +122,18 @@ def _maximal_fixed_cylinders(chain: ChainAction, fixed, depth: int, cap: int) ->
     return out
 
 
-def fixed_set_report(chain: ChainAction, word: Word, depth: int,
-                     image=None) -> FixedSetReport:
+def fixed_set_report(chain: ChainAction, word: Word, depth: int) -> FixedSetReport:
     """Fixed counts to ``depth`` plus the interior bound and holonomy estimate.
 
-    ``image`` is the depth-``depth`` image of ``word`` when the caller
-    already has it.  The maximal fixed cylinders are found from the depth
-    fixed set; their total measure lower-bounds the interior of the fixed
-    set as seen at this depth, so the holonomy estimate is the
-    depth-stamped measure of fixed points not yet explained by any fixed
-    cylinder.
+    The maximal fixed cylinders are found from the depth fixed set; their
+    total measure lower-bounds the interior of the fixed set as seen at
+    this depth, so the holonomy estimate is the depth-stamped measure of
+    fixed points not yet explained by any fixed cylinder.
     """
     _require_nonidentity(word)
     check_depth(depth)
-    if image is None:
-        image = chain.word_permutation(word, depth)
     sizes = [chain.size(level) for level in range(1, depth + 1)]
-    counts, fixed = chain.fixed_walk(image, depth)
+    counts, fixed = chain.fixed_walk(chain.word_permutation(word, depth), depth)
     cap = interior_scan_limit(depth)
     cylinders = _maximal_fixed_cylinders(chain, fixed, depth, cap)
     interior = sum((Fraction(1, chain.size(c.level)) for c in cylinders), Fraction(0))

@@ -276,6 +276,31 @@ NESTED_WORD = "(" * 3000 + "g" + ")" * 3000
     (["build", "mealy", "--machine", "{tmp}/missing.json", "-o", "{tmp}/chain.json"],
      "No such file or directory"),
     (["holonomy", "{fragmented}", "--word", NESTED_WORD, "--depth", "3"], "nest deeper"),
+    (["lcs-witness", "{fragmented}", "--max-candidates", "-1", "--depth", "3"],
+     "argument --max-candidates: must be at least 0, got -1"),
+    (["lcs-witness", "{fragmented}", "--class", "0", "--depth", "3"],
+     "argument --class: must be at least 1, got 0"),
+    (["lcs-witness", "{fragmented}", "--class", "-3", "--depth", "3"],
+     "argument --class: must be at least 1, got -3"),
+    (["farber", "{fragmented}", "--max-word-len", "-1", "--depth", "3"],
+     "argument --max-word-len: must be at least 0, got -1"),
+    (["local-farber", "{fragmented}", "--max-word-len", "-1", "--depth", "3"],
+     "argument --max-word-len: must be at least 0, got -1"),
+    (["lcs-witness", "{fragmented}", "--max-word-len", "-1", "--depth", "3"],
+     "argument --max-word-len: must be at least 0, got -1"),
+    (["lcs-witness", "{fragmented}", "--conj-len", "-1", "--depth", "3"],
+     "argument --conj-len: must be at least 0, got -1"),
+    (["local-farber", "{fragmented}", "--max-schreier", "-1", "--depth", "3"],
+     "argument --max-schreier: must be at least 0, got -1"),
+    (["oracle", "stab-count", "{fragmented}", "--level", "2", "--word", "g",
+      "--max-order", "-1"], "argument --max-order: must be at least 0, got -1"),
+    (["validate", "{fragmented}", "--depth", "-3"], "argument --depth: must be at least 0, got -3"),
+    (["farber", "{fragmented}", "--memory-budget", "-1", "--depth", "3"],
+     "argument --memory-budget: must be at least 0, got -1"),
+    (["farber", "{fragmented}", "--depth-limit", "-1", "--depth", "3"],
+     "argument --depth-limit: must be at least 0, got -1"),
+    (["lcs-witness", "{fragmented}", "--max-candidates", "many"],
+     "argument --max-candidates: invalid int value: 'many'"),
 ])
 def test_bad_input_is_a_one_line_error(chains, tmp_path, argv, message):
     argv = [arg.replace("{tmp}", str(tmp_path)).replace("{fragmented}", chains["fragmented"])

@@ -5,15 +5,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 import cantoract as ca
 import cantoract.chain as chain_module
-from cantoract.chain import count_fixed
+from cantoract.chain import class_keys, count_fixed
 from cantoract.errors import BudgetError
-from cantoract.farber import (
-    FAIL,
-    INDISTINGUISHABLE,
-    PASS,
-    class_keys,
-    local_candidates,
-)
+from cantoract.farber import FAIL, INDISTINGUISHABLE, PASS, local_candidates
 from cantoract.words import conjugate
 
 from conftest import ORACLE_CHAINS, word
@@ -275,6 +269,11 @@ def test_class_key_is_conjugation_and_inversion_invariant(family, data):
     rep = ca.farber_check(chain, words=words, depth=depth)
     assert rep.words[0].trajectory == rep.words[1].trajectory == rep.words[2].trajectory
     assert rep.words[0].trajectory == _brute_trajectory(chain, words[1], 0, depth)
+    # what the LCS search ranks by is also the same; its cylinders move with t
+    ranked = {(r.fixed_counts, r.interior_bound, r.hol_estimate, r.indistinguishable,
+               tuple(sorted(c.level for c in r.max_fixed_cylinders)))
+              for r in (ca.fixed_set_report(chain, x, depth) for x in words)}
+    assert len(ranked) == 1
     # localized: conjugators from the level-1 basepoint stabilizer
     schreier = local_candidates(chain, 1, 2)[1]
     w, t = (data.draw(st.sampled_from(schreier), label=label) for label in ("lw", "lt"))

@@ -1,13 +1,14 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import cantoract as ca
 import cantoract.chain as chain_module
 import cantoract.holonomy as holonomy_module
-import cantoract.lcs as lcs_module
+from cantoract.chain import closure, compose, invert
 from cantoract.farber import image_group
-from cantoract.lcs import gamma_candidates, image_lower_central_series, witness_search
+from cantoract.lcs import gamma_candidates, witness_search
 from cantoract.mealy import machine_from_dict
 from cantoract.words import conjugate
 
@@ -42,6 +43,34 @@ def _reference_candidates(alphabet, n, max_word_len, conj_len, max_candidates):
 def _best(reports):
     return min(reports, key=lambda r: (-r.hol_estimate, len(r.word), r.word.key()),
                default=None)
+
+
+def image_lower_central_series(elements: list[tuple[int, ...]]) -> list[set]:
+    """Lower central series of a small finite permutation group, by closure.
+
+    Verifies that candidate words land in the right class of the finite
+    image; sizes beyond a few hundred elements get slow.
+    """
+    if not elements:
+        raise ValueError("empty group")
+    n = len(elements[0])
+    group = set(elements)
+    series = [group]
+    current = group
+    while True:
+        comms = {
+            compose(compose(g, x), compose(invert(g), invert(x)))
+            for g in group
+            for x in current
+        }
+        nxt = closure(comms, n)
+        if nxt == current:
+            break
+        series.append(nxt)
+        current = nxt
+        if len(current) == 1:
+            break
+    return series
 
 
 def test_commutator_examples(odo2, hei2):
@@ -107,6 +136,13 @@ def test_witness_search_heisenberg(hei2):
     assert by_class[3].all_indistinguishable  # two-step nilpotent: class 3 acts trivially
 
 
+def test_negative_max_candidates_is_refused(odo2):
+    with pytest.raises(ValueError, match="max_candidates must be at least 0, got -1"):
+        witness_search(odo2, 1, max_word_len=1, depth=3, max_candidates=-1)
+    with pytest.raises(ValueError, match="max_candidates"):
+        gamma_candidates(odo2.alphabet, 2, 1, 1, max_candidates=-1)
+
+
 def test_witness_search_odometer_reports_no_candidates(odo2):
     rep = witness_search(odo2, 2, max_word_len=3, conj_len=2, depth=8)
     cls2 = rep.classes[1]
@@ -153,27 +189,14 @@ def test_image_lcs_shapes(dih, hei2):
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(ORACLE_CHAINS), st.data())
-def test_recipe_images_and_best_reports_match_words(family, data):
-    """Every class-1..3 candidate imaged from its recipe equals its word's
-    image letter by letter, and the search's best report per class is the
-    best ``fixed_set_report`` over that class's ``gamma_candidates`` words."""
+def test_best_reports_match_words(family, data):
+    """The search's best report per class is the best ``fixed_set_report``
+    over that class's ``gamma_candidates`` words, each reported on its own."""
     chain, max_depth = family
     depth = data.draw(st.integers(1, max_depth), label="depth")
     max_word_len = data.draw(st.integers(1, 2), label="max_word_len")
     conj_len = data.draw(st.integers(0, 1), label="conj_len")
     max_candidates = data.draw(st.integers(1, 24), label="max_candidates")
-    imager = lcs_module._Imager(chain, depth)
-    classes = lcs_module._candidate_classes(chain.alphabet, 3, max_word_len, conj_len,
-                                            max_candidates)
-    for recipes, _ in classes:
-        # in the search's order, and in any other: each group's parts are
-        # rebuilt whenever its u or its w changes
-        shuffled = data.draw(st.permutations(recipes), label="order")
-        for order in (recipes, shuffled):
-            imaged = list(imager.images(order))
-            assert sorted(id(r) for r, _ in imaged) == sorted(map(id, recipes))
-            for r, image in imaged:
-                assert image == chain.word_permutation(r.word, depth)
     report = witness_search(chain, 3, max_word_len=max_word_len, conj_len=conj_len,
                             depth=depth, max_candidates=max_candidates)
     for cls in report.classes:
@@ -190,23 +213,34 @@ def test_recipe_images_and_best_reports_match_words(family, data):
 
 def test_search_makes_at_most_three_full_level_gathers_per_candidate(monkeypatch):
     """Work count, not time: at depth 13 the Grigorchuk class-1..3 search
-    makes at most three gathers of a whole level per candidate."""
+    makes at most three gathers of a whole level per candidate, and walks
+    one fixed set per class key (16 keys) plus one per class winner that is
+    not its key's first word."""
     chain = ca.mealy_chain(machine_from_dict(GRIGORCHUK), name="grigorchuk")
     n = chain.size(13)
     gathers = []
+    walks = []
     compose = chain_module.compose
+    fixed_walk = chain_module.ChainAction.fixed_walk
 
     def counting(p, q):
         if len(q) == n:
             gathers.append(1)
         return compose(p, q)
 
-    for module in (chain_module, holonomy_module, lcs_module):
+    def counting_walk(self, *args, **kwargs):
+        walks.append(1)
+        return fixed_walk(self, *args, **kwargs)
+
+    for module in (chain_module, holonomy_module):
         monkeypatch.setattr(module, "compose", counting)
+    monkeypatch.setattr(chain_module.ChainAction, "fixed_walk", counting_walk)
     report = witness_search(chain, 3, max_word_len=1, conj_len=1, depth=13, max_candidates=128)
     examined = sum(c.examined for c in report.classes)
     assert examined == 8 + 128 + 128
     assert len(gathers) <= 3 * examined
+    assert len(walks) <= 16 + 3
+    assert len(gathers) <= 150
 
 
 def test_best_word_breaks_ties_in_canonical_order(dih):
