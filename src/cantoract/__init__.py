@@ -5,11 +5,9 @@ __version__ = "0.1.0"
 from .chain import (
     ChainAction,
     Cylinder,
-    Distance,
     LevelAction,
     PointApprox,
     ValidationReport,
-    distance,
     sample_uniform,
     schreier_generators,
     transversal,

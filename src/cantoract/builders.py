@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .chain import ChainAction, LevelAction, validate_chain
 from .errors import InvalidChainError, SchemaError, expect, json_type
@@ -149,8 +149,7 @@ def fragmented(**budgets) -> ChainAction:
                        metadata={"family": "fragmented"}, **budgets)
 
 
-@dataclass(frozen=True)
-class Puncture:
+class Puncture(NamedTuple):
     """One swap below vertex ``vertex`` (as (index, level) prefix data).
 
     The swap relabels the first letter below the vertex: strings in the

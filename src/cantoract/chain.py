@@ -15,10 +15,9 @@ import random
 import threading
 from array import array
 from collections import deque
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress
 from operator import eq, itemgetter
+from typing import NamedTuple
 
 from .errors import BudgetError, InvalidChainError
 from .words import GeneratorAlphabet, Word, cyclic_core
@@ -120,38 +119,21 @@ class LevelAction:
         return inv
 
 
-@dataclass(frozen=True)
-class PointApprox:
+class PointApprox(NamedTuple):
     """A depth-``depth`` truncation of a boundary point (a cylinder of points)."""
 
     depth: int
     index: int
 
 
-@dataclass(frozen=True)
-class Cylinder:
+class Cylinder(NamedTuple):
     """All boundary points over one level-``level`` vertex."""
 
     level: int
     vertex: int
 
 
-@dataclass(frozen=True)
-class Distance:
-    """Ultrametric distance between equal-depth truncations.
-
-    ``agreement_level`` is the deepest level at which the truncations
-    coincide; ``value`` is 2^-agreement_level.  ``indistinguishable`` marks
-    truncations equal at full depth (never asserted to be the same point).
-    """
-
-    value: Fraction
-    agreement_level: int
-    indistinguishable: bool
-
-
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     invariant: str
     level: int
     generator: str | None
@@ -159,8 +141,7 @@ class Violation:
     detail: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     depth: int
     violations: tuple[Violation, ...]
 
@@ -594,24 +575,6 @@ def schreier_generators(chain: ChainAction, level: int) -> list[Word]:
                 seen.add(word.letters)
                 out.append(word)
     return out
-
-
-def distance(chain: ChainAction, x: PointApprox, y: PointApprox) -> Distance:
-    """2^-m where m is the deepest level at which the truncations agree."""
-    if x.depth != y.depth:
-        raise ValueError(f"depth mismatch: {x.depth} != {y.depth}")
-    depth = x.depth
-    a, b = x.index, y.index
-    if a == b:
-        return Distance(Fraction(1, 2**depth), depth, True)
-    m = depth
-    while a != b:
-        lv = chain.level(m)
-        a, b = lv.parent[a], lv.parent[b]
-        m -= 1
-        if m == 0:
-            a = b = 0
-    return Distance(Fraction(1, 2**m), m, False)
 
 
 def sample_uniform(chain: ChainAction, depth: int, seed: int) -> PointApprox:

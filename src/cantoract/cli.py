@@ -32,7 +32,7 @@ from .farber import farber_check, local_farber_check, stabilizer_count_oracle
 from .holonomy import density_profile, fixed_set_report
 from .lcs import witness_search
 from .mealy import load_machine
-from .words import parse_word
+from .words import MAX_WORD_LETTERS, parse_word
 
 THREADS_ENV = "CANTORACT_THREADS"
 
@@ -258,13 +258,22 @@ def _run_validate(args) -> int:
     return 0
 
 
+def _read_words(path: str, alphabet) -> list:
+    """The words of a ``--words`` file, one per non-blank line.  The file
+    may hold at most :data:`~cantoract.words.MAX_WORD_LETTERS` bytes; a
+    longer one is a ``word_letters`` budget error, read no further."""
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_WORD_LETTERS + 1)
+    if len(data) > MAX_WORD_LETTERS:
+        raise BudgetError("word_letters", f"words file {path} is longer than "
+                                          f"the limit of {MAX_WORD_LETTERS} bytes")
+    lines = (line.decode("utf-8").strip() for line in data.splitlines())
+    return [parse_word(line, alphabet) for line in lines if line]
+
+
 def _run_farber(args) -> int:
     chain = _load(args)
-    words = None
-    if args.words_file:
-        with open(args.words_file, "r", encoding="utf-8") as fh:
-            words = [parse_word(line.strip(), chain.alphabet)
-                     for line in fh if line.strip()]
+    words = _read_words(args.words_file, chain.alphabet) if args.words_file else None
     report = farber_check(chain, words=words, max_word_len=args.max_word_len,
                           depth=args.depth, tolerance=args.tolerance)
     _emit(args, "farber", chain, reports.farber_payload(report, chain.alphabet),

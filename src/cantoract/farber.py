@@ -26,8 +26,8 @@ misses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .chain import (ChainAction, check_depth, class_keys, closure, count_fixed,
                     schreier_generators)
@@ -46,15 +46,13 @@ DEFAULT_TOLERANCE = Fraction(1, 64)
 DEFAULT_MAX_SCHREIER = 128
 
 
-@dataclass(frozen=True)
-class WordVerdict:
+class WordVerdict(NamedTuple):
     word: Word
     verdict: str
     trajectory: tuple[tuple[int, Fraction], ...]  # (level, fixed ratio)
 
 
-@dataclass(frozen=True)
-class FarberReport:
+class FarberReport(NamedTuple):
     kind: str  # "farber" | "local-farber"
     base_level: int
     depth: int
@@ -225,8 +223,7 @@ def local_farber_check(
                   tolerance, sizes)
 
 
-@dataclass(frozen=True)
-class StabilizerCountReport:
+class StabilizerCountReport(NamedTuple):
     level: int
     word: Word
     group_order: int

