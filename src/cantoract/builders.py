@@ -426,7 +426,8 @@ def chain_from_dict(data: dict, *, validate: bool = True, **budgets) -> ChainAct
         name, generators, raw_levels = data["name"], data["generators"], data["levels"]
     except KeyError as exc:
         raise SchemaError(f"malformed chain file: {exc}") from exc
-    expect(name, str, "chain file: name")
+    if not expect(name, str, "chain file: name").isprintable():
+        raise SchemaError("chain file: name must be printable, no control or surrogate characters")
     generators = tuple(expect(g, str, f"chain file: generators[{i}]")
                        for i, g in enumerate(expect(generators, list, "chain file: generators")))
     expect(raw_levels, list, "chain file: levels")

@@ -97,26 +97,18 @@ def check_depth(depth: int) -> None:
 class LevelAction:
     """One finite level: sizes, parent projection, generator permutations."""
 
-    __slots__ = ("level", "size", "parent", "perms", "_inverses")
+    __slots__ = ("level", "size", "parent", "perms")
 
     def __init__(self, level: int, size: int, parent: tuple[int, ...], perms: dict):
         self.level = level
         self.size = size
         self.parent = parent
         self.perms = {name: tuple(p) for name, p in perms.items()}
-        self._inverses: dict[str, tuple[int, ...]] = {}
         if len(parent) != size:
             raise InvalidChainError(f"level {level}: parent array length {len(parent)} != size {size}")
         for name, perm in self.perms.items():
             if len(perm) != size:
                 raise InvalidChainError(f"level {level}: perm {name!r} length {len(perm)} != size {size}")
-
-    def inverse_perm(self, name: str) -> tuple[int, ...]:
-        inv = self._inverses.get(name)
-        if inv is None:
-            inv = invert(self.perms[name])
-            self._inverses[name] = inv
-        return inv
 
 
 class PointApprox(NamedTuple):
@@ -163,13 +155,14 @@ class ChainAction:
     ``memory_budget`` are hard budgets: exceeding them raises a budget
     error, never truncates.
 
-    The permutation kernel every analysis calls lives here: word images
-    built over shared prefixes (:meth:`images`), fixed counts of one deep
-    image at every coarser level, walked top-down through the nested fixed
-    sets (:meth:`fixed_counts`; :meth:`fixed_walk` also returns the deepest
-    fixed set), and the memoized tables both read:
-    ancestors (:meth:`ancestors`), children (:meth:`children`) and one
-    deep point over each vertex (:meth:`representatives`).
+    The permutation kernel every analysis calls lives here: the letter
+    table, each letter's image array at a level (:meth:`letter_perms`),
+    word images built from it over shared prefixes (:meth:`images`), the
+    fixed counts of one deep image at every coarser level, walked top-down
+    through the nested fixed sets, with the deepest fixed set
+    (:meth:`fixed_walk`), and the memoized tables the walk reads: ancestors
+    (:meth:`ancestors`), children (:meth:`children`) and one deep point
+    over each vertex (:meth:`representatives`).
     """
 
     def __init__(
@@ -198,6 +191,7 @@ class ChainAction:
         self._ancestor_tables: dict[tuple[int, int], object] = {}
         self._children: dict[int, tuple] = {}
         self._representatives: dict[tuple[int, int], object] = {}
+        self._letter_perms: dict[int, dict] = {}
 
     def level(self, level: int) -> LevelAction:
         if level < 1:
@@ -233,31 +227,7 @@ class ChainAction:
         return self._levels[level - 1]
 
     def size(self, level: int) -> int:
-        if level == 0:
-            return 1
-        return self.level(level).size
-
-    def apply_letter(self, level: int, gen: int, sign: int, x: int) -> int:
-        if level == 0:
-            return 0
-        lv = self.level(level)
-        name = self.alphabet.names[gen]
-        perm = lv.perms[name] if sign > 0 else lv.inverse_perm(name)
-        return perm[x]
-
-    def act(self, word: Word, level: int, x: int) -> int:
-        """Apply ``word`` at ``level``: the rightmost letter acts first."""
-        if level == 0:
-            return 0
-        lv = self.level(level)
-        if not 0 <= x < lv.size:
-            raise ValueError(f"point {x} out of range at level {level}")
-        names = self.alphabet.names
-        for gen, sign in reversed(word.letters):
-            name = names[gen]
-            perm = lv.perms[name] if sign > 0 else lv.inverse_perm(name)
-            x = perm[x]
-        return x
+        return self.level(level).size if level else 1
 
     def word_permutation(self, word: Word, level: int) -> tuple[int, ...]:
         """The full permutation of ``word`` at ``level`` as an image array."""
@@ -273,10 +243,6 @@ class ChainAction:
         shares: at most ``max(len(w))`` images are alive at once.  Callers
         store results by ``i`` to keep input order.
         """
-        if level == 0:
-            for i in range(len(words)):
-                yield i, (0,)
-            return
         perms = self.letter_perms(level)
         order = sorted(range(len(words)), key=lambda i: words[i].letters)
         # stack[t]: image of the current word's first t letters; None stands
@@ -300,26 +266,25 @@ class ChainAction:
             yield i, tuple(range(self.size(level))) if image is None else image
 
     def letter_perms(self, level: int) -> dict:
-        """``{(gen, sign): image}``: each letter's level-``level`` image array,
-        the level's own permutation or its memoized inverse."""
-        lv = self.level(level)
-        perms = {}
-        for gen, name in enumerate(self.alphabet.names):
-            perms[gen, 1] = lv.perms[name]
-            perms[gen, -1] = lv.inverse_perm(name)
+        """``{(gen, sign): image}``, memoized per level: each letter's image
+        array, in alphabet order with sign +1 first (every letter is ``(0,)``
+        at level 0, the one-point space).  Callers must not mutate it."""
+        perms = self._letter_perms.get(level)
+        if perms is None:
+            names = self.alphabet.names
+            level_perms = self.level(level).perms if level else dict.fromkeys(names, (0,))
+            perms = {}
+            for gen, name in enumerate(names):
+                perms[gen, 1] = level_perms[name]
+                perms[gen, -1] = invert(level_perms[name])
+            self._letter_perms[level] = perms  # published whole, for other threads
         return perms
 
-    def fixed_counts(self, image, level: int, base_level: int = 0) -> list[int]:
-        """Fixed counts of ``image``, given at ``level``, at levels ``max(base_level, 1)..level``.
-
-        Only the points over the basepoint at ``base_level`` count; see
-        :meth:`fixed_walk`.
-        """
-        return self.fixed_walk(image, level, base_level)[0]
-
     def fixed_walk(self, image, level: int, base_level: int = 0) -> tuple[list[int], tuple]:
-        """``(fixed_counts(image, level, base_level), fixed)``: ``fixed`` holds
-        the counted level-``level`` points that ``image`` fixes, in no order.
+        """``(counts, fixed)`` for ``image``, given at ``level``: ``counts``
+        holds its fixed counts at levels ``max(base_level, 1)..level``, among
+        the points over the basepoint at ``base_level`` only, and ``fixed``
+        the counted level-``level`` points it fixes, in no order.
 
         Fixed sets are nested, since a point fixed at level ``L`` lies over a
         vertex fixed at ``L - 1``, so the walk goes top-down and tests at
@@ -355,10 +320,6 @@ class ChainAction:
         for column in self.children(level):
             points.extend(compose(column, vertices))
         return points
-
-    def stabilizer_contains(self, word: Word, level: int) -> bool:
-        """Membership in the level-``level`` basepoint stabilizer subgroup."""
-        return self.act(word, level, 0) == 0
 
     def fixed_count(self, word: Word, level: int) -> int:
         return count_fixed(self.word_permutation(word, level))
@@ -455,14 +416,8 @@ class ChainAction:
             table = self._representatives[key] = first
         return table
 
-    def ancestor(self, level: int, x: int, to_level: int) -> int:
-        """Iterated parent of a level-``level`` point down to ``to_level``."""
-        return self.ancestors(level, to_level)[x]
-
     def fiber(self, base_level: int, level: int, vertex: int) -> tuple[int, ...]:
         """All level-``level`` points over ``vertex`` at ``base_level``."""
-        if base_level > level:
-            raise ValueError("fiber requires base_level <= level")
         if not 0 <= vertex < self.size(base_level):
             raise ValueError(f"vertex {vertex} out of range at level {base_level}")
         return tuple(x for x, a in enumerate(self.ancestors(level, base_level)) if a == vertex)
@@ -504,10 +459,7 @@ def class_keys(chain: ChainAction, base_level: int, words: list[Word]) -> list[t
     inversion, by an element of ``G_b``.  Time and memory are linear in the
     word's length.
     """
-    if base_level:
-        perms = chain.letter_perms(base_level)
-    else:  # level 0 is one point, which every letter fixes
-        perms = {(g, s): (0,) for g in range(len(chain.alphabet)) for s in (1, -1)}
+    perms = chain.letter_perms(base_level)
     keys = []
     for word in words:
         m, core = cyclic_core(word.letters)
@@ -524,6 +476,22 @@ def class_keys(chain: ChainAction, base_level: int, words: list[Word]) -> list[t
     return keys
 
 
+def _orbit(perms: dict, n: int) -> dict:
+    """The basepoint's orbit under the ``letter_perms`` table of an ``n``-point
+    level, breadth first: each reached point, in discovery order, maps to the
+    ``(point, letter)`` it was first reached from (the basepoint to None)."""
+    tree = {0: None}
+    queue = deque([0])
+    while queue and len(tree) < n:
+        x = queue.popleft()
+        for letter, perm in perms.items():
+            y = perm[x]
+            if y not in tree:
+                tree[y] = (x, letter)
+                queue.append(y)
+    return tree
+
+
 def transversal(chain: ChainAction, level: int) -> list[Word]:
     """Coset representatives: ``t[x]`` moves the basepoint to ``x``.
 
@@ -532,27 +500,18 @@ def transversal(chain: ChainAction, level: int) -> list[Word]:
     tried before -1.  Deterministic.
     """
     n = chain.size(level)
-    reps: list[Word | None] = [None] * n
-    reps[0] = Word.identity()
-    if n == 1:
-        return [Word.identity()]
-    queue = deque([0])
-    found = 1
-    while queue and found < n:
-        x = queue.popleft()
-        for gen in range(len(chain.alphabet)):
-            for sign in (1, -1):
-                y = chain.apply_letter(level, gen, sign, x)
-                if reps[y] is None:
-                    reps[y] = Word.of(((gen, sign),) + reps[x].letters)
-                    queue.append(y)
-                    found += 1
-    if found < n:
+    tree = _orbit(chain.letter_perms(level), n)
+    if len(tree) < n:
         raise InvalidChainError(
             f"chain {chain.name!r} is not transitive at level {level}: "
-            f"orbit of the basepoint has {found} of {n} points"
+            f"orbit of the basepoint has {len(tree)} of {n} points"
         )
-    return reps  # type: ignore[return-value]
+    reps = [Word.identity()] * n
+    for y, step in tree.items():
+        if step:
+            x, letter = step
+            reps[y] = Word.of((letter,) + reps[x].letters)
+    return reps
 
 
 def schreier_generators(chain: ChainAction, level: int) -> list[Word]:
@@ -564,12 +523,12 @@ def schreier_generators(chain: ChainAction, level: int) -> list[Word]:
     scan order.
     """
     reps = transversal(chain, level)
-    n = chain.size(level)
+    perms = chain.letter_perms(level)
     out: list[Word] = []
     seen: set[tuple] = set()
-    for x in range(n):
+    for x in range(chain.size(level)):
         for gen in range(len(chain.alphabet)):
-            y = chain.apply_letter(level, gen, 1, x)
+            y = perms[gen, 1][x]
             word = reps[y].inverse() * Word.generator(gen) * reps[x]
             if word.letters and word.letters not in seen:
                 seen.add(word.letters)
@@ -670,20 +629,7 @@ def validate_chain(chain: ChainAction, depth: int) -> ValidationReport:
                         break
                 if done:
                     break
-        # transitivity: orbit of the basepoint under all generator moves
-        reached = [False] * n
-        reached[0] = True
-        queue = deque([0])
-        total = 1
-        while queue:
-            x = queue.popleft()
-            for name in chain.alphabet.names:
-                for perm in (lv.perms[name], lv.inverse_perm(name)):
-                    y = perm[x]
-                    if not reached[y]:
-                        reached[y] = True
-                        total += 1
-                        queue.append(y)
+        total = len(_orbit(chain.letter_perms(level), n))
         if total != n:
             add("transitivity", level, None, None,
                 f"orbit of basepoint covers {total} of {n} points")

@@ -189,8 +189,9 @@ def _emit(args, command: str, chain, result: dict, to_csv) -> None:
             "result": result,
         })
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        data = text.encode("utf-8")  # fails before the file is created
+        with open(args.output, "wb") as fh:
+            fh.write(data)
     else:
         sys.stdout.write(text)
 

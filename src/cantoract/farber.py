@@ -66,16 +66,17 @@ class FarberReport(NamedTuple):
 def core_membership(chain: ChainAction, word: Word, base_level: int, level: int) -> bool:
     """Membership in the depth-truncated core at ``base_level``.
 
-    True iff the word stabilizes the basepoint at ``base_level`` and fixes
-    every level-``level`` point of the basepoint fiber, i.e. it acts
-    trivially on the coset space between the two stabilizers.
+    True iff the word fixes every level-``level`` point over the basepoint
+    at ``base_level`` (and so stabilizes that basepoint), i.e. it acts
+    trivially on the coset space between the two stabilizers: the test
+    the Farber checks use for "indistinguishable".
     """
     if base_level > level:
         raise ValueError("core membership needs base_level <= level")
-    if not chain.stabilizer_contains(word, base_level):
-        return False
-    perm = chain.word_permutation(word, level)
-    return all(perm[x] == x for x in chain.fiber(base_level, level, 0))
+    if not level:
+        return True
+    fixed = chain.fixed_walk(chain.word_permutation(word, level), level, base_level)[0][-1]
+    return fixed * chain.size(base_level) == chain.size(level)
 
 
 def _check(tolerance: Fraction, depth: int) -> None:
@@ -112,7 +113,7 @@ def _score(
     order = list(reps)
     scored = {}
     for i, image in chain.images(list(reps.values()), depth):
-        counts = chain.fixed_counts(image, depth, base_level)
+        counts = chain.fixed_walk(image, depth, base_level)[0]
         traj = tuple((level, Fraction(count, size))
                      for level, count, size in zip(levels, counts, sizes))
         if traj[-1][1] == 1:

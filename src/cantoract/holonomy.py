@@ -153,16 +153,16 @@ def density_profile(chain: ChainAction, word: Word, center: PointApprox) -> Dens
     """Exact fixed fraction of the fiber over each ancestor of ``center``."""
     _require_nonidentity(word)
     depth = center.depth
-    perm = chain.word_permutation(word, depth)
-    if not 0 <= center.index < len(perm):
+    if not 0 <= center.index < chain.size(depth):
         raise ValueError(f"point {center.index} out of range at level {depth}")
-    fixed = [x for x, v in enumerate(perm) if x == v]
+    # level 0 is one point; a nonempty fixed set passed the fiber-constancy
+    # check of ``children`` at every level, so each fiber has the sizes' ratio
+    fixed = chain.fixed_walk(chain.word_permutation(word, depth), depth)[1] if depth else (0,)
     entries = []
     for level in range(0, depth + 1):
         anc = chain.ancestors(depth, level)
-        vertex = anc[center.index]
-        inside = sum(1 for x in fixed if anc[x] == vertex)
-        entries.append(Fraction(inside, anc.count(vertex)))
+        inside = compose(anc, fixed).count(anc[center.index])
+        entries.append(Fraction(inside, chain.size(depth) // chain.size(level)))
     return DensityProfile(word=word, center=center, entries=tuple(entries))
 
 

@@ -1,9 +1,15 @@
-"""Test-only cross-checks that no command or documented library call needs."""
+"""Test-only cross-checks that no command or documented library call needs.
+
+The point-wise action here reads a level's generator permutations directly
+and inverts a letter with ``perm.index``, so it shares no code with the
+kernel's letter tables (``ChainAction.letter_perms``) or word images.
+"""
 
 from fractions import Fraction
 from typing import NamedTuple
 
 from cantoract.chain import ChainAction, PointApprox
+from cantoract.words import Word
 
 
 class Distance(NamedTuple):
@@ -35,3 +41,19 @@ def distance(chain: ChainAction, x: PointApprox, y: PointApprox) -> Distance:
         if m == 0:
             a = b = 0
     return Distance(Fraction(1, 2**m), m, False)
+
+
+def act(chain: ChainAction, word: Word, level: int, x: int) -> int:
+    """Apply ``word`` to level-``level`` point ``x``, the rightmost letter first."""
+    if level == 0:
+        return 0
+    perms = chain.level(level).perms
+    for gen, sign in reversed(word.letters):
+        perm = perms[chain.alphabet.names[gen]]
+        x = perm[x] if sign > 0 else perm.index(x)
+    return x
+
+
+def stabilizer_contains(chain: ChainAction, word: Word, level: int) -> bool:
+    """Membership in the level-``level`` basepoint stabilizer subgroup."""
+    return act(chain, word, level, 0) == 0

@@ -11,7 +11,7 @@ import cantoract as ca
 from cantoract.farber import INDISTINGUISHABLE, PASS
 
 from conftest import word
-from oracles import distance
+from oracles import act, distance
 
 
 def _report(name: str, started: float, budget: float, description: str):
@@ -99,7 +99,7 @@ def test_criterion_5_fat_cantor_essential_holonomy():
     assert Fraction(1, 4) <= rep.hol_estimate <= Fraction(1, 2)
     plan = fat.metadata["plan"]
     visible = plan.punctures_visible_at(8)
-    regions = {fat.ancestor(p.level, p.vertex, rep.interior_scan_max_level) for p in visible}
+    regions = {fat.ancestors(p.level, rep.interior_scan_max_level)[p.vertex] for p in visible}
     ledger_value = (
         len(regions) * Fraction(1, fat.size(rep.interior_scan_max_level))
         - len(visible) * Fraction(2, 3**8)
@@ -108,7 +108,7 @@ def test_criterion_5_fat_cantor_essential_holonomy():
     for cyl in rep.max_fixed_cylinders:
         for p in visible:
             if cyl.level > p.level:
-                assert fat.ancestor(cyl.level, cyl.vertex, p.level) != p.vertex
+                assert fat.ancestors(cyl.level, p.level)[cyl.vertex] != p.vertex
     _report("criterion-5", started, 60.0,
             f"fat-Cantor holonomy estimate {rep.hol_estimate} lies in [1/4, 1/2], "
             "matches the puncture ledger, and no fixed cylinder survives below a puncture")
@@ -160,14 +160,14 @@ def test_criterion_7_property_fuzz():
                 level = rng.randrange(1, 6)
                 u, v = _random_word(rng, chain), _random_word(rng, chain)
                 x = rng.randrange(chain.size(level))
-                assert chain.act(u * v, level, x) == chain.act(u, level, chain.act(v, level, x))
-                assert chain.act(u * u.inverse(), level, x) == x
+                assert act(chain, u * v, level, x) == act(chain, u, level, act(chain, v, level, x))
+                assert act(chain, u * u.inverse(), level, x) == x
             elif slot < 10:  # equivariance
                 level = rng.randrange(1, 5)
                 w = _random_word(rng, chain)
                 lv = chain.level(level + 1)
                 x = rng.randrange(chain.size(level + 1))
-                assert lv.parent[chain.act(w, level + 1, x)] == chain.act(w, level, lv.parent[x])
+                assert lv.parent[act(chain, w, level + 1, x)] == act(chain, w, level, lv.parent[x])
             elif slot < 13:  # ratio monotonicity
                 level = rng.randrange(1, 5)
                 w = _random_word(rng, chain)

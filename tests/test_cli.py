@@ -376,6 +376,9 @@ def test_build_over_budget_is_refused_before_any_level(tmp_path):
     assert not (tmp_path / "toral.json").exists()
 
 
+UNPRINTABLE_NAME = "chain file: name must be printable, no control or surrogate characters"
+
+
 @pytest.mark.parametrize("argv", [
     ["validate"],
     ["farber"],
@@ -387,8 +390,8 @@ def test_build_over_budget_is_refused_before_any_level(tmp_path):
 def test_empty_level_is_a_one_line_error(tmp_path, argv):
     # the same one-line refusal for an empty level, perms given as a list,
     # a size no array could hold that the perm lengths contradict, perm
-    # entries that are not JSON integers, and top-level fields of the wrong
-    # JSON type
+    # entries that are not JSON integers, top-level fields of the wrong
+    # JSON type, and a name that could forge a CSV row or fail to encode
     good = [{"size": 2, "parent": None, "perms": {"a": [1, 0]}}]
     cases = {
         "zero": ({"levels": [{"size": 0, "parent": None, "perms": {"a": []}}]},
@@ -400,6 +403,8 @@ def test_empty_level_is_a_one_line_error(tmp_path, argv):
         "floats": ({"levels": [{"size": 2, "parent": None, "perms": {"a": [1.9, "0"]}}]},
                    "level 1: perms['a'] entries must be integers, got a number"),
         "name": ({"name": 7}, "chain file: name must be a string, got an integer"),
+        "forged": ({"name": "x\nword,verdict,...\ninjected,1,2,3,4,5"}, UNPRINTABLE_NAME),
+        "surrogate": ({"name": "x\ud800"}, UNPRINTABLE_NAME),
         "generators": ({"generators": "a"},
                        "chain file: generators must be an array, got a string"),
         "generator": ({"generators": [1]},
@@ -463,6 +468,15 @@ def test_json_reports_build_no_csv_table(chains, tmp_path, monkeypatch):
         ["oracle", "stab-count", odometer, "--level", "2", "--word", "a"],
     ):
         assert main([*argv, "-o", str(tmp_path / "report.json")]) == 0, argv
+
+
+def test_report_that_fails_to_encode_leaves_no_output_file(chains, tmp_path, monkeypatch):
+    from cantoract import reports
+
+    monkeypatch.setattr(reports, "render_json", lambda payload: "x\ud800\n")
+    out = tmp_path / "report.json"
+    assert main(["validate", chains["odometer"], "-o", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_deep_lcs_class_is_a_budget_error(chains):

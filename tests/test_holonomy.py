@@ -94,7 +94,7 @@ def test_fat_cantor_report_against_ledger(fat):
     rep = ca.fixed_set_report(fat, word(fat, "g"), 8)
     plan = fat.metadata["plan"]
     visible = plan.punctures_visible_at(8)
-    regions = {fat.ancestor(p.level, p.vertex, 4) for p in visible}
+    regions = {fat.ancestors(p.level, 4)[p.vertex] for p in visible}
     predicted = len(regions) * Fraction(1, 81) - len(visible) * Fraction(2, 3**8)
     assert Fraction(1, 4) <= rep.hol_estimate <= Fraction(1, 2)
     assert abs(rep.hol_estimate - predicted) <= Fraction(2, 3**8)
@@ -102,7 +102,7 @@ def test_fat_cantor_report_against_ledger(fat):
     for cyl in rep.max_fixed_cylinders:
         for p in visible:
             if cyl.level > p.level:
-                assert fat.ancestor(cyl.level, cyl.vertex, p.level) != p.vertex
+                assert fat.ancestors(cyl.level, p.level)[cyl.vertex] != p.vertex
 
 
 def test_density_profile_heisenberg(hei2):
@@ -205,7 +205,7 @@ def _brute_force_cylinders(chain, perm, depth):
         return [ca.Cylinder(0, 0)]
     return [ca.Cylinder(level, v) for level in range(1, depth // 2 + 1)
             for v in range(chain.size(level))
-            if fixed(level, v) and not fixed(level - 1, chain.ancestor(level, v, level - 1))]
+            if fixed(level, v) and not fixed(level - 1, chain.ancestors(level, level - 1)[v])]
 
 
 def _per_ancestor_lqa_scale(chain, max_word_len, depth):
@@ -216,7 +216,7 @@ def _per_ancestor_lqa_scale(chain, max_word_len, depth):
     for w in ca.reduced_words(chain.alphabet, max_word_len):
         perm = chain.word_permutation(w, depth)
         moved_points = [x for x, y in enumerate(perm) if x != y]
-        moved = [{chain.ancestor(depth, x, level) for x in moved_points}
+        moved = [{chain.ancestors(depth, level)[x] for x in moved_points}
                  for level in range(cap + 1)]
         if not moved[0]:
             continue
@@ -225,7 +225,7 @@ def _per_ancestor_lqa_scale(chain, max_word_len, depth):
                 if u in moved[m]:
                     continue
                 for k in range(m - 1, -1, -1):
-                    if chain.ancestor(m, u, k) in moved[k]:
+                    if chain.ancestors(m, k)[u] in moved[k]:
                         deepest = max(deepest, k)
                         break
     return deepest + 1
@@ -300,7 +300,7 @@ def test_refuted_cylinders_never_reappear(frag, fat, hei2):
                 if key not in current:
                     # may have been absorbed into a larger listed cylinder
                     absorbed = any(
-                        lv < key[0] and chain.ancestor(key[0], key[1], lv) == vx
+                        lv < key[0] and chain.ancestors(key[0], lv)[key[1]] == vx
                         for lv, vx in current
                     )
                     if not absorbed:

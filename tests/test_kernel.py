@@ -1,17 +1,22 @@
 """The permutation kernel against independent derivations.
 
 Word images built over shared prefixes, the top-down fixed counts of one
-deep image and the memoized ancestor, children and representative tables
-are each compared with a brute-force oracle: point-by-point action for
-images and fixed counts, a parent walk for tables and fibers.
+deep image, the memoized ancestor, children and representative tables, and
+the core and density answers read from them are each compared with a
+brute-force oracle: point-by-point action for images and fixed counts, a
+parent walk for tables and fibers.
 """
 
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import cantoract as ca
 import cantoract.chain as chain_module
 from cantoract.chain import compose, count_fixed, invert
+
+from oracles import act, stabilizer_contains
 
 # every builder family at depths small enough for brute force
 _FAMILIES = [
@@ -34,9 +39,9 @@ def _letters(chain, max_len):
 
 
 @st.composite
-def chain_words_level(draw):
+def chain_words_level(draw, lowest=1):
     chain, max_depth = draw(st.sampled_from(_FAMILIES))
-    level = draw(st.integers(1, max_depth))
+    level = draw(st.integers(lowest, max_depth))
     words = [ca.Word.of(w) for w in draw(st.lists(_letters(chain, 5), max_size=6))]
     # repeat some words and extend others, so the list shares prefixes
     # without being prefix-closed, then shuffle it
@@ -47,7 +52,7 @@ def chain_words_level(draw):
 
 
 def _brute_image(chain, word, level):
-    return tuple(chain.act(word, level, x) for x in range(chain.size(level)))
+    return tuple(act(chain, word, level, x) for x in range(chain.size(level)))
 
 
 def _brute_ancestor(chain, level, x, base_level):
@@ -58,7 +63,7 @@ def _brute_ancestor(chain, level, x, base_level):
 
 
 @common
-@given(chain_words_level())
+@given(chain_words_level(lowest=0))  # level 0, the one-point level, too
 def test_images_match_word_permutation_and_brute_force(cwl):
     chain, words, level = cwl
     seen = set()
@@ -82,12 +87,12 @@ def test_fixed_counts_match_brute_force(cwl):
     for i, image in chain.images(words, depth):
         brute = {level: _brute_image(chain, words[i], level) for level in range(1, depth + 1)}
         for base in range(depth):
-            counts = chain.fixed_counts(image, depth, base)
+            counts = chain.fixed_walk(image, depth, base)[0]
             levels = range(max(base, 1), depth + 1)
             assert len(counts) == len(levels)
             for level, count in zip(levels, counts):
                 assert count == count_fixed(brute[level], _brute_fiber(chain, base, level))
-        for level, count in enumerate(chain.fixed_counts(image, depth), 1):
+        for level, count in enumerate(chain.fixed_walk(image, depth)[0], 1):
             assert count == chain.fixed_count(words[i], level)
 
 
@@ -96,18 +101,18 @@ def test_fixed_counts_of_the_identity_are_whole_fibers(family):
     chain, depth = family
     image = tuple(range(chain.size(depth)))
     for base in range(depth):
-        assert chain.fixed_counts(image, depth, base) == [
+        assert chain.fixed_walk(image, depth, base)[0] == [
             len(_brute_fiber(chain, base, level)) for level in range(max(base, 1), depth + 1)]
 
 
 def test_fixed_counts_stop_once_the_fixed_set_empties(monkeypatch):
     odo = ca.odometer(2)
     a = odo.word_permutation(ca.Word.generator(0), 8)  # moves both level-1 points
-    assert odo.fixed_counts(a, 8) == [0] * 8
+    assert odo.fixed_walk(a, 8)[0] == [0] * 8
     gathers = []
     monkeypatch.setattr(chain_module, "compose", lambda p, q: gathers.append(q) or compose(p, q))
-    assert odo.fixed_counts(a, 8) == [0] * 8
-    assert odo.fixed_counts(a, 8, 1) == [0] * 8
+    assert odo.fixed_walk(a, 8)[0] == [0] * 8
+    assert odo.fixed_walk(a, 8, 1)[0] == [0] * 8
     # level 1 alone is tested: the root's two children are gathered one
     # column at a time, then three gathers over them; at base level 1 three
     # over the basepoint; nothing deeper either time
@@ -123,7 +128,7 @@ def test_fixed_counts_refuse_a_level_without_constant_fibers():
     ]}
     chain = ca.chain_from_dict(data, validate=False)
     with pytest.raises(ca.InvalidChainError, match="level-1 point 0 has 3 preimages, expected 2"):
-        chain.fixed_counts((0, 1, 2, 3), 2)
+        chain.fixed_walk((0, 1, 2, 3), 2)
 
 
 @common
@@ -136,7 +141,7 @@ def test_ancestor_tables_and_fibers_match_parent_walk(family, data):
     brute = [_brute_ancestor(chain, level, x, base) for x in range(chain.size(level))]
     assert list(table) == brute
     x = data.draw(st.integers(0, chain.size(level) - 1))
-    assert chain.ancestor(level, x, base) == brute[x]
+    assert chain.ancestors(level, base)[x] == brute[x]
     vertex = data.draw(st.integers(0, chain.size(base) - 1))
     assert chain.fiber(base, level, vertex) == tuple(
         y for y in range(chain.size(level)) if brute[y] == vertex)
@@ -188,3 +193,33 @@ def test_compose_and_invert():
     assert count_fixed(q, (1, 2)) == 1
     assert compose(p, ()) == ()
     assert count_fixed(p, ()) == 0
+
+
+@pytest.mark.parametrize("family", _FAMILIES, ids=lambda f: f[0].name)
+def test_core_membership_matches_pointwise_oracle(family):
+    chain, max_depth = family
+    words = [ca.Word.identity(), *ca.reduced_words(chain.alphabet, 2)]
+    for w in words:
+        for level in range(max_depth + 1):
+            for base in range(level + 1):
+                expected = stabilizer_contains(chain, w, base) and all(
+                    act(chain, w, level, x) == x for x in _brute_fiber(chain, base, level))
+                assert ca.core_membership(chain, w, base, level) == expected, (w, base, level)
+
+
+@common
+@given(st.sampled_from(_FAMILIES), st.data())
+def test_density_profile_matches_pointwise_count(family, data):
+    chain, max_depth = family
+    w = ca.Word.of(data.draw(_letters(chain, 4)))
+    assume(w.letters)
+    depth = data.draw(st.integers(0, max_depth))
+    center = data.draw(st.integers(0, chain.size(depth) - 1))
+    profile = ca.density_profile(chain, w, ca.PointApprox(depth, center))
+    assert len(profile.entries) == depth + 1
+    for level, entry in enumerate(profile.entries):
+        vertex = _brute_ancestor(chain, depth, center, level)
+        fiber = [y for y in range(chain.size(depth))
+                 if _brute_ancestor(chain, depth, y, level) == vertex]
+        fixed = sum(1 for y in fiber if act(chain, w, depth, y) == y)
+        assert entry == Fraction(fixed, len(fiber))
