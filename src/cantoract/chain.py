@@ -20,7 +20,7 @@ from operator import eq, itemgetter
 from typing import NamedTuple
 
 from .errors import BudgetError, InvalidChainError
-from .words import GeneratorAlphabet, Word, cyclic_core
+from .words import GeneratorAlphabet, Word, cyclic_core, distinct
 
 DEFAULT_DEPTH_LIMIT = 24
 DEFAULT_MEMORY_BUDGET = 4_000_000  # total stored points across levels
@@ -417,10 +417,16 @@ class ChainAction:
         return table
 
     def fiber(self, base_level: int, level: int, vertex: int) -> tuple[int, ...]:
-        """All level-``level`` points over ``vertex`` at ``base_level``."""
+        """All level-``level`` points over ``vertex`` at ``base_level``, in
+        increasing order, read level by level from the ``children`` columns."""
+        if not 0 <= base_level <= level:
+            raise ValueError("ancestor levels must satisfy 0 <= base_level <= level")
         if not 0 <= vertex < self.size(base_level):
             raise ValueError(f"vertex {vertex} out of range at level {base_level}")
-        return tuple(x for x, a in enumerate(self.ancestors(level, base_level)) if a == vertex)
+        points = [vertex]
+        for below in range(base_level + 1, level + 1):
+            points = self._children_of(below, points)
+        return tuple(sorted(points))
 
 
 def _least_rotation(seq: list) -> tuple:
@@ -524,16 +530,9 @@ def schreier_generators(chain: ChainAction, level: int) -> list[Word]:
     """
     reps = transversal(chain, level)
     perms = chain.letter_perms(level)
-    out: list[Word] = []
-    seen: set[tuple] = set()
-    for x in range(chain.size(level)):
-        for gen in range(len(chain.alphabet)):
-            y = perms[gen, 1][x]
-            word = reps[y].inverse() * Word.generator(gen) * reps[x]
-            if word.letters and word.letters not in seen:
-                seen.add(word.letters)
-                out.append(word)
-    return out
+    return list(distinct(reps[perms[gen, 1][x]].inverse() * Word.generator(gen) * reps[x]
+                         for x in range(chain.size(level))
+                         for gen in range(len(chain.alphabet))))
 
 
 def sample_uniform(chain: ChainAction, depth: int, seed: int) -> PointApprox:

@@ -97,7 +97,7 @@ def _build_parser() -> _Parser:
 
     lf = sub.add_parser("local-farber", help="fixed-coset check localized to a base level")
     lf.add_argument("chain")
-    lf.add_argument("--base-level", type=int, default=1)
+    lf.add_argument("--base-level", type=_count, default=1)
     lf.add_argument("--max-word-len", type=_count, default=4)
     lf.add_argument("--tol", dest="tolerance", type=_tolerance, default="1/64")
     lf.add_argument("--max-schreier", type=_count, default=128)
@@ -126,7 +126,7 @@ def _build_parser() -> _Parser:
     osub = oracle.add_subparsers(dest="oracle_command", required=True)
     sc = osub.add_parser("stab-count", help="count point stabilizers in the finite image")
     sc.add_argument("chain")
-    sc.add_argument("--level", type=int, required=True)
+    sc.add_argument("--level", type=_at_least(1), required=True)
     sc.add_argument("--word", required=True)
     sc.add_argument("--max-order", type=_count, default=100_000)
     _add_common(sc)

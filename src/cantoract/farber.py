@@ -32,7 +32,7 @@ from typing import NamedTuple
 from .chain import (ChainAction, check_depth, class_keys, closure, count_fixed,
                     schreier_generators)
 from .errors import BudgetError
-from .words import Word, reduced_words
+from .words import Word, distinct, reduced_words
 
 PASS = "pass-at-depth"
 FAIL = "fail-at-depth"
@@ -93,19 +93,21 @@ def _score(
     max_word_len: int | None,
     depth: int,
     tolerance: Fraction,
-    sizes: list[int],
 ) -> FarberReport:
     """Score every candidate on the points over the basepoint at ``base_level``.
 
-    ``sizes[i]`` is the number of those points at level ``max(base_level, 1) + i``,
-    and a trajectory entry is the fraction of them the candidate fixes.  A
-    candidate fixing every scored point at ``depth`` is indistinguishable
-    from the identity there: on the whole level it acts trivially, and on
-    the base fiber, which holds the basepoint, it also stabilizes the
-    basepoint, so it lies in the core.  Only one word per
+    A trajectory entry is the fraction of those points at one level that
+    the candidate fixes.  A candidate fixing every scored point at
+    ``depth`` is indistinguishable from the identity there: on the whole
+    level it acts trivially, and on the base fiber, which holds the
+    basepoint, it also stabilizes the basepoint, so it lies in the core.
+    Only one word per
     :func:`~cantoract.chain.class_keys` key is imaged and walked.
     """
     levels = range(max(base_level, 1), depth + 1)
+    # fiber constancy (checked by ``children``) makes each fiber over the
+    # basepoint the level's size over the base level's
+    sizes = [chain.size(level) // chain.size(base_level) for level in levels]
     keys = class_keys(chain, base_level, candidates)
     reps = {}
     for key, word in zip(keys, candidates):
@@ -157,8 +159,7 @@ def farber_check(
         cap = None
         if any(not w.letters for w in candidates):
             raise ValueError("candidate words must exclude the identity")
-    sizes = [chain.size(level) for level in range(1, depth + 1)]
-    return _score(chain, "farber", 0, candidates, cap, depth, tolerance, sizes)
+    return _score(chain, "farber", 0, candidates, cap, depth, tolerance)
 
 
 def local_candidates(
@@ -184,14 +185,8 @@ def local_candidates(
             f"cap of {max_generators}",
         )
     images = {1: [g.letters for g in gens], -1: [g.inverse().letters for g in gens]}
-    seen: set[tuple] = set()
-    out: list[Word] = []
-    for seq in reduced_words(gens, max_word_len):
-        word = Word.of(letter for j, s in seq.letters for letter in images[s][j])
-        if word.letters and word.letters not in seen:
-            seen.add(word.letters)
-            out.append(word)
-    return gens, out
+    return gens, list(distinct(Word.of(letter for j, s in seq.letters for letter in images[s][j])
+                               for seq in reduced_words(gens, max_word_len)))
 
 
 def local_farber_check(
@@ -216,12 +211,8 @@ def local_farber_check(
     _, candidates = local_candidates(
         chain, base_level, max_word_len, max_generators=max_generators
     )
-    # fiber constancy (checked by ``children``) makes each fiber over the
-    # basepoint the level's size over the base level's
-    sizes = [chain.size(level) // chain.size(base_level)
-             for level in range(max(base_level, 1), depth + 1)]
     return _score(chain, "local-farber", base_level, candidates, max_word_len, depth,
-                  tolerance, sizes)
+                  tolerance)
 
 
 class StabilizerCountReport(NamedTuple):

@@ -18,8 +18,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .chain import ChainAction, Cylinder, PointApprox, check_depth, compose, count_fixed
+from .errors import BudgetError
 from .mealy import is_trivial as mealy_is_trivial
-from .words import Word, reduced_words
+from .words import Word, reduced_words, take
 
 DEFAULT_WORD_BUDGET = 50_000
 
@@ -175,6 +176,16 @@ def _mealy_exact(chain: ChainAction, word: Word, cylinder: Cylinder) -> bool:
     return mealy_is_trivial(backend.machine, backend.machine.section(state_word, path))
 
 
+def _scan_words(chain: ChainAction, max_word_len: int) -> list[Word]:
+    """The reduced words up to ``max_word_len`` the witness scans read; a
+    ``word_budget`` BudgetError past :data:`DEFAULT_WORD_BUDGET` of them."""
+    words, more = take(reduced_words(chain.alphabet, max_word_len), DEFAULT_WORD_BUDGET)
+    if more:
+        raise BudgetError("word_budget",
+                          f"word enumeration exceeded budget of {DEFAULT_WORD_BUDGET} words")
+    return words
+
+
 def _fixing_words(chain: ChainAction, words: list[Word], depth: int):
     """Yield ``(i, perm, cylinders)`` for each ``words[i]`` that moves a
     depth-``depth`` point and fixes some cylinder fiber; ``perm`` is its
@@ -198,7 +209,7 @@ def partial_triviality_witnesses(
     exact statements where the section oracle certifies them.
     """
     check_depth(depth)
-    words = list(reduced_words(chain.alphabet, max_word_len, max_count=DEFAULT_WORD_BUDGET))
+    words = _scan_words(chain, max_word_len)
     found: list[list[TrivialityWitness]] = [[] for _ in words]
     for i, perm, cylinders in _fixing_words(chain, words, depth):
         for cyl in cylinders:
@@ -230,7 +241,7 @@ def lqa_scale_estimate(chain: ChainAction, max_word_len: int, depth: int) -> Lqa
     most ``depth // 2``, so a scale always exists at this depth.
     """
     check_depth(depth)
-    words = list(reduced_words(chain.alphabet, max_word_len, max_count=DEFAULT_WORD_BUDGET))
+    words = _scan_words(chain, max_word_len)
     scale = max((cylinders[-1].level for _, _, cylinders in _fixing_words(chain, words, depth)),
                 default=0)
     return LqaScaleEstimate(depth=depth, max_word_len=max_word_len, scale_level=scale)

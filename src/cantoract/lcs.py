@@ -26,7 +26,8 @@ from typing import NamedTuple
 
 from .chain import ChainAction, check_depth, class_keys
 from .holonomy import FixedSetReport, fixed_set_report
-from .words import GeneratorAlphabet, Word, commutator, conjugate, reduced_words
+from .words import (GeneratorAlphabet, Word, commutator, conjugate, distinct, reduced_words,
+                    take)
 
 DEFAULT_MAX_CANDIDATES = 256
 
@@ -42,46 +43,32 @@ def _candidate_classes(alphabet: GeneratorAlphabet, max_class: int, max_word_len
     built from the one before, in canonical order and deduplicated.
 
     A class is cut off (with a flag, inherited by every later class) at
-    ``max_candidates`` words.
+    ``max_candidates`` words, and no more than one word past the cut is built.
     """
     if max_candidates < 0:
         raise ValueError(f"max_candidates must be at least 0, got {max_candidates}")
-    if max_class < 1:
-        return
-    gen_words = list(reduced_words(alphabet, max_word_len))
-    words = gen_words[:max_candidates]
-    truncated = len(gen_words) > max_candidates
-    yield words, truncated
-    if max_class > 1:
-        conjugators = [None, *reduced_words(alphabet, conj_len)]
-        for _ in range(2, max_class + 1):
-            words, cut = _next_class(words, gen_words, conjugators, max_candidates)
-            truncated = truncated or cut
-            yield words, truncated
+    truncated = False
+    words: list[Word] = []
+    for n in range(1, max_class + 1):
+        stream = (reduced_words(alphabet, max_word_len) if n == 1 else
+                  distinct(_commutators(alphabet, words, max_word_len, conj_len)))
+        words, cut = take(stream, max_candidates)
+        truncated = truncated or cut
+        yield words, truncated
 
 
-def _next_class(prev: list[Word], gen_words: list[Word], conjugators: list,
-                max_candidates: int) -> tuple[list[Word], bool]:
+def _commutators(alphabet: GeneratorAlphabet, prev: list[Word], max_word_len: int,
+                 conj_len: int):
     """The words ``t * [w, u] * t^-1`` of the class after ``prev``, grouped
     by ``u`` in ``prev`` and then by generator word ``w``, the bare
-    commutator (``t`` None) before its conjugates; and whether the class
-    was cut off."""
-    words: list[Word] = []
-    seen: set[tuple] = set()
+    commutator before its conjugates."""
     for u in prev:
-        for w in gen_words:
+        for w in reduced_words(alphabet, max_word_len):
             x = commutator(w, u)
-            if not x.letters:
-                continue
-            for t in conjugators:
-                word = x if t is None else conjugate(t, x)
-                if word.letters in seen:
-                    continue
-                if len(words) >= max_candidates:
-                    return words, True
-                seen.add(word.letters)
-                words.append(word)
-    return words, False
+            if x.letters:
+                yield x
+                for t in reduced_words(alphabet, conj_len):
+                    yield conjugate(t, x)
 
 
 def gamma_candidates(

@@ -8,7 +8,8 @@ identity and renders as the reserved symbol ``e``.
 from __future__ import annotations
 
 import re
-from typing import Iterator, NamedTuple
+from itertools import islice
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import BudgetError, SchemaError
 
@@ -294,21 +295,14 @@ def parse_word(text: str, alphabet: GeneratorAlphabet) -> Word:
     return _Parser(text, alphabet).parse()
 
 
-def reduced_words(
-    alphabet: GeneratorAlphabet,
-    max_len: int,
-    *,
-    max_count: int | None = None,
-) -> Iterator[Word]:
+def reduced_words(alphabet: GeneratorAlphabet, max_len: int) -> Iterator[Word]:
     """Yield all nonempty freely reduced words up to ``max_len`` in canonical order.
 
     Canonical order is by length, then lexicographic over letters with the
-    letter order (gen 0, +1) < (gen 0, -1) < (gen 1, +1) < ...  Raises a
-    word-budget error when ``max_count`` is exceeded.  Only
+    letter order (gen 0, +1) < (gen 0, -1) < (gen 1, +1) < ...  Only
     ``len(alphabet)`` is read, so any sized collection of generators works.
     """
     letters = [(g, s) for g in range(len(alphabet)) for s in (1, -1)]
-    count = 0
     frontier: list[tuple[Letter, ...]] = [()]
     for _ in range(max_len):
         nxt: list[tuple[Letter, ...]] = []
@@ -317,12 +311,23 @@ def reduced_words(
                 if prefix and prefix[-1] == (gen, -sign):
                     continue
                 seq = prefix + ((gen, sign),)
-                count += 1
-                if max_count is not None and count > max_count:
-                    raise BudgetError(
-                        "word_budget",
-                        f"word enumeration exceeded budget of {max_count} words",
-                    )
                 yield Word(seq)
                 nxt.append(seq)
         frontier = nxt
+
+
+def distinct(words: Iterable[Word]) -> Iterator[Word]:
+    """Yield each non-identity word of ``words`` once, at its first occurrence."""
+    seen: set[tuple] = set()
+    for word in words:
+        if word.letters and word.letters not in seen:
+            seen.add(word.letters)
+            yield word
+
+
+def take(words: Iterable[Word], n: int) -> tuple[list[Word], bool]:
+    """The first ``n`` words of ``words``, and whether it holds more; at
+    most ``n + 1`` words are pulled."""
+    it = iter(words)
+    head = list(islice(it, n))
+    return head, next(it, None) is not None

@@ -2,8 +2,10 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cantoract as ca
+from cantoract.chain import Violation
 from cantoract.errors import BudgetError, InvalidChainError
 
 from conftest import word
@@ -171,6 +173,54 @@ def test_validate_detects_basepoint_and_fiber():
     kinds = {v.invariant for v in report.violations}
     assert "basepoint" in kinds
     assert "fiber-constancy" in kinds
+
+
+def _odometer3_with(level, field, index, value):
+    """``odometer(2)`` to depth 3 with one entry of a level's ``parent`` or
+    generator array overwritten."""
+    data = ca.chain_to_dict(ca.odometer(2), 3)
+    entry = data["levels"][level - 1]
+    arrays = entry if field == "parent" else entry["perms"]
+    arrays[field] = [*arrays[field]]
+    arrays[field][index] = value
+    return ca.chain_from_dict(data, validate=False)
+
+
+def test_validate_reports_first_offenders():
+    chain = _odometer3_with(2, "a", 3, 2)  # a = (1, 2, 3, 0) becomes (1, 2, 3, 2)
+    assert ca.validate_chain(chain, 3).violations == (
+        Violation("bijectivity", 2, "a", 3, "perm[3] = 2 breaks bijectivity"),
+        Violation("equivariance", 3, "a", 3, "parent(g.3) = 0 but g.parent(3) = 2"),
+    )
+    chain = _odometer3_with(3, "parent", 5, 4)  # level 2 has 4 points
+    assert ca.validate_chain(chain, 3).violations == (
+        Violation("parent-range", 3, None, 5, "parent[5] = 4 not a level-2 point"),
+        Violation("fiber-constancy", 3, None, 1, "level-2 point 1 has 1 preimages, expected 2"),
+    )
+
+
+_VALID_CHAINS = [(ca.odometer(2), 5), (ca.odometer(3), 3), (ca.dihedral(), 5),
+                 (ca.fragmented(), 5), (ca.heisenberg(2), 3), (ca.toral(2, 2), 3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_VALID_CHAINS), st.data())
+def test_validate_reports_the_first_repeated_image(family, data):
+    chain, depth = family
+    level = data.draw(st.integers(2, depth))
+    name = data.draw(st.sampled_from(chain.alphabet.names))
+    n = chain.size(level)
+    x = data.draw(st.integers(0, n - 1))
+    other = data.draw(st.integers(0, n - 2))
+    other += other >= x  # any point but x
+    raw = ca.chain_to_dict(chain, depth)
+    perm = list(raw["levels"][level - 1]["perms"][name])
+    perm[x] = perm[other]
+    raw["levels"][level - 1]["perms"][name] = perm
+    report = ca.validate_chain(ca.chain_from_dict(raw, validate=False), depth)
+    first = max(x, other)
+    assert report.violations[0] == Violation(
+        "bijectivity", level, name, first, f"perm[{first}] = {perm[first]} breaks bijectivity")
 
 
 def test_budget_errors(odo2):

@@ -303,6 +303,10 @@ NESTED_WORD = "(" * 3000 + "g" + ")" * 3000
      "argument --depth-limit: must be at least 0, got -1"),
     (["lcs-witness", "{fragmented}", "--max-candidates", "many"],
      "argument --max-candidates: invalid int value: 'many'"),
+    (["local-farber", "{fragmented}", "--base-level", "-1", "--depth", "3"],
+     "argument --base-level: must be at least 0, got -1"),
+    (["oracle", "stab-count", "{fragmented}", "--level", "-2", "--word", "g"],
+     "argument --level: must be at least 1, got -2"),
 ])
 def test_bad_input_is_a_one_line_error(chains, tmp_path, argv, message):
     argv = [arg.replace("{tmp}", str(tmp_path)).replace("{fragmented}", chains["fragmented"])
@@ -351,6 +355,23 @@ def test_words_file_past_the_byte_cap_is_a_budget_error(chains, tmp_path, source
     errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
     assert errors == [f"error: budget word_letters exceeded: words file {source} is longer "
                       f"than the limit of {MAX_WORD_LETTERS} bytes"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--class", "1", "--max-candidates", "4", "--max-word-len", "25"],
+    ["--class", "2", "--max-candidates", "4", "--max-word-len", "2", "--conj-len", "25"],
+])
+def test_lcs_builds_no_more_words_than_it_reports(chains, argv):
+    """Generator words and conjugators up to length 25 number ~10^12, so
+    only a class built lazily up to ``--max-candidates`` fits under a 1 GB
+    address cap."""
+    proc = run_cli(["lcs-witness", chains["fragmented"], *argv, "--depth", "5"],
+                   timeout=30, preexec_fn=_address_space_cap())
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    classes = json.loads(proc.stdout)["result"]["classes"]
+    assert [(c["examined"], c["truncated"]) for c in classes] == [(4, True)] * int(argv[1])
+    assert classes[0]["best_word"] in ("h", "h^-1", "g", "g^-1")
 
 
 def test_malformed_long_word_error_is_short(chains):

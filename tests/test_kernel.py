@@ -153,6 +153,20 @@ def test_ancestor_tables_and_fibers_match_parent_walk(family, data):
         assert brute[rep] == vertex
 
 
+@pytest.mark.parametrize("family", _FAMILIES, ids=lambda f: f[0].name)
+def test_fibers_match_parent_walk_at_every_vertex(family):
+    chain, max_depth = family
+    for level in range(min(max_depth, 4) + 1):
+        for base in range(level + 1):
+            brute = [_brute_ancestor(chain, level, y, base) for y in range(chain.size(level))]
+            for vertex in range(chain.size(base)):
+                assert chain.fiber(base, level, vertex) == tuple(
+                    y for y in range(chain.size(level)) if brute[y] == vertex)
+    for base, level, vertex in ((2, 1, 0), (-1, 1, 0), (1, 2, chain.size(1))):
+        with pytest.raises(ValueError):
+            chain.fiber(base, level, vertex)
+
+
 @pytest.mark.parametrize("bases", [[8, 7, 6, 5, 4, 3, 2, 1], [1, 2, 3, 4, 5, 6, 7, 8],
                                    [4, 7, 1, 8, 2, 6, 3, 5]])
 def test_ancestor_tables_cost_one_gather_per_level_in_any_order(monkeypatch, bases):

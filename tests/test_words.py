@@ -12,9 +12,11 @@ from cantoract.words import (
     Word,
     commutator,
     conjugate,
+    distinct,
     parse_word,
     reduced_words,
     render_word,
+    take,
 )
 
 AB = GeneratorAlphabet(("a", "b"))
@@ -86,9 +88,35 @@ def test_enumeration_order_and_counts():
     assert keys == sorted(keys)
 
 
-def test_enumeration_budget():
-    with pytest.raises(BudgetError):
-        list(reduced_words(AB, 5, max_count=10))
+def test_take_and_distinct():
+    a, b, e = w("a"), w("b"), Word.identity()
+    stream = [a, e, b, a, w("a*b"), b, e, w("a*b"), w("b^-1")]
+    unique = [a, b, w("a*b"), w("b^-1")]
+    # first occurrence order, identity dropped
+    assert list(distinct(stream)) == unique
+    assert list(distinct([e, e])) == []
+    assert take(distinct(stream), 0) == ([], True)
+    assert take(distinct(stream), 2) == ([a, b], True)
+    assert take(distinct(stream), 4) == (unique, False)
+    assert take(distinct(stream), 9) == (unique, False)
+    assert take([], 0) == ([], False)
+    assert take(distinct([e]), 3) == ([], False)
+
+
+def test_take_pulls_at_most_one_word_past_the_cut():
+    pulled = []
+
+    def counted(words):
+        for word in words:
+            pulled.append(word)
+            yield word
+
+    # 4 * 3^19 reduced words of length 20 alone: far too many to list
+    for n in (0, 1, 5, 48):
+        pulled.clear()
+        words, more = take(counted(reduced_words(AB, 20)), n)
+        assert more and words == list(reduced_words(AB, 3))[:n]
+        assert len(pulled) == n + 1
 
 
 def _power_by_products(word, k):
