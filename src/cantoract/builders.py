@@ -21,7 +21,7 @@ import threading
 from fractions import Fraction
 from typing import NamedTuple
 
-from .chain import ChainAction, LevelAction, validate_chain
+from .chain import ChainAction, LevelAction, compose, validate_chain
 from .errors import InvalidChainError, SchemaError, expect, json_type
 from .mealy import MealyBackend, MealyMachine, adding_machine
 from .words import GeneratorAlphabet
@@ -359,7 +359,7 @@ def mealy_chain(machine: MealyMachine, name: str = "mealy", **budgets) -> ChainA
         for q, row in moves.items():
             perm = [0] * n
             for c, (img, r) in enumerate(row):
-                perm[c::d] = [vertex[img + d * y] for y in images[r]]
+                perm[c::d] = compose(vertex[img::d], images[r])
             below[q] = tuple(perm)
         images = below
         perms = {gen: below[q] for gen, q in machine.generator_map.items()}

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 import threading
 from array import array
-from collections import deque
+from collections import Counter, deque
 from itertools import compress
 from operator import eq, itemgetter
 from typing import NamedTuple
@@ -550,88 +550,110 @@ def sample_uniform(chain: ChainAction, depth: int, seed: int) -> PointApprox:
             return PointApprox(depth, r)
 
 
+def _first_offender(invariant: str, lv: LevelAction, prev_size: int, name=None, below=None):
+    """``(point, detail)`` for the first point of ``lv`` that breaks
+    ``invariant`` (for generator ``name``, whose array one level down is
+    ``below``), or None.  A per-point scan, so :func:`validate_chain` calls
+    it only to name the offender on a level that failed a C-level check."""
+    n, parent, k = lv.size, lv.parent, lv.size // prev_size
+    if invariant == "bijectivity":
+        seen = set()
+        for x, v in enumerate(lv.perms[name]):
+            if not 0 <= v < n or v in seen:
+                return x, f"perm[{x}] = {v} breaks bijectivity"
+            seen.add(v)
+    elif invariant == "parent-range":
+        for x, p in enumerate(parent):
+            if not 0 <= p < prev_size:
+                return x, f"parent[{x}] = {p} not a level-{lv.level - 1} point"
+    elif invariant == "fiber-constancy":
+        counts = Counter(parent)
+        for v in range(prev_size):
+            if counts[v] != k:
+                return v, f"level-{lv.level - 1} point {v} has {counts[v]} preimages, expected {k}"
+    else:
+        perm = lv.perms[name]
+        for x in range(n):
+            if parent[perm[x]] != below[parent[x]]:
+                return x, f"parent(g.{x}) = {parent[perm[x]]} but g.parent({x}) = {below[parent[x]]}"
+    return None
+
+
 def validate_chain(chain: ChainAction, depth: int) -> ValidationReport:
     """Check every model invariant at levels 1..depth.
 
     Lists each violated invariant once with its first offending
-    (level, generator, point).  An empty list means the chain is a valid
-    tower to the requested depth.
+    (level, generator, point); an empty list means a valid tower to
+    ``depth``.  Each invariant is one C-level pass per level (``min``/``max``,
+    a ``set``, slices of the sorted parents, two gathers per generator), and
+    only a level that fails one reaches the per-point ``_first_offender``.
+    Transitivity counts the basepoint's orbit under the generators alone: in
+    a finite permutation group ``g^-1`` is a positive power of ``g``.
     """
     violations: list[Violation] = []
-    kinds_seen: set[str] = set()
 
     def add(invariant: str, level: int, generator: str | None, point: int | None, detail: str):
-        if invariant not in kinds_seen:
-            kinds_seen.add(invariant)
+        if invariant not in {v.invariant for v in violations}:
             violations.append(Violation(invariant, level, generator, point, detail))
 
+    def offend(invariant: str, lv: LevelAction, name=None, below=None) -> bool:
+        found = _first_offender(invariant, lv, prev_size, name, below)
+        if found:
+            add(invariant, lv.level, name, *found)
+        return True
+
     chain.level(depth)  # a budget error comes before any level is built
+    names = chain.alphabet.names
     prev: LevelAction | None = None
     prev_size = 1
     for level in range(1, depth + 1):
         lv = chain.level(level)
-        n = lv.size
+        n, parent = lv.size, lv.parent
         if n <= prev_size:
             add("size-increase", level, None, None,
                 f"size {n} does not exceed size {prev_size} at level {level - 1}")
         if n % prev_size != 0:
             add("fiber-constancy", level, None, None,
                 f"size {n} is not a multiple of {prev_size}")
-        expected = set(chain.alphabet.names)
-        if set(lv.perms) != expected:
+        if set(lv.perms) != set(names):
             add("generator-set", level, None, None,
-                f"permutations present for {sorted(lv.perms)}, expected {sorted(expected)}")
+                f"permutations present for {sorted(lv.perms)}, expected {sorted(names)}")
             break
         # equivariance and transitivity index through the perms and parents,
         # so they are skipped on a level whose arrays are already broken
         broken = False
-        for name in chain.alphabet.names:
+        for name in names:
             perm = lv.perms[name]
-            seen = [False] * n
-            for x, v in enumerate(perm):
-                if not 0 <= v < n or seen[v]:
-                    add("bijectivity", level, name, x, f"perm[{x}] = {v} breaks bijectivity")
-                    broken = True
+            if not (min(perm) >= 0 and max(perm) < n and len(set(perm)) == n):
+                broken = offend("bijectivity", lv, name)
+        if not (min(parent) >= 0 and max(parent) < prev_size):
+            broken = offend("parent-range", lv)
+        if parent[0] != 0:
+            add("basepoint", level, None, 0, f"parent of basepoint is {parent[0]}, expected 0")
+        # each vertex's run of k sorted parents starts and ends on it; the
+        # size test comes first, as a slice step of 0 raises
+        k = n // prev_size
+        ordered, vertices = sorted(parent), list(range(prev_size))
+        if not (k * prev_size == n and ordered[::k] == vertices == ordered[k - 1::k]):
+            offend("fiber-constancy", lv)
+        if not broken:
+            for name in names:  # level 0 is one point, which every generator fixes
+                below = prev.perms[name] if prev else (0,)
+                if compose(parent, lv.perms[name]) != compose(below, parent):
+                    offend("equivariance", lv, name, below)
                     break
-                seen[v] = True
-        for x, p in enumerate(lv.parent):
-            if not 0 <= p < prev_size:
-                add("parent-range", level, None, x, f"parent[{x}] = {p} not a level-{level - 1} point")
-                broken = True
-                break
-        if lv.parent[0] != 0:
-            add("basepoint", level, None, 0, f"parent of basepoint is {lv.parent[0]}, expected 0")
-        counts = [0] * prev_size
-        for p in lv.parent:
-            if 0 <= p < prev_size:
-                counts[p] += 1
-        fiber_size = n // prev_size if prev_size else 0
-        for v, c in enumerate(counts):
-            if c != fiber_size:
-                add("fiber-constancy", level, None, v,
-                    f"level-{level - 1} point {v} has {c} preimages, expected {fiber_size}")
-                break
-        if broken:
-            prev = lv
-            prev_size = n
-            continue
-        if prev is not None:
-            done = False
-            for name in chain.alphabet.names:
-                perm = lv.perms[name]
-                below = prev.perms[name]
-                for x in range(n):
-                    if lv.parent[perm[x]] != below[lv.parent[x]]:
-                        add("equivariance", level, name, x,
-                            f"parent(g.{x}) = {lv.parent[perm[x]]} but g.parent({x}) = {below[lv.parent[x]]}")
-                        done = True
-                        break
-                if done:
-                    break
-        total = len(_orbit(chain.letter_perms(level), n))
-        if total != n:
-            add("transitivity", level, None, None,
-                f"orbit of basepoint covers {total} of {n} points")
-        prev = lv
-        prev_size = n
+            gens = [p for (_, sign), p in chain.letter_perms(level).items() if sign > 0]
+            seen, stack = bytearray(n), [0]
+            seen[0] = 1
+            while stack:
+                x = stack.pop()
+                for perm in gens:
+                    y = perm[x]
+                    if not seen[y]:
+                        seen[y] = 1
+                        stack.append(y)
+            if seen.count(1) != n:
+                add("transitivity", level, None, None,
+                    f"orbit of basepoint covers {seen.count(1)} of {n} points")
+        prev, prev_size = lv, n
     return ValidationReport(depth, tuple(violations))

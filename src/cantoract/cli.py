@@ -32,7 +32,7 @@ from .farber import farber_check, local_farber_check, stabilizer_count_oracle
 from .holonomy import density_profile, fixed_set_report
 from .lcs import witness_search
 from .mealy import load_machine
-from .words import MAX_WORD_LETTERS, parse_word
+from .words import DEFAULT_WORD_BUDGET, MAX_WORD_LETTERS, parse_word
 
 THREADS_ENV = "CANTORACT_THREADS"
 
@@ -262,14 +262,18 @@ def _run_validate(args) -> int:
 def _read_words(path: str, alphabet) -> list:
     """The words of a ``--words`` file, one per non-blank line.  The file
     may hold at most :data:`~cantoract.words.MAX_WORD_LETTERS` bytes; a
-    longer one is a ``word_letters`` budget error, read no further."""
+    longer one is a ``word_letters`` budget error, read no further, and more
+    words than the word budget are counted before any is parsed."""
     with open(path, "rb") as fh:
         data = fh.read(MAX_WORD_LETTERS + 1)
     if len(data) > MAX_WORD_LETTERS:
         raise BudgetError("word_letters", f"words file {path} is longer than "
                                           f"the limit of {MAX_WORD_LETTERS} bytes")
-    lines = (line.decode("utf-8").strip() for line in data.splitlines())
-    return [parse_word(line, alphabet) for line in lines if line]
+    lines = [text for text in (line.decode("utf-8").strip() for line in data.splitlines()) if text]
+    if len(lines) > DEFAULT_WORD_BUDGET:
+        raise BudgetError("word_budget", f"words file {path} holds {len(lines)} words, "
+                                         f"more than the budget of {DEFAULT_WORD_BUDGET}")
+    return [parse_word(line, alphabet) for line in lines]
 
 
 def _run_farber(args) -> int:

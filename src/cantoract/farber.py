@@ -32,7 +32,7 @@ from typing import NamedTuple
 from .chain import (ChainAction, check_depth, class_keys, closure, count_fixed,
                     schreier_generators)
 from .errors import BudgetError
-from .words import Word, distinct, reduced_words
+from .words import Word, check_word_budget, distinct, reduced_words
 
 PASS = "pass-at-depth"
 FAIL = "fail-at-depth"
@@ -146,12 +146,14 @@ def farber_check(
     """Fixed-coset ratios per candidate word with a depth-stamped verdict.
 
     Candidates are either the given words or all reduced words up to
-    ``max_word_len`` (identity excluded).  A word that fixes every level
-    point at the report depth is indistinguishable from the identity there
-    and is excluded from the overall verdict.
+    ``max_word_len`` (identity excluded), refused past the word budget
+    before any is built.  A word that fixes every level point at the report
+    depth is indistinguishable from the identity there and is excluded from
+    the overall verdict.
     """
     _check(tolerance, depth)
     if words is None:
+        check_word_budget(len(chain.alphabet), max_word_len)
         candidates = list(reduced_words(chain.alphabet, max_word_len))
         cap = max_word_len
     else:
@@ -175,7 +177,8 @@ def local_candidates(
     ``max_word_len`` with each letter replaced by its generator, freely
     reduced in the ambient generators and deduplicated in enumeration
     order.  At base level 0 the Schreier alphabet is the generator set
-    itself, so the candidates coincide with the classic enumeration.
+    itself, so the candidates coincide with the classic enumeration.  The
+    word budget counts the words over the Schreier letters.
     """
     gens = schreier_generators(chain, base_level)
     if len(gens) > max_generators:
@@ -184,6 +187,7 @@ def local_candidates(
             f"{len(gens)} Schreier generators at level {base_level} exceed the "
             f"cap of {max_generators}",
         )
+    check_word_budget(len(gens), max_word_len)
     images = {1: [g.letters for g in gens], -1: [g.inverse().letters for g in gens]}
     return gens, list(distinct(Word.of(letter for j, s in seq.letters for letter in images[s][j])
                                for seq in reduced_words(gens, max_word_len)))

@@ -18,11 +18,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .chain import ChainAction, Cylinder, PointApprox, check_depth, compose, count_fixed
-from .errors import BudgetError
 from .mealy import is_trivial as mealy_is_trivial
-from .words import Word, reduced_words, take
-
-DEFAULT_WORD_BUDGET = 50_000
+from .words import Word, check_word_budget, reduced_words
 
 
 def interior_scan_limit(depth: int) -> int:
@@ -177,13 +174,10 @@ def _mealy_exact(chain: ChainAction, word: Word, cylinder: Cylinder) -> bool:
 
 
 def _scan_words(chain: ChainAction, max_word_len: int) -> list[Word]:
-    """The reduced words up to ``max_word_len`` the witness scans read; a
-    ``word_budget`` BudgetError past :data:`DEFAULT_WORD_BUDGET` of them."""
-    words, more = take(reduced_words(chain.alphabet, max_word_len), DEFAULT_WORD_BUDGET)
-    if more:
-        raise BudgetError("word_budget",
-                          f"word enumeration exceeded budget of {DEFAULT_WORD_BUDGET} words")
-    return words
+    """The reduced words up to ``max_word_len`` the witness scans read,
+    refused past the word budget before any is built."""
+    check_word_budget(len(chain.alphabet), max_word_len)
+    return list(reduced_words(chain.alphabet, max_word_len))
 
 
 def _fixing_words(chain: ChainAction, words: list[Word], depth: int):

@@ -29,6 +29,8 @@ MAX_WORD_LETTERS = 10**6
 # Longest input an error message quotes in full; longer text is cut.
 MAX_QUOTED = 60
 
+DEFAULT_WORD_BUDGET = 50_000  # most words one enumeration or candidate list may hold
+
 Letter = tuple[int, int]
 
 
@@ -314,6 +316,20 @@ def reduced_words(alphabet: GeneratorAlphabet, max_len: int) -> Iterator[Word]:
                 yield Word(seq)
                 nxt.append(seq)
         frontier = nxt
+
+
+def check_word_budget(letters: int, max_len: int) -> int:
+    """The number of reduced words of length 1..``max_len`` over ``letters``
+    generators, the sum of 2k(2k-1)^(i-1); past :data:`DEFAULT_WORD_BUDGET`
+    a ``word_budget`` BudgetError.  Summed term by term while within the
+    budget, so a huge ``max_len`` costs a few steps and builds no huge power."""
+    count, term = (2 * letters * max_len, 0) if letters < 2 else (0, 2 * letters)
+    while term and max_len and count <= DEFAULT_WORD_BUDGET:
+        count, term, max_len = count + term, term * (2 * letters - 1), max_len - 1
+    if count > DEFAULT_WORD_BUDGET:
+        raise BudgetError("word_budget",
+                          f"word enumeration exceeded budget of {DEFAULT_WORD_BUDGET} words")
+    return count
 
 
 def distinct(words: Iterable[Word]) -> Iterator[Word]:

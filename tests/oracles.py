@@ -3,12 +3,16 @@
 The point-wise action here reads a level's generator permutations directly
 and inverts a letter with ``perm.index``, so it shares no code with the
 kernel's letter tables (``ChainAction.letter_perms``) or word images.
+``validate_chain_pointwise`` checks a tower one point at a time, as
+``validate_chain`` did before its C-level passes, and must give the same
+report.
 """
 
 from fractions import Fraction
 from typing import NamedTuple
 
-from cantoract.chain import ChainAction, PointApprox
+from cantoract.chain import (ChainAction, LevelAction, PointApprox, ValidationReport,
+                             Violation, _orbit)
 from cantoract.words import Word
 
 
@@ -57,3 +61,88 @@ def act(chain: ChainAction, word: Word, level: int, x: int) -> int:
 def stabilizer_contains(chain: ChainAction, word: Word, level: int) -> bool:
     """Membership in the level-``level`` basepoint stabilizer subgroup."""
     return act(chain, word, level, 0) == 0
+
+
+def validate_chain_pointwise(chain: ChainAction, depth: int) -> ValidationReport:
+    """The model check of ``validate_chain``, one Python loop per point for
+    every invariant, with transitivity from a breadth-first orbit under the
+    generators and their inverses.  Lists each violated invariant once with
+    its first offending (level, generator, point)."""
+    violations: list[Violation] = []
+    kinds_seen: set[str] = set()
+
+    def add(invariant: str, level: int, generator: str | None, point: int | None, detail: str):
+        if invariant not in kinds_seen:
+            kinds_seen.add(invariant)
+            violations.append(Violation(invariant, level, generator, point, detail))
+
+    chain.level(depth)  # a budget error comes before any level is built
+    prev: LevelAction | None = None
+    prev_size = 1
+    for level in range(1, depth + 1):
+        lv = chain.level(level)
+        n = lv.size
+        if n <= prev_size:
+            add("size-increase", level, None, None,
+                f"size {n} does not exceed size {prev_size} at level {level - 1}")
+        if n % prev_size != 0:
+            add("fiber-constancy", level, None, None,
+                f"size {n} is not a multiple of {prev_size}")
+        expected = set(chain.alphabet.names)
+        if set(lv.perms) != expected:
+            add("generator-set", level, None, None,
+                f"permutations present for {sorted(lv.perms)}, expected {sorted(expected)}")
+            break
+        # equivariance and transitivity index through the perms and parents,
+        # so they are skipped on a level whose arrays are already broken
+        broken = False
+        for name in chain.alphabet.names:
+            perm = lv.perms[name]
+            seen = [False] * n
+            for x, v in enumerate(perm):
+                if not 0 <= v < n or seen[v]:
+                    add("bijectivity", level, name, x, f"perm[{x}] = {v} breaks bijectivity")
+                    broken = True
+                    break
+                seen[v] = True
+        for x, p in enumerate(lv.parent):
+            if not 0 <= p < prev_size:
+                add("parent-range", level, None, x, f"parent[{x}] = {p} not a level-{level - 1} point")
+                broken = True
+                break
+        if lv.parent[0] != 0:
+            add("basepoint", level, None, 0, f"parent of basepoint is {lv.parent[0]}, expected 0")
+        counts = [0] * prev_size
+        for p in lv.parent:
+            if 0 <= p < prev_size:
+                counts[p] += 1
+        fiber_size = n // prev_size if prev_size else 0
+        for v, c in enumerate(counts):
+            if c != fiber_size:
+                add("fiber-constancy", level, None, v,
+                    f"level-{level - 1} point {v} has {c} preimages, expected {fiber_size}")
+                break
+        if broken:
+            prev = lv
+            prev_size = n
+            continue
+        if prev is not None:
+            done = False
+            for name in chain.alphabet.names:
+                perm = lv.perms[name]
+                below = prev.perms[name]
+                for x in range(n):
+                    if lv.parent[perm[x]] != below[lv.parent[x]]:
+                        add("equivariance", level, name, x,
+                            f"parent(g.{x}) = {lv.parent[perm[x]]} but g.parent({x}) = {below[lv.parent[x]]}")
+                        done = True
+                        break
+                if done:
+                    break
+        total = len(_orbit(chain.letter_perms(level), n))
+        if total != n:
+            add("transitivity", level, None, None,
+                f"orbit of basepoint covers {total} of {n} points")
+        prev = lv
+        prev_size = n
+    return ValidationReport(depth, tuple(violations))

@@ -357,6 +357,38 @@ def test_words_file_past_the_byte_cap_is_a_budget_error(chains, tmp_path, source
                       f"than the limit of {MAX_WORD_LETTERS} bytes"]
 
 
+WORD_BUDGET = "error: budget word_budget exceeded: word enumeration exceeded budget of 50000 words"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["farber", "{fragmented}", "--max-word-len", "25", "--depth", "5"], WORD_BUDGET),
+    (["farber", "{fragmented}", "--max-word-len", str(10**9), "--depth", "5"], WORD_BUDGET),
+    (["local-farber", "{toral}", "--base-level", "3", "--max-word-len", "3", "--depth", "4"],
+     WORD_BUDGET),
+    (["local-farber", "{fragmented}", "--base-level", "6", "--depth", "8"], WORD_BUDGET),
+    (["farber", "{fragmented}", "--words", "{words}", "--depth", "4"],
+     "error: budget word_budget exceeded: words file {words} holds 499999 words, "
+     "more than the budget of 50000"),
+])
+def test_word_enumeration_past_the_budget_is_refused_at_once(chains, tmp_path, argv, message):
+    """Each run would enumerate 10^5 to 10^12 words; the closed-form count
+    refuses it before any word is built, so it ends fast under a 1 GB cap."""
+    toral, words = tmp_path / "toral.json", tmp_path / "words.txt"
+    ca.save_chain(ca.toral(2, 2), 4, toral)
+    words.write_text("h\n" * 499_999)
+    fill = {"{fragmented}": chains["fragmented"], "{toral}": str(toral), "{words}": str(words)}
+    for key, value in fill.items():
+        argv = [arg.replace(key, value) for arg in argv]
+        message = message.replace(key, value)
+    proc = run_cli(argv, timeout=30, preexec_fn=_address_space_cap())
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert errors == [message]
+    wall = [line for line in proc.stderr.splitlines() if line.startswith("wall-time:")]
+    assert float(wall[0].split()[1]) < 1000
+
+
 @pytest.mark.parametrize("argv", [
     ["--class", "1", "--max-candidates", "4", "--max-word-len", "25"],
     ["--class", "2", "--max-candidates", "4", "--max-word-len", "2", "--conj-len", "25"],

@@ -151,6 +151,15 @@ def test_local_candidates_budget(frag):
     assert err.value.budget == "schreier_generators"
 
 
+def test_local_candidates_keep_the_word_budget(toral22):
+    # 65 Schreier generators at level 3: ~2.2 million words up to length 3,
+    # refused before any is built
+    with pytest.raises(BudgetError) as err:
+        local_candidates(toral22, 3, 3)
+    assert err.value.budget == "word_budget"
+    assert str(err.value) == "word enumeration exceeded budget of 50000 words"
+
+
 def test_local_farber_fragmented_passes(frag):
     rep = ca.local_farber_check(frag, 1, max_word_len=4, depth=10, tolerance=Fraction(1, 64))
     assert rep.overall == PASS

@@ -2,14 +2,17 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cantoract.errors import BudgetError, SchemaError
 from cantoract.words import (
+    DEFAULT_WORD_BUDGET,
     MAX_NESTING,
     MAX_QUOTED,
     MAX_WORD_LETTERS,
     GeneratorAlphabet,
     Word,
+    check_word_budget,
     commutator,
     conjugate,
     distinct,
@@ -233,3 +236,29 @@ def test_exponents_do_not_copy_the_rest_of_the_word():
     _SliceCounter.copied = 0
     assert parse_word(text, AB) == Word.of([(0, 1)] * 2000 + [(1, -1)] * 2)
     assert _SliceCounter.copied <= len(text)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 3), st.integers(0, 5))
+def test_word_count_is_the_closed_form(letters, max_len):
+    # at most 4,686 words here, inside the budget
+    assert check_word_budget(letters, max_len) == len(list(reduced_words(range(letters), max_len)))
+
+
+@pytest.mark.parametrize("letters, max_len, count", [
+    (2, 8, 13120), (2, 9, 39364), (3, 6, 23436), (1, DEFAULT_WORD_BUDGET // 2, DEFAULT_WORD_BUDGET),
+])
+def test_word_budget_admits_counts_up_to_it(letters, max_len, count):
+    assert check_word_budget(letters, max_len) == count
+
+
+@pytest.mark.parametrize("letters, max_len", [
+    (2, 10), (3, 7), (1, DEFAULT_WORD_BUDGET // 2 + 1), (1, 10**9), (65, 10**9), (10**6, 1),
+])
+def test_word_budget_refuses_past_it_at_once(letters, max_len):
+    started = time.perf_counter()
+    with pytest.raises(BudgetError) as err:
+        check_word_budget(letters, max_len)
+    assert err.value.budget == "word_budget"
+    assert str(err.value) == f"word enumeration exceeded budget of {DEFAULT_WORD_BUDGET} words"
+    assert time.perf_counter() - started < 0.1
