@@ -15,7 +15,9 @@ import random
 import threading
 from array import array
 from collections import Counter, deque
+from functools import partial
 from itertools import compress
+from math import inf
 from operator import eq, itemgetter
 from typing import NamedTuple
 
@@ -26,6 +28,10 @@ DEFAULT_DEPTH_LIMIT = 24
 DEFAULT_MEMORY_BUDGET = 4_000_000  # total stored points across levels
 
 PRNG_ALGORITHM = "mt19937-rejection"
+
+# the share of its deepest level a word's tested points may reach in the
+# first pass of ``ChainAction.walk`` before the word is imaged instead
+DEFER_SHARE = 0.125
 
 
 def compose(p, q) -> tuple[int, ...]:
@@ -157,12 +163,17 @@ class ChainAction:
 
     The permutation kernel every analysis calls lives here: the letter
     table, each letter's image array at a level (:meth:`letter_perms`),
-    word images built from it over shared prefixes (:meth:`images`), the
-    fixed counts of one deep image at every coarser level, walked top-down
-    through the nested fixed sets, with the deepest fixed set
-    (:meth:`fixed_walk`), and the memoized tables the walk reads: ancestors
-    (:meth:`ancestors`), children (:meth:`children`) and one deep point
-    over each vertex (:meth:`representatives`).
+    word images built from it over shared prefixes (:meth:`images`), and
+    the top-down walk of a word's nested fixed sets, which gives its fixed
+    counts at every level and its deepest fixed set.  A point fixed at
+    level ``L`` lies over a vertex fixed at ``L - 1``, so a walk tests at
+    level ``L`` only the children (:meth:`children`) of the vertices fixed
+    one level up.  :meth:`walk` evaluates a list of words in two passes:
+    first on the tested points alone, letter by letter at each level, and
+    then, for the words whose tested points grow past ``DEFER_SHARE`` of
+    the deepest level, on their deep images, read as :meth:`fixed_walk`
+    reads one: each tested point through one deep point over it
+    (:meth:`representatives`) and its ancestors (:meth:`ancestors`).
     """
 
     def __init__(
@@ -280,38 +291,93 @@ class ChainAction:
             self._letter_perms[level] = perms  # published whole, for other threads
         return perms
 
+    def apply(self, word: Word, level: int, points) -> tuple[int, ...]:
+        """The images of level-``level`` ``points`` under ``word``: one
+        gather of the points per letter, the rightmost letter first."""
+        perms = self.letter_perms(level)
+        for letter in reversed(word.letters):
+            points = compose(perms[letter], points)
+        return tuple(points)
+
+    def walk(self, words, level: int, base_level: int = 0):
+        """Yield ``(i, counts, fixed)`` for each ``words[i]``: what
+        :meth:`fixed_walk` gives for its level-``level`` image.
+
+        Pass 1 walks each word on its tested points alone, through
+        :meth:`apply` at each level.  A word whose tested points, summed
+        over the levels, would pass ``size(level) * DEFER_SHARE`` is
+        deferred at the level it reached.  Pass 2 images the deferred words
+        over shared prefixes (:meth:`images`) and resumes each walk there,
+        on the image.  An image costs a gather of the whole level per
+        letter and pass 1 stops before 1/8 of that, so a word whose fixed
+        set soon empties, as most candidates' does, costs a small part of
+        an image, and one that fixes most points, such as a word trivial
+        in the group, wastes at most 1/8 of the image it needed anyway.
+
+        Pass 1 yields in input order as words finish; the deferred words
+        follow in image order, so callers store results by ``i``.
+        """
+        start = self._walk_start(level, base_level)
+        budget = int(self.size(level) * DEFER_SHARE)
+        deferred = []
+        for i, word in enumerate(words):
+            counts = []
+            fixed, resume = self._descend(partial(self.apply, word), level, start, counts, budget)
+            if resume is None:
+                yield i, counts, fixed
+            else:
+                deferred.append((i, resume, counts))
+        for j, image in self.images([words[i] for i, _, _ in deferred], level):
+            i, resume, counts = deferred[j]
+            deferred[j] = None
+            fixed, _ = self._descend(partial(self._read_image, image, level), level, resume,
+                                     counts, inf)
+            yield i, counts, fixed
+
     def fixed_walk(self, image, level: int, base_level: int = 0) -> tuple[list[int], tuple]:
         """``(counts, fixed)`` for ``image``, given at ``level``: ``counts``
         holds its fixed counts at levels ``max(base_level, 1)..level``, among
         the points over the basepoint at ``base_level`` only, and ``fixed``
-        the counted level-``level`` points it fixes, in no order.
+        the counted level-``level`` points it fixes, in no order."""
+        counts = []
+        fixed, _ = self._descend(partial(self._read_image, image, level), level,
+                                 self._walk_start(level, base_level), counts, inf)
+        return counts, fixed
 
-        Fixed sets are nested, since a point fixed at level ``L`` lies over a
-        vertex fixed at ``L - 1``, so the walk goes top-down and tests at
-        level ``L`` only the children of the vertices fixed one level up:
-        level-``L`` point ``x`` is fixed iff the ancestor at ``L`` of
-        ``image[rep_L[x]]`` is ``x``, where ``rep_L[x]`` is a level-``level``
-        point over ``x``.  Once the fixed set is empty every deeper count is 0.
-        """
+    def _walk_start(self, level: int, base_level: int) -> tuple[int, tuple]:
+        """The first level a walk tests and its points: the basepoint at
+        ``base_level``, or every level-1 point at base level 0."""
         if not 0 <= base_level <= level or level < 1:
             raise ValueError("fixed counts need 1 <= level and 0 <= base_level <= level")
-        if base_level:
-            lvl, points = base_level, (0,)
-        else:
-            lvl, points = 1, self._children_of(1, (0,))
-        counts = []
+        return (base_level, (0,)) if base_level else (1, self._children_of(1, (0,)))
+
+    def _read_image(self, image, level: int, lvl: int, points) -> tuple[int, ...]:
+        """The images of level-``lvl`` ``points`` read from a level-``level``
+        ``image``: the ancestor at ``lvl`` of the image of a point over each."""
+        if lvl == level:
+            return compose(image, points)
+        reps = compose(self.representatives(level, lvl), points)
+        return compose(self.ancestors(level, lvl), compose(image, reps))
+
+    def _descend(self, evaluate, level: int, start, counts: list, budget):
+        """Walk one word down from ``start = (lvl, points)``, appending each
+        level's fixed count to ``counts``; ``evaluate(lvl, points)`` gives
+        the word's images of the points.  Returns ``(fixed, None)`` with the
+        level-``level`` fixed set, padding ``counts`` with zeros once it
+        empties, or ``(None, (lvl, points))`` when testing ``points`` would
+        take the tested total past ``budget``.
+        """
+        lvl, points = start
         while True:
-            if lvl == level:
-                got = compose(image, points)
-            else:
-                reps = compose(self.representatives(level, lvl), points)
-                got = compose(self.ancestors(level, lvl), compose(image, reps))
+            budget -= len(points)
+            if budget < 0:
+                return None, (lvl, points)
+            got = evaluate(lvl, points)
             fixed = tuple(compress(points, map(eq, got, points)))
             counts.append(len(fixed))
-            if lvl == level:
-                return counts, fixed
-            if not fixed:
-                return counts + [0] * (level - lvl), fixed
+            if lvl == level or not fixed:
+                counts.extend([0] * (level - lvl))
+                return fixed, None
             lvl += 1
             points = self._children_of(lvl, fixed)
 
@@ -430,12 +496,14 @@ class ChainAction:
 
 
 def _least_rotation(seq: list) -> tuple:
-    """The lexicographically least rotation of ``seq``, in linear time
-    (two candidate starts, each comparison run moving one past it)."""
+    """The lexicographically least rotation of ``seq``, in linear time: two
+    candidate starts in the doubled sequence, each comparison run moving
+    one past it."""
     n = len(seq)
+    doubled = seq + seq
     i, j, k = 0, 1, 0
     while i < n and j < n and k < n:
-        a, b = seq[(i + k) % n], seq[(j + k) % n]
+        a, b = doubled[i + k], doubled[j + k]
         if a == b:
             k += 1
             continue
@@ -447,7 +515,7 @@ def _least_rotation(seq: list) -> tuple:
             j += 1
         k = 0
     start = min(i, j)
-    return tuple(seq[start:] + seq[:start])
+    return tuple(doubled[start:start + n])
 
 
 def class_keys(chain: ChainAction, base_level: int, words: list[Word]) -> list[tuple]:
@@ -462,23 +530,32 @@ def class_keys(chain: ChainAction, base_level: int, words: list[Word]) -> list[t
     ``Z c Z^-1`` and counts over ``Z(q)``; ``c^-1`` counts over ``q``.  The
     key is the least rotation of the pairs ``(c[i], c[i:](q))``, or of the
     same pairs for ``c^-1``: words with one key are conjugate, up to
-    inversion, by an element of ``G_b``.  Time and memory are linear in the
-    word's length.
+    inversion, by an element of ``G_b``.  Each pair is coded as one int,
+    ``code(letter) * size(b) + state``, and words sharing ``(c, q)`` are
+    keyed once.  Time and memory are linear in the word's length.
     """
     perms = chain.letter_perms(base_level)
+    size = chain.size(base_level)
+    code = {letter: c * size for c, letter in enumerate(perms)}
+    memo = {}
     keys = []
     for word in words:
         m, core = cyclic_core(word.letters)
-        x = 0
+        q = 0
         for g, s in word.letters[:m]:
-            x = perms[g, -s][x]
-        states = [0] * len(core)
-        for i in range(len(core) - 1, -1, -1):
-            x = states[i] = perms[core[i]][x]
-        n = len(core)
-        forward = list(zip(core, states))
-        backward = [((g, -s), states[(n - j) % n]) for j, (g, s) in enumerate(reversed(core))]
-        keys.append(min(_least_rotation(forward), _least_rotation(backward)))
+            q = perms[g, -s][q]
+        key = memo.get((core, q))
+        if key is None:
+            states = [0] * len(core)
+            x = q
+            for i in range(len(core) - 1, -1, -1):
+                x = states[i] = perms[core[i]][x]
+            forward = list(map(int.__add__, map(code.__getitem__, core), states))
+            # c^-1[j] is core[-1 - j] inverted, and c^-1[j:](q) is c[n - j:](q)
+            backward = [code[g, -s] + x
+                        for (g, s), x in zip(reversed(core), states[:1] + states[:0:-1])]
+            key = memo[core, q] = min(_least_rotation(forward), _least_rotation(backward))
+        keys.append(key)
     return keys
 
 

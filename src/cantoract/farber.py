@@ -18,8 +18,8 @@ scoring counts the fiber over the basepoint at the base level, so only
 conjugators in that level's basepoint stabilizer ``G_b`` are.  Each
 candidate is keyed by its class under such conjugation and inversion
 (:func:`cantoract.chain.class_keys`, the key the LCS witness search shares),
-the first candidate of each key is imaged and walked, and every candidate
-gets its key's trajectory.  A key never joins two words that are not
+the first candidate of each key is walked, and every candidate gets its
+key's trajectory.  A key never joins two words that are not
 conjugate in this way, so results are exact however many conjugates it
 misses.
 """
@@ -75,7 +75,7 @@ def core_membership(chain: ChainAction, word: Word, base_level: int, level: int)
         raise ValueError("core membership needs base_level <= level")
     if not level:
         return True
-    fixed = chain.fixed_walk(chain.word_permutation(word, level), level, base_level)[0][-1]
+    fixed = next(chain.walk([word], level, base_level))[1][-1]
     return fixed * chain.size(base_level) == chain.size(level)
 
 
@@ -101,8 +101,9 @@ def _score(
     ``depth`` is indistinguishable from the identity there: on the whole
     level it acts trivially, and on the base fiber, which holds the
     basepoint, it also stabilizes the basepoint, so it lies in the core.
-    Only one word per
-    :func:`~cantoract.chain.class_keys` key is imaged and walked.
+    Only the first word of each :func:`~cantoract.chain.class_keys` key
+    is walked (:meth:`~cantoract.chain.ChainAction.walk`), and only its
+    fixed counts are kept.
     """
     levels = range(max(base_level, 1), depth + 1)
     # fiber constancy (checked by ``children``) makes each fiber over the
@@ -114,8 +115,7 @@ def _score(
         reps.setdefault(key, word)
     order = list(reps)
     scored = {}
-    for i, image in chain.images(list(reps.values()), depth):
-        counts = chain.fixed_walk(image, depth, base_level)[0]
+    for i, counts, _ in chain.walk(list(reps.values()), depth, base_level):
         traj = tuple((level, Fraction(count, size))
                      for level, count, size in zip(levels, counts, sizes))
         if traj[-1][1] == 1:

@@ -127,7 +127,7 @@ def fixed_set_report(chain: ChainAction, word: Word, depth: int) -> FixedSetRepo
     _require_nonidentity(word)
     check_depth(depth)
     sizes = [chain.size(level) for level in range(1, depth + 1)]
-    counts, fixed = chain.fixed_walk(chain.word_permutation(word, depth), depth)
+    _, counts, fixed = next(chain.walk([word], depth))
     cap = interior_scan_limit(depth)
     cylinders = _maximal_fixed_cylinders(chain, fixed, depth, cap)
     interior = sum((Fraction(1, chain.size(c.level)) for c in cylinders), Fraction(0))
@@ -155,7 +155,7 @@ def density_profile(chain: ChainAction, word: Word, center: PointApprox) -> Dens
         raise ValueError(f"point {center.index} out of range at level {depth}")
     # level 0 is one point; a nonempty fixed set passed the fiber-constancy
     # check of ``children`` at every level, so each fiber has the sizes' ratio
-    fixed = chain.fixed_walk(chain.word_permutation(word, depth), depth)[1] if depth else (0,)
+    fixed = next(chain.walk([word], depth))[2] if depth else (0,)
     entries = []
     for level in range(0, depth + 1):
         anc = chain.ancestors(depth, level)
@@ -183,7 +183,8 @@ def _scan_words(chain: ChainAction, max_word_len: int) -> list[Word]:
 def _fixing_words(chain: ChainAction, words: list[Word], depth: int):
     """Yield ``(i, perm, cylinders)`` for each ``words[i]`` that moves a
     depth-``depth`` point and fixes some cylinder fiber; ``perm`` is its
-    image, dropped once the caller is done with it."""
+    image, dropped once the caller is done with it.  The words are imaged
+    before they are walked, since witnesses are re-checked on the image."""
     cap = interior_scan_limit(depth)
     for i, perm in chain.images(words, depth):
         cylinders = _maximal_fixed_cylinders(chain, chain.fixed_walk(perm, depth)[1], depth, cap)

@@ -5,7 +5,9 @@ and inverts a letter with ``perm.index``, so it shares no code with the
 kernel's letter tables (``ChainAction.letter_perms``) or word images.
 ``validate_chain_pointwise`` checks a tower one point at a time, as
 ``validate_chain`` did before its C-level passes, and must give the same
-report.
+report.  ``class_keys`` is the conjugacy key as it was before pairs were
+coded as ints: least rotations of ``(letter, state)`` tuples, computed for
+every word; the kernel's keys must group words the same way.
 """
 
 from fractions import Fraction
@@ -13,7 +15,7 @@ from typing import NamedTuple
 
 from cantoract.chain import (ChainAction, LevelAction, PointApprox, ValidationReport,
                              Violation, _orbit)
-from cantoract.words import Word
+from cantoract.words import Word, cyclic_core
 
 
 class Distance(NamedTuple):
@@ -146,3 +148,56 @@ def validate_chain_pointwise(chain: ChainAction, depth: int) -> ValidationReport
         prev = lv
         prev_size = n
     return ValidationReport(depth, tuple(violations))
+
+
+def _least_rotation(seq: list) -> tuple:
+    """The lexicographically least rotation of ``seq``, in linear time
+    (two candidate starts, each comparison run moving one past it)."""
+    n = len(seq)
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = seq[(i + k) % n], seq[(j + k) % n]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    start = min(i, j)
+    return tuple(seq[start:] + seq[:start])
+
+
+def class_keys(chain: ChainAction, base_level: int, words: list[Word]) -> list[tuple]:
+    """Per word, a key shared only by words with the same fixed ratios,
+    the one conjugacy key of the Farber checks and the LCS witness search.
+
+    Words must be nonempty, reduced and in the basepoint stabilizer ``G_b``
+    at ``base_level`` (every word is, at base level 0).  A word is
+    ``u c u^-1`` with ``c`` cyclically reduced, so it fixes as many points
+    over the basepoint as ``c`` fixes over the level-``b`` vertex
+    ``q = u^-1(basepoint)``.  The rotation ``Z X`` of ``c = X Z`` is
+    ``Z c Z^-1`` and counts over ``Z(q)``; ``c^-1`` counts over ``q``.  The
+    key is the least rotation of the pairs ``(c[i], c[i:](q))``, or of the
+    same pairs for ``c^-1``: words with one key are conjugate, up to
+    inversion, by an element of ``G_b``.  Time and memory are linear in the
+    word's length.
+    """
+    perms = chain.letter_perms(base_level)
+    keys = []
+    for word in words:
+        m, core = cyclic_core(word.letters)
+        x = 0
+        for g, s in word.letters[:m]:
+            x = perms[g, -s][x]
+        states = [0] * len(core)
+        for i in range(len(core) - 1, -1, -1):
+            x = states[i] = perms[core[i]][x]
+        n = len(core)
+        forward = list(zip(core, states))
+        backward = [((g, -s), states[(n - j) % n]) for j, (g, s) in enumerate(reversed(core))]
+        keys.append(min(_least_rotation(forward), _least_rotation(backward)))
+    return keys

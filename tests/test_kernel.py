@@ -1,22 +1,31 @@
 """The permutation kernel against independent derivations.
 
 Word images built over shared prefixes, the top-down fixed counts of one
-deep image, the memoized ancestor, children and representative tables, and
-the core and density answers read from them are each compared with a
-brute-force oracle: point-by-point action for images and fixed counts, a
-parent walk for tables and fibers.
+deep image and of a list of words (walked on their tested points, some of
+them imaged), the conjugacy class keys, the memoized ancestor, children
+and representative tables, and the core and density answers read from them
+are each compared with a brute-force oracle: point-by-point action for
+images and fixed counts, the tuple-keyed reference for class keys, a parent
+walk for tables and fibers.
 """
 
+import time
 from fractions import Fraction
+from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import cantoract as ca
 import cantoract.chain as chain_module
-from cantoract.chain import compose, count_fixed, invert
+from cantoract.chain import _least_rotation, class_keys, compose, count_fixed, invert
+from cantoract.farber import local_candidates
+from cantoract.lcs import gamma_candidates
+from cantoract.words import conjugate
 
-from oracles import act, stabilizer_contains
+from conftest import ORACLE_CHAINS
+from oracles import act, class_keys as pair_class_keys, stabilizer_contains
 
 # every builder family at depths small enough for brute force
 _FAMILIES = [
@@ -80,28 +89,76 @@ def _brute_fiber(chain, base_level, level):
                  if _brute_ancestor(chain, level, y, base_level) == 0)
 
 
+# the kernel's two fixed walks: ``fixed_walk`` over ``images``, and ``walk``
+# with its deferral share patched so that every word is imaged (0), at its
+# default, and so that no word is (3: a walk tests fewer than twice the
+# deepest level's points)
+ENTRIES = {"fixed_walk": None, "walk-imaging-all": 0, "walk": chain_module.DEFER_SHARE,
+           "walk-imaging-none": 3}
+
+
+def _walked(chain, words, level, base, entry):
+    """``(counts, fixed)`` per word through one entry point, in input order;
+    each word is reported exactly once, and imaged as ``entry`` says."""
+    if entry == "fixed_walk":
+        out = {i: chain.fixed_walk(image, level, base) for i, image in chain.images(words, level)}
+    else:
+        out, imaged, images = {}, [], chain.images
+
+        def counting(ws, lvl):
+            imaged.extend(ws)
+            return images(ws, lvl)
+
+        with mock.patch.object(chain_module, "DEFER_SHARE", ENTRIES[entry]), \
+                mock.patch.object(chain, "images", counting):
+            for i, counts, fixed in chain.walk(words, level, base):
+                assert i not in out
+                out[i] = counts, fixed
+        if entry != "walk":
+            assert len(imaged) == (len(words) if entry == "walk-imaging-all" else 0)
+    assert sorted(out) == list(range(len(words)))
+    return [out[i] for i in range(len(words))]
+
+
 @common
 @given(chain_words_level())
 def test_fixed_counts_match_brute_force(cwl):
     chain, words, depth = cwl
-    for i, image in chain.images(words, depth):
-        brute = {level: _brute_image(chain, words[i], level) for level in range(1, depth + 1)}
-        for base in range(depth):
-            counts = chain.fixed_walk(image, depth, base)[0]
-            levels = range(max(base, 1), depth + 1)
+    brute = [{level: _brute_image(chain, w, level) for level in range(1, depth + 1)}
+             for w in words]
+    for base, entry in product(range(depth + 1), ENTRIES):
+        levels = range(max(base, 1), depth + 1)
+        for i, (counts, fixed) in enumerate(_walked(chain, words, depth, base, entry)):
             assert len(counts) == len(levels)
             for level, count in zip(levels, counts):
-                assert count == count_fixed(brute[level], _brute_fiber(chain, base, level))
-        for level, count in enumerate(chain.fixed_walk(image, depth)[0], 1):
-            assert count == chain.fixed_count(words[i], level)
+                assert count == count_fixed(brute[i][level], _brute_fiber(chain, base, level))
+            assert sorted(fixed) == [x for x in _brute_fiber(chain, base, depth)
+                                     if brute[i][depth][x] == x]
+            if not base:
+                assert counts == [chain.fixed_count(words[i], level) for level in levels]
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("family", ORACLE_CHAINS, ids=lambda f: f[0].name)
+def test_walk_matches_pointwise_action_on_every_family(family, entry):
+    """Counts and sorted fixed sets at every base level, for the identity
+    and every reduced word up to length 2, against ``oracles.act``."""
+    chain, depth = family
+    words = [ca.Word.identity(), *ca.reduced_words(chain.alphabet, 2)]
+    for base in range(depth + 1):
+        fibers = {level: _brute_fiber(chain, base, level) for level in range(depth + 1)}
+        for w, (counts, fixed) in zip(words, _walked(chain, words, depth, base, entry)):
+            fixes = [[x for x in fibers[level] if act(chain, w, level, x) == x]
+                     for level in range(max(base, 1), depth + 1)]
+            assert counts == [len(f) for f in fixes], (w, base)
+            assert sorted(fixed) == fixes[-1], (w, base)
 
 
 @pytest.mark.parametrize("family", _FAMILIES, ids=lambda f: f[0].name)
 def test_fixed_counts_of_the_identity_are_whole_fibers(family):
     chain, depth = family
-    image = tuple(range(chain.size(depth)))
-    for base in range(depth):
-        assert chain.fixed_walk(image, depth, base)[0] == [
+    for base, entry in product(range(depth), ENTRIES):
+        assert _walked(chain, [ca.Word.identity()], depth, base, entry)[0][0] == [
             len(_brute_fiber(chain, base, level)) for level in range(max(base, 1), depth + 1)]
 
 
@@ -117,6 +174,12 @@ def test_fixed_counts_stop_once_the_fixed_set_empties(monkeypatch):
     # column at a time, then three gathers over them; at base level 1 three
     # over the basepoint; nothing deeper either time
     assert [len(q) for q in gathers] == [1, 1, 2, 2, 2, 1, 1, 1]
+    # the walk gathers the root's children once per call, then applies each
+    # word's one letter to them alone, and images neither word
+    del gathers[:]
+    assert [counts for _, counts, _ in odo.walk([ca.Word.generator(0)] * 2, 8)] == [[0] * 8] * 2
+    assert next(odo.walk([ca.Word.generator(0)], 8, 1))[1] == [0] * 8
+    assert [len(q) for q in gathers] == [1, 1, 2, 2, 1]
 
 
 def test_fixed_counts_refuse_a_level_without_constant_fibers():
@@ -126,9 +189,89 @@ def test_fixed_counts_refuse_a_level_without_constant_fibers():
         {"size": 2, "parent": None, "perms": {"a": [1, 0]}},
         {"size": 4, "parent": [0, 0, 0, 1], "perms": {"a": [3, 0, 1, 2]}},
     ]}
-    chain = ca.chain_from_dict(data, validate=False)
-    with pytest.raises(ca.InvalidChainError, match="level-1 point 0 has 3 preimages, expected 2"):
-        chain.fixed_walk((0, 1, 2, 3), 2)
+    for entry in ENTRIES:
+        chain = ca.chain_from_dict(data, validate=False)
+        with pytest.raises(ca.InvalidChainError,
+                           match="level-1 point 0 has 3 preimages, expected 2"):
+            _walked(chain, [ca.Word.identity()], 2, 0, entry)
+
+
+def test_walk_refuses_levels_out_of_order(odo2):
+    for level, base in ((0, 0), (2, 3), (2, -1)):
+        with pytest.raises(ValueError):
+            next(odo2.walk([ca.Word.identity()], level, base))
+
+
+def test_group_trivial_words_are_imaged_after_an_eighth_of_a_level(monkeypatch):
+    """heisenberg(2) is nilpotent of class 2, so its class-3 candidates are
+    trivial in the group and fix every point.  The walk tests at most
+    ``size // 8`` points of each before it defers the word to be imaged."""
+    hei, depth = ca.heisenberg(2), 6
+    words = list(gamma_candidates(hei.alphabet, 3, 1, 1, max_candidates=32).words)
+    assert len(words) == 32
+    tested, imaged = {}, []
+    apply, images = chain_module.ChainAction.apply, hei.images
+
+    def counting(self, word, level, points):
+        tested[word] = tested.get(word, 0) + len(points)
+        return apply(self, word, level, points)
+
+    monkeypatch.setattr(chain_module.ChainAction, "apply", counting)
+    monkeypatch.setattr(hei, "images", lambda ws, level: imaged.extend(ws) or images(ws, level))
+    walked = {i: counts for i, counts, _ in hei.walk(words, depth)}
+    assert imaged == words
+    assert all(0 < tested[w] <= hei.size(depth) // 8 for w in words)
+    assert walked == dict.fromkeys(range(32), [hei.size(level) for level in range(1, depth + 1)])
+
+
+def _partition(keys):
+    """Per word, the first index with its key."""
+    first = {}
+    return [first.setdefault(key, i) for i, key in enumerate(keys)]
+
+
+@common
+@given(st.sampled_from(ORACLE_CHAINS), st.integers(0, 2), st.data())
+def test_class_keys_group_words_as_the_pair_keys_do(family, base, data):
+    chain, _ = family
+    drawn = data.draw(st.lists(_letters(chain, 6), max_size=6))
+    words = [w for w in map(ca.Word.of, drawn) if w.letters]
+    if base:  # words in the base stabilizer, for which the keys are documented
+        schreier = local_candidates(chain, base, 1)[1]
+        words += data.draw(st.lists(st.sampled_from(schreier), max_size=4))
+    # conjugates and inverses, so that keys collide
+    conjugators = [ca.Word.of(t) for t in data.draw(st.lists(_letters(chain, 3), max_size=3))]
+    words += [conjugate(t, w) for w in words[:4] for t in conjugators]
+    words += [w.inverse() for w in words[:4]]
+    words = data.draw(st.permutations(words))
+    assert _partition(class_keys(chain, base, words)) == _partition(
+        pair_class_keys(chain, base, words))
+
+
+@common
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=12))
+def test_least_rotation_is_the_least_of_all_rotations(seq):
+    assert _least_rotation(seq) == min(tuple(seq[i:] + seq[:i]) for i in range(len(seq)))
+
+
+def test_class_keys_key_each_core_and_vertex_once(dih, monkeypatch):
+    """``a^m (a r) a^-m`` share a core and, at base level 0, a vertex."""
+    words = [ca.Word.of([(0, 1)] * m + [(0, 1), (1, 1)] + [(0, -1)] * m) for m in range(4)]
+    rotations = []
+    monkeypatch.setattr(chain_module, "_least_rotation",
+                        lambda seq: rotations.append(1) or _least_rotation(seq))
+    assert len(set(class_keys(dih, 0, words))) == 1
+    assert len(rotations) == 2  # the core and its inverse
+
+
+def test_class_keys_are_linear_in_a_long_periodic_core(dih):
+    """``(a*r)^100000``: every rotation by an even step is the same, the
+    case where a least rotation found by comparing slices is quadratic."""
+    w = ca.Word.of([(0, 1), (1, 1)] * 100_000)
+    start = time.perf_counter()
+    key, = class_keys(dih, 0, [w])
+    assert time.perf_counter() - start < 1
+    assert len(key) == 200_000
 
 
 @common

@@ -221,7 +221,7 @@ def test_search_makes_at_most_three_full_level_gathers_per_candidate(monkeypatch
     gathers = []
     walks = []
     compose = chain_module.compose
-    fixed_walk = chain_module.ChainAction.fixed_walk
+    walk = chain_module.ChainAction.walk
 
     def counting(p, q):
         if len(q) == n:
@@ -230,11 +230,11 @@ def test_search_makes_at_most_three_full_level_gathers_per_candidate(monkeypatch
 
     def counting_walk(self, *args, **kwargs):
         walks.append(1)
-        return fixed_walk(self, *args, **kwargs)
+        return walk(self, *args, **kwargs)
 
     for module in (chain_module, holonomy_module):
         monkeypatch.setattr(module, "compose", counting)
-    monkeypatch.setattr(chain_module.ChainAction, "fixed_walk", counting_walk)
+    monkeypatch.setattr(chain_module.ChainAction, "walk", counting_walk)
     report = witness_search(chain, 3, max_word_len=1, conj_len=1, depth=13, max_candidates=128)
     examined = sum(c.examined for c in report.classes)
     assert examined == 8 + 128 + 128
