@@ -17,7 +17,6 @@ Chain files hold static levels: :func:`load_chain` reads one and
 from __future__ import annotations
 
 import json
-import threading
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -211,7 +210,6 @@ class FatCantorPlan:
             )
         self._punctures: list[Puncture] = []
         self._enumerated_to_level = 0
-        self._lock = threading.Lock()
 
     def puncture_level(self, cylinder_level: int) -> int:
         return self.overrides.get(cylinder_level, 2 * cylinder_level + 3)
@@ -234,10 +232,6 @@ class FatCantorPlan:
         return best
 
     def _extend(self, cylinder_level: int):
-        with self._lock:
-            self._extend_locked(cylinder_level)
-
-    def _extend_locked(self, cylinder_level: int):
         while self._enumerated_to_level < cylinder_level:
             lvl = self._enumerated_to_level + 1
             target = self.puncture_level(lvl)

@@ -5,17 +5,15 @@ A chain is a sequence of finite level actions.  Level ``L`` acts on
 ``L - 1`` equivariantly; level 0 is the implicit one-point space.  Point 0
 at every level is the basepoint, and the point-0 stabilizers form the
 descending subgroup chain the tower encodes.  Levels are immutable once
-materialized and safe to share across threads; materialization is memoized
-and serialized per chain.
+materialized, and materialization is memoized per chain.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 from array import array
 from collections import Counter, deque
-from functools import partial
+from functools import cache, partial
 from itertools import compress
 from math import inf
 from operator import eq, itemgetter
@@ -152,12 +150,12 @@ class ChainAction:
     """A lazily materialized tower of level actions.
 
     ``provider(level)`` returns the :class:`LevelAction` for ``level``
-    (1-based).  It is called under the chain's lock, once per level and in
-    increasing level order, so it may carry state from the level below; it
-    is not required to be pure, but a repeated call for a level (after an
-    error) must return an equal level.  ``level_size(level)`` is the
-    closed-form size of a level: the memory budget is checked against the
-    sizes of every level a request needs before the provider builds any.  ``depth_limit`` and
+    (1-based).  It is called once per level and in increasing level order,
+    so it may carry state from the level below; it is not required to be
+    pure, but a repeated call for a level (after an error) must return an
+    equal level.  ``level_size(level)`` is the closed-form size of a level:
+    the memory budget is checked against the sizes of every level a request
+    needs before the provider builds any.  ``depth_limit`` and
     ``memory_budget`` are hard budgets: exceeding them raises a budget
     error, never truncates.
 
@@ -171,9 +169,12 @@ class ChainAction:
     one level up.  :meth:`walk` evaluates a list of words in two passes:
     first on the tested points alone, letter by letter at each level, and
     then, for the words whose tested points grow past ``DEFER_SHARE`` of
-    the deepest level, on their deep images, read as :meth:`fixed_walk`
-    reads one: each tested point through one deep point over it
-    (:meth:`representatives`) and its ancestors (:meth:`ancestors`).
+    the deepest level, on their deep images, settled as :meth:`fixed_walk`
+    settles one.  A word that fixes the deep point over each tested point
+    (:meth:`representatives`) is checked in one pass over its deep image:
+    if it fixes every deep point under the tested points, its counts are
+    read from the level sizes.  Any other is walked on, each tested point
+    read through its representative and its ancestors (:meth:`ancestors`).
     """
 
     def __init__(
@@ -198,7 +199,6 @@ class ChainAction:
         self._level_size = level_size
         self._levels: list[LevelAction] = []
         self._stored_points = 0
-        self._lock = threading.Lock()
         self._ancestor_tables: dict[tuple[int, int], object] = {}
         self._children: dict[int, tuple] = {}
         self._representatives: dict[tuple[int, int], object] = {}
@@ -214,27 +214,26 @@ class ChainAction:
             )
         if level <= len(self._levels):
             return self._levels[level - 1]
-        with self._lock:
-            # refuse before building anything, not after the levels below
-            sizes = {nxt: self._level_size(nxt) for nxt in range(len(self._levels) + 1, level + 1)}
-            total = self._stored_points
-            for nxt, size in sizes.items():
-                total += size
-                if total > self.memory_budget:
-                    raise BudgetError(
-                        "memory_budget",
-                        f"materializing level {nxt} ({size} points) exceeds "
-                        f"memory_budget={self.memory_budget} for chain {self.name!r}",
-                    )
-            for nxt, size in sizes.items():
-                built = self._provider(nxt)
-                if built.level != nxt or built.size != size:
-                    raise InvalidChainError(
-                        f"provider returned level {built.level} of size {built.size}, "
-                        f"expected level {nxt} of size {size}"
-                    )
-                self._levels.append(built)
-                self._stored_points += size
+        # refuse before building anything, not after the levels below
+        sizes = {nxt: self._level_size(nxt) for nxt in range(len(self._levels) + 1, level + 1)}
+        total = self._stored_points
+        for nxt, size in sizes.items():
+            total += size
+            if total > self.memory_budget:
+                raise BudgetError(
+                    "memory_budget",
+                    f"materializing level {nxt} ({size} points) exceeds "
+                    f"memory_budget={self.memory_budget} for chain {self.name!r}",
+                )
+        for nxt, size in sizes.items():
+            built = self._provider(nxt)
+            if built.level != nxt or built.size != size:
+                raise InvalidChainError(
+                    f"provider returned level {built.level} of size {built.size}, "
+                    f"expected level {nxt} of size {size}"
+                )
+            self._levels.append(built)
+            self._stored_points += size
         return self._levels[level - 1]
 
     def size(self, level: int) -> int:
@@ -288,7 +287,7 @@ class ChainAction:
             for gen, name in enumerate(names):
                 perms[gen, 1] = level_perms[name]
                 perms[gen, -1] = invert(level_perms[name])
-            self._letter_perms[level] = perms  # published whole, for other threads
+            self._letter_perms[level] = perms
         return perms
 
     def apply(self, word: Word, level: int, points) -> tuple[int, ...]:
@@ -314,6 +313,13 @@ class ChainAction:
         an image, and one that fixes most points, such as a word trivial
         in the group, wastes at most 1/8 of the image it needed anyway.
 
+        Such a word often fixes every point under its tested points.  So
+        pass 2 checks that their deep representatives are fixed (two
+        gathers of them), counts the image's fixed points over the base
+        vertex in one pass and, if those are every deep point under the
+        tested points, reads each level's count from the level sizes;
+        otherwise it walks the image level by level from the tested points.
+
         Pass 1 yields in input order as words finish; the deferred words
         follow in image order, so callers store results by ``i``.
         """
@@ -327,11 +333,11 @@ class ChainAction:
                 yield i, counts, fixed
             else:
                 deferred.append((i, resume, counts))
+        base_fiber = self._base_fiber(level, base_level)
         for j, image in self.images([words[i] for i, _, _ in deferred], level):
             i, resume, counts = deferred[j]
             deferred[j] = None
-            fixed, _ = self._descend(partial(self._read_image, image, level), level, resume,
-                                     counts, inf)
+            fixed = self._settle(image, level, resume, counts, base_fiber)
             yield i, counts, fixed
 
     def fixed_walk(self, image, level: int, base_level: int = 0) -> tuple[list[int], tuple]:
@@ -340,8 +346,8 @@ class ChainAction:
         the points over the basepoint at ``base_level`` only, and ``fixed``
         the counted level-``level`` points it fixes, in no order."""
         counts = []
-        fixed, _ = self._descend(partial(self._read_image, image, level), level,
-                                 self._walk_start(level, base_level), counts, inf)
+        fixed = self._settle(image, level, self._walk_start(level, base_level), counts,
+                             self._base_fiber(level, base_level))
         return counts, fixed
 
     def _walk_start(self, level: int, base_level: int) -> tuple[int, tuple]:
@@ -350,6 +356,47 @@ class ChainAction:
         if not 0 <= base_level <= level or level < 1:
             raise ValueError("fixed counts need 1 <= level and 0 <= base_level <= level")
         return (base_level, (0,)) if base_level else (1, self._children_of(1, (0,)))
+
+    def _base_fiber(self, level: int, base_level: int):
+        """A call that builds the level-``level`` points over the basepoint at
+        ``base_level`` once, in no order, when first called; None at base
+        level 0, whose fiber is the whole level."""
+        return cache(partial(self._under, base_level, level, (0,))) if base_level else None
+
+    def _settle(self, image, level: int, start, counts: list, base_fiber) -> tuple:
+        """The level-``level`` fixed set of ``image``, walked from ``start =
+        (lvl, points)`` as :meth:`_descend` walks it, appending to ``counts``.
+
+        Every fixed point over the base vertex lies under a tested point,
+        so the image fixes at most ``len(points) * size(level) // size(lvl)``
+        of them, and exactly that many only if it fixes every point under
+        ``points``; then each level's count is the points under ``points``
+        there, read from the sizes.  So when the deep points over ``points``
+        (:meth:`representatives`) are fixed, one pass over the image's base
+        fiber (``base_fiber()``, or the whole level where it is None)
+        settles the word; one that fixes fewer points is walked.  The
+        representatives table reads :meth:`children` at every level below
+        ``lvl``, so a level without constant fibers raises here too.
+        """
+        lvl, points = start
+        if lvl < level:
+            reps = compose(self.representatives(level, lvl), points)
+            if compose(image, reps) == reps:
+                if base_fiber is None:
+                    fiber, got = range(len(image)), image
+                else:
+                    fiber = base_fiber()
+                    got = compose(image, fiber)
+                # a fixed point is its own image, so the fixed set keeps
+                # ``got``'s ints rather than new ones
+                fixed = tuple(compress(got, map(eq, got, fiber)))
+                if len(fixed) * self.size(lvl) == len(points) * self.size(level):
+                    counts.extend(len(points) * self.size(l) // self.size(lvl)
+                                  for l in range(lvl, level + 1))
+                    return fixed
+        fixed, _ = self._descend(partial(self._read_image, image, level), level, start,
+                                 counts, inf)
+        return fixed
 
     def _read_image(self, image, level: int, lvl: int, points) -> tuple[int, ...]:
         """The images of level-``lvl`` ``points`` read from a level-``level``
@@ -386,6 +433,13 @@ class ChainAction:
         for column in self.children(level):
             points.extend(compose(column, vertices))
         return points
+
+    def _under(self, base_level: int, level: int, vertices):
+        """The level-``level`` points over level-``base_level`` ``vertices``,
+        in no order, read level by level from the ``children`` columns."""
+        for below in range(base_level + 1, level + 1):
+            vertices = self._children_of(below, vertices)
+        return vertices
 
     def fixed_count(self, word: Word, level: int) -> int:
         return count_fixed(self.word_permutation(word, level))
@@ -489,10 +543,7 @@ class ChainAction:
             raise ValueError("ancestor levels must satisfy 0 <= base_level <= level")
         if not 0 <= vertex < self.size(base_level):
             raise ValueError(f"vertex {vertex} out of range at level {base_level}")
-        points = [vertex]
-        for below in range(base_level + 1, level + 1):
-            points = self._children_of(below, points)
-        return tuple(sorted(points))
+        return tuple(sorted(self._under(base_level, level, (vertex,))))
 
 
 def _least_rotation(seq: list) -> tuple:

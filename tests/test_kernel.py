@@ -171,9 +171,10 @@ def test_fixed_counts_stop_once_the_fixed_set_empties(monkeypatch):
     assert odo.fixed_walk(a, 8)[0] == [0] * 8
     assert odo.fixed_walk(a, 8, 1)[0] == [0] * 8
     # level 1 alone is tested: the root's two children are gathered one
-    # column at a time, then three gathers over them; at base level 1 three
-    # over the basepoint; nothing deeper either time
-    assert [len(q) for q in gathers] == [1, 1, 2, 2, 2, 1, 1, 1]
+    # column at a time, two gathers over them check their deep
+    # representatives, which move, then three walk them; at base level 1
+    # two and three over the basepoint; nothing deeper either time
+    assert [len(q) for q in gathers] == [1, 1, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1]
     # the walk gathers the root's children once per call, then applies each
     # word's one letter to them alone, and images neither word
     del gathers[:]
@@ -182,18 +183,79 @@ def test_fixed_counts_stop_once_the_fixed_set_empties(monkeypatch):
     assert [len(q) for q in gathers] == [1, 1, 2, 2, 1]
 
 
+# the last level's vertex 0 has three preimages and vertex 1 one; only an
+# unvalidated chain gets this far.  At depth 3 the identity fixes every
+# point under level 1, so a deferred walk settles it in one pass without
+# walking the uneven level, and must still refuse it
+_TOP = {"size": 2, "parent": None, "perms": {"a": [1, 0]}}
+UNEVEN = {
+    2: [_TOP, {"size": 4, "parent": [0, 0, 0, 1], "perms": {"a": [3, 0, 1, 2]}}],
+    3: [_TOP, {"size": 4, "parent": [0, 0, 1, 1], "perms": {"a": [2, 3, 0, 1]}},
+        {"size": 8, "parent": [0, 0, 0, 1, 2, 2, 3, 3], "perms": {"a": [4, 5, 6, 7, 0, 1, 2, 3]}}],
+}
+
+
 def test_fixed_counts_refuse_a_level_without_constant_fibers():
-    # level-1 point 0 has three preimages and point 1 one; only an
-    # unvalidated chain gets this far
-    data = {"name": "uneven", "generators": ["a"], "levels": [
-        {"size": 2, "parent": None, "perms": {"a": [1, 0]}},
-        {"size": 4, "parent": [0, 0, 0, 1], "perms": {"a": [3, 0, 1, 2]}},
-    ]}
-    for entry in ENTRIES:
-        chain = ca.chain_from_dict(data, validate=False)
+    for (depth, levels), entry in product(UNEVEN.items(), ENTRIES):
+        chain = ca.chain_from_dict({"name": "uneven", "generators": ["a"], "levels": levels},
+                                   validate=False)
         with pytest.raises(ca.InvalidChainError,
-                           match="level-1 point 0 has 3 preimages, expected 2"):
-            _walked(chain, [ca.Word.identity()], 2, 0, entry)
+                           match=f"level-{depth - 1} point 0 has 3 preimages, expected 2"):
+            _walked(chain, [ca.Word.identity()], depth, 0, entry)
+
+
+def test_a_word_fixing_the_tested_representatives_but_not_their_subtrees_is_walked():
+    """On ``fat_cantor`` the commutator ``h g h^-1 g^-1`` fixes the deep
+    point over each vertex the settling pass starts from, yet moves some
+    point under them, so every deferred walk falls back to reading the
+    image level by level; its counts and fixed sets are the point-wise
+    ones at every base level."""
+    chain, depth = ca.fat_cantor(), 8
+    word = ca.parse_word("h*g*h^-1*g^-1", chain.alphabet)
+    image = chain.word_permutation(word, depth)
+    read, read_image = [], chain_module.ChainAction._read_image
+
+    def reading(self, *args):
+        read.append(args)
+        return read_image(self, *args)
+
+    for base in range(depth + 1):
+        fiber = _brute_fiber(chain, base, depth)
+        start = chain._walk_start(depth, base)
+        if base < depth:
+            reps = compose(chain.representatives(depth, start[0]), start[1])
+            assert compose(image, reps) == reps
+            assert count_fixed(image, fiber) * chain.size(start[0]) < (
+                len(start[1]) * chain.size(depth))
+        del read[:]
+        with mock.patch.object(chain_module.ChainAction, "_read_image", reading):
+            (counts, fixed), = _walked(chain, [word], depth, base, "walk-imaging-all")
+        assert read
+        fixes = [[x for x in _brute_fiber(chain, base, level) if act(chain, word, level, x) == x]
+                 for level in range(max(base, 1), depth + 1)]
+        assert counts == [len(f) for f in fixes]
+        assert sorted(fixed) == fixes[-1]
+
+
+def test_farber_classic_class_words_are_settled_without_an_image_walk(monkeypatch):
+    """The class-key words of the classic check on ``fragmented`` at depth
+    12: the deferred ones each fix every point under their tested points,
+    so each is imaged once and none is read level by level."""
+    chain, depth = ca.fragmented(), 12
+    words = list(ca.reduced_words(chain.alphabet, 6))
+    reps = {}
+    for key, word in zip(class_keys(chain, 0, words), words):
+        reps.setdefault(key, word)
+    words = list(reps.values())
+    read, imaged, images = [], [], chain.images
+    read_image = chain_module.ChainAction._read_image
+    monkeypatch.setattr(chain_module.ChainAction, "_read_image",
+                        lambda self, *args: read.append(args) or read_image(self, *args))
+    monkeypatch.setattr(chain, "images", lambda ws, level: imaged.extend(ws) or images(ws, level))
+    walked = {i: counts for i, counts, _ in chain.walk(words, depth)}
+    assert (len(words), len(imaged), len(set(imaged)), len(read)) == (117, 20, 20, 0)
+    assert walked == {i: [chain.fixed_count(w, level) for level in range(1, depth + 1)]
+                      for i, w in enumerate(words)}
 
 
 def test_walk_refuses_levels_out_of_order(odo2):
