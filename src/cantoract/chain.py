@@ -14,9 +14,9 @@ import random
 from array import array
 from collections import Counter, deque
 from functools import cache, partial
-from itertools import compress
+from itertools import accumulate, compress
 from math import inf
-from operator import eq, itemgetter
+from operator import add, eq, itemgetter
 from typing import NamedTuple
 
 from .errors import BudgetError, InvalidChainError
@@ -374,9 +374,10 @@ class ChainAction:
         there, read from the sizes.  So when the deep points over ``points``
         (:meth:`representatives`) are fixed, one pass over the image's base
         fiber (``base_fiber()``, or the whole level where it is None)
-        settles the word; one that fixes fewer points is walked.  The
-        representatives table reads :meth:`children` at every level below
-        ``lvl``, so a level without constant fibers raises here too.
+        settles the word; one that fixes fewer points is walked from the
+        children of ``points``, which the fixed representatives show fixed.
+        The representatives table reads :meth:`children` at every level
+        below ``lvl``, so a level without constant fibers raises here too.
         """
         lvl, points = start
         if lvl < level:
@@ -394,6 +395,9 @@ class ChainAction:
                     counts.extend(len(points) * self.size(l) // self.size(lvl)
                                   for l in range(lvl, level + 1))
                     return fixed
+                counts.append(len(points))
+                lvl += 1
+                start = lvl, self._children_of(lvl, points)
         fixed, _ = self._descend(partial(self._read_image, image, level), level, start,
                                  counts, inf)
         return fixed
@@ -582,12 +586,17 @@ def class_keys(chain: ChainAction, base_level: int, words: list[Word]) -> list[t
     key is the least rotation of the pairs ``(c[i], c[i:](q))``, or of the
     same pairs for ``c^-1``: words with one key are conjugate, up to
     inversion, by an element of ``G_b``.  Each pair is coded as one int,
-    ``code(letter) * size(b) + state``, and words sharing ``(c, q)`` are
-    keyed once.  Time and memory are linear in the word's length.
+    ``code(letter) * size(b) + state``.
+
+    Each conjugacy orbit is keyed once: when ``c(q) = q``, as in ``G_b``,
+    the key is stored under every rotation ``(Z X, Z(q))`` of ``c`` and of
+    ``c^-1``, while the ``2 n^2`` letters so copied stay within twice the
+    words' total letters.  Time and memory stay linear in those letters.
     """
     perms = chain.letter_perms(base_level)
     size = chain.size(base_level)
     code = {letter: c * size for c, letter in enumerate(perms)}
+    spare = 2 * sum(len(w.letters) for w in words)
     memo = {}
     keys = []
     for word in words:
@@ -597,17 +606,33 @@ def class_keys(chain: ChainAction, base_level: int, words: list[Word]) -> list[t
             q = perms[g, -s][q]
         key = memo.get((core, q))
         if key is None:
-            states = [0] * len(core)
-            x = q
-            for i in range(len(core) - 1, -1, -1):
-                x = states[i] = perms[core[i]][x]
-            forward = list(map(int.__add__, map(code.__getitem__, core), states))
+            n = len(core)
+            # states[i] = c[i:](q), the rightmost letter applied first
+            states = list(accumulate(map(perms.__getitem__, reversed(core)),
+                                     lambda x, perm: perm[x], initial=q))[:0:-1]
+            forward = list(map(add, map(code.__getitem__, core), states))
             # c^-1[j] is core[-1 - j] inverted, and c^-1[j:](q) is c[n - j:](q)
-            backward = [code[g, -s] + x
-                        for (g, s), x in zip(reversed(core), states[:1] + states[:0:-1])]
+            inverse = tuple((g, -s) for g, s in reversed(core))
+            back = states[:1] + states[:0:-1]
+            backward = list(map(add, map(code.__getitem__, inverse), back))
             key = memo[core, q] = min(_least_rotation(forward), _least_rotation(backward))
+            if states[0] == q and 2 * n * n <= spare:
+                spare -= 2 * n * n
+                for r in range(n):
+                    memo[core[r:] + core[:r], states[r]] = key
+                    memo[inverse[r:] + inverse[:r], back[r]] = key
         keys.append(key)
     return keys
+
+
+def class_firsts(chain: ChainAction, base_level: int, words: list[Word]) -> tuple[list, dict]:
+    """``(keys, firsts)``: the :func:`class_keys` of ``words``, and the first
+    word of each key, keyed in order of first occurrence."""
+    keys = class_keys(chain, base_level, words)
+    firsts = {}
+    for key, word in zip(keys, words):
+        firsts.setdefault(key, word)
+    return keys, firsts
 
 
 def _orbit(perms: dict, n: int) -> dict:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .chain import (ChainAction, check_depth, class_keys, closure, count_fixed,
+from .chain import (ChainAction, check_depth, class_firsts, closure, count_fixed,
                     schreier_generators)
 from .errors import BudgetError
 from .words import Word, check_word_budget, distinct, reduced_words
@@ -103,26 +103,27 @@ def _score(
     basepoint, it also stabilizes the basepoint, so it lies in the core.
     Only the first word of each :func:`~cantoract.chain.class_keys` key
     is walked (:meth:`~cantoract.chain.ChainAction.walk`), and only its
-    fixed counts are kept.
+    fixed counts are kept.  Keys with the same counts share one
+    ``(verdict, trajectory)``, built once.
     """
     levels = range(max(base_level, 1), depth + 1)
     # fiber constancy (checked by ``children``) makes each fiber over the
     # basepoint the level's size over the base level's
     sizes = [chain.size(level) // chain.size(base_level) for level in levels]
-    keys = class_keys(chain, base_level, candidates)
-    reps = {}
-    for key, word in zip(keys, candidates):
-        reps.setdefault(key, word)
-    order = list(reps)
-    scored = {}
-    for i, counts, _ in chain.walk(list(reps.values()), depth, base_level):
-        traj = tuple((level, Fraction(count, size))
-                     for level, count, size in zip(levels, counts, sizes))
-        if traj[-1][1] == 1:
-            verdict = INDISTINGUISHABLE
-        else:
-            verdict = PASS if traj[-1][1] < tolerance else FAIL
-        scored[order[i]] = (verdict, traj)
+    keys, firsts = class_firsts(chain, base_level, candidates)
+    order = list(firsts)
+    scored, interned = {}, {}
+    for i, counts, _ in chain.walk(list(firsts.values()), depth, base_level):
+        counts = tuple(counts)
+        if counts not in interned:
+            traj = tuple((level, Fraction(count, size))
+                         for level, count, size in zip(levels, counts, sizes))
+            if traj[-1][1] == 1:
+                verdict = INDISTINGUISHABLE
+            else:
+                verdict = PASS if traj[-1][1] < tolerance else FAIL
+            interned[counts] = verdict, traj
+        scored[order[i]] = interned[counts]
     verdicts = [WordVerdict(word, *scored[key]) for word, key in zip(candidates, keys)]
     return FarberReport(
         kind=kind,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .chain import ChainAction, check_depth, class_keys
+from .chain import ChainAction, check_depth, class_firsts
 from .holonomy import FixedSetReport, fixed_set_report
 from .words import (GeneratorAlphabet, Word, commutator, conjugate, distinct, reduced_words,
                     take)
@@ -123,11 +123,8 @@ def _score_class(chain: ChainAction, words: list[Word],
     """
     if not words:
         return None, True
-    keys = class_keys(chain, 0, words)
-    reports: dict[tuple, FixedSetReport] = {}
-    for key, word in zip(keys, words):
-        if key not in reports:
-            reports[key] = fixed_set_report(chain, word, depth)
+    keys, firsts = class_firsts(chain, 0, words)
+    reports = {key: fixed_set_report(chain, word, depth) for key, word in firsts.items()}
     ranks = [(reports[key].hol_estimate, -len(word)) for word, key in zip(words, keys)]
     top = max(ranks)
     key, winner = min(((key, word) for word, key, rank in zip(words, keys, ranks)

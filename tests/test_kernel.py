@@ -9,9 +9,12 @@ images and fixed counts, the tuple-keyed reference for class keys, a parent
 walk for tables and fibers.
 """
 
+import random
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import product
+from math import inf
 from unittest import mock
 
 import pytest
@@ -237,16 +240,47 @@ def test_a_word_fixing_the_tested_representatives_but_not_their_subtrees_is_walk
         assert sorted(fixed) == fixes[-1]
 
 
+def test_a_word_failing_the_subtree_count_is_walked_from_below_its_tested_points():
+    """The same commutator's fallback walk starts one level below its
+    tested points, which the fixed representatives show fixed: against a
+    walk from the tested points, it saves their three gathers each (the
+    representative, its image and its ancestor) at every base level below
+    the depth, and its counts and fixed sets are the point-wise ones."""
+    chain, depth = ca.fat_cantor(), 8
+    word = ca.parse_word("h*g*h^-1*g^-1", chain.alphabet)
+    image = chain.word_permutation(word, depth)
+    read, read_image = [], chain_module.ChainAction._read_image
+
+    def reading(self, image, level, lvl, points):
+        read.append((lvl, len(points)))
+        return read_image(self, image, level, lvl, points)
+
+    for base in range(depth):
+        lvl, points = start = chain._walk_start(depth, base)
+        fixes = [[x for x in _brute_fiber(chain, base, level) if act(chain, word, level, x) == x]
+                 for level in range(max(base, 1), depth + 1)]
+        with mock.patch.object(chain_module.ChainAction, "_read_image", reading):
+            del read[:]
+            from_tested = chain._descend(partial(chain._read_image, image, depth), depth, start,
+                                         [], inf)[0]
+            walked_from_tested = read[:]
+            assert sorted(from_tested) == fixes[-1]
+            for entry in ("fixed_walk", "walk-imaging-all"):
+                del read[:]
+                (counts, fixed), = _walked(chain, [word], depth, base, entry)
+                # the one read saved: the tested points, three gathers each
+                assert walked_from_tested == [(lvl, len(points))] + read, entry
+                assert counts == [len(f) for f in fixes], entry
+                assert sorted(fixed) == fixes[-1], entry
+
+
 def test_farber_classic_class_words_are_settled_without_an_image_walk(monkeypatch):
     """The class-key words of the classic check on ``fragmented`` at depth
     12: the deferred ones each fix every point under their tested points,
     so each is imaged once and none is read level by level."""
     chain, depth = ca.fragmented(), 12
     words = list(ca.reduced_words(chain.alphabet, 6))
-    reps = {}
-    for key, word in zip(class_keys(chain, 0, words), words):
-        reps.setdefault(key, word)
-    words = list(reps.values())
+    words = list(chain_module.class_firsts(chain, 0, words)[1].values())
     read, imaged, images = [], [], chain.images
     read_image = chain_module.ChainAction._read_image
     monkeypatch.setattr(chain_module.ChainAction, "_read_image",
@@ -324,6 +358,62 @@ def test_class_keys_key_each_core_and_vertex_once(dih, monkeypatch):
                         lambda seq: rotations.append(1) or _least_rotation(seq))
     assert len(set(class_keys(dih, 0, words))) == 1
     assert len(rotations) == 2  # the core and its inverse
+
+
+@pytest.mark.parametrize("base", [0, 1])
+def test_class_keys_key_each_orbit_once_on_the_farber_candidates(base, monkeypatch):
+    """Work count: the classic candidates of ``fragmented`` at base 0 and
+    the localized ones at base 1 fall into 117 and 119 keys, and each key
+    runs the least rotation twice (its core and its inverse); every later
+    conjugate or inverse is a lookup.  The keys group the words as the pair
+    keys do."""
+    frag = ca.fragmented()
+    words = (list(ca.reduced_words(frag.alphabet, 6)) if base == 0 else
+             local_candidates(frag, 1, 4)[1])
+    rotations = []
+    monkeypatch.setattr(chain_module, "_least_rotation",
+                        lambda seq: rotations.append(1) or _least_rotation(seq))
+    keys = class_keys(frag, base, words)
+    assert len(set(keys)) == (117, 119)[base]
+    assert len(rotations) == 2 * len(set(keys))
+    assert _partition(keys) == _partition(pair_class_keys(frag, base, words))
+
+
+def test_class_keys_of_words_outside_the_base_stabilizer_group_as_the_pair_keys_do(dih):
+    """At base level 1, the rotations of a word ``w`` whose core moves its
+    vertex count over other vertices, so its key is not stored under them:
+    each such ``w`` with up to 4 letters, beside its inverse and each of its
+    conjugates by words of up to 2 letters, is grouped as the pair keys
+    group it."""
+    outside = [w for w in ca.reduced_words(dih.alphabet, 4) if dih.apply(w, 1, (0,)) != (0,)]
+    conjugators = [ca.Word.identity(), *ca.reduced_words(dih.alphabet, 2)]
+    split = 0
+    for w in outside:
+        for t in conjugators:
+            words = [w, conjugate(t, w), w.inverse()]
+            expected = _partition(pair_class_keys(dih, 1, words))
+            assert _partition(class_keys(dih, 1, words)) == expected, (w, t)
+            split += expected[1] != 0
+    assert split  # some conjugates are keyed apart
+
+
+def test_class_keys_key_rotations_of_a_long_core_in_linear_time(dih):
+    """50 rotations of one aperiodic 20,000-letter core: storing the key
+    under all 20,000 rotations would copy 800 million letters, past the
+    budget of twice the input's million, so each rotation is keyed on its
+    own, running the least rotation twice, and all share one key."""
+    rng = random.Random(20_000)
+    core = [(rng.randrange(2), 1) for _ in range(20_000)]
+    words = [ca.Word.of(core[r:] + core[:r]) for r in range(0, 20_000, 400)]
+    rotations = []
+    least = chain_module._least_rotation
+    with mock.patch.object(chain_module, "_least_rotation",
+                           lambda seq: rotations.append(1) or least(seq)):
+        start = time.perf_counter()
+        keys = class_keys(dih, 0, words)
+        assert time.perf_counter() - start < 5
+    assert len(set(keys)) == 1
+    assert len(rotations) == 2 * len(words)
 
 
 def test_class_keys_are_linear_in_a_long_periodic_core(dih):
