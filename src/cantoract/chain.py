@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from array import array
 from collections import Counter, deque
-from functools import cache, partial
+from functools import partial
 from itertools import accumulate, compress
 from math import inf
 from operator import add, eq, itemgetter
@@ -86,11 +86,9 @@ def closure(generators, n: int, max_order: int | None = None,
     return elements
 
 
-def count_fixed(image, points=None) -> int:
-    """Fixed points of an image array, among ``points`` when given."""
-    if points is None:
-        return sum(map(eq, image, range(len(image))))
-    return sum(map(eq, compose(image, points), points))
+def count_fixed(image) -> int:
+    """Fixed points of an image array."""
+    return sum(map(eq, image, range(len(image))))
 
 
 def check_depth(depth: int) -> None:
@@ -161,20 +159,11 @@ class ChainAction:
 
     The permutation kernel every analysis calls lives here: the letter
     table, each letter's image array at a level (:meth:`letter_perms`),
-    word images built from it over shared prefixes (:meth:`images`), and
-    the top-down walk of a word's nested fixed sets, which gives its fixed
-    counts at every level and its deepest fixed set.  A point fixed at
-    level ``L`` lies over a vertex fixed at ``L - 1``, so a walk tests at
-    level ``L`` only the children (:meth:`children`) of the vertices fixed
-    one level up.  :meth:`walk` evaluates a list of words in two passes:
-    first on the tested points alone, letter by letter at each level, and
-    then, for the words whose tested points grow past ``DEFER_SHARE`` of
-    the deepest level, on their deep images, settled as :meth:`fixed_walk`
-    settles one.  A word that fixes the deep point over each tested point
-    (:meth:`representatives`) is checked in one pass over its deep image:
-    if it fixes every deep point under the tested points, its counts are
-    read from the level sizes.  Any other is walked on, each tested point
-    read through its representative and its ancestors (:meth:`ancestors`).
+    the images of a few points under a word (:meth:`apply`), word images
+    built over shared prefixes (:meth:`images`), the memoized
+    :meth:`ancestors`, :meth:`children` and :meth:`representatives`
+    tables, and :meth:`walk`, the one reading of a word's fixed counts and
+    deepest fixed set.
     """
 
     def __init__(
@@ -299,31 +288,41 @@ class ChainAction:
         return tuple(points)
 
     def walk(self, words, level: int, base_level: int = 0):
-        """Yield ``(i, counts, fixed)`` for each ``words[i]``: what
-        :meth:`fixed_walk` gives for its level-``level`` image.
+        """Yield ``(i, counts, fixed)`` for each ``words[i]``: its fixed
+        counts at levels ``max(base_level, 1)..level`` among the points over
+        the basepoint at ``base_level``, and its level-``level`` fixed set
+        among them, in no order.
 
-        Pass 1 walks each word on its tested points alone, through
-        :meth:`apply` at each level.  A word whose tested points, summed
-        over the levels, would pass ``size(level) * DEFER_SHARE`` is
-        deferred at the level it reached.  Pass 2 images the deferred words
-        over shared prefixes (:meth:`images`) and resumes each walk there,
-        on the image.  An image costs a gather of the whole level per
-        letter and pass 1 stops before 1/8 of that, so a word whose fixed
-        set soon empties, as most candidates' does, costs a small part of
-        an image, and one that fixes most points, such as a word trivial
-        in the group, wastes at most 1/8 of the image it needed anyway.
+        A point fixed at level ``L`` lies over a vertex fixed at ``L - 1``,
+        so each level tests only the children (:meth:`children`) of the
+        vertices fixed one level up, from the basepoint at ``base_level``
+        (every level-1 point at base level 0).  Pass 1 walks each word on
+        its tested points alone (:meth:`apply`).  A word whose tested
+        points, summed over the levels, would pass ``size(level) *
+        DEFER_SHARE`` is deferred where it is; pass 2 images the deferred
+        words over shared prefixes (:meth:`images`) and resumes each there.
+        An image costs a gather of the whole level per letter, so a word
+        whose fixed set soon empties costs a small part of one, and a word
+        that fixes most points wastes at most 1/8 of the image it needed.
 
-        Such a word often fixes every point under its tested points.  So
-        pass 2 checks that their deep representatives are fixed (two
-        gathers of them), counts the image's fixed points over the base
-        vertex in one pass and, if those are every deep point under the
-        tested points, reads each level's count from the level sizes;
-        otherwise it walks the image level by level from the tested points.
-
-        Pass 1 yields in input order as words finish; the deferred words
-        follow in image order, so callers store results by ``i``.
+        Every fixed point over the base vertex lies under a tested point,
+        so a deferred word fixes at most ``len(points) * size(level) //
+        size(lvl)`` of them, and that many only if it fixes every point
+        under ``points``.  So when the deep points over the tested ones
+        (:meth:`representatives`) are fixed, one pass over the image's base
+        fiber (built at most once per call; the whole level at base level
+        0) counts its fixed points, and if they are that many each level's
+        count is read from the sizes.  Otherwise the walk goes on from the
+        children of the tested points, reading each point's image through
+        its representative and its ancestors (:meth:`ancestors`).  The
+        representatives table reads :meth:`children` at every level below
+        the tested one, so a level without constant fibers is refused here
+        too.  Pass 1 yields in input order; the deferred words follow in
+        image order, so callers store results by ``i``.
         """
-        start = self._walk_start(level, base_level)
+        if not 0 <= base_level <= level or level < 1:
+            raise ValueError("fixed counts need 1 <= level and 0 <= base_level <= level")
+        start = (base_level, (0,)) if base_level else (1, self._children_of(1, (0,)))
         budget = int(self.size(level) * DEFER_SHARE)
         deferred = []
         for i, word in enumerate(words):
@@ -333,74 +332,30 @@ class ChainAction:
                 yield i, counts, fixed
             else:
                 deferred.append((i, resume, counts))
-        base_fiber = self._base_fiber(level, base_level)
+        fiber = None if base_level else range(self.size(level))
         for j, image in self.images([words[i] for i, _, _ in deferred], level):
-            i, resume, counts = deferred[j]
+            i, (lvl, points), counts = deferred[j]
             deferred[j] = None
-            fixed = self._settle(image, level, resume, counts, base_fiber)
+            if lvl < level:
+                reps = compose(self.representatives(level, lvl), points)
+                if compose(image, reps) == reps:
+                    if fiber is None:
+                        fiber = self._under(base_level, level, (0,))
+                    got = compose(image, fiber) if base_level else image
+                    # a fixed point is its own image, so the fixed set keeps
+                    # ``got``'s ints rather than new ones
+                    fixed = tuple(compress(got, map(eq, got, fiber)))
+                    if len(fixed) * self.size(lvl) == len(points) * self.size(level):
+                        counts.extend(len(points) * self.size(l) // self.size(lvl)
+                                      for l in range(lvl, level + 1))
+                        yield i, counts, fixed
+                        continue
+                    counts.append(len(points))
+                    lvl += 1
+                    points = self._children_of(lvl, points)
+            fixed, _ = self._descend(partial(self._read_image, image, level), level,
+                                     (lvl, points), counts, inf)
             yield i, counts, fixed
-
-    def fixed_walk(self, image, level: int, base_level: int = 0) -> tuple[list[int], tuple]:
-        """``(counts, fixed)`` for ``image``, given at ``level``: ``counts``
-        holds its fixed counts at levels ``max(base_level, 1)..level``, among
-        the points over the basepoint at ``base_level`` only, and ``fixed``
-        the counted level-``level`` points it fixes, in no order."""
-        counts = []
-        fixed = self._settle(image, level, self._walk_start(level, base_level), counts,
-                             self._base_fiber(level, base_level))
-        return counts, fixed
-
-    def _walk_start(self, level: int, base_level: int) -> tuple[int, tuple]:
-        """The first level a walk tests and its points: the basepoint at
-        ``base_level``, or every level-1 point at base level 0."""
-        if not 0 <= base_level <= level or level < 1:
-            raise ValueError("fixed counts need 1 <= level and 0 <= base_level <= level")
-        return (base_level, (0,)) if base_level else (1, self._children_of(1, (0,)))
-
-    def _base_fiber(self, level: int, base_level: int):
-        """A call that builds the level-``level`` points over the basepoint at
-        ``base_level`` once, in no order, when first called; None at base
-        level 0, whose fiber is the whole level."""
-        return cache(partial(self._under, base_level, level, (0,))) if base_level else None
-
-    def _settle(self, image, level: int, start, counts: list, base_fiber) -> tuple:
-        """The level-``level`` fixed set of ``image``, walked from ``start =
-        (lvl, points)`` as :meth:`_descend` walks it, appending to ``counts``.
-
-        Every fixed point over the base vertex lies under a tested point,
-        so the image fixes at most ``len(points) * size(level) // size(lvl)``
-        of them, and exactly that many only if it fixes every point under
-        ``points``; then each level's count is the points under ``points``
-        there, read from the sizes.  So when the deep points over ``points``
-        (:meth:`representatives`) are fixed, one pass over the image's base
-        fiber (``base_fiber()``, or the whole level where it is None)
-        settles the word; one that fixes fewer points is walked from the
-        children of ``points``, which the fixed representatives show fixed.
-        The representatives table reads :meth:`children` at every level
-        below ``lvl``, so a level without constant fibers raises here too.
-        """
-        lvl, points = start
-        if lvl < level:
-            reps = compose(self.representatives(level, lvl), points)
-            if compose(image, reps) == reps:
-                if base_fiber is None:
-                    fiber, got = range(len(image)), image
-                else:
-                    fiber = base_fiber()
-                    got = compose(image, fiber)
-                # a fixed point is its own image, so the fixed set keeps
-                # ``got``'s ints rather than new ones
-                fixed = tuple(compress(got, map(eq, got, fiber)))
-                if len(fixed) * self.size(lvl) == len(points) * self.size(level):
-                    counts.extend(len(points) * self.size(l) // self.size(lvl)
-                                  for l in range(lvl, level + 1))
-                    return fixed
-                counts.append(len(points))
-                lvl += 1
-                start = lvl, self._children_of(lvl, points)
-        fixed, _ = self._descend(partial(self._read_image, image, level), level, start,
-                                 counts, inf)
-        return fixed
 
     def _read_image(self, image, level: int, lvl: int, points) -> tuple[int, ...]:
         """The images of level-``lvl`` ``points`` read from a level-``level``

@@ -17,7 +17,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-from .chain import ChainAction, Cylinder, PointApprox, check_depth, compose, count_fixed
+from .chain import ChainAction, Cylinder, PointApprox, check_depth, compose
 from .mealy import is_trivial as mealy_is_trivial
 from .words import Word, check_word_budget, reduced_words
 
@@ -181,15 +181,14 @@ def _scan_words(chain: ChainAction, max_word_len: int) -> list[Word]:
 
 
 def _fixing_words(chain: ChainAction, words: list[Word], depth: int):
-    """Yield ``(i, perm, cylinders)`` for each ``words[i]`` that moves a
-    depth-``depth`` point and fixes some cylinder fiber; ``perm`` is its
-    image, dropped once the caller is done with it.  The words are imaged
-    before they are walked, since witnesses are re-checked on the image."""
+    """Yield ``(i, cylinders)`` for each ``words[i]`` that moves a
+    depth-``depth`` point and fixes some cylinder fiber, with its maximal
+    fixed cylinders, in the order :meth:`ChainAction.walk` yields them."""
     cap = interior_scan_limit(depth)
-    for i, perm in chain.images(words, depth):
-        cylinders = _maximal_fixed_cylinders(chain, chain.fixed_walk(perm, depth)[1], depth, cap)
+    for i, _, fixed in chain.walk(words, depth):
+        cylinders = _maximal_fixed_cylinders(chain, fixed, depth, cap)
         if cylinders and cylinders[0].level:
-            yield i, perm, cylinders
+            yield i, cylinders
 
 
 def partial_triviality_witnesses(
@@ -199,17 +198,18 @@ def partial_triviality_witnesses(
 
     Scans all reduced words up to ``max_word_len`` in canonical order and
     returns, per word, its maximal fully fixed cylinders (levels 1 up to the
-    interior scan cap).  Each returned witness is re-checked by direct
-    permutation evaluation.  Transducer-backed chains upgrade witnesses to
-    exact statements where the section oracle certifies them.
+    interior scan cap).  Each returned witness is re-checked by evaluating
+    the word letter by letter on the cylinder's fiber.  Transducer-backed
+    chains upgrade witnesses to exact statements where the section oracle
+    certifies them.
     """
     check_depth(depth)
     words = _scan_words(chain, max_word_len)
     found: list[list[TrivialityWitness]] = [[] for _ in words]
-    for i, perm, cylinders in _fixing_words(chain, words, depth):
+    for i, cylinders in _fixing_words(chain, words, depth):
         for cyl in cylinders:
             fiber = chain.fiber(cyl.level, depth, cyl.vertex)
-            if count_fixed(perm, fiber) != len(fiber):
+            if chain.apply(words[i], depth, fiber) != fiber:
                 raise AssertionError("witness failed direct re-check")
             exact = bool(chain.mealy) and _mealy_exact(chain, words[i], cyl)
             found[i].append(TrivialityWitness(word=words[i], cylinder=cyl, exact=exact))
@@ -237,6 +237,6 @@ def lqa_scale_estimate(chain: ChainAction, max_word_len: int, depth: int) -> Lqa
     """
     check_depth(depth)
     words = _scan_words(chain, max_word_len)
-    scale = max((cylinders[-1].level for _, _, cylinders in _fixing_words(chain, words, depth)),
+    scale = max((cylinders[-1].level for _, cylinders in _fixing_words(chain, words, depth)),
                 default=0)
     return LqaScaleEstimate(depth=depth, max_word_len=max_word_len, scale_level=scale)

@@ -92,13 +92,6 @@ class MealyMachine:
             _, word = self.step(word, letter)
         return word
 
-    def root_permutation(self, word: StateWord) -> tuple[int, ...]:
-        out = []
-        for c in range(self.alphabet_size):
-            img, _ = self.step(word, c)
-            out.append(img)
-        return tuple(out)
-
     def transduce(self, word: StateWord, string: tuple[int, ...]) -> tuple[int, ...]:
         out = []
         for letter in string:

@@ -8,6 +8,7 @@ kernel's letter tables (``ChainAction.letter_perms``) or word images.
 report.  ``class_keys`` is the conjugacy key as it was before pairs were
 coded as ints: least rotations of ``(letter, state)`` tuples, computed for
 every word; the kernel's keys must group words the same way.
+``root_permutation`` is a transducer word's action on the first letter.
 """
 
 from fractions import Fraction
@@ -15,6 +16,7 @@ from typing import NamedTuple
 
 from cantoract.chain import (ChainAction, LevelAction, PointApprox, ValidationReport,
                              Violation, _orbit)
+from cantoract.mealy import MealyMachine, StateWord
 from cantoract.words import Word, cyclic_core
 
 
@@ -63,6 +65,11 @@ def act(chain: ChainAction, word: Word, level: int, x: int) -> int:
 def stabilizer_contains(chain: ChainAction, word: Word, level: int) -> bool:
     """Membership in the level-``level`` basepoint stabilizer subgroup."""
     return act(chain, word, level, 0) == 0
+
+
+def root_permutation(machine: MealyMachine, word: StateWord) -> tuple[int, ...]:
+    """The permutation of the first letter that ``word`` applies."""
+    return tuple(machine.step(word, c)[0] for c in range(machine.alphabet_size))
 
 
 def validate_chain_pointwise(chain: ChainAction, depth: int) -> ValidationReport:

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import cantoract as ca
 import cantoract.chain as chain_module
-from cantoract.chain import class_keys, count_fixed
+from cantoract.chain import class_keys
 from cantoract.errors import BudgetError
 from cantoract.farber import FAIL, INDISTINGUISHABLE, PASS, local_candidates
 from cantoract.words import conjugate
@@ -234,7 +234,8 @@ def _brute_trajectory(chain, w, base_level, depth):
     out = []
     for level in range(max(base_level, 1), depth + 1):
         points = chain.fiber(base_level, level, 0)
-        fixed = count_fixed(chain.word_permutation(w, level), points)
+        image = chain.word_permutation(w, level)
+        fixed = sum(image[x] == x for x in points)
         out.append((level, Fraction(fixed, len(points))))
     return tuple(out)
 

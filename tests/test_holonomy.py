@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import cantoract as ca
+import cantoract.chain as chain_module
 from cantoract.holonomy import interior_scan_limit
 from cantoract.mealy import machine_from_dict
 
@@ -231,6 +232,9 @@ def _per_ancestor_lqa_scale(chain, max_word_len, depth):
     return deepest + 1
 
 
+# the walk's deferral share: every scanned word imaged (0), the default,
+# and none imaged (3); imaged words are yielded after the others
+@pytest.mark.parametrize("share", [0, chain_module.DEFER_SHARE, 3])
 @pytest.mark.parametrize("family, max_depth, max_word_len", [
     ("odo2", 8, 3),
     ("frag", 8, 3),
@@ -238,7 +242,9 @@ def _per_ancestor_lqa_scale(chain, max_word_len, depth):
     ("fat", 8, 2),
     ("grigorchuk", 8, 3),
 ])
-def test_cylinders_and_scale_match_brute_force(request, family, max_depth, max_word_len):
+def test_cylinders_and_scale_match_brute_force(request, monkeypatch, family, max_depth,
+                                               max_word_len, share):
+    monkeypatch.setattr(chain_module, "DEFER_SHARE", share)
     if family == "grigorchuk":
         chain = ca.mealy_chain(machine_from_dict(GRIGORCHUK), name="grigorchuk")
     else:
@@ -257,6 +263,29 @@ def test_cylinders_and_scale_match_brute_force(request, family, max_depth, max_w
         est = ca.lqa_scale_estimate(chain, max_word_len, depth)
         assert est.scale_level == _per_ancestor_lqa_scale(chain, max_word_len, depth)
         assert est.scale == Fraction(1, 2**est.scale_level)
+
+
+def test_witness_recheck_does_not_trust_the_walk(odo2, monkeypatch):
+    """The odometer acts freely, so it has no witness.  A walk that reports
+    the moved points of ``a^2`` over level-1 vertex 0, which ``a^2`` fixes,
+    as fixed makes that cylinder look wholly fixed; the re-check applies
+    ``a^2`` to the fiber letter by letter and refuses it.  (A word fixing a
+    vertex permutes its fiber, so the fiber's moved points come at least
+    two at a time.)"""
+    a2 = word(odo2, "a").power(2)
+    fiber = odo2.fiber(1, 2, 0)
+    assert odo2.apply(a2, 1, (0,)) == (0,)
+    assert all(x != y for x, y in zip(fiber, odo2.apply(a2, 2, fiber)))
+    assert ca.partial_triviality_witnesses(odo2, 2, 2) == []
+    walk = chain_module.ChainAction.walk
+
+    def faulty(self, words, level, base_level=0):
+        for i, counts, fixed in walk(self, words, level, base_level):
+            yield i, counts, fixed + fiber if words[i] == a2 else fixed
+
+    monkeypatch.setattr(chain_module.ChainAction, "walk", faulty)
+    with pytest.raises(AssertionError, match="witness failed direct re-check"):
+        ca.partial_triviality_witnesses(odo2, 2, 2)
 
 
 def test_witness_scans_keep_the_word_budget(frag):

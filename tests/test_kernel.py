@@ -1,8 +1,8 @@
 """The permutation kernel against independent derivations.
 
-Word images built over shared prefixes, the top-down fixed counts of one
-deep image and of a list of words (walked on their tested points, some of
-them imaged), the conjugacy class keys, the memoized ancestor, children
+Word images built over shared prefixes, the top-down fixed counts of a
+list of words (walked on their tested points, some of them imaged), the
+conjugacy class keys, the memoized ancestor, children
 and representative tables, and the core and density answers read from them
 are each compared with a brute-force oracle: point-by-point action for
 images and fixed counts, the tuple-keyed reference for class keys, a parent
@@ -92,33 +92,28 @@ def _brute_fiber(chain, base_level, level):
                  if _brute_ancestor(chain, level, y, base_level) == 0)
 
 
-# the kernel's two fixed walks: ``fixed_walk`` over ``images``, and ``walk``
-# with its deferral share patched so that every word is imaged (0), at its
-# default, and so that no word is (3: a walk tests fewer than twice the
-# deepest level's points)
-ENTRIES = {"fixed_walk": None, "walk-imaging-all": 0, "walk": chain_module.DEFER_SHARE,
-           "walk-imaging-none": 3}
+# the kernel's fixed walk with its deferral share patched so that every
+# word is imaged and then settled (0), at its default, and so that no word
+# is imaged (3: a walk tests fewer than twice the deepest level's points)
+ENTRIES = {"walk-imaging-all": 0, "walk": chain_module.DEFER_SHARE, "walk-imaging-none": 3}
 
 
 def _walked(chain, words, level, base, entry):
-    """``(counts, fixed)`` per word through one entry point, in input order;
-    each word is reported exactly once, and imaged as ``entry`` says."""
-    if entry == "fixed_walk":
-        out = {i: chain.fixed_walk(image, level, base) for i, image in chain.images(words, level)}
-    else:
-        out, imaged, images = {}, [], chain.images
+    """``(counts, fixed)`` per word through ``walk``, in input order; each
+    word is reported exactly once, and imaged as ``entry`` says."""
+    out, imaged, images = {}, [], chain.images
 
-        def counting(ws, lvl):
-            imaged.extend(ws)
-            return images(ws, lvl)
+    def counting(ws, lvl):
+        imaged.extend(ws)
+        return images(ws, lvl)
 
-        with mock.patch.object(chain_module, "DEFER_SHARE", ENTRIES[entry]), \
-                mock.patch.object(chain, "images", counting):
-            for i, counts, fixed in chain.walk(words, level, base):
-                assert i not in out
-                out[i] = counts, fixed
-        if entry != "walk":
-            assert len(imaged) == (len(words) if entry == "walk-imaging-all" else 0)
+    with mock.patch.object(chain_module, "DEFER_SHARE", ENTRIES[entry]), \
+            mock.patch.object(chain, "images", counting):
+        for i, counts, fixed in chain.walk(words, level, base):
+            assert i not in out
+            out[i] = counts, fixed
+    if entry != "walk":
+        assert len(imaged) == (len(words) if entry == "walk-imaging-all" else 0)
     assert sorted(out) == list(range(len(words)))
     return [out[i] for i in range(len(words))]
 
@@ -134,7 +129,8 @@ def test_fixed_counts_match_brute_force(cwl):
         for i, (counts, fixed) in enumerate(_walked(chain, words, depth, base, entry)):
             assert len(counts) == len(levels)
             for level, count in zip(levels, counts):
-                assert count == count_fixed(brute[i][level], _brute_fiber(chain, base, level))
+                image = brute[i][level]
+                assert count == sum(image[x] == x for x in _brute_fiber(chain, base, level))
             assert sorted(fixed) == [x for x in _brute_fiber(chain, base, depth)
                                      if brute[i][depth][x] == x]
             if not base:
@@ -167,12 +163,13 @@ def test_fixed_counts_of_the_identity_are_whole_fibers(family):
 
 def test_fixed_counts_stop_once_the_fixed_set_empties(monkeypatch):
     odo = ca.odometer(2)
-    a = odo.word_permutation(ca.Word.generator(0), 8)  # moves both level-1 points
-    assert odo.fixed_walk(a, 8)[0] == [0] * 8
+    a = [ca.Word.generator(0)]  # moves both level-1 points
+    assert _walked(odo, a, 8, 0, "walk-imaging-all") == [([0] * 8, ())]
     gathers = []
     monkeypatch.setattr(chain_module, "compose", lambda p, q: gathers.append(q) or compose(p, q))
-    assert odo.fixed_walk(a, 8)[0] == [0] * 8
-    assert odo.fixed_walk(a, 8, 1)[0] == [0] * 8
+    assert _walked(odo, a, 8, 0, "walk-imaging-all") == [([0] * 8, ())]
+    assert _walked(odo, a, 8, 1, "walk-imaging-all") == [([0] * 8, ())]
+    # the word is imaged at once, which gathers nothing for one letter, and
     # level 1 alone is tested: the root's two children are gathered one
     # column at a time, two gathers over them check their deep
     # representatives, which move, then three walk them; at base level 1
@@ -224,11 +221,12 @@ def test_a_word_fixing_the_tested_representatives_but_not_their_subtrees_is_walk
 
     for base in range(depth + 1):
         fiber = _brute_fiber(chain, base, depth)
-        start = chain._walk_start(depth, base)
+        # the tested points the walk starts from
+        start = (base, (0,)) if base else (1, chain._children_of(1, (0,)))
         if base < depth:
             reps = compose(chain.representatives(depth, start[0]), start[1])
             assert compose(image, reps) == reps
-            assert count_fixed(image, fiber) * chain.size(start[0]) < (
+            assert sum(image[x] == x for x in fiber) * chain.size(start[0]) < (
                 len(start[1]) * chain.size(depth))
         del read[:]
         with mock.patch.object(chain_module.ChainAction, "_read_image", reading):
@@ -256,7 +254,7 @@ def test_a_word_failing_the_subtree_count_is_walked_from_below_its_tested_points
         return read_image(self, image, level, lvl, points)
 
     for base in range(depth):
-        lvl, points = start = chain._walk_start(depth, base)
+        lvl, points = start = (base, (0,)) if base else (1, chain._children_of(1, (0,)))
         fixes = [[x for x in _brute_fiber(chain, base, level) if act(chain, word, level, x) == x]
                  for level in range(max(base, 1), depth + 1)]
         with mock.patch.object(chain_module.ChainAction, "_read_image", reading):
@@ -265,13 +263,12 @@ def test_a_word_failing_the_subtree_count_is_walked_from_below_its_tested_points
                                          [], inf)[0]
             walked_from_tested = read[:]
             assert sorted(from_tested) == fixes[-1]
-            for entry in ("fixed_walk", "walk-imaging-all"):
-                del read[:]
-                (counts, fixed), = _walked(chain, [word], depth, base, entry)
-                # the one read saved: the tested points, three gathers each
-                assert walked_from_tested == [(lvl, len(points))] + read, entry
-                assert counts == [len(f) for f in fixes], entry
-                assert sorted(fixed) == fixes[-1], entry
+            del read[:]
+            (counts, fixed), = _walked(chain, [word], depth, base, "walk-imaging-all")
+            # the one read saved: the tested points, three gathers each
+            assert walked_from_tested == [(lvl, len(points))] + read
+            assert counts == [len(f) for f in fixes]
+            assert sorted(fixed) == fixes[-1]
 
 
 def test_farber_classic_class_words_are_settled_without_an_image_walk(monkeypatch):
@@ -499,9 +496,7 @@ def test_compose_and_invert():
     assert compose(invert(p), p) == (0, 1, 2, 3)
     assert compose((0,), (0,)) == (0,)
     assert count_fixed(p) == 1
-    assert count_fixed(q, (1, 2)) == 1
     assert compose(p, ()) == ()
-    assert count_fixed(p, ()) == 0
 
 
 @pytest.mark.parametrize("family", _FAMILIES, ids=lambda f: f[0].name)
