@@ -29,62 +29,80 @@ def render_json(payload: dict) -> str:
     """``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``, byte for byte.
 
     The payload holds dicts with str keys, lists, str, int, bool and None,
-    of exactly these types; anything else raises ``TypeError``.  The
-    caches below live for one call.  Each dict renders through
-    one ``%``-template per (key tuple, indent), and a container that
-    occurs more than once in the payload renders once per indent, so
+    of exactly these types; anything else raises ``TypeError``.  Every
+    piece of text is appended to one list, joined once at the end, so no
+    unshared container is built as a string of its own and the peak memory
+    is about the size of the report.  The separators and quoted keys of a
+    dict are built once per (key tuple, indent), a list's once per indent.
+    A container met again at the same indent re-emits its first rendering:
+    its first use records the ``(start, end)`` span of the pieces it
+    appended, and its second joins that span once and keeps the text.  So
     reports whose rows are shared objects (see :func:`farber_payload`)
-    cost one rendering per distinct row.
+    cost one rendering per distinct row and indent.
     """
-    templates: dict = {}
-    rendered: dict = {}
+    out = []
+    append = out.append
+    layouts: dict = {}
+    spans: dict = {}
 
-    def dict_text(d: dict, pad: str) -> str:
+    def container(v, pad: str) -> None:
+        memo = (id(v), pad)
+        span = spans.get(memo)
+        if span is not None:
+            if type(span) is tuple:
+                span = spans[memo] = "".join(out[span[0]:span[1]])
+            append(span)
+            return
+        start = len(out)
         inner = pad + "  "
-        shape = (tuple(d), pad)
-        compiled = templates.get(shape)
-        if compiled is None:
-            for k in shape[0]:
-                if type(k) is not str:
-                    raise TypeError(f"keys must be str, not {type(k).__name__}")
-            keys = sorted(shape[0])
-            fields = (",\n" + inner).join(
-                encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys)
-            template = "{\n" + inner + fields + "\n" + pad + "}"
-            compiled = templates[shape] = (template, keys)
-        template, keys = compiled
-        return template % tuple([value(d[k], inner) for k in keys])
+        if type(v) is dict:
+            shape = (tuple(v), pad)
+            layout = layouts.get(shape)
+            if layout is None:
+                for k in shape[0]:
+                    if type(k) is not str:
+                        raise TypeError(f"keys must be str, not {type(k).__name__}")
+                layout = layouts[shape] = (
+                    [(("{\n" if n == 0 else ",\n") + inner + encode_basestring_ascii(k) + ": ", k)
+                     for n, k in enumerate(sorted(shape[0]))],
+                    "\n" + pad + "}")
+            fields, close = layout
+            for prefix, k in fields:
+                value(v[k], inner, prefix)
+        else:
+            marks = layouts.get(pad)
+            if marks is None:
+                marks = layouts[pad] = ("[\n" + inner, ",\n" + inner, "\n" + pad + "]")
+            prefix, sep, close = marks
+            for item in v:
+                value(item, inner, prefix)
+                prefix = sep
+        append(close)
+        spans[memo] = (start, len(out))
 
-    def list_text(items: list, pad: str) -> str:
-        inner = pad + "  "
-        return ("[\n" + inner + (",\n" + inner).join([value(v, inner) for v in items])
-                + "\n" + pad + "]")
-
-    def value(v, pad: str) -> str:
+    def value(v, pad: str, prefix: str) -> None:
+        # a scalar is appended with the text before it as one piece
         t = type(v)
         if t is str:
-            return encode_basestring_ascii(v)
-        if t is int:
-            return int.__repr__(v)
-        if v is None:
-            return "null"
-        if t is bool:
-            return "true" if v else "false"
-        if t is dict:
-            render = dict_text
-        elif t is list:
-            render = list_text
+            append(prefix + encode_basestring_ascii(v))
+        elif t is int:
+            append(prefix + int.__repr__(v))
+        elif v is None:
+            append(prefix + "null")
+        elif t is bool:
+            append(prefix + ("true" if v else "false"))
+        elif t is dict or t is list:
+            if v:
+                append(prefix)
+                container(v, pad)
+            else:
+                append(prefix + ("{}" if t is dict else "[]"))
         else:
             raise TypeError(f"cannot render {t.__name__} as JSON")
-        if not v:
-            return "{}" if t is dict else "[]"
-        memo = (id(v), pad)
-        text = rendered.get(memo)
-        if text is None:
-            text = rendered[memo] = render(v, pad)
-        return text
 
-    return value(payload, "") + "\n"
+    value(payload, "", "")
+    append("\n")
+    return "".join(out)
 
 
 def render_csv(command: str, header: list[str], rows: list[list], meta: dict) -> str:
@@ -159,19 +177,27 @@ def validation_csv(payload: dict) -> tuple[list[str], list[list]]:
 
 def farber_payload(report: FarberReport, alphabet: GeneratorAlphabet) -> dict:
     """The farber report; equal trajectory rows and equal trajectories are
-    one shared object each, which :func:`render_json` renders once."""
+    one shared object each, which :func:`render_json` renders once per
+    indent.  A trajectory is looked up by the identity of its
+    ``WordVerdict.trajectory`` tuple first (``farber._score`` builds one
+    per distinct count list, and the report keeps it alive), then by its
+    ``(level, num, den)`` values, so equal tuples built apart share too."""
     rows: dict = {}
     trajectories: dict = {}
+    by_identity: dict = {}
 
     def trajectory(pairs: tuple) -> list:
-        # keyed by ints: hashing a Fraction runs Python code
-        key = tuple([(level, ratio.numerator, ratio.denominator) for level, ratio in pairs])
-        shared = trajectories.get(key)
+        shared = by_identity.get(id(pairs))
         if shared is None:
-            shared = trajectories[key] = [
-                rows.setdefault(row, {"level": level, "ratio": frac(ratio)})
-                for row, (level, ratio) in zip(key, pairs)
-            ]
+            # keyed by ints: hashing a Fraction runs Python code
+            key = tuple([(level, ratio.numerator, ratio.denominator) for level, ratio in pairs])
+            shared = trajectories.get(key)
+            if shared is None:
+                shared = trajectories[key] = [
+                    rows.setdefault(row, {"level": level, "ratio": frac(ratio)})
+                    for row, (level, ratio) in zip(key, pairs)
+                ]
+            by_identity[id(pairs)] = shared
         return shared
 
     return {

@@ -2,12 +2,14 @@
 and CSV tables are projected from the JSON payload."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantoract.reports import density_csv, lcs_csv, render_json
+import cantoract as ca
+from cantoract.reports import density_csv, farber_payload, lcs_csv, render_json
 
 # characters a template or an escape could get wrong: the template's own
 # '%', JSON's quote and backslash, control characters, and non-ASCII ones
@@ -47,14 +49,64 @@ def test_shared_objects_render_at_each_indent(shared, other):
     assert render_json(payload) == reference(payload)
 
 
+@settings(max_examples=200, deadline=None)
+@given(VALUES, VALUES)
+def test_shared_containers_nested_in_shared_containers(shared, other):
+    # ``outer`` holds ``shared`` twice; both are met first at one indent,
+    # then again at that indent and at others, inside and outside each other
+    outer = {"s": shared, "t": [shared, other, shared]}
+    payload = {"a": [outer, {"o": outer}, outer], "b": outer, "c": [[[outer, shared]]],
+               "d": shared, "e": [shared, outer]}
+    assert render_json(payload) == reference(payload)
+
+
+def test_farber_rows_share_by_value_when_tuples_are_distinct():
+    chain = ca.fragmented()
+    report = ca.farber_check(chain, max_word_len=3, depth=6)
+    # every verdict gets its own trajectory tuple, equal to the shared one
+    apart = report._replace(words=tuple(
+        w._replace(trajectory=tuple((level, ratio + 0) for level, ratio in w.trajectory))
+        for w in report.words))
+    assert len({id(w.trajectory) for w in apart.words}) == len(apart.words)
+    assert len({id(w.trajectory) for w in report.words}) < len(report.words)
+    shared, distinct = farber_payload(report, chain.alphabet), farber_payload(apart, chain.alphabet)
+    assert distinct == shared
+    # the value key still shares one list per distinct trajectory
+    assert (len({id(w["trajectory"]) for w in distinct["words"]})
+            == len({id(w["trajectory"]) for w in shared["words"]}))
+    assert render_json(distinct) == render_json(shared) == reference(shared)
+
+
+def test_render_peak_is_about_the_report_size():
+    # farber-shaped: every word row shares one 12-level trajectory
+    trajectory = [{"level": level, "ratio": {"num": 1, "den": 2**level}}
+                  for level in range(1, 13)]
+    payload = {"kind": "classic", "overall": "pass", "words": [
+        {"word": f"g{i}", "verdict": "pass", "trajectory": trajectory} for i in range(2000)]}
+    tracemalloc.start()
+    try:
+        text = render_json(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == reference(payload)
+    # the text itself is len(text) bytes (ASCII); a renderer that also keeps
+    # each container's text until the end peaks at about 4x that
+    assert peak <= 1.5 * len(text)
+
+
 def test_edge_values():
-    row = {"level": 1, "ratio": {"num": -1, "den": 2**70}}
+    ratio = {"num": -1, "den": 2**70}
+    row = {"level": 1, "ratio": ratio}
+    # shared inside shared: ``ratio`` in ``row`` in ``rows``
+    rows = [row, {"level": 2, "ratio": ratio}, row]
     payload = {
         "": [],
         "empty": {},
         "bools next to ints": [True, 1, False, 0, None, -0],
         "keys": {'%': 1, '%%s': 2, '"': 3, "\\": 4, "\n": 5, "é": 6, "\U0001d11e": 7},
         "rows": [row, row, [row], {"row": row}],
+        "words": [{"trajectory": rows}, {"trajectory": rows}, [[rows, [row, ratio]]], ratio],
         "nested": [[[]], [{}], {"x": [[{"y": []}]]}],
     }
     assert render_json(payload) == reference(payload)
