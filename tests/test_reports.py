@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 import cantoract as ca
 from cantoract.reports import density_csv, farber_payload, lcs_csv, render_json
 
-# characters a template or an escape could get wrong: the template's own
-# '%', JSON's quote and backslash, control characters, and non-ASCII ones
+# characters a format string or an escape could get wrong: '%', JSON's
+# quote and backslash, control characters, and non-ASCII ones
 # inside and outside the basic plane
 TEXT = st.text(alphabet='ab%s"\\\n\t\x00\x7fé☃\U0001d11e', max_size=8) | st.text(max_size=4)
 
