@@ -21,8 +21,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .chain import ChainAction, LevelAction, compose, validate_chain
-from .errors import InvalidChainError, SchemaError, expect, json_type
-from .mealy import MealyBackend, MealyMachine, adding_machine
+from .errors import InvalidChainError, SchemaError, expect, json_type, read_json
+from .mealy import MealyMachine, adding_machine
 from .words import GeneratorAlphabet
 
 def _check_base(p: int):
@@ -41,8 +41,7 @@ def odometer(base: int = 2, **budgets) -> ChainAction:
         return LevelAction(level, n, parent, {"a": shift})
 
     return ChainAction(alphabet, provider, name=f"odometer({base})",
-                       level_size=lambda level: base**level,
-                       metadata={"family": "odometer", "base": base}, **budgets)
+                       level_size=lambda level: base**level, **budgets)
 
 
 def toral(dim: int = 2, base: int = 2, **budgets) -> ChainAction:
@@ -74,8 +73,7 @@ def toral(dim: int = 2, base: int = 2, **budgets) -> ChainAction:
         return LevelAction(level, n, tuple(parent), perms)
 
     return ChainAction(alphabet, provider, name=f"toral({dim},{base})",
-                       level_size=lambda level: (base**level) ** dim,
-                       metadata={"family": "toral", "dim": dim, "base": base}, **budgets)
+                       level_size=lambda level: (base**level) ** dim, **budgets)
 
 
 def dihedral(**budgets) -> ChainAction:
@@ -89,8 +87,7 @@ def dihedral(**budgets) -> ChainAction:
         return LevelAction(level, n, parent, {"a": shift, "r": flip})
 
     return ChainAction(alphabet, provider, name="dihedral",
-                       level_size=lambda level: 2**level,
-                       metadata={"family": "dihedral"}, **budgets)
+                       level_size=lambda level: 2**level, **budgets)
 
 
 def heisenberg(base: int = 2, **budgets) -> ChainAction:
@@ -122,8 +119,7 @@ def heisenberg(base: int = 2, **budgets) -> ChainAction:
         return LevelAction(level, n, tuple(parent), {"A": tuple(a), "B": tuple(b), "C": tuple(c)})
 
     return ChainAction(alphabet, provider, name=f"heisenberg({base})",
-                       level_size=lambda level: (base**level) ** 2,
-                       metadata={"family": "heisenberg", "base": base}, **budgets)
+                       level_size=lambda level: (base**level) ** 2, **budgets)
 
 
 def fragmented(**budgets) -> ChainAction:
@@ -144,8 +140,7 @@ def fragmented(**budgets) -> ChainAction:
         return LevelAction(level, n, parent, {"h": shift, "g": frag})
 
     return ChainAction(alphabet, provider, name="fragmented",
-                       level_size=lambda level: 2**level,
-                       metadata={"family": "fragmented"}, **budgets)
+                       level_size=lambda level: 2**level, **budgets)
 
 
 class Puncture(NamedTuple):
@@ -190,6 +185,9 @@ class FatCantorPlan:
     """
 
     DEFAULT_OVERRIDES = {1: 9, 2: 10, 3: 7}
+    # the deepest level a schedule may name: no chain is built past it, as
+    # level 41 alone has 3^41 > 2^64 points
+    _MAX_LEVEL = 40
 
     def __init__(self, schedule: dict[int, int] | None = None):
         overrides = dict(self.DEFAULT_OVERRIDES if schedule is None else schedule)
@@ -201,12 +199,15 @@ class FatCantorPlan:
                     f"schedule sends level-{lvl} cylinders to level {target}; punctures "
                     f"must sit at or below their cylinder"
                 )
+            if target > self._MAX_LEVEL:
+                raise SchemaError(f"schedule level {target} is deeper than the cap of "
+                                  f"{self._MAX_LEVEL}")
         self.overrides = overrides
         bound = self.punctured_measure_bound()
         if bound >= Fraction(1, 2):
             raise SchemaError(
-                "schedule rejected: punctured measure bound "
-                f"{bound} is not smaller than the fixed-set measure {1 - bound}"
+                f"schedule rejected: punctured measure bound {float(bound):.6g} is not "
+                f"smaller than the fixed-set measure {float(1 - bound):.6g}"
             )
         self._punctures: list[Puncture] = []
         self._enumerated_to_level = 0
@@ -262,12 +263,6 @@ class FatCantorPlan:
         self._extend(self._max_cylinder_level(depth))
         return [p for p in self._punctures if p.level + 1 <= depth]
 
-    def moved_measure_at(self, depth: int) -> Fraction:
-        return sum(
-            (Fraction(2, 3 ** (p.level + 1)) for p in self.punctures_visible_at(depth)),
-            Fraction(0),
-        )
-
 
 def fat_cantor(schedule: dict[int, int] | None = None, **budgets) -> ChainAction:
     """Ternary odometer plus a generator with a fat, nowhere-dense fixed set.
@@ -296,14 +291,8 @@ def fat_cantor(schedule: dict[int, int] | None = None, **budgets) -> ChainAction
         parent = tuple(x % (n // 3) for x in range(n))
         return LevelAction(level, n, parent, {"h": shift, "g": tuple(frag)})
 
-    return ChainAction(
-        alphabet,
-        provider,
-        name="fat_cantor",
-        level_size=lambda level: 3**level,
-        metadata={"family": "fat_cantor", "plan": plan},
-        **budgets,
-    )
+    return ChainAction(alphabet, provider, name="fat_cantor",
+                       level_size=lambda level: 3**level, **budgets)
 
 
 def mealy_chain(machine: MealyMachine, name: str = "mealy", **budgets) -> ChainAction:
@@ -325,7 +314,6 @@ def mealy_chain(machine: MealyMachine, name: str = "mealy", **budgets) -> ChainA
     if not gen_names:
         raise SchemaError("machine defines no generators")
     alphabet = GeneratorAlphabet(gen_names)
-    backend = MealyBackend(machine, gen_names)
     d = machine.alphabet_size
     # moves[q][c] = (image letter, section state) for every state reached
     # from a generator
@@ -365,15 +353,8 @@ def mealy_chain(machine: MealyMachine, name: str = "mealy", **budgets) -> ChainA
             grow()
         return last
 
-    return ChainAction(
-        alphabet,
-        provider,
-        name=name,
-        level_size=lambda level: d**level,
-        mealy=backend,
-        metadata={"family": "mealy"},
-        **budgets,
-    )
+    return ChainAction(alphabet, provider, name=name, level_size=lambda level: d**level,
+                       mealy=machine, **budgets)
 
 
 def adding_machine_chain(base: int = 2, **budgets) -> ChainAction:
@@ -457,8 +438,7 @@ def chain_from_dict(data: dict, *, validate: bool = True, **budgets) -> ChainAct
     budgets.setdefault("depth_limit", len(levels))
     budgets["depth_limit"] = min(budgets["depth_limit"], len(levels))
     chain = ChainAction(alphabet, provider, name=name,
-                        level_size=lambda level: levels[level - 1].size,
-                        metadata={"family": "file"}, **budgets)
+                        level_size=lambda level: levels[level - 1].size, **budgets)
     if validate:
         report = validate_chain(chain, len(levels))
         if not report.ok:
@@ -473,10 +453,7 @@ def chain_from_dict(data: dict, *, validate: bool = True, **budgets) -> ChainAct
 
 def load_chain(path, *, validate: bool = True, **budgets) -> ChainAction:
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"chain file {path} is not valid JSON: {exc}") from exc
+        data = read_json(fh.read(), f"chain file {path} is not valid JSON")
     return chain_from_dict(data, validate=validate, **budgets)
 
 

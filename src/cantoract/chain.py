@@ -155,7 +155,9 @@ class ChainAction:
     the memory budget is checked against the sizes of every level a request
     needs before the provider builds any.  ``depth_limit`` and
     ``memory_budget`` are hard budgets: exceeding them raises a budget
-    error, never truncates.
+    error, never truncates.  ``mealy`` is the
+    :class:`~cantoract.mealy.MealyMachine` whose action on length-``L``
+    strings each level ``L`` is, for a chain built from one.
 
     The permutation kernel every analysis calls lives here: the letter
     table, each letter's image array at a level (:meth:`letter_perms`),
@@ -176,14 +178,12 @@ class ChainAction:
         depth_limit: int = DEFAULT_DEPTH_LIMIT,
         memory_budget: int = DEFAULT_MEMORY_BUDGET,
         mealy=None,
-        metadata: dict | None = None,
     ):
         self.alphabet = alphabet
         self.name = name
         self.depth_limit = depth_limit
         self.memory_budget = memory_budget
         self.mealy = mealy
-        self.metadata = metadata or {}
         self._provider = provider
         self._level_size = level_size
         self._levels: list[LevelAction] = []
@@ -465,13 +465,10 @@ class ChainAction:
             columns = [order[j::k] for j in range(k)]
             if k * below != n or not all(all(map(eq, compose(parent, c), range(below)))
                                          for c in columns):
-                counts = [0] * below
-                for p in parent:
-                    counts[p] += 1
-                v = next(v for v, c in enumerate(counts) if c != k)
-                raise InvalidChainError(
-                    f"level {level}: level-{level - 1} point {v} has {counts[v]} "
-                    f"preimages, expected {k}")
+                _, detail = (_first_offender("fiber-constancy", lv, below)
+                             or _first_offender("parent-range", lv, below)
+                             or _first_offender("bijectivity", lv, below, self.alphabet.names[0]))
+                raise InvalidChainError(f"level {level}: {detail}")
             table = self._children[level] = tuple(_packed(c, n) for c in columns)
         return table
 
@@ -661,8 +658,9 @@ def sample_uniform(chain: ChainAction, depth: int, seed: int) -> PointApprox:
 def _first_offender(invariant: str, lv: LevelAction, prev_size: int, name=None, below=None):
     """``(point, detail)`` for the first point of ``lv`` that breaks
     ``invariant`` (for generator ``name``, whose array one level down is
-    ``below``), or None.  A per-point scan, so :func:`validate_chain` calls
-    it only to name the offender on a level that failed a C-level check."""
+    ``below``), or None.  A per-point scan, so :func:`validate_chain` and
+    :meth:`ChainAction.children` call it only to name the offender on a
+    level that failed a C-level check."""
     n, parent, k = lv.size, lv.parent, lv.size // prev_size
     if invariant == "bijectivity":
         seen = set()

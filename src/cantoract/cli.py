@@ -27,10 +27,11 @@ from .chain import (
     sample_uniform,
     validate_chain,
 )
-from .errors import BudgetError, InvalidChainError, SchemaError
-from .farber import farber_check, local_farber_check, stabilizer_count_oracle
+from .errors import BudgetError, InvalidChainError, SchemaError, read_json
+from .farber import (DEFAULT_MAX_SCHREIER, DEFAULT_TOLERANCE, farber_check, local_farber_check,
+                     stabilizer_count_oracle)
 from .holonomy import density_profile, fixed_set_report
-from .lcs import witness_search
+from .lcs import DEFAULT_MAX_CANDIDATES, witness_search
 from .mealy import load_machine
 from .words import DEFAULT_WORD_BUDGET, MAX_WORD_LETTERS, parse_word
 
@@ -58,13 +59,15 @@ def _at_least(low: int):
 _count = _at_least(0)  # lengths, counts and budgets
 
 
-def _add_common(sp, *, depth_default=10, depth_type=int):
+def _add_common(sp, *, depth_default=10, depth_type=int, report=True):
+    """The flags every command takes, and ``--seed`` and ``--format`` if it writes a report."""
     sp.add_argument("--depth", type=depth_type, default=depth_default, help="report depth N")
-    sp.add_argument("--seed", type=int, default=0)
+    if report:
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--threads", type=int, default=None,
                     help=f"accepted and validated, but analyses run on one thread "
                          f"(flag wins over ${THREADS_ENV})")
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("-o", "--output", default=None)
     sp.add_argument("--depth-limit", type=_count, default=DEFAULT_DEPTH_LIMIT)
     sp.add_argument("--memory-budget", type=_count, default=DEFAULT_MEMORY_BUDGET)
@@ -81,7 +84,7 @@ def _build_parser() -> _Parser:
     b.add_argument("--machine", default=None, help="machine file for the mealy family")
     b.add_argument("--schedule", default=None,
                    help="JSON map of cylinder level to puncture level (fat_cantor)")
-    _add_common(b)
+    _add_common(b, report=False)
 
     v = sub.add_parser("validate", help="check every tower invariant to a depth")
     v.add_argument("chain")
@@ -92,15 +95,15 @@ def _build_parser() -> _Parser:
     f.add_argument("--max-word-len", type=_count, default=4)
     f.add_argument("--words", dest="words_file", default=None,
                    help="file with one word per line")
-    f.add_argument("--tol", dest="tolerance", type=_tolerance, default="1/64")
+    f.add_argument("--tol", dest="tolerance", type=_tolerance, default=DEFAULT_TOLERANCE)
     _add_common(f)
 
     lf = sub.add_parser("local-farber", help="fixed-coset check localized to a base level")
     lf.add_argument("chain")
     lf.add_argument("--base-level", type=_count, default=1)
     lf.add_argument("--max-word-len", type=_count, default=4)
-    lf.add_argument("--tol", dest="tolerance", type=_tolerance, default="1/64")
-    lf.add_argument("--max-schreier", type=_count, default=128)
+    lf.add_argument("--tol", dest="tolerance", type=_tolerance, default=DEFAULT_TOLERANCE)
+    lf.add_argument("--max-schreier", type=_count, default=DEFAULT_MAX_SCHREIER)
     _add_common(lf)
 
     h = sub.add_parser("holonomy", help="fixed set, interior bound, holonomy estimate")
@@ -119,7 +122,7 @@ def _build_parser() -> _Parser:
     lw.add_argument("--class", dest="max_class", type=_at_least(1), default=2)
     lw.add_argument("--max-word-len", type=_count, default=4)
     lw.add_argument("--conj-len", type=_count, default=2)
-    lw.add_argument("--max-candidates", type=_count, default=256)
+    lw.add_argument("--max-candidates", type=_count, default=DEFAULT_MAX_CANDIDATES)
     _add_common(lw)
 
     oracle = sub.add_parser("oracle", help="small-group oracles")
@@ -201,8 +204,8 @@ def _schedule(text):
     if text is None:
         return None
     try:
-        return {int(k): int(v) for k, v in json.loads(text).items()}
-    except (TypeError, ValueError, AttributeError) as exc:
+        return {int(k): int(v) for k, v in read_json(text, "bad --schedule value").items()}
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise SchemaError(f"bad --schedule value: {exc}") from exc
 
 

@@ -1,9 +1,23 @@
+import json
+
+
 class CantorActError(Exception):
     """Base class for all package-specific errors."""
 
 
 class SchemaError(CantorActError):
     """Malformed input: chain/machine file, word syntax, or point syntax."""
+
+
+def read_json(text: str, where: str):
+    """The JSON value ``text`` holds, else a one-line ``SchemaError``
+    ``"{where}: ..."``: malformed, or nested too deep for the parser."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+    except RecursionError:
+        raise SchemaError(f"{where}: arrays or objects nest too deep") from None
 
 
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",

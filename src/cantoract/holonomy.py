@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .chain import ChainAction, Cylinder, PointApprox, check_depth, compose
 from .mealy import is_trivial as mealy_is_trivial
-from .words import Word, check_word_budget, reduced_words
+from .words import Word, check_word_budget, free_reduce, reduced_words
 
 
 def interior_scan_limit(depth: int) -> int:
@@ -63,9 +63,9 @@ class DensityProfile(NamedTuple):
 class TrivialityWitness(NamedTuple):
     """A word that fixes a whole depth-N cylinder fiber yet moves points.
 
-    ``exact`` is set only when a transducer backend certifies both sides:
-    the subtree below the cylinder is genuinely fixed and the word is
-    genuinely non-trivial.
+    ``exact`` is set only when the chain's transducer certifies that the
+    whole subtree below the cylinder is fixed; the word moves a point, so it
+    is genuinely non-trivial.
     """
 
     word: Word
@@ -165,12 +165,17 @@ def density_profile(chain: ChainAction, word: Word, center: PointApprox) -> Dens
 
 
 def _mealy_exact(chain: ChainAction, word: Word, cylinder: Cylinder) -> bool:
-    backend = chain.mealy
-    state_word = backend.state_word(word)
-    if mealy_is_trivial(backend.machine, state_word):
-        return False  # word is genuinely the identity; not a witness at all
-    path = backend.vertex_path(cylinder.vertex, cylinder.level)
-    return mealy_is_trivial(backend.machine, backend.machine.section(state_word, path))
+    """Whether the chain's machine certifies that ``word`` fixes the subtree
+    below ``cylinder``: its section at the vertex (base-d digits, least
+    significant first) is trivial.  ``word`` moves a point, so it is not."""
+    machine, names = chain.mealy, chain.alphabet.names
+    state_word = free_reduce((machine.generator_map[names[gen]], sign)
+                             for gen, sign in word.letters)
+    path, vertex = [], cylinder.vertex
+    for _ in range(cylinder.level):
+        vertex, letter = divmod(vertex, machine.alphabet_size)
+        path.append(letter)
+    return mealy_is_trivial(machine, machine.section(state_word, path))
 
 
 def _scan_words(chain: ChainAction, max_word_len: int) -> list[Word]:
@@ -199,9 +204,9 @@ def partial_triviality_witnesses(
     Scans all reduced words up to ``max_word_len`` in canonical order and
     returns, per word, its maximal fully fixed cylinders (levels 1 up to the
     interior scan cap).  Each returned witness is re-checked by evaluating
-    the word letter by letter on the cylinder's fiber.  Transducer-backed
-    chains upgrade witnesses to exact statements where the section oracle
-    certifies them.
+    the word letter by letter on the cylinder's fiber.  On a chain built
+    from a transducer, a witness is exact where the word's section at the
+    cylinder is trivial.
     """
     check_depth(depth)
     words = _scan_words(chain, max_word_len)
@@ -211,7 +216,7 @@ def partial_triviality_witnesses(
             fiber = chain.fiber(cyl.level, depth, cyl.vertex)
             if chain.apply(words[i], depth, fiber) != fiber:
                 raise AssertionError("witness failed direct re-check")
-            exact = bool(chain.mealy) and _mealy_exact(chain, words[i], cyl)
+            exact = chain.mealy is not None and _mealy_exact(chain, words[i], cyl)
             found[i].append(TrivialityWitness(word=words[i], cylinder=cyl, exact=exact))
     return [w for witnesses in found for w in witnesses]
 

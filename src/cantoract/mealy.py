@@ -11,10 +11,7 @@ decidable by closing the word under sections.
 
 from __future__ import annotations
 
-import json
-from typing import NamedTuple
-
-from .errors import BudgetError, SchemaError, expect
+from .errors import BudgetError, SchemaError, expect, read_json
 from .words import free_reduce
 
 StateLetter = tuple[str, int]  # (state name, sign)
@@ -181,29 +178,9 @@ def machine_from_dict(data: dict) -> MealyMachine:
                         transitions, outputs, generators)
 
 
-def machine_to_dict(machine: MealyMachine) -> dict:
-    return {
-        "alphabet": machine.alphabet_size,
-        "states": list(machine.states),
-        "transitions": {
-            q: {str(c): machine.transitions[q][c] for c in range(machine.alphabet_size)}
-            for q in machine.states
-        },
-        "outputs": {
-            q: {str(c): machine.outputs[q][c] for c in range(machine.alphabet_size)}
-            for q in machine.states
-        },
-        "generators": dict(machine.generator_map),
-    }
-
-
 def load_machine(path) -> MealyMachine:
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"machine file {path} is not valid JSON: {exc}") from exc
-    return machine_from_dict(data)
+        return machine_from_dict(read_json(fh.read(), f"machine file {path} is not valid JSON"))
 
 
 def adding_machine(base: int = 2) -> MealyMachine:
@@ -221,24 +198,3 @@ def adding_machine(base: int = 2) -> MealyMachine:
     }
     return MealyMachine(base, states, transitions, outputs, {"a": "add"})
 
-
-class MealyBackend(NamedTuple):
-    """Attaches exact-oracle data to a chain built from a machine."""
-
-    machine: MealyMachine
-    generator_order: tuple[str, ...]
-
-    def state_word(self, word) -> StateWord:
-        letters: list[StateLetter] = []
-        for gen, sign in word.letters:
-            name = self.generator_order[gen]
-            letters.append((self.machine.generator_map[name], sign))
-        return free_reduce(letters)
-
-    def vertex_path(self, vertex: int, level: int) -> tuple[int, ...]:
-        d = self.machine.alphabet_size
-        path = []
-        for _ in range(level):
-            path.append(vertex % d)
-            vertex //= d
-        return tuple(path)

@@ -8,16 +8,21 @@ kernel's letter tables (``ChainAction.letter_perms``) or word images.
 report.  ``class_keys`` is the conjugacy key as it was before pairs were
 coded as ints: least rotations of ``(letter, state)`` tuples, computed for
 every word; the kernel's keys must group words the same way.
-``root_permutation`` is a transducer word's action on the first letter.
+``root_permutation`` is a transducer word's action on the first letter;
+``state_word`` and ``vertex_path`` read a chain word and a vertex of a
+chain built from a machine in the machine's terms, and ``machine_to_dict``
+writes a machine file.  ``moved_measure_at`` is the fat-Cantor ledger's
+measure of the points its visible punctures move.
 """
 
 from fractions import Fraction
 from typing import NamedTuple
 
+from cantoract.builders import FatCantorPlan
 from cantoract.chain import (ChainAction, LevelAction, PointApprox, ValidationReport,
                              Violation, _orbit)
 from cantoract.mealy import MealyMachine, StateWord
-from cantoract.words import Word, cyclic_core
+from cantoract.words import Word, cyclic_core, free_reduce
 
 
 class Distance(NamedTuple):
@@ -70,6 +75,39 @@ def stabilizer_contains(chain: ChainAction, word: Word, level: int) -> bool:
 def root_permutation(machine: MealyMachine, word: StateWord) -> tuple[int, ...]:
     """The permutation of the first letter that ``word`` applies."""
     return tuple(machine.step(word, c)[0] for c in range(machine.alphabet_size))
+
+
+def state_word(chain: ChainAction, word: Word) -> StateWord:
+    """``word`` as a reduced word in the states of ``chain.mealy``."""
+    names, states = chain.alphabet.names, chain.mealy.generator_map
+    return free_reduce((states[names[gen]], sign) for gen, sign in word.letters)
+
+
+def vertex_path(chain: ChainAction, vertex: int, level: int) -> tuple[int, ...]:
+    """The string of a level-``level`` vertex of a machine chain: its base-d
+    digits, least significant first."""
+    d = chain.mealy.alphabet_size
+    return tuple(vertex // d**i % d for i in range(level))
+
+
+def machine_to_dict(machine: MealyMachine) -> dict:
+    """The machine file that describes ``machine``."""
+    letters = range(machine.alphabet_size)
+    return {
+        "alphabet": machine.alphabet_size,
+        "states": list(machine.states),
+        "transitions": {q: {str(c): machine.transitions[q][c] for c in letters}
+                        for q in machine.states},
+        "outputs": {q: {str(c): machine.outputs[q][c] for c in letters} for q in machine.states},
+        "generators": dict(machine.generator_map),
+    }
+
+
+def moved_measure_at(plan: FatCantorPlan, depth: int) -> Fraction:
+    """The measure of the points that the punctures ``plan`` makes visible
+    at ``depth`` move: each swaps two subtrees one level below its vertex."""
+    return sum((Fraction(2, 3 ** (p.level + 1)) for p in plan.punctures_visible_at(depth)),
+               Fraction(0))
 
 
 def validate_chain_pointwise(chain: ChainAction, depth: int) -> ValidationReport:

@@ -8,10 +8,11 @@ import time
 from fractions import Fraction
 
 import cantoract as ca
+from cantoract.builders import FatCantorPlan
 from cantoract.farber import INDISTINGUISHABLE, PASS
 
 from conftest import word
-from oracles import act, distance
+from oracles import act, distance, state_word
 
 
 def _report(name: str, started: float, budget: float, description: str):
@@ -97,8 +98,7 @@ def test_criterion_5_fat_cantor_essential_holonomy():
     g = word(fat, "g")
     rep = ca.fixed_set_report(fat, g, 8)
     assert Fraction(1, 4) <= rep.hol_estimate <= Fraction(1, 2)
-    plan = fat.metadata["plan"]
-    visible = plan.punctures_visible_at(8)
+    visible = FatCantorPlan().punctures_visible_at(8)
     regions = {fat.ancestors(p.level, rep.interior_scan_max_level)[p.vertex] for p in visible}
     ledger_value = (
         len(regions) * Fraction(1, fat.size(rep.interior_scan_max_level))
@@ -211,10 +211,9 @@ def test_criterion_8_mealy_exactness(odo2, adding):
     for level in range(1, 9):
         assert adding.level(level).perms["a"] == odo2.level(level).perms["a"]
         assert adding.level(level).parent == odo2.level(level).parent
-    backend = adding.mealy
     n8 = adding.size(8)
     for w in ca.reduced_words(adding.alphabet, 4):
-        if ca.is_trivial(backend.machine, backend.state_word(w)):
+        if ca.is_trivial(adding.mealy, state_word(adding, w)):
             assert adding.fixed_count(w, 8) == n8
     _report("criterion-8", started, 10.0,
             "adding-machine chain equals odometer(2) to depth 8 and the exact "

@@ -7,6 +7,7 @@ from cantoract.builders import FatCantorPlan
 from cantoract.errors import SchemaError
 
 from conftest import word
+from oracles import moved_measure_at
 
 
 def test_families_validate_to_depth_10(odo2, odo3, dih, frag, fat, adding, toral22):
@@ -91,12 +92,12 @@ def test_toral_generators_commute_and_translate(toral22):
 
 def test_fat_cantor_density_bound_from_ledger(fat):
     g = word(fat, "g")
-    plan = fat.metadata["plan"]
+    plan = FatCantorPlan()
     assert plan.punctured_measure_bound() <= Fraction(1, 4)
     last = Fraction(1)
     for level in range(1, 11):
         density = Fraction(fat.fixed_count(g, level), fat.size(level))
-        assert density == 1 - plan.moved_measure_at(level)
+        assert density == 1 - moved_measure_at(plan, level)
         assert density <= last
         assert density >= 1 - plan.punctured_measure_bound()
         assert density >= Fraction(1, 4)
@@ -107,9 +108,9 @@ def test_fat_cantor_custom_schedule():
     chain = ca.fat_cantor({1: 5, 2: 7, 3: 9})
     assert ca.validate_chain(chain, 8).ok
     g = word(chain, "g")
-    plan = chain.metadata["plan"]
+    plan = FatCantorPlan({1: 5, 2: 7, 3: 9})
     for level in (6, 8):
-        assert Fraction(chain.fixed_count(g, level), chain.size(level)) == 1 - plan.moved_measure_at(level)
+        assert Fraction(chain.fixed_count(g, level), chain.size(level)) == 1 - moved_measure_at(plan, level)
 
 
 def test_fat_cantor_rejects_greedy_schedule():
@@ -120,9 +121,16 @@ def test_fat_cantor_rejects_greedy_schedule():
         FatCantorPlan({2: 1})  # puncture above its cylinder
 
 
+def test_fat_cantor_schedule_levels_are_capped():
+    assert FatCantorPlan({1: 40}).overrides == {1: 40}
+    with pytest.raises(SchemaError, match="^schedule level 41 is deeper than the cap of 40$"):
+        FatCantorPlan({1: 41})
+    with pytest.raises(SchemaError, match="^schedule level 16000000 is deeper"):
+        FatCantorPlan({1: 16_000_000})
+
+
 def test_fat_cantor_punctures_are_disjoint(fat):
-    plan = fat.metadata["plan"]
-    punctures = plan.punctures_visible_at(10)
+    punctures = FatCantorPlan().punctures_visible_at(10)
     zones = [z for p in punctures for z in p.zones()]
     for i in range(len(zones)):
         for j in range(i + 1, len(zones)):

@@ -193,7 +193,8 @@ def test_main_in_process(tmp_path, capsys):
 
 
 def test_build_mealy_from_machine_file(tmp_path):
-    from cantoract.mealy import adding_machine, machine_to_dict
+    from cantoract.mealy import adding_machine
+    from oracles import machine_to_dict
 
     machine_path = tmp_path / "adder.json"
     machine_path.write_text(json.dumps(machine_to_dict(adding_machine(2))))
@@ -267,6 +268,9 @@ def test_depth_below_one_is_a_one_line_error(chains, argv):
 
 
 NESTED_WORD = "(" * 3000 + "g" + ")" * 3000
+# JSON nested past the parser's recursion limit; an argument holds at most 128 KiB
+NESTED_JSON = "[" * 100_000 + "]" * 100_000
+NESTED_SCHEDULE = "[" * 50_000 + "]" * 50_000
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -278,6 +282,27 @@ NESTED_WORD = "(" * 3000 + "g" + ")" * 3000
     (["build", "mealy", "--machine", "{tmp}/missing.json", "-o", "{tmp}/chain.json"],
      "No such file or directory"),
     (["holonomy", "{fragmented}", "--word", NESTED_WORD, "--depth", "3"], "nest deeper"),
+    (["validate", "{nested}"],
+     "chain file {nested} is not valid JSON: arrays or objects nest too deep"),
+    (["lcs-witness", "{nested}", "--depth", "3"],
+     "chain file {nested} is not valid JSON: arrays or objects nest too deep"),
+    (["build", "mealy", "--machine", "{nested}", "-o", "{tmp}/chain.json"],
+     "machine file {nested} is not valid JSON: arrays or objects nest too deep"),
+    (["build", "fat_cantor", "--schedule", NESTED_SCHEDULE, "-o", "{tmp}/chain.json"],
+     "bad --schedule value: arrays or objects nest too deep"),
+    (["build", "fat_cantor", "--schedule", '{"1": 16000000}', "-o", "{tmp}/chain.json"],
+     "schedule level 16000000 is deeper than the cap of 40"),
+    (["build", "fat_cantor", "--schedule", '{"300000": 300000}', "-o", "{tmp}/chain.json"],
+     "schedule level 300000 is deeper than the cap of 40"),
+    (["build", "fat_cantor", "--schedule", '{"40": 40}', "-o", "{tmp}/chain.json"],
+     "schedule rejected: punctured measure bound 0.679012 is not smaller than the "
+     "fixed-set measure 0.320988"),
+    (["build", "fat_cantor", "--schedule", '{"1": 1e400}', "-o", "{tmp}/chain.json"],
+     "bad --schedule value: cannot convert float infinity to integer"),
+    (["build", "odometer", "--seed", "1", "-o", "{tmp}/chain.json"],
+     "unrecognized arguments: --seed 1"),
+    (["build", "odometer", "--format", "csv", "-o", "{tmp}/chain.json"],
+     "unrecognized arguments: --format csv"),
     (["lcs-witness", "{fragmented}", "--max-candidates", "-1", "--depth", "3"],
      "argument --max-candidates: must be at least 0, got -1"),
     (["lcs-witness", "{fragmented}", "--class", "0", "--depth", "3"],
@@ -309,13 +334,17 @@ NESTED_WORD = "(" * 3000 + "g" + ")" * 3000
      "argument --level: must be at least 1, got -2"),
 ])
 def test_bad_input_is_a_one_line_error(chains, tmp_path, argv, message):
+    nested = tmp_path / "nested.json"
+    if "{nested}" in argv:
+        nested.write_text(NESTED_JSON)
     argv = [arg.replace("{tmp}", str(tmp_path)).replace("{fragmented}", chains["fragmented"])
-            for arg in argv]
+            .replace("{nested}", str(nested)) for arg in argv]
     proc = run_cli(argv)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
-    assert len(errors) == 1 and message in errors[0]
+    assert len(errors) == 1 and message.replace("{nested}", str(nested)) in errors[0]
+    assert not (tmp_path / "chain.json").exists()
 
 
 @pytest.mark.parametrize("word, letters", [
@@ -483,7 +512,8 @@ def test_empty_level_is_a_one_line_error(tmp_path, argv):
     ({"alphabet": 2.0}, "machine file: alphabet must be an integer, got a number"),
 ])
 def test_machine_file_types_are_one_line_errors(tmp_path, change, message):
-    from cantoract.mealy import adding_machine, machine_to_dict
+    from cantoract.mealy import adding_machine
+    from oracles import machine_to_dict
 
     machine_path = tmp_path / "machine.json"
     machine_path.write_text(json.dumps({**machine_to_dict(adding_machine(2)), **change}))

@@ -4,10 +4,12 @@ import pytest
 
 import cantoract as ca
 import cantoract.chain as chain_module
+from cantoract.builders import FatCantorPlan
 from cantoract.holonomy import interior_scan_limit
 from cantoract.mealy import machine_from_dict
 
 from conftest import GRIGORCHUK, word
+from oracles import state_word, vertex_path
 
 
 def test_identity_word_rejected(odo2):
@@ -93,8 +95,7 @@ def test_indistinguishable_flag(odo2):
 
 def test_fat_cantor_report_against_ledger(fat):
     rep = ca.fixed_set_report(fat, word(fat, "g"), 8)
-    plan = fat.metadata["plan"]
-    visible = plan.punctures_visible_at(8)
+    visible = FatCantorPlan().punctures_visible_at(8)
     regions = {fat.ancestors(p.level, 4)[p.vertex] for p in visible}
     predicted = len(regions) * Fraction(1, 81) - len(visible) * Fraction(2, 3**8)
     assert Fraction(1, 4) <= rep.hol_estimate <= Fraction(1, 2)
@@ -134,7 +135,7 @@ def test_witnesses_fragmented(frag):
     found = ca.partial_triviality_witnesses(frag, 1, 6)
     pairs = {(ca.render_word(w.word, frag.alphabet), w.cylinder) for w in found}
     assert ("g", ca.Cylinder(1, 0)) in pairs
-    assert all(not w.exact for w in found)  # no transducer backend
+    assert all(not w.exact for w in found)  # no transducer
 
 
 def test_witnesses_soundness(frag, fat):
@@ -151,13 +152,10 @@ def test_witnesses_empty_for_free_actions(odo2, adding):
     assert ca.partial_triviality_witnesses(adding, 3, 8) == []
 
 
-def test_witness_exact_flags():
-    """A transducer generator fixing the 0-subtree exactly while swapping
-    below the 1-subtree yields witnesses flagged exact."""
-    from cantoract.mealy import MealyMachine, is_trivial
-    from cantoract.builders import mealy_chain
-
-    m = MealyMachine(
+def _half_fixed_machine():
+    """A transducer generator ``g`` fixing the 0-subtree exactly while
+    swapping below the 1-subtree, next to the adding machine ``a``."""
+    return ca.MealyMachine(
         2,
         ("add", "id", "f", "sw"),
         {
@@ -174,10 +172,18 @@ def test_witness_exact_flags():
         },
         {"a": "add", "g": "f"},
     )
+
+
+def test_witness_exact_flags():
+    """The half-fixed generator yields witnesses flagged exact."""
+    from cantoract.mealy import is_trivial
+    from cantoract.builders import mealy_chain
+
+    m = _half_fixed_machine()
     chain = mealy_chain(m, name="half-fixed")
     assert ca.validate_chain(chain, 6).ok
     g = ca.parse_word("g", chain.alphabet)
-    assert not is_trivial(m, chain.mealy.state_word(g))
+    assert not is_trivial(m, state_word(chain, g))
     found = ca.partial_triviality_witnesses(chain, 1, 6)
     exact = {(ca.render_word(w.word, chain.alphabet), w.cylinder.level, w.cylinder.vertex)
              for w in found if w.exact}
@@ -185,6 +191,25 @@ def test_witness_exact_flags():
     rep = ca.fixed_set_report(chain, g, 6)
     assert rep.max_fixed_cylinders == (ca.Cylinder(1, 0),)
     assert rep.hol_estimate == 0
+
+
+@pytest.mark.parametrize("make, max_word_len, depth, count", [
+    (lambda: ca.mealy_chain(_half_fixed_machine(), name="half-fixed"), 2, 6, 2),
+    (lambda: ca.mealy_chain(machine_from_dict(GRIGORCHUK), name="grigorchuk"), 2, 8, 40),
+    (lambda: ca.adding_machine_chain(2), 3, 8, 0),
+])
+def test_machine_chain_witnesses(make, max_word_len, depth, count):
+    """No witness word on a machine chain is the identity, and a witness is
+    exact iff the word's section at the cylinder's string is trivial."""
+    chain = make()
+    machine = chain.mealy
+    found = ca.partial_triviality_witnesses(chain, max_word_len, depth)
+    assert len(found) == count
+    for w in found:
+        states = state_word(chain, w.word)
+        assert not ca.is_trivial(machine, states)
+        path = vertex_path(chain, w.cylinder.vertex, w.cylinder.level)
+        assert w.exact == ca.is_trivial(machine, machine.section(states, path))
 
 
 def test_lqa_scale(frag, odo2, fat):

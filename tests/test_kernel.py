@@ -10,6 +10,7 @@ walk for tables and fibers.
 """
 
 import random
+import re
 import time
 from fractions import Fraction
 from functools import partial
@@ -202,6 +203,22 @@ def test_fixed_counts_refuse_a_level_without_constant_fibers():
         with pytest.raises(ca.InvalidChainError,
                            match=f"level-{depth - 1} point 0 has 3 preimages, expected 2"):
             _walked(chain, [ca.Word.identity()], depth, 0, entry)
+
+
+@pytest.mark.parametrize("parent, perm, detail", [
+    ([0, 1, 0, 2], [1, 2, 3, 0], "level-1 point 1 has 1 preimages, expected 2"),
+    ([0, 1, 0, -1], [1, 2, 3, 0], "level-1 point 1 has 1 preimages, expected 2"),
+    ([0, 1, 0, 1], [0, 0, 1, 2], "perm[1] = 0 breaks bijectivity"),
+])
+def test_children_names_the_offender_of_an_unvalidated_level(parent, perm, detail):
+    """A parent entry past the level below or negative, or a generator that
+    is no permutation, is refused with the offender validation names."""
+    level = {"size": 4, "parent": parent, "perms": {"a": perm}}
+    chain = ca.chain_from_dict({"name": "stray", "generators": ["a"], "levels": [_TOP, level]},
+                               validate=False)
+    with pytest.raises(ca.InvalidChainError, match=f"^level 2: {re.escape(detail)}$"):
+        chain.children(2)
+    assert detail in {v.detail for v in ca.validate_chain(chain, 2).violations}
 
 
 def test_a_word_fixing_the_tested_representatives_but_not_their_subtrees_is_walked():

@@ -8,11 +8,10 @@ from cantoract.mealy import (
     adding_machine,
     is_trivial,
     machine_from_dict,
-    machine_to_dict,
 )
 
-from conftest import GRIGORCHUK, word
-from oracles import root_permutation
+from conftest import GRIGORCHUK
+from oracles import machine_to_dict, root_permutation, state_word, vertex_path
 
 
 def test_adding_machine_sections():
@@ -72,10 +71,9 @@ def test_machine_dict_round_trip(tmp_path):
 def test_exact_agrees_with_truncation(adding):
     """is_trivial true must imply depth-8 triviality; on short adding-machine
     words the two decisions coincide."""
-    backend = adding.mealy
     n = adding.size(8)
     for w in ca.reduced_words(adding.alphabet, 4):
-        exact = is_trivial(backend.machine, backend.state_word(w))
+        exact = is_trivial(adding.mealy, state_word(adding, w))
         truncated = adding.fixed_count(w, 8) == n
         if exact:
             assert truncated
@@ -83,13 +81,11 @@ def test_exact_agrees_with_truncation(adding):
 
 
 def test_mealy_chain_against_transduction(adding):
-    backend = adding.mealy
-    a = word(adding, "a")
+    machine = adding.mealy
     for level in (1, 3, 5):
         perm = adding.level(level).perms["a"]
         for x in range(adding.size(level)):
-            path = backend.vertex_path(x, level)
-            out = backend.machine.transduce(backend.machine.state_word("a"), path)
+            out = machine.transduce(machine.state_word("a"), vertex_path(adding, x, level))
             assert perm[x] == sum(c * 2**i for i, c in enumerate(out))
 
 
@@ -111,7 +107,6 @@ def test_level_by_level_builder_matches_transduction(machine, depth):
     while d**depth > 1024:
         depth -= 1
     chain = ca.mealy_chain(machine)
-    backend = chain.mealy
     for level in range(1, depth + 1):
         lv = chain.level(level)
         n = d**level
@@ -121,7 +116,7 @@ def test_level_by_level_builder_matches_transduction(machine, depth):
             state = machine.state_word(gen)
             expected = tuple(
                 sum(c * d**i for i, c in enumerate(
-                    machine.transduce(state, backend.vertex_path(x, level))))
+                    machine.transduce(state, vertex_path(chain, x, level))))
                 for x in range(n)
             )
             assert lv.perms[gen] == expected
@@ -138,7 +133,7 @@ def test_builder_with_many_states_matches_transduction():
         for level in (3, 4):
             perm = chain.level(level).perms[gen]
             for x in range(2**level):
-                out = machine.transduce(machine.state_word(gen), chain.mealy.vertex_path(x, level))
+                out = machine.transduce(machine.state_word(gen), vertex_path(chain, x, level))
                 assert perm[x] == sum(c * 2**i for i, c in enumerate(out))
 
 
@@ -160,7 +155,7 @@ def test_grigorchuk_build_steps_each_section_letter_once():
     assert ca.validate_chain(chain, 13).ok
     lv = chain.level(13)
     for x in range(0, lv.size, 97):
-        path = chain.mealy.vertex_path(x, 13)
+        path = vertex_path(chain, x, 13)
         for gen in "abcd":
             out = machine.transduce(machine.state_word(gen), path)
             assert lv.perms[gen][x] == sum(c * 2**i for i, c in enumerate(out))

@@ -17,7 +17,6 @@ from cantoract.chain import Cylinder, PointApprox, ValidationReport, Violation
 from cantoract.farber import EVIDENCE_NOTE, FarberReport, StabilizerCountReport, WordVerdict
 from cantoract.holonomy import DensityProfile, FixedSetReport, LqaScaleEstimate, TrivialityWitness
 from cantoract.lcs import CandidateStream, ClassReport, LcsWitnessReport
-from cantoract.mealy import MealyBackend
 from cantoract.words import GeneratorAlphabet, Word
 
 # Each record with its fields in declaration order.
@@ -44,7 +43,6 @@ RECORDS = [
     (ClassReport, ("class_index", "examined", "truncated", "best_word", "best",
                    "nonvanishing", "all_indistinguishable")),
     (LcsWitnessReport, ("depth", "max_word_len", "conj_len", "max_candidates", "classes")),
-    (MealyBackend, ("machine", "generator_order")),
     (Puncture, ("cylinder_level", "cylinder_vertex", "level", "vertex")),
 ]
 
