@@ -30,18 +30,55 @@ def _check_base(p: int):
         raise SchemaError(f"base must be >= 2, got {p}")
 
 
+def _strings(base: int, names: tuple, name: str, perms, **budgets) -> ChainAction:
+    """A chain whose level ``L`` is the length-``L`` strings over ``base``
+    letters, least significant first, so the parent of ``x`` is
+    ``x % base**(L-1)``.  ``perms(level, points)`` returns the arrays of
+    ``names`` in order, sliced from ``points = tuple(range(base**level))``
+    so that every array shares its int objects."""
+    def provider(level: int) -> LevelAction:
+        points = tuple(range(base**level))
+        n = len(points)
+        return LevelAction(level, n, points[: n // base] * base,
+                           dict(zip(names, perms(level, points))))
+
+    return ChainAction(GeneratorAlphabet(names), provider, name=name,
+                       level_size=lambda level: base**level, **budgets)
+
+
+def _torus(dim: int, base: int, level: int) -> tuple:
+    """``(n, parent, shifts)`` of level ``level`` of the torus (Z/p^L)^dim:
+    point ``x`` has coordinates ``x // m**i % m`` with ``m = p**L``, and
+    ``shifts[i]`` adds 1 to coordinate ``i``."""
+    m = base**level
+    lower = m // base
+    n = m**dim
+    points = tuple(range(n))
+    shifts = []
+    for i in range(dim):
+        stride = m**i
+        # each run of m*stride points turns by stride
+        perm = []
+        for start in range(0, n, m * stride):
+            perm += points[start + stride:start + m * stride] + points[start:start + stride]
+        shifts.append(tuple(perm))
+    # one coordinate at a time, each the most significant so far: a point
+    # whose coordinate i is c has the parent of its lower coordinates plus
+    # lower**i * (c % lower), gathered from a slice of the points
+    parent = (0,)
+    for i in range(dim):
+        span = lower**i
+        shifted = []
+        for r in range(lower):
+            shifted += compose(points[r * span:(r + 1) * span], parent)
+        parent = tuple(shifted) * base
+    return n, parent, shifts
+
+
 def odometer(base: int = 2, **budgets) -> ChainAction:
     _check_base(base)
-    alphabet = GeneratorAlphabet(("a",))
-
-    def provider(level: int) -> LevelAction:
-        n = base**level
-        shift = tuple((x + 1) % n for x in range(n))
-        parent = tuple(x % base ** (level - 1) for x in range(n))
-        return LevelAction(level, n, parent, {"a": shift})
-
-    return ChainAction(alphabet, provider, name=f"odometer({base})",
-                       level_size=lambda level: base**level, **budgets)
+    return _strings(base, ("a",), f"odometer({base})",
+                    lambda level, points: (points[1:] + points[:1],), **budgets)
 
 
 def toral(dim: int = 2, base: int = 2, **budgets) -> ChainAction:
@@ -49,45 +86,19 @@ def toral(dim: int = 2, base: int = 2, **budgets) -> ChainAction:
     if dim < 1:
         raise SchemaError(f"dimension must be >= 1, got {dim}")
     names = tuple(f"t{i}" for i in range(dim))
-    alphabet = GeneratorAlphabet(names)
 
     def provider(level: int) -> LevelAction:
-        m = base**level
-        n = m**dim
-        lower = base ** (level - 1)
-        perms = {}
-        for i, name in enumerate(names):
-            stride = m**i
-            perm = []
-            for x in range(n):
-                c = (x // stride) % m
-                perm.append(x + stride * (((c + 1) % m) - c))
-            perms[name] = tuple(perm)
-        parent = []
-        for x in range(n):
-            p = 0
-            for i in range(dim):
-                c = (x // m**i) % m
-                p += (c % lower) * lower**i
-            parent.append(p)
-        return LevelAction(level, n, tuple(parent), perms)
+        n, parent, shifts = _torus(dim, base, level)
+        return LevelAction(level, n, parent, dict(zip(names, shifts)))
 
-    return ChainAction(alphabet, provider, name=f"toral({dim},{base})",
+    return ChainAction(GeneratorAlphabet(names), provider, name=f"toral({dim},{base})",
                        level_size=lambda level: (base**level) ** dim, **budgets)
 
 
 def dihedral(**budgets) -> ChainAction:
-    alphabet = GeneratorAlphabet(("a", "r"))
-
-    def provider(level: int) -> LevelAction:
-        n = 2**level
-        shift = tuple((x + 1) % n for x in range(n))
-        flip = tuple((-x) % n for x in range(n))
-        parent = tuple(x % (n // 2) for x in range(n))
-        return LevelAction(level, n, parent, {"a": shift, "r": flip})
-
-    return ChainAction(alphabet, provider, name="dihedral",
-                       level_size=lambda level: 2**level, **budgets)
+    return _strings(2, ("a", "r"), "dihedral",
+                    lambda level, points: (points[1:] + points[:1], points[:1] + points[:0:-1]),
+                    **budgets)
 
 
 def heisenberg(base: int = 2, **budgets) -> ChainAction:
@@ -100,25 +111,19 @@ def heisenberg(base: int = 2, **budgets) -> ChainAction:
     action.
     """
     _check_base(base)
-    alphabet = GeneratorAlphabet(("A", "B", "C"))
 
     def provider(level: int) -> LevelAction:
+        n, parent, (a, c) = _torus(2, base, level)
         m = base**level
-        n = m * m
-        lower = base ** (level - 1)
-        a = []
-        b = []
-        c = []
-        parent = []
-        for idx in range(n):
-            x, y = idx % m, idx // m
-            a.append((x + 1) % m + y * m)
-            b.append(x + ((y + x) % m) * m)
-            c.append(x + ((y + 1) % m) * m)
-            parent.append(x % lower + (y % lower) * lower)
-        return LevelAction(level, n, tuple(parent), {"A": tuple(a), "B": tuple(b), "C": tuple(c)})
+        # B turns column x (the points x + m*y) by x; C has already turned
+        # it by one, so B turns C's column x - 1 more
+        b = [0] * n
+        for x in range(m):
+            column = c[x::m]
+            b[x::m] = column[x - 1:] + column[:x - 1]
+        return LevelAction(level, n, parent, {"A": a, "B": b, "C": c})
 
-    return ChainAction(alphabet, provider, name=f"heisenberg({base})",
+    return ChainAction(GeneratorAlphabet(("A", "B", "C")), provider, name=f"heisenberg({base})",
                        level_size=lambda level: (base**level) ** 2, **budgets)
 
 
@@ -130,17 +135,12 @@ def fragmented(**budgets) -> ChainAction:
     topologically free, yet the restriction to either level-1 cylinder is a
     conjugated odometer.
     """
-    alphabet = GeneratorAlphabet(("h", "g"))
+    def perms(level: int, points: tuple) -> tuple:
+        frag = list(points)
+        frag[1::2] = points[3::2] + points[1:2]
+        return points[1:] + points[:1], frag
 
-    def provider(level: int) -> LevelAction:
-        n = 2**level
-        shift = tuple((x + 1) % n for x in range(n))
-        frag = tuple(x if x % 2 == 0 else (x + 2) % n for x in range(n))
-        parent = tuple(x % (n // 2) for x in range(n))
-        return LevelAction(level, n, parent, {"h": shift, "g": frag})
-
-    return ChainAction(alphabet, provider, name="fragmented",
-                       level_size=lambda level: 2**level, **budgets)
+    return _strings(2, ("h", "g"), "fragmented", perms, **budgets)
 
 
 class Puncture(NamedTuple):
@@ -275,24 +275,17 @@ def fat_cantor(schedule: dict[int, int] | None = None, **budgets) -> ChainAction
     level-L vertex of index x is the prefix of x's digits.
     """
     plan = FatCantorPlan(schedule)
-    alphabet = GeneratorAlphabet(("h", "g"))
 
-    def provider(level: int) -> LevelAction:
-        n = 3**level
-        shift = tuple((x + 1) % n for x in range(n))
-        frag = list(range(n))
+    def perms(level: int, points: tuple) -> tuple:
+        frag = list(points)
         for p in plan.punctures_visible_at(level):
-            step = 3**p.level
-            span = 3 ** (p.level + 1)
-            for t in range(n // span):
-                x1 = p.vertex + step + t * span
-                x2 = x1 + step
-                frag[x1], frag[x2] = frag[x2], frag[x1]
-        parent = tuple(x % (n // 3) for x in range(n))
-        return LevelAction(level, n, parent, {"h": shift, "g": tuple(frag)})
+            # swap the 1-child and 2-child subtrees below the vertex
+            step, span = 3**p.level, 3 ** (p.level + 1)
+            one, two = p.vertex + step, p.vertex + 2 * step
+            frag[one::span], frag[two::span] = frag[two::span], frag[one::span]
+        return points[1:] + points[:1], frag
 
-    return ChainAction(alphabet, provider, name="fat_cantor",
-                       level_size=lambda level: 3**level, **budgets)
+    return _strings(3, ("h", "g"), "fat_cantor", perms, **budgets)
 
 
 def mealy_chain(machine: MealyMachine, name: str = "mealy", **budgets) -> ChainAction:
@@ -303,17 +296,16 @@ def mealy_chain(machine: MealyMachine, name: str = "mealy", **budgets) -> ChainA
 
     Levels are built from the level below by self-similarity.  A generator
     is a single state, and a state ``q`` acts below its first letter ``c``
-    as its section ``r`` does: with ``(img, ((r, 1),)) = machine.step(((q, 1),), c)``,
-    vertex ``c + d*y`` (letter ``c``, then the string ``y``) maps to
-    ``img + d*perm_r[y]``, where ``perm_r`` is the image array of ``r`` one
-    level down.  Each (state, letter) pair a generator reaches is stepped
-    once, and a level costs one pass over its vertices per reached state
-    instead of transducing every string.
+    as its section ``r = machine.transitions[q][c]`` does: vertex ``c + d*y``
+    (letter ``c``, then the string ``y``) maps to
+    ``machine.outputs[q][c] + d*perm_r[y]``, where ``perm_r`` is the image
+    array of ``r`` one level down.  Each (state, letter) pair a generator
+    reaches is read once, and a level costs one pass over its vertices per
+    reached state instead of transducing every string.
     """
     gen_names = tuple(machine.generator_map)
     if not gen_names:
         raise SchemaError("machine defines no generators")
-    alphabet = GeneratorAlphabet(gen_names)
     d = machine.alphabet_size
     # moves[q][c] = (image letter, section state) for every state reached
     # from a generator
@@ -322,39 +314,28 @@ def mealy_chain(machine: MealyMachine, name: str = "mealy", **budgets) -> ChainA
     while todo:
         q = todo.pop()
         if q not in moves:
-            moves[q] = [(img, sec[0][0]) for img, sec in
-                        (machine.step(((q, 1),), c) for c in range(d))]
+            moves[q] = [(machine.outputs[q][c], machine.transitions[q][c]) for c in range(d)]
             todo.extend(r for _, r in moves[q])
 
-    # The last level built and each reached state's image array there;
-    # a generator's is the tuple its level stores, and lower levels' arrays
-    # are dropped.  Level 0 is the root.
-    last: LevelAction | None = None
+    # each reached state's image array at the last level built; levels come
+    # in increasing order, and a repeated call for the last level returns
+    # its arrays again.  Level 0 is the root.
+    built = 0
     images = dict.fromkeys(moves, (0,))
 
-    def grow() -> None:
-        nonlocal last, images
-        level = 1 if last is None else last.level + 1
-        n = d**level
-        vertex = tuple(range(n))  # one int object per value, shared by every array
-        below = {}
-        for q, row in moves.items():
-            perm = [0] * n
-            for c, (img, r) in enumerate(row):
-                perm[c::d] = compose(vertex[img::d], images[r])
-            below[q] = tuple(perm)
-        images = below
-        perms = {gen: below[q] for gen, q in machine.generator_map.items()}
-        last = LevelAction(level, n, vertex[: n // d] * d, perms)
+    def perms(level: int, points: tuple) -> list:
+        nonlocal built, images
+        if built < level:
+            below = {}
+            for q, row in moves.items():
+                perm = [0] * len(points)
+                for c, (img, r) in enumerate(row):
+                    perm[c::d] = compose(points[img::d], images[r])
+                below[q] = tuple(perm)
+            built, images = level, below
+        return [images[q] for q in machine.generator_map.values()]
 
-    def provider(level: int) -> LevelAction:
-        # a repeated call for the last level returns it again
-        while last is None or last.level < level:
-            grow()
-        return last
-
-    return ChainAction(alphabet, provider, name=name, level_size=lambda level: d**level,
-                       mealy=machine, **budgets)
+    return _strings(d, gen_names, name, perms, mealy=machine, **budgets)
 
 
 def adding_machine_chain(base: int = 2, **budgets) -> ChainAction:

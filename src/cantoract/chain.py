@@ -447,27 +447,33 @@ class ChainAction:
         """``table[j][v]``: the ``j``-th level-``level`` point over vertex ``v`` one level up.
 
         The points over one vertex are listed in increasing order, and
-        every vertex must have the same number of them (fiber constancy);
-        a level without it is an :class:`InvalidChainError`.  The columns
-        are memoized packed arrays (see ``_packed``); callers must not
-        mutate them.
+        every vertex must have the same number of them (fiber constancy).
+        A level without it, or whose first generator (the array the columns
+        are sorted from) is no bijection, is an :class:`InvalidChainError`.
+        The columns are memoized packed arrays (see ``_packed``); callers
+        must not mutate them.
         """
         table = self._children.get(level)
         if table is None:
             lv = self.level(level)
             n, below = lv.size, self.size(level - 1)
-            parent = lv.parent
+            parent, name = lv.parent, self.alphabet.names[0]
+            perm = lv.perms[name]
             k = n // below
+            # the perm is sorted below: an entry out of range would index
+            # past the parent array, and a repeated one would pass for a point
+            if not (min(perm) >= 0 and max(perm) < n and len(set(perm)) == n):
+                _, detail = _first_offender("bijectivity", lv, below, name)
+                raise InvalidChainError(f"level {level}: {detail}")
             # a sorted perm lists every point once and reuses the perm's int
             # objects, so sorting makes none; the stable sort by parent keeps
             # siblings ascending
-            order = sorted(sorted(lv.perms[self.alphabet.names[0]]), key=parent.__getitem__)
+            order = sorted(sorted(perm), key=parent.__getitem__)
             columns = [order[j::k] for j in range(k)]
             if k * below != n or not all(all(map(eq, compose(parent, c), range(below)))
                                          for c in columns):
                 _, detail = (_first_offender("fiber-constancy", lv, below)
-                             or _first_offender("parent-range", lv, below)
-                             or _first_offender("bijectivity", lv, below, self.alphabet.names[0]))
+                             or _first_offender("parent-range", lv, below))
                 raise InvalidChainError(f"level {level}: {detail}")
             table = self._children[level] = tuple(_packed(c, n) for c in columns)
         return table

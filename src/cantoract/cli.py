@@ -27,7 +27,7 @@ from .chain import (
     sample_uniform,
     validate_chain,
 )
-from .errors import BudgetError, InvalidChainError, SchemaError, read_json
+from .errors import BudgetError, InvalidChainError, SchemaError, expect, read_json
 from .farber import (DEFAULT_MAX_SCHREIER, DEFAULT_TOLERANCE, farber_check, local_farber_check,
                      stabilizer_count_oracle)
 from .holonomy import density_profile, fixed_set_report
@@ -158,11 +158,6 @@ def _tolerance(text: str) -> Fraction:
     return value
 
 
-def _load(args):
-    return load_chain(args.chain, depth_limit=args.depth_limit,
-                      memory_budget=args.memory_budget)
-
-
 # Parsed flags the config echo leaves out: the subcommand names, the chain
 # path (echoed as chain.source), and the output file and thread count,
 # which change no report byte.
@@ -200,13 +195,16 @@ def _emit(args, command: str, chain, result: dict, to_csv) -> None:
 
 
 def _schedule(text):
-    """The fat_cantor ``--schedule`` map, or None for the default plan."""
+    """The fat_cantor ``--schedule`` map, or None for the default plan: an
+    object from levels in decimal digits to integers."""
     if text is None:
         return None
-    try:
-        return {int(k): int(v) for k, v in read_json(text, "bad --schedule value").items()}
-    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
-        raise SchemaError(f"bad --schedule value: {exc}") from exc
+    schedule = {}
+    for key, value in expect(read_json(text, "bad --schedule value"), dict, "--schedule").items():
+        if not (key.isascii() and key.isdigit()):
+            raise SchemaError(f"--schedule key {key!r} must be written in decimal digits")
+        schedule[int(key)] = expect(value, int, f"--schedule[{key!r}]")
+    return schedule
 
 
 def _machine(path):
@@ -279,83 +277,53 @@ def _read_words(path: str, alphabet) -> list:
     return [parse_word(line, alphabet) for line in lines]
 
 
-def _run_farber(args) -> int:
-    chain = _load(args)
-    words = _read_words(args.words_file, chain.alphabet) if args.words_file else None
-    report = farber_check(chain, words=words, max_word_len=args.max_word_len,
-                          depth=args.depth, tolerance=args.tolerance)
-    _emit(args, "farber", chain, reports.farber_payload(report, chain.alphabet),
-          reports.farber_csv)
-    return 0
-
-
-def _run_local_farber(args) -> int:
-    chain = _load(args)
-    report = local_farber_check(chain, args.base_level, max_word_len=args.max_word_len,
-                                depth=args.depth, tolerance=args.tolerance,
-                                max_generators=args.max_schreier)
-    _emit(args, "local-farber", chain, reports.farber_payload(report, chain.alphabet),
-          reports.farber_csv)
-    return 0
-
-
-def _run_holonomy(args) -> int:
-    chain = _load(args)
-    word = parse_word(args.word, chain.alphabet)
-    report = fixed_set_report(chain, word, args.depth)
-    _emit(args, "holonomy", chain, reports.fixed_set_payload(report, chain.alphabet),
-          reports.fixed_set_csv)
-    return 0
-
-
-def _run_density(args) -> int:
-    chain = _load(args)
-    word = parse_word(args.word, chain.alphabet)
+def _point(args, chain) -> PointApprox:
+    """The ``density --point``: a point index at ``--depth``, or ``sample``."""
     if args.point == "sample":
-        point = sample_uniform(chain, args.depth, args.seed)
-    else:
-        try:
-            index = int(args.point)
-        except ValueError:
-            raise SchemaError(f"--point must be an integer or 'sample', got {args.point!r}")
-        point = PointApprox(args.depth, index)
-        if not 0 <= index < chain.size(args.depth):
-            raise SchemaError(f"point {index} out of range at depth {args.depth}")
-    profile = density_profile(chain, word, point)
-    _emit(args, "density", chain, reports.density_payload(profile, chain.alphabet),
-          reports.density_csv)
-    return 0
+        return sample_uniform(chain, args.depth, args.seed)
+    try:
+        index = int(args.point)
+    except ValueError:
+        raise SchemaError(f"--point must be an integer or 'sample', got {args.point!r}")
+    point = PointApprox(args.depth, index)
+    if not 0 <= index < chain.size(args.depth):
+        raise SchemaError(f"point {index} out of range at depth {args.depth}")
+    return point
 
 
-def _run_lcs(args) -> int:
-    chain = _load(args)
-    report = witness_search(chain, args.max_class, max_word_len=args.max_word_len,
-                            conj_len=args.conj_len, depth=args.depth,
-                            max_candidates=args.max_candidates)
-    _emit(args, "lcs-witness", chain, reports.lcs_payload(report, chain.alphabet),
-          reports.lcs_csv)
-    return 0
-
-
-def _run_oracle(args) -> int:
-    chain = _load(args)
-    word = parse_word(args.word, chain.alphabet)
-    report = stabilizer_count_oracle(chain, word, args.level, args.max_order)
-    _emit(args, "oracle-stab-count", chain, reports.stab_count_payload(report, chain.alphabet),
-          reports.stab_count_csv)
-    return 0
-
-
-_RUNNERS = {
-    "build": _run_build,
-    "validate": _run_validate,
-    "farber": _run_farber,
-    "local-farber": _run_local_farber,
-    "holonomy": _run_holonomy,
-    "density": _run_density,
-    "lcs-witness": _run_lcs,
-    "oracle": _run_oracle,
+# Each report command's report name, its ``reports`` kind (the
+# ``<kind>_payload`` and ``<kind>_csv`` it is written with) and its analysis
+# of the loaded chain.
+_ANALYSES = {
+    "farber": ("farber", "farber", lambda args, chain: farber_check(
+        chain, words=_read_words(args.words_file, chain.alphabet) if args.words_file else None,
+        max_word_len=args.max_word_len, depth=args.depth, tolerance=args.tolerance)),
+    "local-farber": ("local-farber", "farber", lambda args, chain: local_farber_check(
+        chain, args.base_level, max_word_len=args.max_word_len, depth=args.depth,
+        tolerance=args.tolerance, max_generators=args.max_schreier)),
+    "holonomy": ("holonomy", "fixed_set", lambda args, chain: fixed_set_report(
+        chain, parse_word(args.word, chain.alphabet), args.depth)),
+    "density": ("density", "density", lambda args, chain: density_profile(
+        chain, parse_word(args.word, chain.alphabet), _point(args, chain))),
+    "lcs-witness": ("lcs-witness", "lcs", lambda args, chain: witness_search(
+        chain, args.max_class, max_word_len=args.max_word_len, conj_len=args.conj_len,
+        depth=args.depth, max_candidates=args.max_candidates)),
+    "oracle": ("oracle-stab-count", "stab_count", lambda args, chain: stabilizer_count_oracle(
+        chain, parse_word(args.word, chain.alphabet), args.level, args.max_order)),
 }
+
+
+def _run_report(args) -> int:
+    command, kind, analyse = _ANALYSES[args.command]
+    chain = load_chain(args.chain, depth_limit=args.depth_limit, memory_budget=args.memory_budget)
+    result = analyse(args, chain)
+    _emit(args, command, chain, getattr(reports, f"{kind}_payload")(result, chain.alphabet),
+          getattr(reports, f"{kind}_csv"))
+    return 0
+
+
+_RUNNERS = {"build": _run_build, "validate": _run_validate,
+            **dict.fromkeys(_ANALYSES, _run_report)}
 
 
 def main(argv=None) -> int:

@@ -176,29 +176,18 @@ def validation_csv(payload: dict) -> tuple[list[str], list[list]]:
 
 
 def farber_payload(report: FarberReport, alphabet: GeneratorAlphabet) -> dict:
-    """The farber report; equal trajectory rows and equal trajectories are
-    one shared object each, which :func:`render_json` renders once per
-    indent.  A trajectory is looked up by the identity of its
-    ``WordVerdict.trajectory`` tuple first (``farber._score`` builds one
-    per distinct count list, and the report keeps it alive), then by its
-    ``(level, num, den)`` values, so equal tuples built apart share too."""
-    rows: dict = {}
-    trajectories: dict = {}
-    by_identity: dict = {}
+    """The farber report; words whose ``WordVerdict.trajectory`` is one
+    tuple share one trajectory list, which :func:`render_json` renders once
+    per indent.  ``farber._score`` builds one tuple per distinct count
+    list, and the report keeps it alive, so its identity is the key."""
+    shared: dict = {}
 
     def trajectory(pairs: tuple) -> list:
-        shared = by_identity.get(id(pairs))
-        if shared is None:
-            # keyed by ints: hashing a Fraction runs Python code
-            key = tuple([(level, ratio.numerator, ratio.denominator) for level, ratio in pairs])
-            shared = trajectories.get(key)
-            if shared is None:
-                shared = trajectories[key] = [
-                    rows.setdefault(row, {"level": level, "ratio": frac(ratio)})
-                    for row, (level, ratio) in zip(key, pairs)
-                ]
-            by_identity[id(pairs)] = shared
-        return shared
+        rows = shared.get(id(pairs))
+        if rows is None:
+            rows = shared[id(pairs)] = [{"level": level, "ratio": frac(ratio)}
+                                        for level, ratio in pairs]
+        return rows
 
     return {
         "kind": report.kind,

@@ -298,7 +298,7 @@ NESTED_SCHEDULE = "[" * 50_000 + "]" * 50_000
      "schedule rejected: punctured measure bound 0.679012 is not smaller than the "
      "fixed-set measure 0.320988"),
     (["build", "fat_cantor", "--schedule", '{"1": 1e400}', "-o", "{tmp}/chain.json"],
-     "bad --schedule value: cannot convert float infinity to integer"),
+     "--schedule['1'] must be an integer, got a number"),
     (["build", "odometer", "--seed", "1", "-o", "{tmp}/chain.json"],
      "unrecognized arguments: --seed 1"),
     (["build", "odometer", "--format", "csv", "-o", "{tmp}/chain.json"],
@@ -332,6 +332,16 @@ NESTED_SCHEDULE = "[" * 50_000 + "]" * 50_000
      "argument --base-level: must be at least 0, got -1"),
     (["oracle", "stab-count", "{fragmented}", "--level", "-2", "--word", "g"],
      "argument --level: must be at least 1, got -2"),
+    (["build", "fat_cantor", "--schedule", '{"1": 9.9}', "-o", "{tmp}/chain.json"],
+     "--schedule['1'] must be an integer, got a number"),
+    (["build", "fat_cantor", "--schedule", '{"1": "12"}', "-o", "{tmp}/chain.json"],
+     "--schedule['1'] must be an integer, got a string"),
+    (["build", "fat_cantor", "--schedule", "[1]", "-o", "{tmp}/chain.json"],
+     "--schedule must be an object, got an array"),
+    (["build", "fat_cantor", "--schedule", '{"1": true}', "-o", "{tmp}/chain.json"],
+     "--schedule['1'] must be an integer, got a boolean"),
+    (["build", "fat_cantor", "--schedule", '{"1_0": 12}', "-o", "{tmp}/chain.json"],
+     "--schedule key '1_0' must be written in decimal digits"),
 ])
 def test_bad_input_is_a_one_line_error(chains, tmp_path, argv, message):
     nested = tmp_path / "nested.json"

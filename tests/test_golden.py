@@ -4,7 +4,10 @@ The digests were recorded before the permutation kernel replaced the
 per-level word walks, the ``validate`` digests before the commands
 shared one report writer, and the Grigorchuk digests before the Mealy
 builder carried sections from one level to the next, so any change in
-what a report says fails here.
+what a report says fails here.  The family digests are of the chain files
+``save_chain`` writes, recorded before the string families and the tori
+shared their level constructors, so any change in a family's arrays fails
+here too.
 Chain files are written to a temporary directory and passed by relative
 name, because reports echo the chain path.  Re-record only after checking
 that a report change is intended:
@@ -82,6 +85,18 @@ COMMANDS = {
     ],
 }
 
+# The chain file of each bundled family, keyed by configuration and depth.
+FAMILIES = {
+    "odometer(3):6": (lambda: ca.odometer(3), 6),
+    "toral(3,2):4": (lambda: ca.toral(3, 2), 4),
+    "toral(1,5):4": (lambda: ca.toral(1, 5), 4),
+    "dihedral:10": (ca.dihedral, 10),
+    "heisenberg(3):3": (lambda: ca.heisenberg(3), 3),
+    "fragmented:10": (ca.fragmented, 10),
+    "fat_cantor:8": (ca.fat_cantor, 8),
+    "fat_cantor({1:5,2:7,3:9}):8": (lambda: ca.fat_cantor({1: 5, 2: 7, 3: 9}), 8),
+}
+
 LIBRARY = {"frag.json": (2, 8), "adding.json": (2, 8), "heis.json": (1, 6)}
 
 
@@ -124,6 +139,15 @@ def report_digest(case: str) -> str:
     path, argv, fmt = CASES[case]
     data = _library_report(path) if argv is None else _cli_report(path, argv, fmt)
     return hashlib.sha256(data).hexdigest()
+
+
+def family_digest(case: str, directory: str) -> str:
+    """Digest of the chain file ``save_chain`` writes for one family case."""
+    build, depth = FAMILIES[case]
+    path = os.path.join(directory, "family.json")
+    ca.save_chain(build(), depth, path)
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def write_chains(directory: str) -> None:
@@ -244,6 +268,26 @@ GOLDEN = {
 }
 
 
+FAMILY_GOLDEN = {
+    "odometer(3):6":
+        "1efe9fec59ccd58539373c994f723a774289d32666a20d276623fbf7c87d7a14",
+    "toral(3,2):4":
+        "2e6d7749bedb5b8397a619790f71534462dfab10fde4a8127fdf7da8c4e330f9",
+    "toral(1,5):4":
+        "534ff753ac0df1b9f3a63a97c3efc71a006879ee6bc4e4d77e45b1ad6cf9d6cb",
+    "dihedral:10":
+        "c5a63919942f02fb7f49976f073c90c3ca5e12e581562b57a0dd0731e9396550",
+    "heisenberg(3):3":
+        "48a050375e6cdae4b803ba7de48b09dd0580b7db76dc60d9f130a43a82d1b553",
+    "fragmented:10":
+        "3c32e18fd0e38a8a89fcc8f241f2daee563153f29b53c3b4611553a52f62c8ef",
+    "fat_cantor:8":
+        "98b7de803b01d43d02b245097338c6cd6dd2b6b23670fa5bc7bbb2d8727a130e",
+    "fat_cantor({1:5,2:7,3:9}):8":
+        "3195ddae5d50446d0cde3a74062d5f93b3042526209e025beb9d47dc70caf0b6",
+}
+
+
 @pytest.fixture(scope="module")
 def chain_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("golden")
@@ -257,10 +301,16 @@ def test_report_matches_golden(case, chain_dir, monkeypatch):
     assert report_digest(case) == GOLDEN[case]
 
 
+@pytest.mark.parametrize("case", list(FAMILIES))
+def test_family_chain_file_matches_golden(case, tmp_path):
+    assert family_digest(case, str(tmp_path)) == FAMILY_GOLDEN[case]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as directory:
         write_chains(directory)
         os.chdir(directory)
         digests = {case: report_digest(case) for case in CASES}
+        digests.update((case, family_digest(case, directory)) for case in FAMILIES)
     json.dump(digests, sys.stdout, indent=4)
     sys.stdout.write("\n")

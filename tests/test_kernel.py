@@ -221,6 +221,27 @@ def test_children_names_the_offender_of_an_unvalidated_level(parent, perm, detai
     assert detail in {v.detail for v in ca.validate_chain(chain, 2).violations}
 
 
+def test_children_refuse_a_first_generator_that_is_no_bijection():
+    """An entry past the level, a negative entry and a repeated entry are
+    each refused before the perm is sorted, with validation's offender.  A
+    repeated entry would otherwise pass for a point, and the fixed counts
+    read from its columns would be wrong."""
+    def stray(perm):
+        level = {"size": 4, "parent": [0, 1, 0, 1], "perms": {"a": perm}}
+        return ca.chain_from_dict({"name": "stray", "generators": ["a"], "levels": [_TOP, level]},
+                                  validate=False)
+
+    for perm, detail in [([1, 2, 3, 9], "perm[3] = 9 breaks bijectivity"),
+                         ([-1, 0, 1, 2], "perm[0] = -1 breaks bijectivity"),
+                         ([0, 0, 1, 1], "perm[1] = 0 breaks bijectivity")]:
+        with pytest.raises(ca.InvalidChainError, match=f"^level 2: {re.escape(detail)}$"):
+            stray(perm).children(2)
+        assert detail in {v.detail for v in ca.validate_chain(stray(perm), 2).violations}
+    chain = stray([0, 0, 1, 1])
+    with pytest.raises(ca.InvalidChainError, match=re.escape("perm[1] = 0 breaks bijectivity")):
+        ca.fixed_set_report(chain, ca.parse_word("a", chain.alphabet), 2)
+
+
 def test_a_word_fixing_the_tested_representatives_but_not_their_subtrees_is_walked():
     """On ``fat_cantor`` the commutator ``h g h^-1 g^-1`` fixes the deep
     point over each vertex the settling pass starts from, yet moves some

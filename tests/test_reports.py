@@ -60,20 +60,22 @@ def test_shared_containers_nested_in_shared_containers(shared, other):
     assert render_json(payload) == reference(payload)
 
 
-def test_farber_rows_share_by_value_when_tuples_are_distinct():
+def test_farber_trajectories_share_by_identity():
     chain = ca.fragmented()
     report = ca.farber_check(chain, max_word_len=3, depth=6)
+    # the check builds one tuple per distinct trajectory, so identity finds
+    # every trajectory two words share
+    assert len({id(w.trajectory) for w in report.words}) == len({w.trajectory for w in report.words})
+    assert len({id(w.trajectory) for w in report.words}) < len(report.words)
     # every verdict gets its own trajectory tuple, equal to the shared one
     apart = report._replace(words=tuple(
         w._replace(trajectory=tuple((level, ratio + 0) for level, ratio in w.trajectory))
         for w in report.words))
-    assert len({id(w.trajectory) for w in apart.words}) == len(apart.words)
-    assert len({id(w.trajectory) for w in report.words}) < len(report.words)
     shared, distinct = farber_payload(report, chain.alphabet), farber_payload(apart, chain.alphabet)
     assert distinct == shared
-    # the value key still shares one list per distinct trajectory
-    assert (len({id(w["trajectory"]) for w in distinct["words"]})
-            == len({id(w["trajectory"]) for w in shared["words"]}))
+    for payload, source in ((shared, report), (distinct, apart)):
+        assert (len({id(w["trajectory"]) for w in payload["words"]})
+                == len({id(w.trajectory) for w in source.words}))
     assert render_json(distinct) == render_json(shared) == reference(shared)
 
 
