@@ -51,19 +51,27 @@ def _packed(values, n: int):
     return array("B" if n <= 256 else "H" if n <= 1 << 16 else "I", values)
 
 
-def invert(p) -> tuple[int, ...]:
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
+def invert(p, points=None) -> tuple[int, ...] | None:
+    """The inverse of ``p`` made of ``points``' ints (equal to ``range(len(p))``,
+    the default), or None when ``p`` permutes no ``range(len(p))``."""
+    n, out = len(p), [None] * len(p)
+    try:
+        for x, v in zip(points or range(n), p):
+            out[v] = x
+        # a hole (entries equal mod n) fails the first sum, and a negative
+        # entry takes n off the second
+        return tuple(out) if sum(out) + sum(p) == n * (n - 1) else None
+    except (IndexError, TypeError):
+        return None
 
 
-def closure(generators, n: int, max_order: int | None = None,
-            name: str = "group closure") -> set[tuple[int, ...]]:
+def closure(generators, n: int, max_order: int | None = None, name: str = "group closure",
+            memory_budget: int | None = None) -> set[tuple[int, ...]]:
     """The group on ``n`` points generated by ``generators``, breadth first.
 
     Holding more than ``max_order`` elements is a ``group_order`` budget
-    error; its message starts with ``name``.
+    error, and more than ``memory_budget`` points over its elements (``n``
+    each) a ``memory_budget`` one; each message starts with ``name``.
     """
     gens = list(generators)
     identity = tuple(range(n))
@@ -82,6 +90,9 @@ def closure(generators, n: int, max_order: int | None = None,
                             "group_order",
                             f"{name} exceeds max_order={max_order} (frontier size {len(nxt)})",
                         )
+                    if memory_budget is not None and len(elements) * n > memory_budget:
+                        raise BudgetError("memory_budget", f"{name} holds {len(elements)} elements "
+                                          f"of {n} points, more than memory_budget={memory_budget}")
         frontier = nxt
     return elements
 
@@ -190,6 +201,8 @@ class ChainAction:
         self._stored_points = 0
         self._ancestor_tables: dict[tuple[int, int], object] = {}
         self._children: dict[int, tuple] = {}
+        self._points: dict[int, tuple] = {}
+        self._root = LevelAction(0, 1, (0,), dict.fromkeys(alphabet.names, (0,)))  # level 0
         self._representatives: dict[tuple[int, int], object] = {}
         self._letter_perms: dict[int, dict] = {}
 
@@ -262,20 +275,31 @@ class ChainAction:
                 if t < keep:
                     stack.append(image)
             del stack[keep + 1:]
-            yield i, tuple(range(self.size(level))) if image is None else image
+            yield i, self.points(level) if image is None else image
+
+    def points(self, level: int) -> tuple[int, ...]:
+        """``range(size(level))`` as a memoized tuple of the int objects the
+        level's first generator holds (its inverse keyed by its own entries),
+        so the tables built from it make none.  Callers must not mutate it."""
+        points = self._points.get(level)
+        if points is None:
+            lv, name = self.level(level) if level else self._root, self.alphabet.names[0]
+            points = self._points[level] = _checked_inverse(lv, name, lv.perms[name])
+        return points
 
     def letter_perms(self, level: int) -> dict:
         """``{(gen, sign): image}``, memoized per level: each letter's image
         array, in alphabet order with sign +1 first (every letter is ``(0,)``
-        at level 0, the one-point space).  Callers must not mutate it."""
+        at level 0, the one-point space).  An inverse is made of :meth:`points`'
+        ints, or is its perm if that is an involution; a generator that is no
+        bijection is an :class:`InvalidChainError`.  Callers must not mutate it."""
         perms = self._letter_perms.get(level)
         if perms is None:
-            names = self.alphabet.names
-            level_perms = self.level(level).perms if level else dict.fromkeys(names, (0,))
+            lv, points = self.level(level) if level else self._root, self.points(level)
             perms = {}
-            for gen, name in enumerate(names):
-                perms[gen, 1] = level_perms[name]
-                perms[gen, -1] = invert(level_perms[name])
+            for gen, name in enumerate(self.alphabet.names):
+                perm, inverse = lv.perms[name], _checked_inverse(lv, name, points)
+                perms[gen, 1], perms[gen, -1] = perm, perm if inverse == perm else inverse
             self._letter_perms[level] = perms
         return perms
 
@@ -448,27 +472,19 @@ class ChainAction:
 
         The points over one vertex are listed in increasing order, and
         every vertex must have the same number of them (fiber constancy).
-        A level without it, or whose first generator (the array the columns
-        are sorted from) is no bijection, is an :class:`InvalidChainError`.
-        The columns are memoized packed arrays (see ``_packed``); callers
-        must not mutate them.
+        A level without it, or whose first generator (the array the sorted
+        :meth:`points` are read from) is no bijection, is an
+        :class:`InvalidChainError`.  The columns are memoized packed arrays
+        (see ``_packed``); callers must not mutate them.
         """
         table = self._children.get(level)
         if table is None:
             lv = self.level(level)
             n, below = lv.size, self.size(level - 1)
-            parent, name = lv.parent, self.alphabet.names[0]
-            perm = lv.perms[name]
-            k = n // below
-            # the perm is sorted below: an entry out of range would index
-            # past the parent array, and a repeated one would pass for a point
-            if not (min(perm) >= 0 and max(perm) < n and len(set(perm)) == n):
-                _, detail = _first_offender("bijectivity", lv, below, name)
-                raise InvalidChainError(f"level {level}: {detail}")
-            # a sorted perm lists every point once and reuses the perm's int
-            # objects, so sorting makes none; the stable sort by parent keeps
-            # siblings ascending
-            order = sorted(sorted(perm), key=parent.__getitem__)
+            parent, k = lv.parent, n // below
+            # the points are in increasing order, so the stable sort by parent
+            # keeps siblings ascending
+            order = sorted(self.points(level), key=parent.__getitem__)
             columns = [order[j::k] for j in range(k)]
             if k * below != n or not all(all(map(eq, compose(parent, c), range(below)))
                                          for c in columns):
@@ -661,12 +677,23 @@ def sample_uniform(chain: ChainAction, depth: int, seed: int) -> PointApprox:
             return PointApprox(depth, r)
 
 
+def _checked_inverse(lv: LevelAction, name: str, points) -> tuple[int, ...]:
+    """``invert`` of ``lv``'s generator ``name``; a generator that is no
+    bijection is refused with validation's offender and violation."""
+    inverse = invert(lv.perms[name], points)
+    if inverse is None:
+        point, detail = _first_offender("bijectivity", lv, 1, name)
+        raise InvalidChainError(f"level {lv.level}: {detail}", ValidationReport(
+            lv.level, (Violation("bijectivity", lv.level, name, point, detail),)))
+    return inverse
+
+
 def _first_offender(invariant: str, lv: LevelAction, prev_size: int, name=None, below=None):
     """``(point, detail)`` for the first point of ``lv`` that breaks
     ``invariant`` (for generator ``name``, whose array one level down is
     ``below``), or None.  A per-point scan, so :func:`validate_chain` and
-    :meth:`ChainAction.children` call it only to name the offender on a
-    level that failed a C-level check."""
+    the kernel tables call it only to name the offender on a level that
+    failed a C-level check."""
     n, parent, k = lv.size, lv.parent, lv.size // prev_size
     if invariant == "bijectivity":
         seen = set()
@@ -696,11 +723,15 @@ def validate_chain(chain: ChainAction, depth: int) -> ValidationReport:
 
     Lists each violated invariant once with its first offending
     (level, generator, point); an empty list means a valid tower to
-    ``depth``.  Each invariant is one C-level pass per level (``min``/``max``,
-    a ``set``, slices of the sorted parents, two gathers per generator), and
-    only a level that fails one reaches the per-point ``_first_offender``.
-    Transitivity counts the basepoint's orbit under the generators alone: in
-    a finite permutation group ``g^-1`` is a positive power of ``g``.
+    ``depth``.  Each invariant is one pass per level (the letter tables'
+    inversions, ``min``/``max``, slices of the sorted parents, two gathers
+    per generator), and only a level that fails one reaches the per-point
+    ``_first_offender``.  Transitivity counts the basepoint's orbit under the
+    generators alone: in a finite permutation group ``g^-1`` is a positive
+    power of ``g``.  Parents are equivariant and onto, so a tower with no
+    other violation is transitive at every level if it is at ``depth``, and
+    only that orbit is walked; otherwise each level's is, up to the first
+    that fails.
     """
     violations: list[Violation] = []
 
@@ -716,11 +747,11 @@ def validate_chain(chain: ChainAction, depth: int) -> ValidationReport:
 
     chain.level(depth)  # a budget error comes before any level is built
     names = chain.alphabet.names
-    prev: LevelAction | None = None
-    prev_size = 1
+    prev = chain._root
+    walkable = {}  # level action -> violations found before its transitivity check
     for level in range(1, depth + 1):
         lv = chain.level(level)
-        n, parent = lv.size, lv.parent
+        n, parent, prev_size = lv.size, lv.parent, prev.size
         if n <= prev_size:
             add("size-increase", level, None, None,
                 f"size {n} does not exceed size {prev_size} at level {level - 1}")
@@ -734,10 +765,11 @@ def validate_chain(chain: ChainAction, depth: int) -> ValidationReport:
         # equivariance and transitivity index through the perms and parents,
         # so they are skipped on a level whose arrays are already broken
         broken = False
-        for name in names:
-            perm = lv.perms[name]
-            if not (min(perm) >= 0 and max(perm) < n and len(set(perm)) == n):
-                broken = offend("bijectivity", lv, name)
+        try:  # the letter tables, built here in set-up, refuse a non-bijection
+            chain.letter_perms(level)
+        except InvalidChainError as exc:
+            add(*exc.report.violations[0])
+            broken = True
         if not (min(parent) >= 0 and max(parent) < prev_size):
             broken = offend("parent-range", lv)
         if parent[0] != 0:
@@ -749,23 +781,31 @@ def validate_chain(chain: ChainAction, depth: int) -> ValidationReport:
         if not (k * prev_size == n and ordered[::k] == vertices == ordered[k - 1::k]):
             offend("fiber-constancy", lv)
         if not broken:
-            for name in names:  # level 0 is one point, which every generator fixes
-                below = prev.perms[name] if prev else (0,)
+            for name in names:
+                below = prev.perms[name]
                 if compose(parent, lv.perms[name]) != compose(below, parent):
                     offend("equivariance", lv, name, below)
                     break
-            gens = [p for (_, sign), p in chain.letter_perms(level).items() if sign > 0]
-            seen, stack = bytearray(n), [0]
-            seen[0] = 1
-            while stack:
-                x = stack.pop()
-                for perm in gens:
-                    y = perm[x]
-                    if not seen[y]:
-                        seen[y] = 1
-                        stack.append(y)
-            if seen.count(1) != n:
-                add("transitivity", level, None, None,
-                    f"orbit of basepoint covers {seen.count(1)} of {n} points")
-        prev, prev_size = lv, n
+            walkable[lv] = len(violations)
+        prev = lv
+    if violations or _intransitive(chain.level(depth)):
+        for lv, at in walkable.items():
+            detail = _intransitive(lv)
+            if detail:
+                violations.insert(at, Violation("transitivity", lv.level, None, None, detail))
+                break
     return ValidationReport(depth, tuple(violations))
+
+
+def _intransitive(lv: LevelAction) -> str | None:
+    """How short of ``lv`` the basepoint's orbit under its generators falls, or None."""
+    gens, seen, orbit = list(lv.perms.values()), bytearray(lv.size), [0]
+    seen[0] = 1
+    for x in orbit:  # the orbit grows while it is read, so each point is visited
+        for perm in gens:
+            y = perm[x]
+            if not seen[y]:
+                seen[y] = 1
+                orbit.append(y)
+    if len(orbit) < lv.size:
+        return f"orbit of basepoint covers {len(orbit)} of {lv.size} points"

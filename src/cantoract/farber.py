@@ -236,7 +236,7 @@ def image_group(chain: ChainAction, level: int, max_order: int) -> list[tuple[in
     perms = chain.level(level).perms
     gens = [perms[name] for name in chain.alphabet.names]
     return sorted(closure(gens, chain.size(level), max_order,
-                          f"image group at level {level}"))
+                          f"image group at level {level}", chain.memory_budget))
 
 
 def stabilizer_count_oracle(

@@ -445,6 +445,24 @@ def test_lcs_builds_no_more_words_than_it_reports(chains, argv):
     assert classes[0]["best_word"] in ("h", "h^-1", "g", "g^-1")
 
 
+def test_stab_count_past_the_memory_budget_is_refused_at_once(tmp_path):
+    """The level-14 image of ``fragmented`` has more elements than
+    ``--max-order`` allows, each of 16,384 points; the closure charges them
+    against ``--memory-budget`` as it grows, so the run ends in a budget
+    error within a second, far under a 1 GB address cap."""
+    chain = tmp_path / "f14.json"
+    ca.save_chain(ca.fragmented(), 14, chain)
+    proc = run_cli(["oracle", "stab-count", str(chain), "--level", "14", "--word", "g"],
+                   timeout=30, preexec_fn=_address_space_cap())
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert errors == ["error: budget memory_budget exceeded: image group at level 14 holds "
+                      "245 elements of 16384 points, more than memory_budget=4000000"]
+    wall = [line for line in proc.stderr.splitlines() if line.startswith("wall-time:")]
+    assert float(wall[0].split()[1]) < 1000
+
+
 def test_malformed_long_word_error_is_short(chains):
     long_word = "g*" * 50000 + "+"
     proc = run_cli(["holonomy", chains["fragmented"], "--word", long_word, "--depth", "3"])

@@ -12,6 +12,7 @@ walk for tables and fibers.
 import random
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -23,12 +24,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 import cantoract as ca
 import cantoract.chain as chain_module
-from cantoract.chain import _least_rotation, class_keys, compose, count_fixed, invert
+from cantoract.chain import Violation, _least_rotation, class_keys, compose, count_fixed, invert
 from cantoract.farber import local_candidates
 from cantoract.lcs import gamma_candidates
+from cantoract.mealy import machine_from_dict
 from cantoract.words import conjugate
 
-from conftest import ORACLE_CHAINS
+from conftest import GRIGORCHUK, ORACLE_CHAINS
 from oracles import act, class_keys as pair_class_keys, stabilizer_contains
 
 # every builder family at depths small enough for brute force
@@ -240,6 +242,71 @@ def test_children_refuse_a_first_generator_that_is_no_bijection():
     chain = stray([0, 0, 1, 1])
     with pytest.raises(ca.InvalidChainError, match=re.escape("perm[1] = 0 breaks bijectivity")):
         ca.fixed_set_report(chain, ca.parse_word("a", chain.alphabet), 2)
+
+
+@pytest.mark.parametrize("gen", ["a", "b"])
+@pytest.mark.parametrize("perm, point", [([1, 2, 3, 9], 3), ([1, 2, 3, -1], 3), ([-4, 1, 2, 3], 0)])
+def test_letter_tables_refuse_a_generator_that_is_no_bijection(gen, perm, point):
+    """An entry past the level or negative, in the first generator (which
+    the level's points are read from) or a later one, is refused when the
+    letter tables are built, with validation's offender; the error's report
+    names the level, generator and point.  ``-4`` lands on the slot 0 no
+    other entry takes, so only the entries' sum shows it."""
+    swap = [1, 0, 3, 2]
+    top = {"size": 2, "parent": None, "perms": {"a": [1, 0], "b": [1, 0]}}
+    level = {"size": 4, "parent": [0, 1, 0, 1], "perms": {"a": swap, "b": swap, gen: perm}}
+    chain = ca.chain_from_dict({"name": "stray", "generators": ["a", "b"], "levels": [top, level]},
+                               validate=False)
+    detail = f"perm[{point}] = {perm[point]} breaks bijectivity"
+    with pytest.raises(ca.InvalidChainError, match=f"^level 2: {re.escape(detail)}$") as err:
+        ca.fixed_set_report(chain, ca.parse_word(gen, chain.alphabet), 2)
+    assert err.value.report.violations == (Violation("bijectivity", 2, gen, point, detail),)
+    assert detail in {v.detail for v in ca.validate_chain(chain, 2).violations}
+
+
+def _grigorchuk():
+    return ca.mealy_chain(machine_from_dict(GRIGORCHUK), name="grigorchuk")
+
+
+@pytest.mark.parametrize("make", [_grigorchuk, ca.dihedral, ca.fragmented],
+                         ids=["grigorchuk", "dihedral", "fragmented"])
+def test_inverse_tables_hold_the_levels_own_ints(make):
+    """An involution's inverse is its perm itself, and every other inverse
+    entry is an int object one of the level's perms holds, so the letter
+    tables make no int per point."""
+    chain = make()
+    for level in range(1, 11):
+        perms = chain.letter_perms(level)
+        held = {id(x) for perm in chain.level(level).perms.values() for x in perm}
+        for gen in range(len(chain.alphabet)):
+            perm = perms[gen, 1]
+            involution = all(perm[perm[x]] == x for x in range(len(perm)))
+            assert (perms[gen, -1] is perm) == involution
+            assert all(perms[gen, -1][y] == x for x, y in enumerate(perm))
+            assert held.issuperset(map(id, perms[gen, -1]))
+        assert chain.points(level) == tuple(range(chain.size(level)))
+        assert held.issuperset(map(id, chain.points(level)))
+
+
+def test_letter_tables_cost_a_pointer_per_entry():
+    """On the depth-13 Grigorchuk chain, whose generators are involutions,
+    building every letter table keeps one pointer per stored point (the
+    points tuple) and no int object."""
+    chain, depth = _grigorchuk(), 13
+    chain.level(depth)
+    tables = 1 + sum(1 for perm in chain.level(depth).perms.values()
+                     if compose(perm, perm) != tuple(range(len(perm))))
+    stored = sum(chain.size(level) for level in range(1, depth + 1))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for level in range(depth + 1):
+            chain.letter_perms(level)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert tables == 1
+    assert grown <= tables * 8 * stored + 64 * 1024
 
 
 def test_a_word_fixing_the_tested_representatives_but_not_their_subtrees_is_walked():

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import cantoract as ca
 import cantoract.chain as chain_module
-from cantoract.chain import ChainAction, LevelAction
+from cantoract.chain import ChainAction, LevelAction, Violation
 from cantoract.mealy import machine_from_dict
 
 from conftest import GRIGORCHUK, ORACLE_CHAINS
@@ -108,3 +108,34 @@ def test_valid_towers_never_reach_the_point_scans(monkeypatch):
     data["levels"][2]["parent"][5] = 4
     with pytest.raises(AssertionError, match="per-point scans"):
         ca.validate_chain(ca.chain_from_dict(data, validate=False), 3)
+
+
+def _orbits_walked(monkeypatch) -> list:
+    walked = []
+    intransitive = chain_module._intransitive
+    monkeypatch.setattr(chain_module, "_intransitive",
+                        lambda lv: walked.append(lv.level) or intransitive(lv))
+    return walked
+
+
+def test_a_valid_tower_walks_only_its_deepest_orbit(monkeypatch):
+    walked = _orbits_walked(monkeypatch)
+    grigorchuk = ca.mealy_chain(machine_from_dict(GRIGORCHUK), name="grigorchuk")
+    assert ca.validate_chain(grigorchuk, 10).ok
+    assert walked == [10]
+
+
+def test_an_intransitive_tower_names_its_first_intransitive_level(monkeypatch):
+    """``a`` flips the first letter of a binary string at every level: an
+    equivariant involution, transitive on level 1 alone.  The deepest orbit
+    fails, so every level's is walked, up to the first that fails."""
+    levels = [{"size": 2 ** level,
+               "parent": None if level == 1 else [x % 2 ** (level - 1) for x in range(2 ** level)],
+               "perms": {"a": [x ^ 1 for x in range(2 ** level)]}} for level in range(1, 5)]
+    walked = _orbits_walked(monkeypatch)
+    report, oracle = _both(lambda: ca.chain_from_dict(
+        {"name": "flip", "generators": ["a"], "levels": levels}, validate=False), 4)
+    assert report == oracle
+    assert report.violations == (
+        Violation("transitivity", 2, None, None, "orbit of basepoint covers 2 of 4 points"),)
+    assert walked == [4, 1, 2]
