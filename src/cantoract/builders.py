@@ -411,6 +411,12 @@ def chain_from_dict(data: dict, *, validate: bool = True, **budgets) -> ChainAct
             if i != 0:
                 raise SchemaError(f"level {i + 1}: only the first level may omit the parent array")
             parent = (0,) * size
+        # the parser made an int per entry: share one per point between the
+        # level's arrays, but leave an out-of-range one for validation to name
+        points = tuple(range(size))
+        parent, *arrays = [compose(points, a) if a and min(a) >= 0 and max(a) < size else a
+                           for a in (parent, *perms.values())]
+        perms = dict(zip(perms, arrays))
         levels.append(LevelAction(i + 1, size, parent, perms))
 
     def provider(level: int) -> LevelAction:

@@ -20,7 +20,7 @@ from operator import add, eq, itemgetter
 from typing import NamedTuple
 
 from .errors import BudgetError, InvalidChainError
-from .words import GeneratorAlphabet, Word, cyclic_core, distinct
+from .words import GeneratorAlphabet, Word, cyclic_core, join
 
 DEFAULT_DEPTH_LIMIT = 24
 DEFAULT_MEMORY_BUDGET = 4_000_000  # total stored points across levels
@@ -609,20 +609,37 @@ def class_firsts(chain: ChainAction, base_level: int, words: list[Word]) -> tupl
     return keys, firsts
 
 
-def _orbit(perms: dict, n: int) -> dict:
-    """The basepoint's orbit under the ``letter_perms`` table of an ``n``-point
-    level, breadth first: each reached point, in discovery order, maps to the
-    ``(point, letter)`` it was first reached from (the basepoint to None)."""
+def _orbit(chain: ChainAction, level: int) -> tuple[int, dict, dict]:
+    """``(n, letter_perms, tree)`` of a level: breadth first from the basepoint
+    (an involution's one table read once), each point maps to the ``(point,
+    letter)`` it was first reached from, the basepoint to None.  An
+    :class:`InvalidChainError` when the orbit misses a point."""
+    n, perms = chain.size(level), chain.letter_perms(level)
+    steps = [((g, s), perm) for (g, s), perm in perms.items() if s > 0 or perm is not perms[g, 1]]
     tree = {0: None}
     queue = deque([0])
     while queue and len(tree) < n:
         x = queue.popleft()
-        for letter, perm in perms.items():
+        for letter, perm in steps:
             y = perm[x]
             if y not in tree:
                 tree[y] = (x, letter)
                 queue.append(y)
-    return tree
+    if len(tree) < n:
+        raise InvalidChainError(
+            f"chain {chain.name!r} is not transitive at level {level}: "
+            f"orbit of the basepoint has {len(tree)} of {n} points"
+        )
+    return n, perms, tree
+
+
+def _spell(tree: dict, x: int) -> tuple:
+    """The letters of the tree path that moves the basepoint to ``x``."""
+    letters = []
+    while tree[x]:
+        x, letter = tree[x]
+        letters.append(letter)
+    return tuple(letters)
 
 
 def transversal(chain: ChainAction, level: int) -> list[Word]:
@@ -632,34 +649,31 @@ def transversal(chain: ChainAction, level: int) -> list[Word]:
     broken by discovery order with generators in alphabet order and sign +1
     tried before -1.  Deterministic.
     """
-    n = chain.size(level)
-    tree = _orbit(chain.letter_perms(level), n)
-    if len(tree) < n:
-        raise InvalidChainError(
-            f"chain {chain.name!r} is not transitive at level {level}: "
-            f"orbit of the basepoint has {len(tree)} of {n} points"
-        )
-    reps = [Word.identity()] * n
-    for y, step in tree.items():
-        if step:
-            x, letter = step
-            reps[y] = Word.of((letter,) + reps[x].letters)
-    return reps
+    n, _, tree = _orbit(chain, level)
+    return [Word(_spell(tree, x)) for x in range(n)]
 
 
-def schreier_generators(chain: ChainAction, level: int) -> list[Word]:
-    """A generating set for the level-``level`` basepoint stabilizer.
-
-    For each point ``x`` and generator ``g`` the element moving the
-    basepoint to ``x``, through ``g``, and back from ``g.x`` stabilizes the
-    basepoint; the reduced non-identity words are returned deduplicated in
-    scan order.
-    """
-    reps = transversal(chain, level)
-    perms = chain.letter_perms(level)
-    return list(distinct(reps[perms[gen, 1][x]].inverse() * Word.generator(gen) * reps[x]
-                         for x in range(chain.size(level))
-                         for gen in range(len(chain.alphabet))))
+def schreier_generators(chain: ChainAction, level: int, max_generators: float = inf) -> list[Word]:
+    """A free basis of the level-``level`` basepoint stabilizer: per point
+    ``x`` and generator ``g`` in scan order, ``t(g.x)^-1 * g * t(x)`` with
+    ``t`` the :func:`transversal`, spelled by junction joins for the edges
+    off ``t``'s tree (on it, the word is the identity).  That is
+    ``size(level) * (k - 1) + 1`` words over ``k`` generators, a count
+    refused past ``max_generators`` before any word is spelled."""
+    n, perms, tree = _orbit(chain, level)
+    k = len(chain.alphabet)
+    count = n * (k - 1) + 1
+    if count > max_generators:
+        raise BudgetError("schreier_generators", f"{count} Schreier generators at level "
+                          f"{level} exceed the cap of {max_generators}")
+    gens = []
+    for x in range(n):
+        for gen in range(k):
+            y = perms[gen, 1][x]
+            if tree[y] != (x, (gen, 1)) and tree[x] != (y, (gen, -1)):
+                back = tuple((g, -s) for g, s in reversed(_spell(tree, y)))
+                gens.append(Word(join(join(back, ((gen, 1),)), _spell(tree, x))))
+    return gens
 
 
 def sample_uniform(chain: ChainAction, depth: int, seed: int) -> PointApprox:

@@ -31,8 +31,7 @@ from typing import NamedTuple
 
 from .chain import (ChainAction, check_depth, class_firsts, closure, count_fixed,
                     schreier_generators)
-from .errors import BudgetError
-from .words import Word, check_word_budget, distinct, reduced_words
+from .words import Word, check_word_budget, reduced_words
 
 PASS = "pass-at-depth"
 FAIL = "fail-at-depth"
@@ -175,23 +174,15 @@ def local_candidates(
     """Schreier alphabet of the base stabilizer and candidate words over it.
 
     Candidates are the reduced words over the Schreier letters up to
-    ``max_word_len`` with each letter replaced by its generator, freely
-    reduced in the ambient generators and deduplicated in enumeration
-    order.  At base level 0 the Schreier alphabet is the generator set
-    itself, so the candidates coincide with the classic enumeration.  The
-    word budget counts the words over the Schreier letters.
+    ``max_word_len``, each built as its prefix's product joined to one
+    Schreier generator.  The generators are a free basis, so no candidate
+    repeats or is the identity.  At base level 0 the Schreier alphabet is
+    the generator set itself, so the candidates coincide with the classic
+    enumeration.  The word budget counts the words over the Schreier letters.
     """
-    gens = schreier_generators(chain, base_level)
-    if len(gens) > max_generators:
-        raise BudgetError(
-            "schreier_generators",
-            f"{len(gens)} Schreier generators at level {base_level} exceed the "
-            f"cap of {max_generators}",
-        )
+    gens = schreier_generators(chain, base_level, max_generators)
     check_word_budget(len(gens), max_word_len)
-    images = {1: [g.letters for g in gens], -1: [g.inverse().letters for g in gens]}
-    return gens, list(distinct(Word.of(letter for j, s in seq.letters for letter in images[s][j])
-                               for seq in reduced_words(gens, max_word_len)))
+    return gens, list(reduced_words(gens, max_word_len, [g.letters for g in gens]))
 
 
 def local_farber_check(

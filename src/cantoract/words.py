@@ -297,25 +297,43 @@ def parse_word(text: str, alphabet: GeneratorAlphabet) -> Word:
     return _Parser(text, alphabet).parse()
 
 
-def reduced_words(alphabet: GeneratorAlphabet, max_len: int) -> Iterator[Word]:
+def join(u: tuple, v: tuple) -> tuple:
+    """``free_reduce(u + v)`` for reduced ``u`` and ``v``: they cancel only
+    where they meet, so only the junction is compared."""
+    c, m = 0, min(len(u), len(v))
+    while c < m and u[-1 - c] == (v[c][0], -v[c][1]):
+        c += 1
+    return u[:len(u) - c] + v[c:]
+
+
+def reduced_words(alphabet: GeneratorAlphabet, max_len: int, images=None) -> Iterator[Word]:
     """Yield all nonempty freely reduced words up to ``max_len`` in canonical order.
 
     Canonical order is by length, then lexicographic over letters with the
     letter order (gen 0, +1) < (gen 0, -1) < (gen 1, +1) < ...  Only
     ``len(alphabet)`` is read, so any sized collection of generators works.
+
+    With ``images``, each word is yielded as the reduced product of its
+    letters' reduced ``images[j]``: its prefix's product with one image
+    :func:`join`-ed on.  Set-up is O(k) and runs at the first word.
     """
-    letters = [(g, s) for g in range(len(alphabet)) for s in (1, -1)]
-    frontier: list[tuple[Letter, ...]] = [()]
+    images = [((g, 1),) for g in range(len(alphabet))] if images is None else images
+    steps = []  # (step, image, last letter that cancels it): letter j is step 2j, its inverse 2j + 1
+    for j, image in enumerate(map(tuple, images)):
+        inverse = tuple((g, -s) for g, s in reversed(image))
+        steps += [(2 * j, image, inverse[-1:]), (2 * j + 1, inverse, image[-1:])]
+    new = tuple.__new__  # ``Word(word)`` without the Python frame of its ``__new__``
+    products: list[tuple[int, tuple]] = [(-1, ())]  # (step that backtracks, product)
     for _ in range(max_len):
-        nxt: list[tuple[Letter, ...]] = []
-        for prefix in frontier:
-            for gen, sign in letters:
-                if prefix and prefix[-1] == (gen, -sign):
-                    continue
-                seq = prefix + ((gen, sign),)
-                yield Word(seq)
-                nxt.append(seq)
-        frontier = nxt
+        nxt = []
+        for back, prod in products:
+            last = prod[-1:]
+            for i, image, cancels in steps:
+                if i != back:
+                    word = join(prod, image) if last == cancels and last else prod + image
+                    yield new(Word, (word,))
+                    nxt.append((i ^ 1, word))
+        products = nxt
 
 
 def check_word_budget(letters: int, max_len: int) -> int:

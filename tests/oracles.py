@@ -12,17 +12,22 @@ every word; the kernel's keys must group words the same way.
 ``state_word`` and ``vertex_path`` read a chain word and a vertex of a
 chain built from a machine in the machine's terms, and ``machine_to_dict``
 writes a machine file.  ``moved_measure_at`` is the fat-Cantor ledger's
-measure of the points its visible punctures move.
+measure of the points its visible punctures move.  ``transversal``,
+``schreier_generators`` and ``local_candidates`` are the coset
+representatives, the Schreier formula and the localized-Farber candidate
+builder as they were before the kernel spelled only non-tree edges and
+joined candidates at one junction: a whole transversal, every
+point-generator pair reduced from scratch, and every candidate flattened
+and reduced from scratch.
 """
 
 from fractions import Fraction
 from typing import NamedTuple
 
 from cantoract.builders import FatCantorPlan
-from cantoract.chain import (ChainAction, LevelAction, PointApprox, ValidationReport,
-                             Violation, _orbit)
+from cantoract.chain import ChainAction, LevelAction, PointApprox, ValidationReport, Violation
 from cantoract.mealy import MealyMachine, StateWord
-from cantoract.words import Word, cyclic_core, free_reduce
+from cantoract.words import Word, cyclic_core, distinct, free_reduce, reduced_words
 
 
 class Distance(NamedTuple):
@@ -186,7 +191,14 @@ def validate_chain_pointwise(chain: ChainAction, depth: int) -> ValidationReport
                         break
                 if done:
                     break
-        total = len(_orbit(chain.letter_perms(level), n))
+        steps = [*lv.perms.values(), *(dict(zip(perm, range(n))) for perm in lv.perms.values())]
+        orbit, seen = [0], {0}
+        for x in orbit:  # grows while it is read
+            for perm in steps:
+                if perm[x] not in seen:
+                    seen.add(perm[x])
+                    orbit.append(perm[x])
+        total = len(orbit)
         if total != n:
             add("transitivity", level, None, None,
                 f"orbit of basepoint covers {total} of {n} points")
@@ -246,3 +258,39 @@ def class_keys(chain: ChainAction, base_level: int, words: list[Word]) -> list[t
         backward = [((g, -s), states[(n - j) % n]) for j, (g, s) in enumerate(reversed(core))]
         keys.append(min(_least_rotation(forward), _least_rotation(backward)))
     return keys
+
+
+def transversal(chain: ChainAction, level: int) -> list[Word]:
+    """The breadth-first coset representatives, built point by point by
+    the point-wise action (generators in alphabet order, +1 before -1),
+    each reduced from scratch."""
+    n, k = chain.size(level), len(chain.alphabet)
+    reps, queue = {0: Word.identity()}, [0]
+    for x in queue:
+        for gen in range(k):
+            for sign in (1, -1):
+                y = act(chain, Word.generator(gen, sign), level, x)
+                if y not in reps:
+                    reps[y] = Word.of(((gen, sign),) + reps[x].letters)
+                    queue.append(y)
+    assert len(reps) == n, "not transitive"
+    return [reps[x] for x in range(n)]
+
+
+def schreier_generators(chain: ChainAction, level: int) -> list[Word]:
+    """``t(g.x)^-1 * g * t(x)`` for every point ``x`` and generator ``g``,
+    reduced and deduplicated in scan order, with ``t`` the :func:`transversal`."""
+    reps = transversal(chain, level)
+    return list(distinct(reps[act(chain, Word.generator(gen), level, x)].inverse()
+                         * Word.generator(gen) * reps[x]
+                         for x in range(len(reps)) for gen in range(len(chain.alphabet))))
+
+
+def local_candidates(chain: ChainAction, base_level: int, max_word_len: int) -> list[Word]:
+    """The reduced words over the Schreier letters up to ``max_word_len``,
+    each letter replaced by its generator's letters, the whole reduced, and
+    deduplicated in enumeration order."""
+    gens = schreier_generators(chain, base_level)
+    images = {1: [g.letters for g in gens], -1: [g.inverse().letters for g in gens]}
+    return list(distinct(Word.of(letter for j, s in seq.letters for letter in images[s][j])
+                         for seq in reduced_words(gens, max_word_len)))

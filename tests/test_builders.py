@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -146,6 +147,32 @@ def test_chain_file_round_trip(tmp_path, dih):
         assert loaded.level(level).perms == dih.level(level).perms
         assert loaded.level(level).parent == dih.level(level).parent
     assert loaded.alphabet.names == dih.alphabet.names
+
+
+def _traced(build):
+    tracemalloc.start()
+    try:
+        chain = build()
+        chain.level(chain.depth_limit)
+        return chain, tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_loaded_chain_holds_one_int_per_point(tmp_path):
+    """The JSON parser makes an int object per array entry; the loader
+    maps each level's arrays through one tuple of its points, so a loaded
+    chain costs what a built one does, and saves to the same bytes."""
+    saved, again = tmp_path / "frag.json", tmp_path / "again.json"
+    ca.save_chain(ca.fragmented(), 14, saved)
+    built, built_bytes = _traced(lambda: ca.fragmented(depth_limit=14))
+    loaded, loaded_bytes = _traced(lambda: ca.load_chain(saved, validate=False))
+    assert loaded_bytes <= 1.2 * built_bytes
+    ca.save_chain(loaded, 14, again)
+    assert again.read_bytes() == saved.read_bytes()
+    for level in range(9, 15):  # past 256 points, where ints are not cached
+        lv = loaded.level(level)
+        assert len({id(x) for perm in (lv.parent, *lv.perms.values()) for x in perm}) == lv.size
 
 
 def test_chain_file_schema_errors(tmp_path):

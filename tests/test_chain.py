@@ -1,14 +1,18 @@
 import re
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cantoract as ca
+import cantoract.chain as chain_module
 from cantoract.chain import Violation
 from cantoract.errors import BudgetError, InvalidChainError
+from cantoract.farber import local_candidates
 
-from conftest import word
+import oracles
+from conftest import ORACLE_CHAINS, word
 from oracles import act, distance, stabilizer_contains
 
 
@@ -91,6 +95,45 @@ def test_schreier_generators(odo2, dih):
     for level in (1, 2, 3):
         for s in ca.schreier_generators(dih, level):
             assert stabilizer_contains(dih, s, level)
+
+
+@pytest.mark.parametrize("chain", [chain for chain, _ in ORACLE_CHAINS], ids=lambda c: c.name)
+def test_schreier_generators_are_the_spelled_non_tree_edges(chain):
+    """Spelling only the edges off the breadth-first tree gives the reference
+    formula's generators (every point-generator pair, reduced, repeats
+    dropped) in its scan order: ``size * (k - 1) + 1`` of them, the rank of
+    a free basis.  The transversal is the point-wise breadth-first one, so
+    reading an involution's one table once changes no tree."""
+    k = len(chain.alphabet)
+    for level in range(6):
+        assert ca.transversal(chain, level) == oracles.transversal(chain, level)
+        gens = ca.schreier_generators(chain, level)
+        assert gens == oracles.schreier_generators(chain, level)
+        assert len(gens) == chain.size(level) * (k - 1) + 1
+
+
+def test_schreier_generators_on_a_long_cycle_are_fast():
+    """``a`` is one 8,192-cycle at level 13: a whole transversal holds ~33
+    million letters, the one edge off its tree spells 8,192."""
+    odo = ca.odometer(2)
+    odo.level(14)
+    started = time.perf_counter()
+    assert ca.schreier_generators(odo, 13) == [word(odo, "a^8192")]
+    assert local_candidates(odo, 13, 1) == (
+        [word(odo, "a^8192")], [word(odo, "a^8192"), word(odo, "a^-8192")])
+    assert time.perf_counter() - started < 0.5
+
+
+def test_schreier_generators_are_refused_before_any_is_spelled(monkeypatch):
+    # 64 points and 4 generators at level 6: 64 * 3 + 1 generators
+    grigorchuk = ORACLE_CHAINS[-1][0]
+    with monkeypatch.context() as patched:
+        patched.setattr(chain_module, "_spell", None)
+        with pytest.raises(BudgetError) as err:
+            ca.schreier_generators(grigorchuk, 6, 192)
+    assert err.value.budget == "schreier_generators"
+    assert str(err.value) == "193 Schreier generators at level 6 exceed the cap of 192"
+    assert len(ca.schreier_generators(grigorchuk, 6, 193)) == 193
 
 
 def test_fixed_count(odo2, dih, hei2):

@@ -7,7 +7,10 @@ import pytest
 
 import cantoract as ca
 from cantoract.cli import main
+from cantoract.mealy import machine_from_dict
 from cantoract.words import MAX_WORD_LETTERS
+
+from conftest import GRIGORCHUK
 
 
 def run_cli(args, **kwargs):
@@ -611,3 +614,21 @@ def test_internal_error_is_one_line_exit_3(chains, monkeypatch, capsys):
     assert main(["validate", chains["odometer"]]) == 3
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
     assert errors == ["error: internal: RuntimeError: kernel fault at level 3"]
+
+
+def test_schreier_generators_past_the_cap_are_refused_at_once(tmp_path):
+    """Grigorchuk's level 13 has 8,192 points over four generators, so
+    8,192 * 3 + 1 Schreier generators.  They are counted in closed form
+    after the orbit walk and refused before any is spelled, within a second
+    and far under a 1 GB address cap."""
+    chain = tmp_path / "g14.json"
+    ca.save_chain(ca.mealy_chain(machine_from_dict(GRIGORCHUK), name="grigorchuk"), 14, chain)
+    proc = run_cli(["local-farber", str(chain), "--base-level", "13", "--depth", "14"],
+                   timeout=30, preexec_fn=_address_space_cap())
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert errors == ["error: budget schreier_generators exceeded: 24577 Schreier generators "
+                      "at level 13 exceed the cap of 128"]
+    wall = [line for line in proc.stderr.splitlines() if line.startswith("wall-time:")]
+    assert float(wall[0].split()[1]) < 1000

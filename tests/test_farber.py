@@ -8,8 +8,9 @@ import cantoract.chain as chain_module
 from cantoract.chain import class_keys
 from cantoract.errors import BudgetError
 from cantoract.farber import FAIL, INDISTINGUISHABLE, PASS, local_candidates
-from cantoract.words import conjugate
+from cantoract.words import check_word_budget, conjugate
 
+import oracles
 from conftest import ORACLE_CHAINS, word
 
 
@@ -158,6 +159,20 @@ def test_local_candidates_keep_the_word_budget(toral22):
         local_candidates(toral22, 3, 3)
     assert err.value.budget == "word_budget"
     assert str(err.value) == "word enumeration exceeded budget of 50000 words"
+
+
+@pytest.mark.parametrize("chain", [chain for chain, _ in ORACLE_CHAINS], ids=lambda c: c.name)
+def test_local_candidates_are_the_reduced_flattened_words(chain):
+    """Candidates built by prefix extension are the reference builder's,
+    which flattens every word over the Schreier letters, reduces it from
+    scratch and drops repeats: there are none to drop.  Levels 0-5, word
+    length 2 over up to 64 Schreier letters and 1 past that."""
+    for level in range(6):
+        count = chain.size(level) * (len(chain.alphabet) - 1) + 1
+        max_len = 2 if count <= 64 else 1
+        gens, candidates = local_candidates(chain, level, max_len, max_generators=count)
+        assert candidates == oracles.local_candidates(chain, level, max_len)
+        assert len(candidates) == check_word_budget(len(gens), max_len)
 
 
 def test_local_farber_fragmented_passes(frag):

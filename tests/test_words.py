@@ -16,6 +16,8 @@ from cantoract.words import (
     commutator,
     conjugate,
     distinct,
+    free_reduce,
+    join,
     parse_word,
     reduced_words,
     render_word,
@@ -104,6 +106,27 @@ def test_take_and_distinct():
     assert take(distinct(stream), 9) == (unique, False)
     assert take([], 0) == ([], False)
     assert take(distinct([e]), 3) == ([], False)
+
+
+_reduced = st.lists(st.tuples(st.integers(0, 2), st.sampled_from((1, -1))), max_size=6).map(free_reduce)
+
+
+@settings(deadline=None)
+@given(st.lists(_reduced, min_size=1, max_size=3), st.integers(0, 4))
+def test_image_words_are_the_reduced_flattened_images(images, max_len):
+    """Each word over ``len(images)`` letters, in the classic order, yields
+    the reduced product of its letters' images (an inverse letter reads the
+    image backwards with signs flipped)."""
+    inverses = [tuple((g, -s) for g, s in reversed(image)) for image in images]
+    expected = [free_reduce([x for j, s in seq.letters
+                             for x in (images[j] if s > 0 else inverses[j])])
+                for seq in reduced_words(images, max_len)]
+    assert [word.letters for word in reduced_words(images, max_len, images)] == expected
+
+
+@given(_reduced, _reduced)
+def test_join_reduces_at_the_junction(u, v):
+    assert join(u, v) == free_reduce(u + v)
 
 
 def test_take_pulls_at_most_one_word_past_the_cut():
