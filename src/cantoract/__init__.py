@@ -10,7 +10,6 @@ from .chain import (
     ValidationReport,
     sample_uniform,
     schreier_generators,
-    transversal,
     validate_chain,
 )
 from .builders import (

@@ -45,8 +45,10 @@ def compose(p, q) -> tuple[int, ...]:
 def _packed(values, n: int):
     """``values``, each below ``n``, in the narrowest array type that holds them.
 
-    Gathers through a packed table return plain ints, so the memoized
-    kernel tables cost one to four bytes per point instead of a pointer.
+    A packed table costs one to four bytes per point instead of a pointer,
+    but a gather through it makes an int per point.  So only the ancestor
+    tables, which hold most of the kernel's memory, are packed; the tables
+    the walk gathers through are tuples of :meth:`ChainAction.points`' ints.
     """
     return array("B" if n <= 256 else "H" if n <= 1 << 16 else "I", values)
 
@@ -290,16 +292,23 @@ class ChainAction:
     def letter_perms(self, level: int) -> dict:
         """``{(gen, sign): image}``, memoized per level: each letter's image
         array, in alphabet order with sign +1 first (every letter is ``(0,)``
-        at level 0, the one-point space).  An inverse is made of :meth:`points`'
-        ints, or is its perm if that is an involution; a generator that is no
-        bijection is an :class:`InvalidChainError`.  Callers must not mutate it."""
+        at level 0, the one-point space).  An involution, found by one gather
+        of its perm through itself (skipped unless the perm maps the
+        basepoint's image back to it), is its own inverse; any other inverse
+        is made of :meth:`points`' ints, and a generator that is no bijection
+        is an :class:`InvalidChainError`.  Callers must not mutate it."""
         perms = self._letter_perms.get(level)
         if perms is None:
             lv, points = self.level(level) if level else self._root, self.points(level)
             perms = {}
             for gen, name in enumerate(self.alphabet.names):
-                perm, inverse = lv.perms[name], _checked_inverse(lv, name, points)
-                perms[gen, 1], perms[gen, -1] = perm, perm if inverse == perm else inverse
+                perm = lv.perms[name]
+                try:  # an involution is its own inverse, so a bijection
+                    own = perm[perm[0]] == 0 and compose(perm, perm) == points
+                except (IndexError, TypeError):
+                    own = False
+                perms[gen, 1] = perm
+                perms[gen, -1] = perm if own else _checked_inverse(lv, name, points)
             self._letter_perms[level] = perms
         return perms
 
@@ -328,6 +337,10 @@ class ChainAction:
         An image costs a gather of the whole level per letter, so a word
         whose fixed set soon empties costs a small part of one, and a word
         that fixes most points wastes at most 1/8 of the image it needed.
+        At the deepest level an image saves no later level, so a word that
+        runs out of budget there is finished point by point unless that
+        costs at least ``DEFER_SHARE`` of its image: ``len(word)`` gathers of
+        its tested points against ``len(word) - 1`` of the whole level.
 
         Every fixed point over the base vertex lies under a tested point,
         so a deferred word fixes at most ``len(points) * size(level) //
@@ -347,11 +360,16 @@ class ChainAction:
         if not 0 <= base_level <= level or level < 1:
             raise ValueError("fixed counts need 1 <= level and 0 <= base_level <= level")
         start = (base_level, (0,)) if base_level else (1, self._children_of(1, (0,)))
-        budget = int(self.size(level) * DEFER_SHARE)
+        size = self.size(level)
+        budget = int(size * DEFER_SHARE)
         deferred = []
         for i, word in enumerate(words):
             counts = []
-            fixed, resume = self._descend(partial(self.apply, word), level, start, counts, budget)
+            # at the deepest level a point costs len(word) gathers and the
+            # image (len(word) - 1) whole levels
+            last = DEFER_SHARE * (len(word) - 1) * size / max(len(word), 1)
+            fixed, resume = self._descend(partial(self.apply, word), level, start, counts,
+                                          budget, last)
             if resume is None:
                 yield i, counts, fixed
             else:
@@ -389,18 +407,19 @@ class ChainAction:
         reps = compose(self.representatives(level, lvl), points)
         return compose(self.ancestors(level, lvl), compose(image, reps))
 
-    def _descend(self, evaluate, level: int, start, counts: list, budget):
+    def _descend(self, evaluate, level: int, start, counts: list, budget, last=inf):
         """Walk one word down from ``start = (lvl, points)``, appending each
         level's fixed count to ``counts``; ``evaluate(lvl, points)`` gives
         the word's images of the points.  Returns ``(fixed, None)`` with the
         level-``level`` fixed set, padding ``counts`` with zeros once it
         empties, or ``(None, (lvl, points))`` when testing ``points`` would
-        take the tested total past ``budget``.
+        take the tested total past ``budget``, unless they are fewer than
+        ``last`` level-``level`` points, which are tested all the same.
         """
         lvl, points = start
         while True:
             budget -= len(points)
-            if budget < 0:
+            if budget < 0 and not (lvl == level and len(points) < last):
                 return None, (lvl, points)
             got = evaluate(lvl, points)
             fixed = tuple(compress(points, map(eq, got, points)))
@@ -474,8 +493,9 @@ class ChainAction:
         every vertex must have the same number of them (fiber constancy).
         A level without it, or whose first generator (the array the sorted
         :meth:`points` are read from) is no bijection, is an
-        :class:`InvalidChainError`.  The columns are memoized packed arrays
-        (see ``_packed``); callers must not mutate them.
+        :class:`InvalidChainError`.  The columns are memoized tuples of
+        :meth:`points`' ints, so a gather through them makes no int; callers
+        must not mutate them.
         """
         table = self._children.get(level)
         if table is None:
@@ -491,7 +511,7 @@ class ChainAction:
                 _, detail = (_first_offender("fiber-constancy", lv, below)
                              or _first_offender("parent-range", lv, below))
                 raise InvalidChainError(f"level {level}: {detail}")
-            table = self._children[level] = tuple(_packed(c, n) for c in columns)
+            table = self._children[level] = tuple(map(tuple, columns))
         return table
 
     def representatives(self, level: int, base_level: int):
@@ -499,8 +519,9 @@ class ChainAction:
 
         Memoized per (level, base level) and built from the deep side, one
         gather per level: a vertex's point is the one over its first child.
-        The table is a memoized packed array (see ``_packed``); callers must
-        not mutate it.
+        The table is a memoized tuple of ``points(level)``'s ints, read from
+        the :meth:`children` columns, so a gather through it makes no int;
+        callers must not mutate it.
         """
         if not 0 <= base_level < level:
             raise ValueError("representative levels must satisfy 0 <= base_level < level")
@@ -509,8 +530,7 @@ class ChainAction:
         if table is None:
             first = self.children(base_level + 1)[0]
             if base_level < level - 1:
-                first = _packed(compose(self.representatives(level, base_level + 1), first),
-                                self.size(level))
+                first = compose(self.representatives(level, base_level + 1), first)
             table = self._representatives[key] = first
         return table
 
@@ -642,22 +662,13 @@ def _spell(tree: dict, x: int) -> tuple:
     return tuple(letters)
 
 
-def transversal(chain: ChainAction, level: int) -> list[Word]:
-    """Coset representatives: ``t[x]`` moves the basepoint to ``x``.
-
-    Breadth-first over generator moves, so words are shortest; ties are
-    broken by discovery order with generators in alphabet order and sign +1
-    tried before -1.  Deterministic.
-    """
-    n, _, tree = _orbit(chain, level)
-    return [Word(_spell(tree, x)) for x in range(n)]
-
-
 def schreier_generators(chain: ChainAction, level: int, max_generators: float = inf) -> list[Word]:
     """A free basis of the level-``level`` basepoint stabilizer: per point
     ``x`` and generator ``g`` in scan order, ``t(g.x)^-1 * g * t(x)`` with
-    ``t`` the :func:`transversal`, spelled by junction joins for the edges
-    off ``t``'s tree (on it, the word is the identity).  That is
+    ``t(x)`` the shortest word moving the basepoint to ``x`` on the
+    breadth-first tree of :func:`_orbit` (generators in alphabet order, +1
+    before -1), spelled by junction joins for the edges off that tree (on
+    it, the word is the identity).  That is
     ``size(level) * (k - 1) + 1`` words over ``k`` generators, a count
     refused past ``max_generators`` before any word is spelled."""
     n, perms, tree = _orbit(chain, level)

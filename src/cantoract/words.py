@@ -113,7 +113,7 @@ class Word(NamedTuple):
 
     @staticmethod
     def of(letters) -> "Word":
-        return Word(free_reduce(letters))
+        return _word(free_reduce(letters))
 
     @staticmethod
     def identity() -> "Word":
@@ -130,10 +130,10 @@ class Word(NamedTuple):
         return bool(self.letters)
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(free_reduce(self.letters + other.letters))
+        return _word(free_reduce(self.letters + other.letters))
 
     def inverse(self) -> "Word":
-        return Word(tuple((g, -s) for g, s in reversed(self.letters)))
+        return _word(tuple((g, -s) for g, s in reversed(self.letters)))
 
     def power(self, k: int) -> "Word":
         """``self^k`` in O(k |self|): with self = u*c*u^-1 and c cyclically
@@ -149,6 +149,11 @@ class Word(NamedTuple):
     def key(self) -> tuple:
         # canonical order: length first, then letters with +1 before -1
         return (len(self.letters), tuple((g, 0 if s > 0 else 1) for g, s in self.letters))
+
+
+def _word(letters: tuple) -> Word:
+    """``Word(letters)`` without the Python frame of the named tuple's ``__new__``."""
+    return tuple.__new__(Word, (letters,))
 
 
 def cyclic_core(letters: tuple) -> tuple[int, tuple]:
@@ -167,18 +172,18 @@ def _check_letters(count: int) -> None:
 
 
 def commutator(u: Word, v: Word) -> Word:
-    """Reduced word ``u * v * u^-1 * v^-1``, in one reduction pass; a
-    ``word_letters`` BudgetError, before building it, past
-    :data:`MAX_WORD_LETTERS` letters."""
+    """Reduced word ``u * v * u^-1 * v^-1``, its reduced factors :func:`join`-ed
+    at their three junctions; a ``word_letters`` BudgetError, before
+    building it, past :data:`MAX_WORD_LETTERS` letters."""
     _check_letters(2 * (len(u) + len(v)))
-    return Word.of(u.letters + v.letters + u.inverse().letters + v.inverse().letters)
+    return _word(join(join(join(u.letters, v.letters), u.inverse().letters), v.inverse().letters))
 
 
 def conjugate(t: Word, x: Word) -> Word:
-    """Reduced word ``t * x * t^-1``, in one reduction pass, under the same
-    letter limit as :func:`commutator`."""
+    """Reduced word ``t * x * t^-1``, joined at its two junctions, under the
+    same letter limit as :func:`commutator`."""
     _check_letters(2 * len(t) + len(x))
-    return Word.of(t.letters + x.letters + t.inverse().letters)
+    return _word(join(join(t.letters, x.letters), t.inverse().letters))
 
 
 def render_word(word: Word, alphabet: GeneratorAlphabet) -> str:

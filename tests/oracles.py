@@ -18,7 +18,9 @@ representatives, the Schreier formula and the localized-Farber candidate
 builder as they were before the kernel spelled only non-tree edges and
 joined candidates at one junction: a whole transversal, every
 point-generator pair reduced from scratch, and every candidate flattened
-and reduced from scratch.
+and reduced from scratch.  ``commutator`` and ``conjugate`` likewise
+flatten the LCS candidates' factors and reduce them from scratch, where
+the word layer joins the factors at their junctions.
 """
 
 from fractions import Fraction
@@ -294,3 +296,17 @@ def local_candidates(chain: ChainAction, base_level: int, max_word_len: int) -> 
     images = {1: [g.letters for g in gens], -1: [g.inverse().letters for g in gens]}
     return list(distinct(Word.of(letter for j, s in seq.letters for letter in images[s][j])
                          for seq in reduced_words(gens, max_word_len)))
+
+
+def _inverse(word: Word) -> tuple:
+    return tuple((g, -s) for g, s in reversed(word.letters))
+
+
+def commutator(u: Word, v: Word) -> Word:
+    """``u * v * u^-1 * v^-1``, its letters flattened and reduced from scratch."""
+    return Word.of(u.letters + v.letters + _inverse(u) + _inverse(v))
+
+
+def conjugate(t: Word, x: Word) -> Word:
+    """``t * x * t^-1``, its letters flattened and reduced from scratch."""
+    return Word.of(t.letters + x.letters + _inverse(t))

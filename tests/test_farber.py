@@ -326,7 +326,8 @@ def test_farber_images_one_word_per_class(monkeypatch):
     """Work count, not time: the fragmented chain's 1,456 classic
     candidates fall into 117 classes and its 936 localized ones into 119,
     one word per class is walked, and only the words that still fix many
-    points after a few levels are imaged (45 and 72 whole-level gathers)."""
+    points after a few levels are imaged (41 and 72 whole-level gathers;
+    one of each is the involution check of the deepest letter table)."""
     frag = ca.fragmented()
     assert len(set(class_keys(frag, 0, list(ca.reduced_words(frag.alphabet, 6))))) == 117
     assert len(set(class_keys(frag, 1, local_candidates(frag, 1, 4)[1]))) == 119

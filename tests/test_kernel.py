@@ -179,11 +179,13 @@ def test_fixed_counts_stop_once_the_fixed_set_empties(monkeypatch):
     # two and three over the basepoint; nothing deeper either time
     assert [len(q) for q in gathers] == [1, 1, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1]
     # the walk gathers the root's children once per call, then applies each
-    # word's one letter to them alone, and images neither word
+    # word's one letter to them alone, and images neither word; the first
+    # application builds level 1's letter table, whose one gather finds
+    # that ``a`` swaps the two points and so is its own inverse there
     del gathers[:]
     assert [counts for _, counts, _ in odo.walk([ca.Word.generator(0)] * 2, 8)] == [[0] * 8] * 2
     assert next(odo.walk([ca.Word.generator(0)], 8, 1))[1] == [0] * 8
-    assert [len(q) for q in gathers] == [1, 1, 2, 2, 1]
+    assert [len(q) for q in gathers] == [1, 1, 2, 2, 2, 1]
 
 
 # the last level's vertex 0 has three preimages and vertex 1 one; only an
@@ -422,6 +424,57 @@ def test_group_trivial_words_are_imaged_after_an_eighth_of_a_level(monkeypatch):
     assert walked == dict.fromkeys(range(32), [hei.size(level) for level in range(1, depth + 1)])
 
 
+def test_a_word_out_of_budget_only_at_the_deepest_level_is_finished_point_by_point(monkeypatch):
+    """On the Grigorchuk chain at depth 13 the 10-letter ``[c, [b, a]]``
+    tests 646 points at levels 1..12, within the budget of 1,024, and 592
+    at level 13, past it.  Finishing those costs 10 * 592 gathered points,
+    under an eighth of its image's 9 * 8,192, so the walk images nothing.
+    ``B^2`` on heisenberg(2) at depth 5 runs out at its deepest level too,
+    after 116 points, but its 128 points there would cost 2 * 128, not
+    under an eighth of one 1,024-point gather, so it is imaged instead of
+    applied to them.  With ``DEFER_SHARE`` 0 both are imaged."""
+    cases = [(_grigorchuk(), 13, "[c, [b, a]]", (646, 592), 0),
+             (ca.heisenberg(2), 5, "B^2", (116, 0), 1)]
+    for chain, depth, text, tested, imaged in cases:
+        word = ca.parse_word(text, chain.alphabet)
+        levels = range(1, depth + 1)
+        expected = ([chain.fixed_count(word, level) for level in levels],
+                    [x for x, y in enumerate(chain.word_permutation(word, depth)) if x == y])
+        images, apply = chain.images, chain_module.ChainAction.apply
+        for share, want in ((chain_module.DEFER_SHARE, imaged), (0, 1)):
+            imaged_words, points = [], [0, 0]
+
+            def counting(self, w, level, pts):
+                points[level == depth] += len(pts)
+                return apply(self, w, level, pts)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(chain_module, "DEFER_SHARE", share)
+                patch.setattr(chain_module.ChainAction, "apply", counting)
+                patch.setattr(chain, "images",
+                              lambda ws, level: imaged_words.extend(ws) or images(ws, level))
+                (_, counts, fixed), = chain.walk([word], depth)
+            assert len(imaged_words) == want
+            assert (counts, sorted(fixed)) == expected
+            if share:
+                assert tuple(points) == tested
+
+
+@pytest.mark.parametrize("make, depth", [(_grigorchuk, 13), (ca.fragmented, 14)],
+                         ids=["grigorchuk", "fragmented"])
+def test_children_and_representatives_hold_the_points_own_ints(make, depth):
+    """The ``children`` columns and the ``representatives`` tables are
+    tuples of ``points(level)``'s own int objects, so a gather through
+    them makes no int."""
+    chain = make()
+    for level in range(1, depth + 1):
+        points = chain.points(level)
+        for table in (*chain.children(level),
+                      *(chain.representatives(level, base) for base in range(level))):
+            assert type(table) is tuple
+            assert all(points[x] is x for x in table)
+
+
 def _partition(keys):
     """Per word, the first index with its key."""
     first = {}
@@ -581,6 +634,7 @@ def test_ancestor_tables_cost_one_gather_per_level_in_any_order(monkeypatch, bas
 def test_images_share_prefixes(frag, monkeypatch):
     """One gather per extended prefix, and no more live prefix images than letters."""
     words = list(ca.reduced_words(frag.alphabet, 3))[::-1]
+    frag.letter_perms(5)  # built before counting: its involution checks gather too
     gathers = []
     monkeypatch.setattr(chain_module, "compose", lambda p, q: gathers.append(1) or compose(p, q))
     stream = frag.images(words, 5)

