@@ -13,7 +13,6 @@ from .chain import (
     validate_chain,
 )
 from .builders import (
-    adding_machine_chain,
     chain_from_dict,
     chain_to_dict,
     dihedral,
@@ -46,5 +45,5 @@ from .holonomy import (
     partial_triviality_witnesses,
 )
 from .lcs import LcsWitnessReport, gamma_candidates, witness_search
-from .mealy import MealyMachine, adding_machine, is_trivial, load_machine
+from .mealy import MealyMachine, is_trivial, load_machine
 from .words import GeneratorAlphabet, Word, commutator, parse_word, reduced_words, render_word

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .chain import ChainAction, LevelAction, compose, validate_chain
 from .errors import InvalidChainError, SchemaError, expect, json_type, read_json
-from .mealy import MealyMachine, adding_machine
+from .mealy import MealyMachine
 from .words import GeneratorAlphabet
 
 def _check_base(p: int):
@@ -336,10 +336,6 @@ def mealy_chain(machine: MealyMachine, name: str = "mealy", **budgets) -> ChainA
         return [images[q] for q in machine.generator_map.values()]
 
     return _strings(d, gen_names, name, perms, mealy=machine, **budgets)
-
-
-def adding_machine_chain(base: int = 2, **budgets) -> ChainAction:
-    return mealy_chain(adding_machine(base), name=f"adding-machine({base})", **budgets)
 
 
 _INT = frozenset({int})

@@ -293,10 +293,11 @@ class ChainAction:
         """``{(gen, sign): image}``, memoized per level: each letter's image
         array, in alphabet order with sign +1 first (every letter is ``(0,)``
         at level 0, the one-point space).  An involution, found by one gather
-        of its perm through itself (skipped unless the perm maps the
-        basepoint's image back to it), is its own inverse; any other inverse
-        is made of :meth:`points`' ints, and a generator that is no bijection
-        is an :class:`InvalidChainError`.  Callers must not mutate it."""
+        of its perm through itself (skipped unless the perm maps the images
+        of the first and the last point back to them), is its own inverse;
+        any other inverse is made of :meth:`points`' ints, and a generator
+        that is no bijection is an :class:`InvalidChainError`.  Callers must
+        not mutate it."""
         perms = self._letter_perms.get(level)
         if perms is None:
             lv, points = self.level(level) if level else self._root, self.points(level)
@@ -304,7 +305,8 @@ class ChainAction:
             for gen, name in enumerate(self.alphabet.names):
                 perm = lv.perms[name]
                 try:  # an involution is its own inverse, so a bijection
-                    own = perm[perm[0]] == 0 and compose(perm, perm) == points
+                    own = (perm[perm[0]] == 0 and perm[perm[-1]] == len(perm) - 1
+                           and compose(perm, perm) == points)
                 except (IndexError, TypeError):
                     own = False
                 perms[gen, 1] = perm
@@ -619,14 +621,27 @@ def class_keys(chain: ChainAction, base_level: int, words: list[Word]) -> list[t
     return keys
 
 
-def class_firsts(chain: ChainAction, base_level: int, words: list[Word]) -> tuple[list, dict]:
-    """``(keys, firsts)``: the :func:`class_keys` of ``words``, and the first
-    word of each key, keyed in order of first occurrence."""
+def walk_classes(chain: ChainAction, words: list[Word], level: int, base_level: int = 0):
+    """``(keys, walks)``: the :func:`class_keys` of ``words`` at ``base_level``,
+    and ``(key, word, counts, fixed)`` once per key, as
+    :meth:`ChainAction.walk` yields it for the key's first word; the first
+    words are walked in one call, in order of first occurrence.
+
+    Every number a key's walk gives holds for each word of the key: words
+    with one key are conjugate, up to inversion, by some ``t`` in ``G_b``,
+    which permutes each level's points over the basepoint at
+    ``base_level``.  So ``Fix(t w t^-1) = t Fix(w)`` there, level for
+    level: the fixed counts are the same, and at base level 0 ``t`` moves
+    each maximal fixed cylinder to one of the same level.  ``w^-1`` fixes
+    what ``w`` fixes.
+    """
     keys = class_keys(chain, base_level, words)
     firsts = {}
     for key, word in zip(keys, words):
         firsts.setdefault(key, word)
-    return keys, firsts
+    firsts = list(firsts.items())
+    return keys, ((*firsts[i], counts, fixed)
+                  for i, counts, fixed in chain.walk([w for _, w in firsts], level, base_level))
 
 
 def _orbit(chain: ChainAction, level: int) -> tuple[int, dict, dict]:

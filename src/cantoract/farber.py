@@ -10,18 +10,13 @@ indistinguishable from the identity rather than failed.  Verdicts are
 always stamped with (depth, word cap, tolerance): passing at a depth is
 evidence about the limit, not a proof.
 
-Both checks score each conjugacy class once.  A fixed ratio is the same
-for ``w``, its inverse and every conjugate ``t w t^-1`` whose conjugator
-keeps the scored points in place: ``Fix(t w t^-1) = t Fix(w)``.  Classic
-scoring counts the whole level, so every conjugator is allowed; localized
-scoring counts the fiber over the basepoint at the base level, so only
-conjugators in that level's basepoint stabilizer ``G_b`` are.  Each
-candidate is keyed by its class under such conjugation and inversion
-(:func:`cantoract.chain.class_keys`, the key the LCS witness search shares),
-the first candidate of each key is walked, and every candidate gets its
-key's trajectory.  A key never joins two words that are not
-conjugate in this way, so results are exact however many conjugates it
-misses.
+Both checks score each conjugacy class once: the first candidate of each
+key is walked by :func:`cantoract.chain.walk_classes`, whose docstring says
+why its fixed counts are exact for every candidate of the key, and every
+candidate gets its key's trajectory.  Classic scoring counts the whole
+level, so every conjugator is allowed; localized scoring counts the fiber
+over the basepoint at the base level, so only conjugators in that level's
+basepoint stabilizer ``G_b`` are.
 """
 
 from __future__ import annotations
@@ -29,8 +24,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .chain import (ChainAction, check_depth, class_firsts, closure, count_fixed,
-                    schreier_generators)
+from .chain import (ChainAction, check_depth, closure, count_fixed, schreier_generators,
+                    walk_classes)
 from .words import Word, check_word_budget, reduced_words
 
 PASS = "pass-at-depth"
@@ -100,19 +95,18 @@ def _score(
     ``depth`` is indistinguishable from the identity there: on the whole
     level it acts trivially, and on the base fiber, which holds the
     basepoint, it also stabilizes the basepoint, so it lies in the core.
-    Only the first word of each :func:`~cantoract.chain.class_keys` key
-    is walked (:meth:`~cantoract.chain.ChainAction.walk`), and only its
-    fixed counts are kept.  Keys with the same counts share one
-    ``(verdict, trajectory)``, built once.
+    Only the first word of each key is walked
+    (:func:`~cantoract.chain.walk_classes`), and only its fixed counts are
+    kept.  Keys with the same counts share one ``(verdict, trajectory)``,
+    built once.
     """
     levels = range(max(base_level, 1), depth + 1)
     # fiber constancy (checked by ``children``) makes each fiber over the
     # basepoint the level's size over the base level's
     sizes = [chain.size(level) // chain.size(base_level) for level in levels]
-    keys, firsts = class_firsts(chain, base_level, candidates)
-    order = list(firsts)
+    keys, walks = walk_classes(chain, candidates, depth, base_level)
     scored, interned = {}, {}
-    for i, counts, _ in chain.walk(list(firsts.values()), depth, base_level):
+    for key, _, counts, _ in walks:
         counts = tuple(counts)
         if counts not in interned:
             traj = tuple((level, Fraction(count, size))
@@ -122,7 +116,7 @@ def _score(
             else:
                 verdict = PASS if traj[-1][1] < tolerance else FAIL
             interned[counts] = verdict, traj
-        scored[order[i]] = interned[counts]
+        scored[key] = interned[counts]
     verdicts = [WordVerdict(word, *scored[key]) for word, key in zip(candidates, keys)]
     return FarberReport(
         kind=kind,

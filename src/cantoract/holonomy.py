@@ -17,7 +17,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-from .chain import ChainAction, Cylinder, PointApprox, check_depth, compose
+from .chain import ChainAction, Cylinder, PointApprox, check_depth, compose, walk_classes
 from .mealy import is_trivial as mealy_is_trivial
 from .words import Word, check_word_budget, free_reduce, reduced_words
 
@@ -117,17 +117,25 @@ def _maximal_fixed_cylinders(chain: ChainAction, fixed, depth: int, cap: int) ->
 
 
 def fixed_set_report(chain: ChainAction, word: Word, depth: int) -> FixedSetReport:
-    """Fixed counts to ``depth`` plus the interior bound and holonomy estimate.
+    """Fixed counts to ``depth`` plus the interior bound and holonomy
+    estimate, from one walk of ``word`` (:func:`fixed_set_from_walk`)."""
+    _require_nonidentity(word)
+    check_depth(depth)
+    _, counts, fixed = next(chain.walk([word], depth))
+    return fixed_set_from_walk(chain, word, depth, counts, fixed)
+
+
+def fixed_set_from_walk(chain: ChainAction, word: Word, depth: int, counts,
+                        fixed) -> FixedSetReport:
+    """The report of ``word`` from the ``counts`` and ``fixed`` set its
+    depth-``depth`` :meth:`~ChainAction.walk` yields.
 
     The maximal fixed cylinders are found from the depth fixed set; their
     total measure lower-bounds the interior of the fixed set as seen at
     this depth, so the holonomy estimate is the depth-stamped measure of
     fixed points not yet explained by any fixed cylinder.
     """
-    _require_nonidentity(word)
-    check_depth(depth)
     sizes = [chain.size(level) for level in range(1, depth + 1)]
-    _, counts, fixed = next(chain.walk([word], depth))
     cap = interior_scan_limit(depth)
     cylinders = _maximal_fixed_cylinders(chain, fixed, depth, cap)
     interior = sum((Fraction(1, chain.size(c.level)) for c in cylinders), Fraction(0))
@@ -185,15 +193,15 @@ def _scan_words(chain: ChainAction, max_word_len: int) -> list[Word]:
     return list(reduced_words(chain.alphabet, max_word_len))
 
 
-def _fixing_words(chain: ChainAction, words: list[Word], depth: int):
-    """Yield ``(i, cylinders)`` for each ``words[i]`` that moves a
-    depth-``depth`` point and fixes some cylinder fiber, with its maximal
-    fixed cylinders, in the order :meth:`ChainAction.walk` yields them."""
+def _fixing_words(chain: ChainAction, walks, depth: int):
+    """Yield ``(first, cylinders)`` for each depth-``depth`` walk tuple
+    ``(first, ..., fixed)`` whose word moves a point and fixes some
+    cylinder fiber, with its maximal fixed cylinders, in walk order."""
     cap = interior_scan_limit(depth)
-    for i, _, fixed in chain.walk(words, depth):
+    for first, *_, fixed in walks:
         cylinders = _maximal_fixed_cylinders(chain, fixed, depth, cap)
         if cylinders and cylinders[0].level:
-            yield i, cylinders
+            yield first, cylinders
 
 
 def partial_triviality_witnesses(
@@ -211,7 +219,7 @@ def partial_triviality_witnesses(
     check_depth(depth)
     words = _scan_words(chain, max_word_len)
     found: list[list[TrivialityWitness]] = [[] for _ in words]
-    for i, cylinders in _fixing_words(chain, words, depth):
+    for i, cylinders in _fixing_words(chain, chain.walk(words, depth), depth):
         for cyl in cylinders:
             fiber = chain.fiber(cyl.level, depth, cyl.vertex)
             if chain.apply(words[i], depth, fiber) != fiber:
@@ -238,10 +246,12 @@ def lqa_scale_estimate(chain: ChainAction, max_word_len: int, depth: int) -> Lqa
     cylinder that contains u, at some level j >= 1 (level 0 moves).  The
     deepest moving ancestor of u, the scale u witnesses, is at j - 1, and
     the first witness-free level is the largest such j.  That level is at
-    most ``depth // 2``, so a scale always exists at this depth.
+    most ``depth // 2``, so a scale always exists at this depth.  It is the
+    same for every word of one conjugacy key, so one word per key is walked
+    (:func:`~cantoract.chain.walk_classes`).
     """
     check_depth(depth)
-    words = _scan_words(chain, max_word_len)
-    scale = max((cylinders[-1].level for _, cylinders in _fixing_words(chain, words, depth)),
+    _, walks = walk_classes(chain, _scan_words(chain, max_word_len), depth)
+    scale = max((cylinders[-1].level for _, cylinders in _fixing_words(chain, walks, depth)),
                 default=0)
     return LqaScaleEstimate(depth=depth, max_word_len=max_word_len, scale_level=scale)

@@ -7,25 +7,25 @@ sampling).  Membership is never decided after the fact, so the search is
 sound but can miss witnesses; reports say "evidence at budget", and a
 truncated stream is always flagged, never silent.
 
-Candidates are scored once per conjugacy class.  Every number the search
+Candidates are scored once per conjugacy class: every number the search
 ranks by (fixed counts, the interior bound, the holonomy estimate and
-indistinguishability) is the same for ``w``, its inverse and every
-conjugate ``t * w * t^-1``: ``t`` permutes the vertices of each level, so
-it carries the fixed set and the maximal fixed cylinders of ``w`` to those
-of ``t * w * t^-1``.  So each class's words are keyed by
-:func:`~cantoract.chain.class_keys` and only the first word of each key is
-reported; the winner, whose cylinders move with ``t``, gets its own report.
+indistinguishability) is the same for each word of one key, as
+:func:`~cantoract.chain.walk_classes` says, so only the first word of each
+key is walked and reported.  The winner, whose cylinders move with the
+conjugator, gets its own report.
 Candidate words are capped at :data:`~cantoract.words.MAX_WORD_LETTERS`
 letters: a class whose words grow past it is a ``word_letters`` budget
-error.
+error.  Word length about doubles per class, so each class's letters are
+also charged against a memory budget as the class is built.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .chain import ChainAction, check_depth, class_firsts
-from .holonomy import FixedSetReport, fixed_set_report
+from .chain import DEFAULT_MEMORY_BUDGET, ChainAction, check_depth, walk_classes
+from .errors import BudgetError
+from .holonomy import FixedSetReport, fixed_set_from_walk, fixed_set_report
 from .words import (GeneratorAlphabet, Word, commutator, conjugate, distinct, reduced_words,
                     take)
 
@@ -38,12 +38,14 @@ class CandidateStream(NamedTuple):
 
 
 def _candidate_classes(alphabet: GeneratorAlphabet, max_class: int, max_word_len: int,
-                       conj_len: int, max_candidates: int):
+                       conj_len: int, max_candidates: int, memory_budget: int):
     """Yield ``(words, truncated)`` for classes 1..``max_class``, each
     built from the one before, in canonical order and deduplicated.
 
     A class is cut off (with a flag, inherited by every later class) at
     ``max_candidates`` words, and no more than one word past the cut is built.
+    A class whose words, as they are built, hold more than
+    ``memory_budget`` letters is a ``memory_budget`` BudgetError.
     """
     if max_candidates < 0:
         raise ValueError(f"max_candidates must be at least 0, got {max_candidates}")
@@ -52,9 +54,21 @@ def _candidate_classes(alphabet: GeneratorAlphabet, max_class: int, max_word_len
     for n in range(1, max_class + 1):
         stream = (reduced_words(alphabet, max_word_len) if n == 1 else
                   distinct(_commutators(alphabet, words, max_word_len, conj_len)))
-        words, cut = take(stream, max_candidates)
+        words, cut = take(_charged(stream, n, memory_budget), max_candidates)
         truncated = truncated or cut
         yield words, truncated
+
+
+def _charged(stream, n: int, memory_budget: int):
+    """The words of class ``n``'s ``stream``, refused once their letters
+    pass ``memory_budget``."""
+    letters = 0
+    for word in stream:
+        letters += len(word.letters)
+        if letters > memory_budget:
+            raise BudgetError("memory_budget", f"class {n} candidates hold more than "
+                              f"{memory_budget} letters; raise --memory-budget")
+        yield word
 
 
 def _commutators(alphabet: GeneratorAlphabet, prev: list[Word], max_word_len: int,
@@ -82,12 +96,13 @@ def gamma_candidates(
     """Deterministic class-``class_index`` candidate words, deduplicated.
 
     Candidates are generated in canonical order and cut off (with a flag)
-    at ``max_candidates`` per class.
+    at ``max_candidates`` per class; a class holding more than
+    :data:`~cantoract.chain.DEFAULT_MEMORY_BUDGET` letters is refused.
     """
     if class_index < 1:
         raise ValueError("class index starts at 1")
     for words, truncated in _candidate_classes(alphabet, class_index, max_word_len,
-                                               conj_len, max_candidates):
+                                               conj_len, max_candidates, DEFAULT_MEMORY_BUDGET):
         pass
     return CandidateStream(tuple(words), truncated)
 
@@ -115,16 +130,17 @@ def _score_class(chain: ChainAction, words: list[Word],
     """The best report over one class's ``words``, and whether every word
     is indistinguishable from the identity at ``depth``.
 
-    One report per :func:`~cantoract.chain.class_keys` key, on its first
-    word, scores every word of the key.  The best word has the largest
-    estimate, ties to the shorter word, then canonical order; only the
-    words tied on both are keyed by their letters.  It gets its own report
-    unless it is its key's first word.
+    One report per key, built from the one walk of the keys' first words
+    (:func:`~cantoract.chain.walk_classes`), scores every word of the key.
+    The best word has the largest estimate, ties to the shorter word, then
+    canonical order; only the words tied on both are keyed by their
+    letters.  It gets its own report unless it is its key's first word.
     """
     if not words:
         return None, True
-    keys, firsts = class_firsts(chain, 0, words)
-    reports = {key: fixed_set_report(chain, word, depth) for key, word in firsts.items()}
+    keys, walks = walk_classes(chain, words, depth)
+    reports = {key: fixed_set_from_walk(chain, word, depth, counts, fixed)
+               for key, word, counts, fixed in walks}
     ranks = [(reports[key].hol_estimate, -len(word)) for word, key in zip(words, keys)]
     top = max(ranks)
     key, winner = min(((key, word) for word, key, rank in zip(words, keys, ranks)
@@ -153,12 +169,13 @@ def witness_search(
     evidence: estimates staying positive through every class are consistent
     with witnesses at infinite depth, while a collapse to zero at some
     class bounds the depth at the explored budget.  A negative
-    ``max_candidates`` is a ValueError.
+    ``max_candidates`` is a ValueError, and a class holding more letters
+    than the chain's ``memory_budget`` a BudgetError.
     """
     check_depth(depth)
     reports: list[ClassReport] = []
     classes = _candidate_classes(chain.alphabet, max_class, max_word_len, conj_len,
-                                 max_candidates)
+                                 max_candidates, chain.memory_budget)
     for n, (words, truncated) in enumerate(classes, 1):
         best, indistinguishable = _score_class(chain, words, depth)
         reports.append(

@@ -181,20 +181,3 @@ def machine_from_dict(data: dict) -> MealyMachine:
 def load_machine(path) -> MealyMachine:
     with open(path, "r", encoding="utf-8") as fh:
         return machine_from_dict(read_json(fh.read(), f"machine file {path} is not valid JSON"))
-
-
-def adding_machine(base: int = 2) -> MealyMachine:
-    """The +1 odometer on base-``base`` strings (least significant letter first)."""
-    if base < 2:
-        raise SchemaError("adding machine needs base >= 2")
-    states = ("add", "id")
-    transitions = {
-        "add": {c: ("add" if c == base - 1 else "id") for c in range(base)},
-        "id": {c: "id" for c in range(base)},
-    }
-    outputs = {
-        "add": {c: (c + 1) % base for c in range(base)},
-        "id": {c: c for c in range(base)},
-    }
-    return MealyMachine(base, states, transitions, outputs, {"a": "add"})
-

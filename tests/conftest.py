@@ -3,6 +3,8 @@ import pytest
 import cantoract as ca
 from cantoract.mealy import machine_from_dict
 
+from oracles import adding_machine_chain
+
 # The Grigorchuk machine: a swaps the first letter; b, c, d fix it and
 # hand the rest to (a, c), (a, d), (e, b) on letters 0 and 1.
 GRIGORCHUK = {
@@ -25,7 +27,7 @@ ORACLE_CHAINS = [
     (ca.heisenberg(2), 4),
     (ca.fragmented(), 6),
     (ca.fat_cantor(), 4),
-    (ca.adding_machine_chain(2), 6),
+    (adding_machine_chain(2), 6),
     (ca.mealy_chain(machine_from_dict(GRIGORCHUK), name="grigorchuk"), 6),
 ]
 
@@ -67,7 +69,7 @@ def fat():
 
 @pytest.fixture(scope="session")
 def adding():
-    return ca.adding_machine_chain(2)
+    return adding_machine_chain(2)
 
 
 def word(chain, text):

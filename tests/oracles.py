@@ -20,13 +20,17 @@ joined candidates at one junction: a whole transversal, every
 point-generator pair reduced from scratch, and every candidate flattened
 and reduced from scratch.  ``commutator`` and ``conjugate`` likewise
 flatten the LCS candidates' factors and reduce them from scratch, where
-the word layer joins the factors at their junctions.
+the word layer joins the factors at their junctions.  ``lqa_scale_level``
+is the LQA scale by its definition, read from every scan word's image,
+where the library walks one word per conjugacy key.  ``adding_machine`` and
+``adding_machine_chain`` build the binary-odometer transducer and its
+chain, the Mealy twin of ``odometer``.
 """
 
 from fractions import Fraction
 from typing import NamedTuple
 
-from cantoract.builders import FatCantorPlan
+from cantoract.builders import FatCantorPlan, mealy_chain
 from cantoract.chain import ChainAction, LevelAction, PointApprox, ValidationReport, Violation
 from cantoract.mealy import MealyMachine, StateWord
 from cantoract.words import Word, cyclic_core, distinct, free_reduce, reduced_words
@@ -310,3 +314,45 @@ def commutator(u: Word, v: Word) -> Word:
 def conjugate(t: Word, x: Word) -> Word:
     """``t * x * t^-1``, its letters flattened and reduced from scratch."""
     return Word.of(t.letters + x.letters + _inverse(t))
+
+
+def lqa_scale_level(chain: ChainAction, max_word_len: int, depth: int) -> int:
+    """The LQA scale over every reduced word up to ``max_word_len``, by the
+    per-vertex, per-ancestor scan: one more than the deepest level whose
+    fiber moves above a wholly fixed vertex of levels 1..``depth // 2``."""
+    cap = depth // 2
+    deepest = -1
+    for w in reduced_words(chain.alphabet, max_word_len):
+        perm = chain.word_permutation(w, depth)
+        moved_points = [x for x, y in enumerate(perm) if x != y]
+        moved = [{chain.ancestors(depth, level)[x] for x in moved_points}
+                 for level in range(cap + 1)]
+        if not moved[0]:
+            continue
+        for m in range(1, cap + 1):
+            for u in range(chain.size(m)):
+                if u in moved[m]:
+                    continue
+                for k in range(m - 1, -1, -1):
+                    if chain.ancestors(m, k)[u] in moved[k]:
+                        deepest = max(deepest, k)
+                        break
+    return deepest + 1
+
+
+def adding_machine(base: int = 2) -> MealyMachine:
+    """The +1 odometer on base-``base`` strings (least significant letter first)."""
+    states = ("add", "id")
+    transitions = {
+        "add": {c: ("add" if c == base - 1 else "id") for c in range(base)},
+        "id": {c: "id" for c in range(base)},
+    }
+    outputs = {
+        "add": {c: (c + 1) % base for c in range(base)},
+        "id": {c: c for c in range(base)},
+    }
+    return MealyMachine(base, states, transitions, outputs, {"a": "add"})
+
+
+def adding_machine_chain(base: int = 2, **budgets) -> ChainAction:
+    return mealy_chain(adding_machine(base), name=f"adding-machine({base})", **budgets)

@@ -8,7 +8,7 @@ from cantoract.builders import FatCantorPlan
 from cantoract.errors import SchemaError
 
 from conftest import word
-from oracles import moved_measure_at
+from oracles import adding_machine_chain, moved_measure_at
 
 
 def test_families_validate_to_depth_10(odo2, odo3, dih, frag, fat, adding, toral22):
@@ -24,7 +24,7 @@ def test_big_families_validate_to_depth_6(hei2):
 def test_other_bases_validate():
     assert ca.validate_chain(ca.odometer(5), 4).ok
     assert ca.validate_chain(ca.heisenberg(3), 3).ok
-    assert ca.validate_chain(ca.adding_machine_chain(3), 5).ok
+    assert ca.validate_chain(adding_machine_chain(3), 5).ok
     hei3 = ca.heisenberg(3)
     B, C = (ca.parse_word(n, hei3.alphabet) for n in "BC")
     for level in (1, 2, 3):

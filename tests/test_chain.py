@@ -13,7 +13,7 @@ from cantoract.farber import local_candidates
 
 import oracles
 from conftest import ORACLE_CHAINS, word
-from oracles import act, distance, stabilizer_contains
+from oracles import act, adding_machine_chain, distance, stabilizer_contains
 
 
 # --- independent oracles ---------------------------------------------------
@@ -279,7 +279,7 @@ def test_budget_errors(odo2):
 @pytest.mark.parametrize("build, budget, built, refused", [
     (lambda b: ca.toral(3, 2, memory_budget=b), 5000, 4, "level 5 (32768 points)"),
     (lambda b: ca.odometer(2, memory_budget=b), 10, 2, "level 3 (8 points)"),
-    (lambda b: ca.adding_machine_chain(3, memory_budget=b), 100, 3, "level 4 (81 points)"),
+    (lambda b: adding_machine_chain(3, memory_budget=b), 100, 3, "level 4 (81 points)"),
     (lambda b: ca.heisenberg(2, memory_budget=b), 100, 3, "level 4 (256 points)"),
 ])
 def test_memory_budget_refuses_before_building(build, budget, built, refused):

@@ -196,8 +196,7 @@ def test_main_in_process(tmp_path, capsys):
 
 
 def test_build_mealy_from_machine_file(tmp_path):
-    from cantoract.mealy import adding_machine
-    from oracles import machine_to_dict
+    from oracles import adding_machine, machine_to_dict
 
     machine_path = tmp_path / "adder.json"
     machine_path.write_text(json.dumps(machine_to_dict(adding_machine(2))))
@@ -543,8 +542,7 @@ def test_empty_level_is_a_one_line_error(tmp_path, argv):
     ({"alphabet": 2.0}, "machine file: alphabet must be an integer, got a number"),
 ])
 def test_machine_file_types_are_one_line_errors(tmp_path, change, message):
-    from cantoract.mealy import adding_machine
-    from oracles import machine_to_dict
+    from oracles import adding_machine, machine_to_dict
 
     machine_path = tmp_path / "machine.json"
     machine_path.write_text(json.dumps({**machine_to_dict(adding_machine(2)), **change}))
@@ -603,6 +601,21 @@ def test_deep_lcs_class_is_a_budget_error(chains):
     errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and errors[0].startswith("error: budget word_letters exceeded:")
 
+
+
+def test_lcs_class_past_the_memory_budget_is_refused_as_it_is_built(chains):
+    """With the CLI defaults, class-n candidates about double their letters
+    per class, and class 14's pass the default memory budget of 4,000,000.
+    So ``--class 18``, whose candidates hold 67 million letters, is refused
+    while class 14 is built, in a few seconds under a 1 GB address cap."""
+    proc = run_cli(["lcs-witness", chains["fragmented"], "--class", "18", "--depth", "4"],
+                   timeout=30, preexec_fn=_address_space_cap())
+    assert proc.returncode == 2, proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert errors == ["error: budget memory_budget exceeded: class 14 candidates hold more "
+                      "than 4000000 letters; raise --memory-budget"]
+    wall = [line for line in proc.stderr.splitlines() if line.startswith("wall-time:")]
+    assert float(wall[0].split()[1]) < 15_000
 
 def test_internal_error_is_one_line_exit_3(chains, monkeypatch, capsys):
     from cantoract import cli

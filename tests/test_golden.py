@@ -28,10 +28,11 @@ from cantoract.cli import main
 from cantoract.mealy import machine_from_dict
 
 from conftest import GRIGORCHUK
+from oracles import adding_machine_chain
 
 CHAINS = {
     "frag.json": (ca.fragmented, 8),
-    "adding.json": (lambda: ca.adding_machine_chain(2), 8),
+    "adding.json": (lambda: adding_machine_chain(2), 8),
     "heis.json": (lambda: ca.heisenberg(2), 6),
     "grig.json": (lambda: ca.mealy_chain(machine_from_dict(GRIGORCHUK), name="grigorchuk"), 9),
 }

@@ -5,11 +5,11 @@ import pytest
 import cantoract as ca
 import cantoract.chain as chain_module
 from cantoract.builders import FatCantorPlan
-from cantoract.holonomy import interior_scan_limit
+from cantoract.holonomy import _fixing_words, interior_scan_limit
 from cantoract.mealy import machine_from_dict
 
-from conftest import GRIGORCHUK, word
-from oracles import state_word, vertex_path
+from conftest import GRIGORCHUK, ORACLE_CHAINS, word
+from oracles import adding_machine_chain, lqa_scale_level, state_word, vertex_path
 
 
 def test_identity_word_rejected(odo2):
@@ -196,7 +196,7 @@ def test_witness_exact_flags():
 @pytest.mark.parametrize("make, max_word_len, depth, count", [
     (lambda: ca.mealy_chain(_half_fixed_machine(), name="half-fixed"), 2, 6, 2),
     (lambda: ca.mealy_chain(machine_from_dict(GRIGORCHUK), name="grigorchuk"), 2, 8, 40),
-    (lambda: ca.adding_machine_chain(2), 3, 8, 0),
+    (lambda: adding_machine_chain(2), 3, 8, 0),
 ])
 def test_machine_chain_witnesses(make, max_word_len, depth, count):
     """No witness word on a machine chain is the identity, and a witness is
@@ -234,29 +234,6 @@ def _brute_force_cylinders(chain, perm, depth):
             if fixed(level, v) and not fixed(level - 1, chain.ancestors(level, level - 1)[v])]
 
 
-def _per_ancestor_lqa_scale(chain, max_word_len, depth):
-    """The LQA scale by the per-vertex, per-ancestor scan: one more than the
-    deepest level whose fiber moves above a wholly fixed vertex."""
-    cap = depth // 2
-    deepest = -1
-    for w in ca.reduced_words(chain.alphabet, max_word_len):
-        perm = chain.word_permutation(w, depth)
-        moved_points = [x for x, y in enumerate(perm) if x != y]
-        moved = [{chain.ancestors(depth, level)[x] for x in moved_points}
-                 for level in range(cap + 1)]
-        if not moved[0]:
-            continue
-        for m in range(1, cap + 1):
-            for u in range(chain.size(m)):
-                if u in moved[m]:
-                    continue
-                for k in range(m - 1, -1, -1):
-                    if chain.ancestors(m, k)[u] in moved[k]:
-                        deepest = max(deepest, k)
-                        break
-    return deepest + 1
-
-
 # the walk's deferral share: every scanned word imaged (0), the default,
 # and none imaged (3); imaged words are yielded after the others
 @pytest.mark.parametrize("share", [0, chain_module.DEFER_SHARE, 3])
@@ -286,8 +263,28 @@ def test_cylinders_and_scale_match_brute_force(request, monkeypatch, family, max
         found = ca.partial_triviality_witnesses(chain, max_word_len, depth)
         assert [(x.word, x.cylinder) for x in found] == expected_witnesses
         est = ca.lqa_scale_estimate(chain, max_word_len, depth)
-        assert est.scale_level == _per_ancestor_lqa_scale(chain, max_word_len, depth)
+        assert est.scale_level == lqa_scale_level(chain, max_word_len, depth)
         assert est.scale == Fraction(1, 2**est.scale_level)
+
+
+@pytest.mark.parametrize("family", ORACLE_CHAINS, ids=lambda f: f[0].name)
+def test_lqa_scale_of_one_word_per_key_is_the_all_words_scale(family):
+    chain, depth = family
+    assert ca.lqa_scale_estimate(chain, 4, depth).scale_level == lqa_scale_level(chain, 4, depth)
+
+
+def test_lqa_scale_walks_one_word_per_conjugacy_key(monkeypatch):
+    """fragmented's 1,456 reduced words up to length 6 fall into 117
+    conjugacy keys: the scan walks one word of each, in one walk, and finds
+    the scale that the walk of every word finds."""
+    frag, walk, walked = ca.fragmented(), chain_module.ChainAction.walk, []
+    words = list(ca.reduced_words(frag.alphabet, 6))
+    every = max(cylinders[-1].level
+                for _, cylinders in _fixing_words(frag, walk(frag, words, 14), 14))
+    monkeypatch.setattr(chain_module.ChainAction, "walk",
+                        lambda self, ws, *args: walked.append(len(ws)) or walk(self, ws, *args))
+    assert ca.lqa_scale_estimate(frag, 6, 14).scale_level == every
+    assert (len(words), walked) == (1_456, [117])
 
 
 def test_witness_recheck_does_not_trust_the_walk(odo2, monkeypatch):

@@ -31,7 +31,7 @@ from cantoract.mealy import machine_from_dict
 from cantoract.words import conjugate
 
 from conftest import GRIGORCHUK, ORACLE_CHAINS
-from oracles import act, class_keys as pair_class_keys, stabilizer_contains
+from oracles import act, adding_machine_chain, class_keys as pair_class_keys, stabilizer_contains
 
 # every builder family at depths small enough for brute force
 _FAMILIES = [
@@ -41,7 +41,7 @@ _FAMILIES = [
     (ca.heisenberg(2), 4),
     (ca.fragmented(), 6),
     (ca.fat_cantor(), 4),
-    (ca.adding_machine_chain(2), 6),
+    (adding_machine_chain(2), 6),
 ]
 
 common = settings(max_examples=60, deadline=None)
@@ -384,16 +384,18 @@ def test_farber_classic_class_words_are_settled_without_an_image_walk(monkeypatc
     so each is imaged once and none is read level by level."""
     chain, depth = ca.fragmented(), 12
     words = list(ca.reduced_words(chain.alphabet, 6))
-    words = list(chain_module.class_firsts(chain, 0, words)[1].values())
     read, imaged, images = [], [], chain.images
     read_image = chain_module.ChainAction._read_image
     monkeypatch.setattr(chain_module.ChainAction, "_read_image",
                         lambda self, *args: read.append(args) or read_image(self, *args))
     monkeypatch.setattr(chain, "images", lambda ws, level: imaged.extend(ws) or images(ws, level))
-    walked = {i: counts for i, counts, _ in chain.walk(words, depth)}
-    assert (len(words), len(imaged), len(set(imaged)), len(read)) == (117, 20, 20, 0)
-    assert walked == {i: [chain.fixed_count(w, level) for level in range(1, depth + 1)]
-                      for i, w in enumerate(words)}
+    keys, walks = chain_module.walk_classes(chain, words, depth)
+    walked = {w: counts for _, w, counts, _ in walks}
+    assert (len(set(keys)), len(walked), len(imaged), len(set(imaged)), len(read)) == (
+        117, 117, 20, 20, 0)
+    assert set(walked) == {words[keys.index(key)] for key in keys}
+    assert walked == {w: [chain.fixed_count(w, level) for level in range(1, depth + 1)]
+                      for w in walked}
 
 
 def test_walk_refuses_levels_out_of_order(odo2):

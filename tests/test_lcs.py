@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 import cantoract as ca
 import cantoract.chain as chain_module
 import cantoract.holonomy as holonomy_module
+import cantoract.lcs as lcs_module
 from cantoract.chain import closure, compose, invert
 from cantoract.farber import image_group
 from cantoract.lcs import gamma_candidates, witness_search
@@ -143,6 +144,16 @@ def test_negative_max_candidates_is_refused(odo2):
         gamma_candidates(odo2.alphabet, 2, 1, 1, max_candidates=-1)
 
 
+def test_class_letters_are_charged_against_the_memory_budget():
+    """Class 1's 160 words up to length 4 hold 568 letters, and class 2's
+    candidates pass 1,000 before the class is built."""
+    chain = ca.fragmented(memory_budget=1_000)
+    message = "class 2 candidates hold more than 1000 letters"
+    with pytest.raises(ca.BudgetError, match=message) as exc:
+        witness_search(chain, 3, depth=3)
+    assert exc.value.budget == "memory_budget"
+
+
 def test_witness_search_odometer_reports_no_candidates(odo2):
     rep = witness_search(odo2, 2, max_word_len=3, conj_len=2, depth=8)
     cls2 = rep.classes[1]
@@ -211,12 +222,33 @@ def test_best_reports_match_words(family, data):
         assert cls.all_indistinguishable == all(r.indistinguishable for r in reports)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ORACLE_CHAINS), st.data())
+def test_class_scores_equal_a_report_per_key(family, data):
+    """``_score_class`` builds every key's report from one class walk.  A
+    ``fixed_set_report`` walk of each key's first word, each word ranked by
+    its key's report, gives the same best report and indistinguishability."""
+    chain, max_depth = family
+    depth = data.draw(st.integers(1, max_depth), label="depth")
+    n = data.draw(st.integers(1, 3), label="class")
+    words = list(gamma_candidates(chain.alphabet, n, 2, 1, max_candidates=24).words)
+    keys = chain_module.class_keys(chain, 0, words)
+    per_key = {}
+    for key, w in zip(keys, words):
+        per_key.setdefault(key, ca.fixed_set_report(chain, w, depth))
+    best = _best([per_key[key]._replace(word=w) for key, w in zip(keys, words)])
+    expected = (best and ca.fixed_set_report(chain, best.word, depth),
+                all(r.indistinguishable for r in per_key.values()))
+    assert lcs_module._score_class(chain, words, depth) == expected
+
+
 def test_search_makes_at_most_three_full_level_gathers_per_candidate(monkeypatch):
     """Work count, not time: at depth 13 the Grigorchuk class-1..3 search
     makes at most three gathers of a whole level per candidate, 40 in all
     (a key word that runs out of budget only at the deepest level is
-    finished point by point there), and walks one fixed set per class key
-    (16 keys) plus one per class winner that is not its key's first word."""
+    finished point by point there), and calls the walk once per class, on
+    its 16 keys' first words in all, plus once for each of the two class
+    winners that are not their key's first word."""
     chain = ca.mealy_chain(machine_from_dict(GRIGORCHUK), name="grigorchuk")
     # set up as the benchmark does: validation builds the letter tables,
     # whose involution checks gather each level once per generator
@@ -232,18 +264,22 @@ def test_search_makes_at_most_three_full_level_gathers_per_candidate(monkeypatch
             gathers.append(1)
         return compose(p, q)
 
-    def counting_walk(self, *args, **kwargs):
-        walks.append(1)
-        return walk(self, *args, **kwargs)
+    def counting_walk(self, words, *args, **kwargs):
+        walks.append(len(words))
+        return walk(self, words, *args, **kwargs)
 
     for module in (chain_module, holonomy_module):
         monkeypatch.setattr(module, "compose", counting)
     monkeypatch.setattr(chain_module.ChainAction, "walk", counting_walk)
+    winners = []
+    monkeypatch.setattr(lcs_module, "fixed_set_report", lambda chain, w, depth: (
+        winners.append(w) or ca.fixed_set_report(chain, w, depth)))
     report = witness_search(chain, 3, max_word_len=1, conj_len=1, depth=13, max_candidates=128)
     examined = sum(c.examined for c in report.classes)
     assert examined == 8 + 128 + 128
     assert len(gathers) <= 3 * examined
-    assert len(walks) <= 16 + 3
+    assert len(winners) == 2 and set(winners) <= {c.best_word for c in report.classes}
+    assert (len(walks), sum(walks)) == (3 + 2, 16 + 2)
     assert len(gathers) <= 40
 
 

@@ -5,13 +5,13 @@ import cantoract as ca
 from cantoract.errors import SchemaError
 from cantoract.mealy import (
     MealyMachine,
-    adding_machine,
     is_trivial,
     machine_from_dict,
 )
 
 from conftest import GRIGORCHUK
-from oracles import machine_to_dict, root_permutation, state_word, vertex_path
+from oracles import (adding_machine, machine_to_dict, root_permutation, state_word,
+                     vertex_path)
 
 
 def test_adding_machine_sections():

@@ -9,7 +9,7 @@ from cantoract.chain import ChainAction, LevelAction, Violation
 from cantoract.mealy import machine_from_dict
 
 from conftest import GRIGORCHUK, ORACLE_CHAINS
-from oracles import validate_chain_pointwise
+from oracles import adding_machine_chain, validate_chain_pointwise
 
 # each oracle chain as chain-file data at its oracle depth, capped at 6
 _RAW = [(ca.chain_to_dict(chain, min(depth, 6)), min(depth, 6)) for chain, depth in ORACLE_CHAINS]
@@ -98,7 +98,7 @@ def test_valid_towers_never_reach_the_point_scans(monkeypatch):
 
     monkeypatch.setattr(chain_module, "_first_offender", refuse)
     families = [ca.odometer(2), ca.odometer(3), ca.toral(2, 2), ca.dihedral(), ca.heisenberg(2),
-                ca.fragmented(), ca.fat_cantor(), ca.adding_machine_chain(2)]
+                ca.fragmented(), ca.fat_cantor(), adding_machine_chain(2)]
     for chain in families:
         assert ca.validate_chain(chain, 8).ok, chain.name
     grigorchuk = ca.mealy_chain(machine_from_dict(GRIGORCHUK), name="grigorchuk")

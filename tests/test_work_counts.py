@@ -2,9 +2,10 @@
 
 Work counts, unlike times, do not move with the host: each input is built,
 validated and analysed with the calls of the benchmark's in-process
-workloads (variant 0), and every ``compose`` the chain and holonomy modules
-make is counted.  A change to a count is a change to the kernel's work;
-the record is updated with it and the reason given.
+workloads (variant 0), or of a small Heisenberg LCS search, and every
+``compose`` the chain and holonomy modules make is counted.  A change to a
+count is a change to the kernel's work; the record is updated with it and
+the reason given.
 """
 
 from fractions import Fraction
@@ -39,17 +40,32 @@ def _lcs_grigorchuk():
                                                 depth=13, max_candidates=128)
 
 
+def _lcs_heisenberg():
+    chain = ca.heisenberg(2)
+    return chain, 6, lambda: ca.witness_search(chain, 2, max_word_len=1, conj_len=1,
+                                               depth=6, max_candidates=32)
+
+
 # per input: (compose calls, points gathered) in set-up and in the analysis,
 # and the analysis's gathers of a whole deepest level.  Set-up's letter
-# tables gather a level once per generator that may be an involution (all
-# four of Grigorchuk's); level 0's one-point table, built only by the
-# base-0 analyses, does so in the analysis.  Before the deepest level's
-# per-point rule the Grigorchuk search gathered 750,078 points, 71 whole
-# levels among them
+# tables gather a level once per generator that maps the images of its
+# first and last points back to them, the pre-check of an involution (all
+# four of Grigorchuk's generators pass it).  When it read the first point
+# alone, fragmented's g passed it at levels 3 and up and heisenberg's B at
+# levels 2 and up, and the set-ups gathered (61, 40,952) (farber-classic),
+# (51, 10,232) (local-farber) and (44, 38,228) (lcs-heisenberg).  Level 0's
+# one-point table, built only by the base-0 analyses, does so in the
+# analysis.  Each walk call starts with one one-point gather per level-1
+# child of the basepoint, and the LCS search walks once per class and once
+# per winner that is not its key's first word; when it walked once per key,
+# the Grigorchuk search made (1,412, 514,482) and the Heisenberg one (131,
+# 31,339).  Before the deepest level's per-point rule the Grigorchuk search
+# gathered 750,078 points, 71 whole levels among them
 RECORD = {
-    "farber-classic": (_farber_classic, (61, 40_952), (2_181, 229_306), 40),
-    "local-farber": (_local_farber, (51, 10_232), (3_088, 120_472), 71),
-    "lcs-grigorchuk": (_lcs_grigorchuk, (156, 196_584), (1_412, 514_482), 40),
+    "farber-classic": (_farber_classic, (51, 32_768), (2_181, 229_306), 40),
+    "local-farber": (_local_farber, (43, 8_192), (3_088, 120_472), 71),
+    "lcs-grigorchuk": (_lcs_grigorchuk, (156, 196_584), (1_386, 514_456), 40),
+    "lcs-heisenberg": (_lcs_heisenberg, (39, 32_772), (119, 31_327), 5),
 }
 
 
