@@ -11,7 +11,6 @@ materialized, and materialization is memoized per chain.
 from __future__ import annotations
 
 import random
-from array import array
 from collections import Counter, deque
 from functools import partial
 from itertools import accumulate, compress
@@ -40,17 +39,6 @@ def compose(p, q) -> tuple[int, ...]:
     if len(q) > 1:
         return itemgetter(*q)(p)
     return (p[q[0]],) if q else ()
-
-
-def _packed(values, n: int):
-    """``values``, each below ``n``, in the narrowest array type that holds them.
-
-    A packed table costs one to four bytes per point instead of a pointer,
-    but a gather through it makes an int per point.  So only the ancestor
-    tables, which hold most of the kernel's memory, are packed; the tables
-    the walk gathers through are tuples of :meth:`ChainAction.points`' ints.
-    """
-    return array("B" if n <= 256 else "H" if n <= 1 << 16 else "I", values)
 
 
 def invert(p, points=None) -> tuple[int, ...] | None:
@@ -178,7 +166,10 @@ class ChainAction:
     built over shared prefixes (:meth:`images`), the memoized
     :meth:`ancestors`, :meth:`children` and :meth:`representatives`
     tables, and :meth:`walk`, the one reading of a word's fixed counts and
-    deepest fixed set.
+    deepest fixed set.  Every memoized table is a tuple of the ints a
+    level's :meth:`points` hold, so a gather through one makes no int, and
+    an ancestor table is built only for the (level, base level) pair a
+    caller reads.
     """
 
     def __init__(
@@ -201,7 +192,7 @@ class ChainAction:
         self._level_size = level_size
         self._levels: list[LevelAction] = []
         self._stored_points = 0
-        self._ancestor_tables: dict[tuple[int, int], object] = {}
+        self._ancestor_tables: dict[tuple[int, int], tuple] = {}
         self._children: dict[int, tuple] = {}
         self._points: dict[int, tuple] = {}
         self._root = LevelAction(0, 1, (0,), dict.fromkeys(alphabet.names, (0,)))  # level 0
@@ -448,44 +439,23 @@ class ChainAction:
     def fixed_count(self, word: Word, level: int) -> int:
         return count_fixed(self.word_permutation(word, level))
 
-    def ancestors(self, level: int, base_level: int):
+    def ancestors(self, level: int, base_level: int) -> tuple[int, ...]:
         """``table[x]``: the level-``base_level`` ancestor of level-``level`` point ``x``.
 
-        Memoized per (level, base level) and built from the deep side: the
-        table one level up is the parent array itself, and each coarser one
-        is one gather of the table below it.  A missing table is built from
-        the nearest memoized one above it, so all base levels of one
-        ``level`` cost one gather each, in any request order.
-
-        The table is the memoized object itself: a read-only sequence of
-        ints whose type varies (the parent tuple for ``level - 1``, a packed
-        ``array`` otherwise; see ``_packed``).  Callers must not mutate it.
+        Built coarse-first: from ``points(base_level)``, each finer parent
+        array is gathered through the table so far, so a table costs fewer
+        than two gathers of its level and is a tuple of ``points(base_level)``'s
+        ints.  Only the requested (level, base level) pair is memoized;
+        callers must not mutate it.
         """
         if not 0 <= base_level <= level:
             raise ValueError("ancestor levels must satisfy 0 <= base_level <= level")
-        tables = self._ancestor_tables
-        table = tables.get((level, base_level))
+        table = self._ancestor_tables.get((level, base_level))
         if table is None:
-            if base_level == 0:
-                table = tables[(level, 0)] = _packed(bytes(self.size(level)), 1)
-            elif base_level == level:
-                table = tables[(level, level)] = _packed(range(self.size(level)), self.size(level))
-            else:
-                above = base_level + 1
-                while above < level - 1 and (level, above) not in tables:
-                    above += 1
-                if above < level - 1:
-                    table = tables[(level, above)]
-                else:
-                    above = level - 1
-                    table = tables[(level, above)] = self.level(level).parent
-                for b in range(above - 1, base_level - 1, -1):
-                    # after the first step this gathers through an unpacked
-                    # tuple, whose ints are the parent arrays' own (a packed
-                    # table makes an int per point), and keeps a packed copy
-                    table = compose(self.level(b + 1).parent, table)
-                    tables[(level, b)] = _packed(table, self.size(b))
-                table = tables[(level, base_level)]
+            table = self.points(base_level)
+            for lvl in range(base_level + 1, level + 1):
+                table = compose(table, self.level(lvl).parent)
+            self._ancestor_tables[level, base_level] = table
         return table
 
     def children(self, level: int) -> tuple:

@@ -164,12 +164,14 @@ def density_profile(chain: ChainAction, word: Word, center: PointApprox) -> Dens
     # level 0 is one point; a nonempty fixed set passed the fiber-constancy
     # check of ``children`` at every level, so each fiber has the sizes' ratio
     fixed = next(chain.walk([word], depth))[2] if depth else (0,)
-    entries = []
-    for level in range(0, depth + 1):
-        anc = chain.ancestors(depth, level)
-        inside = compose(anc, fixed).count(anc[center.index])
-        entries.append(Fraction(inside, chain.size(depth) // chain.size(level)))
-    return DensityProfile(word=word, center=center, entries=tuple(entries))
+    # the fixed set and the center walk up the parent arrays, one gather a level
+    vertex, entries = center.index, []
+    for level in range(depth, -1, -1):
+        entries.append(Fraction(fixed.count(vertex), chain.size(depth) // chain.size(level)))
+        if level:
+            parent = chain.level(level).parent
+            fixed, vertex = compose(parent, fixed), parent[vertex]
+    return DensityProfile(word=word, center=center, entries=tuple(entries[::-1]))
 
 
 def _mealy_exact(chain: ChainAction, word: Word, cylinder: Cylinder) -> bool:

@@ -75,7 +75,10 @@ def _commutators(alphabet: GeneratorAlphabet, prev: list[Word], max_word_len: in
                  conj_len: int):
     """The words ``t * [w, u] * t^-1`` of the class after ``prev``, grouped
     by ``u`` in ``prev`` and then by generator word ``w``, the bare
-    commutator before its conjugates."""
+    commutator before its conjugates.  Over one generator every commutator
+    reduces to the identity, so there are none."""
+    if len(alphabet) < 2:
+        return
     for u in prev:
         for w in reduced_words(alphabet, max_word_len):
             x = commutator(w, u)

@@ -2,7 +2,10 @@
 
 The point-wise action here reads a level's generator permutations directly
 and inverts a letter with ``perm.index``, so it shares no code with the
-kernel's letter tables (``ChainAction.letter_perms``) or word images.
+kernel's letter tables (``ChainAction.letter_perms``) or word images;
+``ancestor`` walks one point up the parent arrays, where the kernel
+gathers whole tables (``ChainAction.ancestors``), and ``density_entries``
+is the density profile from those two, point by point.
 ``validate_chain_pointwise`` checks a tower one point at a time, as
 ``validate_chain`` did before its C-level passes, and must give the same
 report.  ``class_keys`` is the conjugacy key as it was before pairs were
@@ -67,6 +70,15 @@ def distance(chain: ChainAction, x: PointApprox, y: PointApprox) -> Distance:
     return Distance(Fraction(1, 2**m), m, False)
 
 
+def ancestor(chain: ChainAction, level: int, x: int, base_level: int) -> int:
+    """The level-``base_level`` ancestor of level-``level`` point ``x``,
+    one parent array at a time."""
+    while level > base_level:
+        x = chain.level(level).parent[x]
+        level -= 1
+    return x if base_level > 0 else 0
+
+
 def act(chain: ChainAction, word: Word, level: int, x: int) -> int:
     """Apply ``word`` to level-``level`` point ``x``, the rightmost letter first."""
     if level == 0:
@@ -76,6 +88,18 @@ def act(chain: ChainAction, word: Word, level: int, x: int) -> int:
         perm = perms[chain.alphabet.names[gen]]
         x = perm[x] if sign > 0 else perm.index(x)
     return x
+
+
+def density_entries(chain: ChainAction, word: Word, depth: int, center: int) -> list[Fraction]:
+    """Per level 0..``depth``, the share of the depth fiber over the ancestor
+    of level-``depth`` point ``center`` that ``word`` fixes, point by point."""
+    fixed = {y for y in range(chain.size(depth)) if act(chain, word, depth, y) == y}
+    entries = []
+    for level in range(depth + 1):
+        vertex = ancestor(chain, depth, center, level)
+        fiber = [y for y in range(chain.size(depth)) if ancestor(chain, depth, y, level) == vertex]
+        entries.append(Fraction(len(fixed.intersection(fiber)), len(fiber)))
+    return entries
 
 
 def stabilizer_contains(chain: ChainAction, word: Word, level: int) -> bool:
@@ -325,7 +349,7 @@ def lqa_scale_level(chain: ChainAction, max_word_len: int, depth: int) -> int:
     for w in reduced_words(chain.alphabet, max_word_len):
         perm = chain.word_permutation(w, depth)
         moved_points = [x for x, y in enumerate(perm) if x != y]
-        moved = [{chain.ancestors(depth, level)[x] for x in moved_points}
+        moved = [{ancestor(chain, depth, x, level) for x in moved_points}
                  for level in range(cap + 1)]
         if not moved[0]:
             continue
@@ -334,7 +358,7 @@ def lqa_scale_level(chain: ChainAction, max_word_len: int, depth: int) -> int:
                 if u in moved[m]:
                     continue
                 for k in range(m - 1, -1, -1):
-                    if chain.ancestors(m, k)[u] in moved[k]:
+                    if ancestor(chain, m, u, k) in moved[k]:
                         deepest = max(deepest, k)
                         break
     return deepest + 1

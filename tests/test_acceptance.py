@@ -12,7 +12,7 @@ from cantoract.builders import FatCantorPlan
 from cantoract.farber import INDISTINGUISHABLE, PASS
 
 from conftest import word
-from oracles import act, distance, state_word
+from oracles import act, ancestor, distance, state_word
 
 
 def _report(name: str, started: float, budget: float, description: str):
@@ -99,7 +99,7 @@ def test_criterion_5_fat_cantor_essential_holonomy():
     rep = ca.fixed_set_report(fat, g, 8)
     assert Fraction(1, 4) <= rep.hol_estimate <= Fraction(1, 2)
     visible = FatCantorPlan().punctures_visible_at(8)
-    regions = {fat.ancestors(p.level, rep.interior_scan_max_level)[p.vertex] for p in visible}
+    regions = {ancestor(fat, p.level, p.vertex, rep.interior_scan_max_level) for p in visible}
     ledger_value = (
         len(regions) * Fraction(1, fat.size(rep.interior_scan_max_level))
         - len(visible) * Fraction(2, 3**8)
@@ -108,7 +108,7 @@ def test_criterion_5_fat_cantor_essential_holonomy():
     for cyl in rep.max_fixed_cylinders:
         for p in visible:
             if cyl.level > p.level:
-                assert fat.ancestors(cyl.level, p.level)[cyl.vertex] != p.vertex
+                assert ancestor(fat, cyl.level, cyl.vertex, p.level) != p.vertex
     _report("criterion-5", started, 60.0,
             f"fat-Cantor holonomy estimate {rep.hol_estimate} lies in [1/4, 1/2], "
             "matches the puncture ledger, and no fixed cylinder survives below a puncture")

@@ -617,6 +617,19 @@ def test_lcs_class_past_the_memory_budget_is_refused_as_it_is_built(chains):
     wall = [line for line in proc.stderr.splitlines() if line.startswith("wall-time:")]
     assert float(wall[0].split()[1]) < 15_000
 
+
+def test_lcs_on_one_generator_builds_no_commutators(chains):
+    """Over one generator every commutator reduces to the identity, so
+    classes past the first are empty however long the generator words."""
+    proc = run_cli(["lcs-witness", chains["odometer"], "--class", "3", "--max-word-len", "1000",
+                    "--depth", "3"], timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    wall = [line for line in proc.stderr.splitlines() if line.startswith("wall-time:")]
+    assert float(wall[0].split()[1]) < 5_000
+    classes = json.loads(proc.stdout)["result"]["classes"]
+    assert [c["examined"] for c in classes] == [256, 0, 0]
+
+
 def test_internal_error_is_one_line_exit_3(chains, monkeypatch, capsys):
     from cantoract import cli
 

@@ -9,7 +9,7 @@ from cantoract.holonomy import _fixing_words, interior_scan_limit
 from cantoract.mealy import machine_from_dict
 
 from conftest import GRIGORCHUK, ORACLE_CHAINS, word
-from oracles import adding_machine_chain, lqa_scale_level, state_word, vertex_path
+from oracles import adding_machine_chain, ancestor, lqa_scale_level, state_word, vertex_path
 
 
 def test_identity_word_rejected(odo2):
@@ -96,7 +96,7 @@ def test_indistinguishable_flag(odo2):
 def test_fat_cantor_report_against_ledger(fat):
     rep = ca.fixed_set_report(fat, word(fat, "g"), 8)
     visible = FatCantorPlan().punctures_visible_at(8)
-    regions = {fat.ancestors(p.level, 4)[p.vertex] for p in visible}
+    regions = {ancestor(fat, p.level, p.vertex, 4) for p in visible}
     predicted = len(regions) * Fraction(1, 81) - len(visible) * Fraction(2, 3**8)
     assert Fraction(1, 4) <= rep.hol_estimate <= Fraction(1, 2)
     assert abs(rep.hol_estimate - predicted) <= Fraction(2, 3**8)
@@ -104,7 +104,7 @@ def test_fat_cantor_report_against_ledger(fat):
     for cyl in rep.max_fixed_cylinders:
         for p in visible:
             if cyl.level > p.level:
-                assert fat.ancestors(cyl.level, p.level)[cyl.vertex] != p.vertex
+                assert ancestor(fat, cyl.level, cyl.vertex, p.level) != p.vertex
 
 
 def test_density_profile_heisenberg(hei2):
@@ -231,7 +231,7 @@ def _brute_force_cylinders(chain, perm, depth):
         return [ca.Cylinder(0, 0)]
     return [ca.Cylinder(level, v) for level in range(1, depth // 2 + 1)
             for v in range(chain.size(level))
-            if fixed(level, v) and not fixed(level - 1, chain.ancestors(level, level - 1)[v])]
+            if fixed(level, v) and not fixed(level - 1, ancestor(chain, level, v, level - 1))]
 
 
 # the walk's deferral share: every scanned word imaged (0), the default,
@@ -351,7 +351,7 @@ def test_refuted_cylinders_never_reappear(frag, fat, hei2):
                 if key not in current:
                     # may have been absorbed into a larger listed cylinder
                     absorbed = any(
-                        lv < key[0] and chain.ancestors(key[0], lv)[key[1]] == vx
+                        lv < key[0] and ancestor(chain, key[0], key[1], lv) == vx
                         for lv, vx in current
                     )
                     if not absorbed:

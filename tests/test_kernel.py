@@ -13,7 +13,6 @@ import random
 import re
 import time
 import tracemalloc
-from fractions import Fraction
 from functools import partial
 from itertools import product
 from math import inf
@@ -31,7 +30,8 @@ from cantoract.mealy import machine_from_dict
 from cantoract.words import conjugate
 
 from conftest import GRIGORCHUK, ORACLE_CHAINS
-from oracles import act, adding_machine_chain, class_keys as pair_class_keys, stabilizer_contains
+from oracles import (act, adding_machine_chain, ancestor, class_keys as pair_class_keys,
+                     density_entries, stabilizer_contains)
 
 # every builder family at depths small enough for brute force
 _FAMILIES = [
@@ -70,13 +70,6 @@ def _brute_image(chain, word, level):
     return tuple(act(chain, word, level, x) for x in range(chain.size(level)))
 
 
-def _brute_ancestor(chain, level, x, base_level):
-    while level > base_level:
-        x = chain.level(level).parent[x]
-        level -= 1
-    return x if base_level > 0 else 0
-
-
 @common
 @given(chain_words_level(lowest=0))  # level 0, the one-point level, too
 def test_images_match_word_permutation_and_brute_force(cwl):
@@ -92,7 +85,7 @@ def test_images_match_word_permutation_and_brute_force(cwl):
 
 def _brute_fiber(chain, base_level, level):
     return tuple(y for y in range(chain.size(level))
-                 if _brute_ancestor(chain, level, y, base_level) == 0)
+                 if ancestor(chain, level, y, base_level) == 0)
 
 
 # the kernel's fixed walk with its deferral share patched so that every
@@ -590,7 +583,7 @@ def test_ancestor_tables_and_fibers_match_parent_walk(family, data):
     level = data.draw(st.integers(0, max_depth))
     base = data.draw(st.integers(0, level))
     table = chain.ancestors(level, base)
-    brute = [_brute_ancestor(chain, level, x, base) for x in range(chain.size(level))]
+    brute = [ancestor(chain, level, x, base) for x in range(chain.size(level))]
     assert list(table) == brute
     x = data.draw(st.integers(0, chain.size(level) - 1))
     assert chain.ancestors(level, base)[x] == brute[x]
@@ -599,7 +592,7 @@ def test_ancestor_tables_and_fibers_match_parent_walk(family, data):
         y for y in range(chain.size(level)) if brute[y] == vertex)
     if level > base:
         below = [y for y in range(chain.size(base + 1))
-                 if _brute_ancestor(chain, base + 1, y, base) == vertex]
+                 if ancestor(chain, base + 1, y, base) == vertex]
         assert [column[vertex] for column in chain.children(base + 1)] == below
         rep = chain.representatives(level, base)[vertex]
         assert brute[rep] == vertex
@@ -610,7 +603,7 @@ def test_fibers_match_parent_walk_at_every_vertex(family):
     chain, max_depth = family
     for level in range(min(max_depth, 4) + 1):
         for base in range(level + 1):
-            brute = [_brute_ancestor(chain, level, y, base) for y in range(chain.size(level))]
+            brute = [ancestor(chain, level, y, base) for y in range(chain.size(level))]
             for vertex in range(chain.size(base)):
                 assert chain.fiber(base, level, vertex) == tuple(
                     y for y in range(chain.size(level)) if brute[y] == vertex)
@@ -622,15 +615,20 @@ def test_fibers_match_parent_walk_at_every_vertex(family):
 @pytest.mark.parametrize("bases", [[8, 7, 6, 5, 4, 3, 2, 1], [1, 2, 3, 4, 5, 6, 7, 8],
                                    [4, 7, 1, 8, 2, 6, 3, 5]])
 def test_ancestor_tables_cost_one_gather_per_level_in_any_order(monkeypatch, bases):
-    """Every base level of one level costs one gather, and no table is rebuilt."""
+    """Each base level's table costs one gather per level from it to ``level``,
+    in any request order; only the requested pairs are kept, and none is rebuilt."""
     chain = ca.odometer(2)
     chain.level(9)
     gathers = []
     monkeypatch.setattr(chain_module, "compose", lambda p, q: gathers.append(1) or compose(p, q))
     tables = {b: chain.ancestors(9, b) for b in bases}
-    assert len(gathers) == 7  # base levels 7..1; level 8's table is the parent array
+    cost = sum(9 - b for b in bases)
+    assert len(gathers) == cost
+    assert sorted(chain._ancestor_tables) == sorted((9, b) for b in bases)
     assert all(chain.ancestors(9, b) is tables[b] for b in bases)
-    assert len(gathers) == 7
+    assert len(gathers) == cost
+    for b in bases:
+        assert list(tables[b]) == [ancestor(chain, 9, x, b) for x in range(chain.size(9))]
 
 
 def test_images_share_prefixes(frag, monkeypatch):
@@ -673,7 +671,7 @@ def test_core_membership_matches_pointwise_oracle(family):
 
 
 @common
-@given(st.sampled_from(_FAMILIES), st.data())
+@given(st.sampled_from(ORACLE_CHAINS), st.data())
 def test_density_profile_matches_pointwise_count(family, data):
     chain, max_depth = family
     w = ca.Word.of(data.draw(_letters(chain, 4)))
@@ -681,10 +679,4 @@ def test_density_profile_matches_pointwise_count(family, data):
     depth = data.draw(st.integers(0, max_depth))
     center = data.draw(st.integers(0, chain.size(depth) - 1))
     profile = ca.density_profile(chain, w, ca.PointApprox(depth, center))
-    assert len(profile.entries) == depth + 1
-    for level, entry in enumerate(profile.entries):
-        vertex = _brute_ancestor(chain, depth, center, level)
-        fiber = [y for y in range(chain.size(depth))
-                 if _brute_ancestor(chain, depth, y, level) == vertex]
-        fixed = sum(1 for y in fiber if act(chain, w, depth, y) == y)
-        assert entry == Fraction(fixed, len(fiber))
+    assert list(profile.entries) == density_entries(chain, w, depth, center)

@@ -60,12 +60,17 @@ def _lcs_heisenberg():
 # per winner that is not its key's first word; when it walked once per key,
 # the Grigorchuk search made (1,412, 514,482) and the Heisenberg one (131,
 # 31,339).  Before the deepest level's per-point rule the Grigorchuk search
-# gathered 750,078 points, 71 whole levels among them
+# gathered 750,078 points, 71 whole levels among them.  The ancestor tables
+# are built coarse-first, and only the (level, base level) pairs read; when
+# each request built every table from its level's parent array down to its
+# base, the Grigorchuk search made (1,386, 514,456) with 40 whole levels
+# (three of its seven tables unread) and the Heisenberg one (119, 31,327)
+# with 5
 RECORD = {
     "farber-classic": (_farber_classic, (51, 32_768), (2_181, 229_306), 40),
     "local-farber": (_local_farber, (43, 8_192), (3_088, 120_472), 71),
-    "lcs-grigorchuk": (_lcs_grigorchuk, (156, 196_584), (1_386, 514_456), 40),
-    "lcs-heisenberg": (_lcs_heisenberg, (39, 32_772), (119, 31_327), 5),
+    "lcs-grigorchuk": (_lcs_grigorchuk, (156, 196_584), (1_393, 516_376), 38),
+    "lcs-heisenberg": (_lcs_heisenberg, (39, 32_772), (120, 28_511), 4),
 }
 
 
@@ -93,3 +98,22 @@ def test_bench_inputs_do_the_recorded_kernel_work(name, monkeypatch):
     analyse()
     assert (tally["calls"], tally["points"]) == analysis
     assert tally["full"] == full
+
+
+def test_ancestor_tables_are_built_only_for_the_pairs_read(monkeypatch):
+    """One request memoizes its own pair alone, in fewer gathered points than
+    two of its level, and the Grigorchuk search builds only the tables it reads."""
+    gathered, compose = [], chain_module.compose
+    monkeypatch.setattr(chain_module, "compose",
+                        lambda p, q: gathered.append(len(q)) or compose(p, q))
+    for base in (0, 1, 5, 8, 9):
+        chain = ca.odometer(2)
+        chain.level(9)
+        gathered.clear()
+        table = chain.ancestors(9, base)
+        assert list(chain._ancestor_tables) == [(9, base)]
+        assert sum(gathered) < 2 * chain.size(9)
+        assert chain.ancestors(9, base) is table and len(gathered) == 9 - base
+    chain, _, analyse = _lcs_grigorchuk()
+    analyse()
+    assert sorted(chain._ancestor_tables) == [(13, 6), (13, 10), (13, 11), (13, 12)]
