@@ -8,7 +8,6 @@ from .chain import (
     LevelAction,
     PointApprox,
     ValidationReport,
-    sample_uniform,
     schreier_generators,
     validate_chain,
 )
@@ -16,7 +15,6 @@ from .builders import (
     chain_from_dict,
     chain_to_dict,
     dihedral,
-    fat_cantor,
     fragmented,
     heisenberg,
     load_chain,
@@ -26,24 +24,29 @@ from .builders import (
     toral,
 )
 from .errors import BudgetError, CantorActError, InvalidChainError, SchemaError
-from .farber import (
-    FarberReport,
-    core_membership,
-    farber_check,
-    local_farber_check,
-    stabilizer_count_oracle,
-)
-from .holonomy import (
-    DensityProfile,
-    FixedSetReport,
-    LqaScaleEstimate,
-    TrivialityWitness,
-    density_profile,
-    fixed_set_report,
-    interior_scan_limit,
-    lqa_scale_estimate,
-    partial_triviality_witnesses,
-)
+from .farber import FarberReport, farber_check, local_farber_check
+from .holonomy import FixedSetReport, fixed_set_report, interior_scan_limit
 from .lcs import LcsWitnessReport, gamma_candidates, witness_search
-from .mealy import MealyMachine, is_trivial, load_machine
-from .words import GeneratorAlphabet, Word, commutator, parse_word, reduced_words, render_word
+from .words import GeneratorAlphabet, Word, commutator, reduced_words, render_word
+
+# Names whose module no Farber or LCS analysis reaches: each module is
+# imported (and so compiled) on the first read of one of its names.
+_LAZY = {
+    **dict.fromkeys(("DensityProfile", "LqaScaleEstimate", "TrivialityWitness", "density_profile",
+                     "lqa_scale_estimate", "partial_triviality_witnesses", "sample_uniform"),
+                    "scans"),
+    **dict.fromkeys(("MealyMachine", "is_trivial", "load_machine"), "mealy"),
+    "fat_cantor": "punctured",
+    "parse_word": "parse",
+    "stabilizer_count_oracle": "oracle",
+}
+
+
+def __getattr__(name):
+    """A name of ``_LAZY``, read from its module and kept here for the next read."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    return value

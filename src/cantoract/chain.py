@@ -10,7 +10,6 @@ materialized, and materialization is memoized per chain.
 
 from __future__ import annotations
 
-import random
 from collections import Counter, deque
 from functools import partial
 from itertools import accumulate, compress
@@ -53,38 +52,6 @@ def invert(p, points=None) -> tuple[int, ...] | None:
         return tuple(out) if sum(out) + sum(p) == n * (n - 1) else None
     except (IndexError, TypeError):
         return None
-
-
-def closure(generators, n: int, max_order: int | None = None, name: str = "group closure",
-            memory_budget: int | None = None) -> set[tuple[int, ...]]:
-    """The group on ``n`` points generated by ``generators``, breadth first.
-
-    Holding more than ``max_order`` elements is a ``group_order`` budget
-    error, and more than ``memory_budget`` points over its elements (``n``
-    each) a ``memory_budget`` one; each message starts with ``name``.
-    """
-    gens = list(generators)
-    identity = tuple(range(n))
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = compose(g, p)
-                if q not in elements:
-                    elements.add(q)
-                    nxt.append(q)
-                    if max_order is not None and len(elements) > max_order:
-                        raise BudgetError(
-                            "group_order",
-                            f"{name} exceeds max_order={max_order} (frontier size {len(nxt)})",
-                        )
-                    if memory_budget is not None and len(elements) * n > memory_budget:
-                        raise BudgetError("memory_budget", f"{name} holds {len(elements)} elements "
-                                          f"of {n} points, more than memory_budget={memory_budget}")
-        frontier = nxt
-    return elements
 
 
 def count_fixed(image) -> int:
@@ -670,21 +637,6 @@ def schreier_generators(chain: ChainAction, level: int, max_generators: float = 
                 back = tuple((g, -s) for g, s in reversed(_spell(tree, y)))
                 gens.append(Word(join(join(back, ((gen, 1),)), _spell(tree, x))))
     return gens
-
-
-def sample_uniform(chain: ChainAction, depth: int, seed: int) -> PointApprox:
-    """Uniform level-``depth`` point from a seeded Mersenne Twister source.
-
-    Rejection sampling on ``getrandbits`` (algorithm id ``mt19937-rejection``)
-    so the draw is uniform and reproducible across platforms.
-    """
-    n = chain.size(depth)
-    rng = random.Random(seed)
-    bits = max(1, (n - 1).bit_length())
-    while True:
-        r = rng.getrandbits(bits)
-        if r < n:
-            return PointApprox(depth, r)
 
 
 def _checked_inverse(lv: LevelAction, name: str, points) -> tuple[int, ...]:

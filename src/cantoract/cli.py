@@ -17,6 +17,8 @@ import sys
 import time
 from fractions import Fraction
 
+import cantoract as ca  # its cold names (``cantoract._LAZY``) import their module on first read
+
 from . import __version__, builders, reports
 from .builders import load_chain, save_chain
 from .chain import (
@@ -24,16 +26,13 @@ from .chain import (
     DEFAULT_MEMORY_BUDGET,
     PRNG_ALGORITHM,
     PointApprox,
-    sample_uniform,
     validate_chain,
 )
 from .errors import BudgetError, InvalidChainError, SchemaError, expect, read_json
-from .farber import (DEFAULT_MAX_SCHREIER, DEFAULT_TOLERANCE, farber_check, local_farber_check,
-                     stabilizer_count_oracle)
-from .holonomy import density_profile, fixed_set_report
+from .farber import DEFAULT_MAX_SCHREIER, DEFAULT_TOLERANCE, farber_check, local_farber_check
+from .holonomy import fixed_set_report
 from .lcs import DEFAULT_MAX_CANDIDATES, witness_search
-from .mealy import load_machine
-from .words import DEFAULT_WORD_BUDGET, MAX_WORD_LETTERS, parse_word
+from .words import DEFAULT_WORD_BUDGET, MAX_WORD_LETTERS
 
 THREADS_ENV = "CANTORACT_THREADS"
 
@@ -73,66 +72,78 @@ def _add_common(sp, *, depth_default=10, depth_type=int, report=True):
     sp.add_argument("--memory-budget", type=_count, default=DEFAULT_MEMORY_BUDGET)
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv: list[str]) -> _Parser:
+    """The parser for ``argv``: every subcommand, but flags only on the one
+    argparse will run, the first argument not starting with ``-`` (the top
+    level takes no option with a value)."""
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
     p = _Parser(prog="cantoract", description="tower actions: build, validate, analyze")
     sub = p.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="build a family chain and write a chain file")
-    b.add_argument("family", choices=_FAMILIES)
-    b.add_argument("--base", type=int, default=2)
-    b.add_argument("--dim", type=int, default=2)
-    b.add_argument("--machine", default=None, help="machine file for the mealy family")
-    b.add_argument("--schedule", default=None,
-                   help="JSON map of cylinder level to puncture level (fat_cantor)")
-    _add_common(b, report=False)
+    if command == "build":
+        b.add_argument("family", choices=_FAMILIES)
+        b.add_argument("--base", type=int, default=2)
+        b.add_argument("--dim", type=int, default=2)
+        b.add_argument("--machine", default=None, help="machine file for the mealy family")
+        b.add_argument("--schedule", default=None,
+                       help="JSON map of cylinder level to puncture level (fat_cantor)")
+        _add_common(b, report=False)
 
     v = sub.add_parser("validate", help="check every tower invariant to a depth")
-    v.add_argument("chain")
-    _add_common(v, depth_default=0, depth_type=_count)  # 0 means: all levels in the file
+    if command == "validate":
+        v.add_argument("chain")
+        _add_common(v, depth_default=0, depth_type=_count)  # 0 means: all levels in the file
 
     f = sub.add_parser("farber", help="fixed-coset ratio check per word")
-    f.add_argument("chain")
-    f.add_argument("--max-word-len", type=_count, default=4)
-    f.add_argument("--words", dest="words_file", default=None,
-                   help="file with one word per line")
-    f.add_argument("--tol", dest="tolerance", type=_tolerance, default=DEFAULT_TOLERANCE)
-    _add_common(f)
+    if command == "farber":
+        f.add_argument("chain")
+        f.add_argument("--max-word-len", type=_count, default=4)
+        f.add_argument("--words", dest="words_file", default=None,
+                       help="file with one word per line")
+        f.add_argument("--tol", dest="tolerance", type=_tolerance, default=DEFAULT_TOLERANCE)
+        _add_common(f)
 
     lf = sub.add_parser("local-farber", help="fixed-coset check localized to a base level")
-    lf.add_argument("chain")
-    lf.add_argument("--base-level", type=_count, default=1)
-    lf.add_argument("--max-word-len", type=_count, default=4)
-    lf.add_argument("--tol", dest="tolerance", type=_tolerance, default=DEFAULT_TOLERANCE)
-    lf.add_argument("--max-schreier", type=_count, default=DEFAULT_MAX_SCHREIER)
-    _add_common(lf)
+    if command == "local-farber":
+        lf.add_argument("chain")
+        lf.add_argument("--base-level", type=_count, default=1)
+        lf.add_argument("--max-word-len", type=_count, default=4)
+        lf.add_argument("--tol", dest="tolerance", type=_tolerance, default=DEFAULT_TOLERANCE)
+        lf.add_argument("--max-schreier", type=_count, default=DEFAULT_MAX_SCHREIER)
+        _add_common(lf)
 
     h = sub.add_parser("holonomy", help="fixed set, interior bound, holonomy estimate")
-    h.add_argument("chain")
-    h.add_argument("--word", required=True)
-    _add_common(h)
+    if command == "holonomy":
+        h.add_argument("chain")
+        h.add_argument("--word", required=True)
+        _add_common(h)
 
     d = sub.add_parser("density", help="fixed-set density profile around a point")
-    d.add_argument("chain")
-    d.add_argument("--word", required=True)
-    d.add_argument("--point", required=True, help="point index at --depth, or 'sample'")
-    _add_common(d)
+    if command == "density":
+        d.add_argument("chain")
+        d.add_argument("--word", required=True)
+        d.add_argument("--point", required=True, help="point index at --depth, or 'sample'")
+        _add_common(d)
 
     lw = sub.add_parser("lcs-witness", help="holonomy witness search per commutator class")
-    lw.add_argument("chain")
-    lw.add_argument("--class", dest="max_class", type=_at_least(1), default=2)
-    lw.add_argument("--max-word-len", type=_count, default=4)
-    lw.add_argument("--conj-len", type=_count, default=2)
-    lw.add_argument("--max-candidates", type=_count, default=DEFAULT_MAX_CANDIDATES)
-    _add_common(lw)
+    if command == "lcs-witness":
+        lw.add_argument("chain")
+        lw.add_argument("--class", dest="max_class", type=_at_least(1), default=2)
+        lw.add_argument("--max-word-len", type=_count, default=4)
+        lw.add_argument("--conj-len", type=_count, default=2)
+        lw.add_argument("--max-candidates", type=_count, default=DEFAULT_MAX_CANDIDATES)
+        _add_common(lw)
 
     oracle = sub.add_parser("oracle", help="small-group oracles")
-    osub = oracle.add_subparsers(dest="oracle_command", required=True)
-    sc = osub.add_parser("stab-count", help="count point stabilizers in the finite image")
-    sc.add_argument("chain")
-    sc.add_argument("--level", type=_at_least(1), required=True)
-    sc.add_argument("--word", required=True)
-    sc.add_argument("--max-order", type=_count, default=100_000)
-    _add_common(sc)
+    if command == "oracle":
+        osub = oracle.add_subparsers(dest="oracle_command", required=True)
+        sc = osub.add_parser("stab-count", help="count point stabilizers in the finite image")
+        sc.add_argument("chain")
+        sc.add_argument("--level", type=_at_least(1), required=True)
+        sc.add_argument("--word", required=True)
+        sc.add_argument("--max-order", type=_count, default=100_000)
+        _add_common(sc)
 
     return p
 
@@ -210,7 +221,7 @@ def _schedule(text):
 def _machine(path):
     if not path:
         raise SchemaError("the mealy family needs --machine FILE")
-    return load_machine(path)
+    return ca.load_machine(path)
 
 
 # Each build family's constructor, called with the parsed flags and budgets.
@@ -220,7 +231,7 @@ _FAMILIES = {
     "dihedral": lambda args, **budgets: builders.dihedral(**budgets),
     "heisenberg": lambda args, **budgets: builders.heisenberg(args.base, **budgets),
     "fragmented": lambda args, **budgets: builders.fragmented(**budgets),
-    "fat_cantor": lambda args, **budgets: builders.fat_cantor(_schedule(args.schedule), **budgets),
+    "fat_cantor": lambda args, **budgets: ca.fat_cantor(_schedule(args.schedule), **budgets),
     "mealy": lambda args, **budgets: builders.mealy_chain(_machine(args.machine), **budgets),
 }
 
@@ -274,13 +285,13 @@ def _read_words(path: str, alphabet) -> list:
     if len(lines) > DEFAULT_WORD_BUDGET:
         raise BudgetError("word_budget", f"words file {path} holds {len(lines)} words, "
                                          f"more than the budget of {DEFAULT_WORD_BUDGET}")
-    return [parse_word(line, alphabet) for line in lines]
+    return [ca.parse_word(line, alphabet) for line in lines]
 
 
 def _point(args, chain) -> PointApprox:
     """The ``density --point``: a point index at ``--depth``, or ``sample``."""
     if args.point == "sample":
-        return sample_uniform(chain, args.depth, args.seed)
+        return ca.sample_uniform(chain, args.depth, args.seed)
     try:
         index = int(args.point)
     except ValueError:
@@ -302,14 +313,14 @@ _ANALYSES = {
         chain, args.base_level, max_word_len=args.max_word_len, depth=args.depth,
         tolerance=args.tolerance, max_generators=args.max_schreier)),
     "holonomy": ("holonomy", "fixed_set", lambda args, chain: fixed_set_report(
-        chain, parse_word(args.word, chain.alphabet), args.depth)),
-    "density": ("density", "density", lambda args, chain: density_profile(
-        chain, parse_word(args.word, chain.alphabet), _point(args, chain))),
+        chain, ca.parse_word(args.word, chain.alphabet), args.depth)),
+    "density": ("density", "density", lambda args, chain: ca.density_profile(
+        chain, ca.parse_word(args.word, chain.alphabet), _point(args, chain))),
     "lcs-witness": ("lcs-witness", "lcs", lambda args, chain: witness_search(
         chain, args.max_class, max_word_len=args.max_word_len, conj_len=args.conj_len,
         depth=args.depth, max_candidates=args.max_candidates)),
-    "oracle": ("oracle-stab-count", "stab_count", lambda args, chain: stabilizer_count_oracle(
-        chain, parse_word(args.word, chain.alphabet), args.level, args.max_order)),
+    "oracle": ("oracle-stab-count", "stab_count", lambda args, chain: ca.stabilizer_count_oracle(
+        chain, ca.parse_word(args.word, chain.alphabet), args.level, args.max_order)),
 }
 
 
@@ -329,7 +340,8 @@ _RUNNERS = {"build": _run_build, "validate": _run_validate,
 def main(argv=None) -> int:
     started = time.perf_counter()
     try:
-        args = _build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = _build_parser(argv).parse_args(argv)
         _check_threads(args)
         return _RUNNERS[args.command](args)
     except BudgetError as exc:

@@ -1,4 +1,4 @@
-"""Classic and localized coset-fixing criteria, cores, and the subgroup oracle.
+"""Classic and localized coset-fixing criteria.
 
 The classic check asks, per candidate word, what fraction of level-L points
 it fixes; a chain "passes at depth" when every candidate's ratio has fallen
@@ -24,8 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .chain import (ChainAction, check_depth, closure, count_fixed, schreier_generators,
-                    walk_classes)
+from .chain import ChainAction, check_depth, schreier_generators, walk_classes
 from .words import Word, check_word_budget, reduced_words
 
 PASS = "pass-at-depth"
@@ -55,22 +54,6 @@ class FarberReport(NamedTuple):
     words: tuple[WordVerdict, ...]
     overall: str
     note: str = EVIDENCE_NOTE
-
-
-def core_membership(chain: ChainAction, word: Word, base_level: int, level: int) -> bool:
-    """Membership in the depth-truncated core at ``base_level``.
-
-    True iff the word fixes every level-``level`` point over the basepoint
-    at ``base_level`` (and so stabilizes that basepoint), i.e. it acts
-    trivially on the coset space between the two stabilizers: the test
-    the Farber checks use for "indistinguishable".
-    """
-    if base_level > level:
-        raise ValueError("core membership needs base_level <= level")
-    if not level:
-        return True
-    fixed = next(chain.walk([word], level, base_level))[1][-1]
-    return fixed * chain.size(base_level) == chain.size(level)
 
 
 def _check(tolerance: Fraction, depth: int) -> None:
@@ -203,54 +186,3 @@ def local_farber_check(
     )
     return _score(chain, "local-farber", base_level, candidates, max_word_len, depth,
                   tolerance)
-
-
-class StabilizerCountReport(NamedTuple):
-    level: int
-    word: Word
-    group_order: int
-    stabilizer_count: int
-    containing_count: int
-    conjugacy_ratio: Fraction
-    fixed_ratio: Fraction
-    identity_holds: bool
-
-
-def image_group(chain: ChainAction, level: int, max_order: int) -> list[tuple[int, ...]]:
-    """All permutations in the finite image at ``level`` (breadth-first closure)."""
-    perms = chain.level(level).perms
-    gens = [perms[name] for name in chain.alphabet.names]
-    return sorted(closure(gens, chain.size(level), max_order,
-                          f"image group at level {level}", chain.memory_budget))
-
-
-def stabilizer_count_oracle(
-    chain: ChainAction, word: Word, level: int, max_order: int
-) -> StabilizerCountReport:
-    """Count distinct point stabilizers in the finite image and verify the
-    fibration identity: (stabilizers containing the word) / (distinct
-    stabilizers) equals the word's fixed-point ratio.  The identity is
-    checked exactly on every call.
-    """
-    elements = image_group(chain, level, max_order)
-    n = chain.size(level)
-    stabs = {x: frozenset(p for p in elements if p[x] == x) for x in range(n)}
-    distinct = set(stabs.values())
-    image = chain.word_permutation(word, level)
-    containing = sum(1 for s in distinct if image in s)
-    ratio = Fraction(containing, len(distinct))
-    fixed = Fraction(count_fixed(image), n)
-    if ratio != fixed:
-        raise AssertionError(
-            f"fibration identity failed at level {level}: {ratio} != {fixed}"
-        )
-    return StabilizerCountReport(
-        level=level,
-        word=word,
-        group_order=len(elements),
-        stabilizer_count=len(distinct),
-        containing_count=containing,
-        conjugacy_ratio=ratio,
-        fixed_ratio=fixed,
-        identity_holds=True,
-    )

@@ -11,12 +11,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING
 
-from .chain import ValidationReport
-from .farber import FarberReport, StabilizerCountReport
-from .holonomy import DensityProfile, FixedSetReport
-from .lcs import LcsWitnessReport
 from .words import GeneratorAlphabet, render_word
+
+if TYPE_CHECKING:
+    from .chain import ValidationReport
+    from .farber import FarberReport
+    from .holonomy import FixedSetReport
+    from .lcs import LcsWitnessReport
+    from .oracle import StabilizerCountReport
+    from .scans import DensityProfile
 
 CSV_SCHEMA_VERSION = "v1"
 

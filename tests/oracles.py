@@ -6,6 +6,8 @@ kernel's letter tables (``ChainAction.letter_perms``) or word images;
 ``ancestor`` walks one point up the parent arrays, where the kernel
 gathers whole tables (``ChainAction.ancestors``), and ``density_entries``
 is the density profile from those two, point by point.
+``core_membership`` is the depth-truncated core test the Farber checks
+apply to a candidate's counts, asked of one word at a time.
 ``validate_chain_pointwise`` checks a tower one point at a time, as
 ``validate_chain`` did before its C-level passes, and must give the same
 report.  ``class_keys`` is the conjugacy key as it was before pairs were
@@ -33,9 +35,10 @@ chain, the Mealy twin of ``odometer``.
 from fractions import Fraction
 from typing import NamedTuple
 
-from cantoract.builders import FatCantorPlan, mealy_chain
+from cantoract.builders import mealy_chain
 from cantoract.chain import ChainAction, LevelAction, PointApprox, ValidationReport, Violation
 from cantoract.mealy import MealyMachine, StateWord
+from cantoract.punctured import FatCantorPlan
 from cantoract.words import Word, cyclic_core, distinct, free_reduce, reduced_words
 
 
@@ -105,6 +108,22 @@ def density_entries(chain: ChainAction, word: Word, depth: int, center: int) -> 
 def stabilizer_contains(chain: ChainAction, word: Word, level: int) -> bool:
     """Membership in the level-``level`` basepoint stabilizer subgroup."""
     return act(chain, word, level, 0) == 0
+
+
+def core_membership(chain: ChainAction, word: Word, base_level: int, level: int) -> bool:
+    """Membership in the depth-truncated core at ``base_level``.
+
+    True iff the word fixes every level-``level`` point over the basepoint
+    at ``base_level`` (and so stabilizes that basepoint), i.e. it acts
+    trivially on the coset space between the two stabilizers: the test
+    the Farber checks use for "indistinguishable".
+    """
+    if base_level > level:
+        raise ValueError("core membership needs base_level <= level")
+    if not level:
+        return True
+    fixed = next(chain.walk([word], level, base_level))[1][-1]
+    return fixed * chain.size(base_level) == chain.size(level)
 
 
 def root_permutation(machine: MealyMachine, word: StateWord) -> tuple[int, ...]:

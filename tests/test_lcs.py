@@ -7,10 +7,10 @@ import cantoract as ca
 import cantoract.chain as chain_module
 import cantoract.holonomy as holonomy_module
 import cantoract.lcs as lcs_module
-from cantoract.chain import closure, compose, invert
-from cantoract.farber import image_group
+from cantoract.chain import compose, invert
 from cantoract.lcs import gamma_candidates, witness_search
 from cantoract.mealy import machine_from_dict
+from cantoract.oracle import closure, image_group
 from cantoract.words import conjugate
 
 from conftest import GRIGORCHUK, ORACLE_CHAINS, word

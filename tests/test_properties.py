@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import cantoract as ca
 
-from oracles import act, distance, stabilizer_contains, transversal
+from oracles import act, core_membership, distance, stabilizer_contains, transversal
 
 _CHAINS = [
     ca.odometer(2),
@@ -156,9 +156,9 @@ def test_core_monotone(cw, base, level):
     chain, word = cw
     if base >= level:
         base = level - 1
-    if ca.core_membership(chain, word, base, level):
+    if core_membership(chain, word, base, level):
         if level - 1 >= base:
-            assert ca.core_membership(chain, word, base, level - 1)
+            assert core_membership(chain, word, base, level - 1)
 
 
 @common

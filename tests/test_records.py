@@ -12,11 +12,13 @@ from pathlib import Path
 import pytest
 
 import cantoract
-from cantoract.builders import Puncture
 from cantoract.chain import Cylinder, PointApprox, ValidationReport, Violation
-from cantoract.farber import EVIDENCE_NOTE, FarberReport, StabilizerCountReport, WordVerdict
-from cantoract.holonomy import DensityProfile, FixedSetReport, LqaScaleEstimate, TrivialityWitness
+from cantoract.farber import EVIDENCE_NOTE, FarberReport, WordVerdict
+from cantoract.holonomy import FixedSetReport
 from cantoract.lcs import CandidateStream, ClassReport, LcsWitnessReport
+from cantoract.oracle import StabilizerCountReport
+from cantoract.punctured import Puncture
+from cantoract.scans import DensityProfile, LqaScaleEstimate, TrivialityWitness
 from cantoract.words import GeneratorAlphabet, Word
 
 # Each record with its fields in declaration order.

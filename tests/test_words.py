@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantoract.errors import BudgetError, SchemaError
+from cantoract.parse import MAX_NESTING, parse_word
 from cantoract.words import (
     DEFAULT_WORD_BUDGET,
-    MAX_NESTING,
     MAX_QUOTED,
     MAX_WORD_LETTERS,
     GeneratorAlphabet,
@@ -18,7 +18,6 @@ from cantoract.words import (
     distinct,
     free_reduce,
     join,
-    parse_word,
     reduced_words,
     render_word,
     take,
