@@ -10,7 +10,7 @@ materialized, and materialization is memoized per chain.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from functools import partial
 from itertools import accumulate, compress
 from math import inf
@@ -581,36 +581,34 @@ def walk_classes(chain: ChainAction, words: list[Word], level: int, base_level: 
                   for i, counts, fixed in chain.walk([w for _, w in firsts], level, base_level))
 
 
-def _orbit(chain: ChainAction, level: int) -> tuple[int, dict, dict]:
-    """``(n, letter_perms, tree)`` of a level: breadth first from the basepoint
-    (an involution's one table read once), each point maps to the ``(point,
-    letter)`` it was first reached from, the basepoint to None.  An
-    :class:`InvalidChainError` when the orbit misses a point."""
+def _orbit(chain: ChainAction, level: int) -> tuple[list, list, int]:
+    """``(source, via, reached)`` of a level's breadth-first walk from the
+    basepoint over the letter tables (alphabet order, +1 before -1, an
+    involution's one table read once): ``source[y]`` and ``via[y]`` are the
+    point and the letter ``y`` was first reached from (None off the orbit,
+    and ``via[0]`` None), and ``reached`` is the orbit's size.  The walk
+    stops once the orbit holds every point."""
     n, perms = chain.size(level), chain.letter_perms(level)
     steps = [((g, s), perm) for (g, s), perm in perms.items() if s > 0 or perm is not perms[g, 1]]
-    tree = {0: None}
-    queue = deque([0])
-    while queue and len(tree) < n:
-        x = queue.popleft()
+    source, via, orbit = [None] * n, [None] * n, [0]
+    source[0] = 0
+    for x in orbit:  # the orbit grows while it is read, so each point is visited
+        if len(orbit) == n:
+            break
         for letter, perm in steps:
             y = perm[x]
-            if y not in tree:
-                tree[y] = (x, letter)
-                queue.append(y)
-    if len(tree) < n:
-        raise InvalidChainError(
-            f"chain {chain.name!r} is not transitive at level {level}: "
-            f"orbit of the basepoint has {len(tree)} of {n} points"
-        )
-    return n, perms, tree
+            if source[y] is None:
+                source[y], via[y] = x, letter
+                orbit.append(y)
+    return source, via, len(orbit)
 
 
-def _spell(tree: dict, x: int) -> tuple:
+def _spell(source: list, via: list, x: int) -> tuple:
     """The letters of the tree path that moves the basepoint to ``x``."""
     letters = []
-    while tree[x]:
-        x, letter = tree[x]
-        letters.append(letter)
+    while x:
+        letters.append(via[x])
+        x = source[x]
     return tuple(letters)
 
 
@@ -618,24 +616,32 @@ def schreier_generators(chain: ChainAction, level: int, max_generators: float = 
     """A free basis of the level-``level`` basepoint stabilizer: per point
     ``x`` and generator ``g`` in scan order, ``t(g.x)^-1 * g * t(x)`` with
     ``t(x)`` the shortest word moving the basepoint to ``x`` on the
-    breadth-first tree of :func:`_orbit` (generators in alphabet order, +1
-    before -1), spelled by junction joins for the edges off that tree (on
-    it, the word is the identity).  That is
+    breadth-first tree of :func:`_orbit`, spelled by junction joins for the
+    edges off that tree (on it, the word is the identity).  That is
     ``size(level) * (k - 1) + 1`` words over ``k`` generators, a count
-    refused past ``max_generators`` before any word is spelled."""
-    n, perms, tree = _orbit(chain, level)
-    k = len(chain.alphabet)
+    refused past ``max_generators`` before the orbit is walked."""
+    n, k = chain.size(level), len(chain.alphabet)
     count = n * (k - 1) + 1
     if count > max_generators:
         raise BudgetError("schreier_generators", f"{count} Schreier generators at level "
                           f"{level} exceed the cap of {max_generators}")
+    source, via, reached = _orbit(chain, level)
+    if reached < n:
+        raise InvalidChainError(
+            f"chain {chain.name!r} is not transitive at level {level}: "
+            f"orbit of the basepoint has {reached} of {n} points"
+        )
+    perms = chain.letter_perms(level)
+    edges = [((gen, 1), (gen, -1), perms[gen, 1]) for gen in range(k)]
     gens = []
     for x in range(n):
-        for gen in range(k):
-            y = perms[gen, 1][x]
-            if tree[y] != (x, (gen, 1)) and tree[x] != (y, (gen, -1)):
-                back = tuple((g, -s) for g, s in reversed(_spell(tree, y)))
-                gens.append(Word(join(join(back, ((gen, 1),)), _spell(tree, x))))
+        for plus, minus, perm in edges:
+            y = perm[x]
+            # the letter that enters a point fixes the point it came from, so
+            # these are the tree edges x -> y by g and y -> x by g^-1
+            if via[y] != plus and via[x] != minus:
+                back = tuple((g, -s) for g, s in reversed(_spell(source, via, y)))
+                gens.append(Word(join(join(back, (plus,)), _spell(source, via, x))))
     return gens
 
 
@@ -688,12 +694,12 @@ def validate_chain(chain: ChainAction, depth: int) -> ValidationReport:
     ``depth``.  Each invariant is one pass per level (the letter tables'
     inversions, ``min``/``max``, slices of the sorted parents, two gathers
     per generator), and only a level that fails one reaches the per-point
-    ``_first_offender``.  Transitivity counts the basepoint's orbit under the
-    generators alone: in a finite permutation group ``g^-1`` is a positive
-    power of ``g``.  Parents are equivariant and onto, so a tower with no
-    other violation is transitive at every level if it is at ``depth``, and
-    only that orbit is walked; otherwise each level's is, up to the first
-    that fails.
+    ``_first_offender``.  Transitivity reads the size of the basepoint's
+    orbit from :func:`_orbit`, the breadth-first walk whose tree
+    :func:`schreier_generators` spells.  Parents are equivariant and onto,
+    so a tower with no other violation is transitive at every level if it
+    is at ``depth``, and only that orbit is walked; otherwise each level's
+    is, up to the first that fails.
     """
     violations: list[Violation] = []
 
@@ -750,24 +756,12 @@ def validate_chain(chain: ChainAction, depth: int) -> ValidationReport:
                     break
             walkable[lv] = len(violations)
         prev = lv
-    if violations or _intransitive(chain.level(depth)):
+    if violations or _orbit(chain, depth)[2] < chain.size(depth):
         for lv, at in walkable.items():
-            detail = _intransitive(lv)
-            if detail:
-                violations.insert(at, Violation("transitivity", lv.level, None, None, detail))
+            reached = _orbit(chain, lv.level)[2]
+            if reached < lv.size:
+                violations.insert(at, Violation("transitivity", lv.level, None, None,
+                                                f"orbit of basepoint covers {reached} of "
+                                                f"{lv.size} points"))
                 break
     return ValidationReport(depth, tuple(violations))
-
-
-def _intransitive(lv: LevelAction) -> str | None:
-    """How short of ``lv`` the basepoint's orbit under its generators falls, or None."""
-    gens, seen, orbit = list(lv.perms.values()), bytearray(lv.size), [0]
-    seen[0] = 1
-    for x in orbit:  # the orbit grows while it is read, so each point is visited
-        for perm in gens:
-            y = perm[x]
-            if not seen[y]:
-                seen[y] = 1
-                orbit.append(y)
-    if len(orbit) < lv.size:
-        return f"orbit of basepoint covers {len(orbit)} of {lv.size} points"

@@ -237,6 +237,8 @@ _FAMILIES = {
 
 
 def _run_build(args) -> int:
+    if not args.output:
+        raise SchemaError("build needs -o FILE for the chain file")
     chain = _FAMILIES[args.family](args, depth_limit=args.depth_limit,
                                    memory_budget=args.memory_budget)
     report = validate_chain(chain, args.depth)
@@ -247,8 +249,6 @@ def _run_build(args) -> int:
             f"generator={v.generator}, point={v.point})",
             report=report,
         )
-    if not args.output:
-        raise SchemaError("build needs -o FILE for the chain file")
     save_chain(chain, args.depth, args.output)
     return 0
 
@@ -347,10 +347,7 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"error: budget {exc.budget} exceeded: {exc}", file=sys.stderr)
         return 2
-    except (SchemaError, InvalidChainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (SchemaError, InvalidChainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

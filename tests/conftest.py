@@ -1,9 +1,17 @@
+import os
+from pathlib import Path
+
 import pytest
 
 import cantoract as ca
 from cantoract.mealy import machine_from_dict
 
 from oracles import adding_machine_chain
+
+# every interpreter a test starts (``python -m cantoract``) imports the
+# package this one did, from this checkout's src/
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(ca.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]))
 
 # The Grigorchuk machine: a swaps the first letter; b, c, d fix it and
 # hand the rest to (a, c), (a, d), (e, b) on letters 0 and 1.

@@ -29,10 +29,14 @@ the word layer joins the factors at their junctions.  ``lqa_scale_level``
 is the LQA scale by its definition, read from every scan word's image,
 where the library walks one word per conjugacy key.  ``adding_machine`` and
 ``adding_machine_chain`` build the binary-odometer transducer and its
-chain, the Mealy twin of ``odometer``.
+chain, the Mealy twin of ``odometer``.  ``affine_element`` and
+``affine_fixed_count`` give a word's fixed counts on the four affine
+families (``odometer``, ``toral``, ``dihedral``, ``heisenberg``) in closed
+form, from the group's normal form alone: no level array is read.
 """
 
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from cantoract.builders import mealy_chain
@@ -399,3 +403,54 @@ def adding_machine(base: int = 2) -> MealyMachine:
 
 def adding_machine_chain(base: int = 2, **budgets) -> ChainAction:
     return mealy_chain(adding_machine(base), name=f"adding-machine({base})", **budgets)
+
+
+def affine_element(family: str, letters, dim: int = 1) -> tuple:
+    """The element of a word over an affine family's generators, in the
+    group's normal form: the product of its letters' elements taken left to
+    right, as a word acts right to left.  ``odometer`` and ``toral`` give
+    the translation ``(k_1, ..., k_dim)`` of (Z/p^L)^dim, ``dihedral`` gives
+    ``(e, k)`` for ``x -> e x + k`` (``a = (1, 1)``, ``r = (-1, 0)``), and
+    ``heisenberg`` gives ``(a, b, c)`` for ``(x, y) -> (x + a, y + b x +
+    c)``, where ``(a, b, c)(a', b', c') = (a + a', b + b', c + c' + b a')``."""
+    if family in ("odometer", "toral"):
+        shift = [0] * dim
+        for gen, sign in letters:
+            shift[gen] += sign
+        return tuple(shift)
+    if family == "dihedral":
+        e, k = 1, 0
+        for gen, sign in letters:  # (e, k)(e', k') = (e e', e k' + k)
+            if gen == 0:
+                k += e * sign
+            else:
+                e = -e
+        return e, k
+    a = b = c = 0
+    for gen, sign in letters:  # right products by (s, 0, 0), (0, s, 0), (0, 0, s)
+        if gen == 0:
+            a, c = a + sign, c + b * sign
+        elif gen == 1:
+            b += sign
+        else:
+            c += sign
+    return a, b, c
+
+
+def affine_fixed_count(family: str, element: tuple, base: int, level: int) -> int:
+    """How many level-``level`` points, with ``m = base**level``, the
+    :func:`affine_element` ``element`` fixes.  A translation of (Z/m)^d
+    fixes all ``m^d`` points or none; ``x -> -x + k`` fixes the ``gcd(2,
+    m)`` roots of ``2x = k`` if there are any; and ``(a, b, c)`` fixes ``m
+    * gcd(b, m)`` points (every ``y`` over each root of ``b x = -c``) when
+    ``m`` divides ``a`` and ``gcd(b, m)`` divides ``c``, else none."""
+    m = base**level
+    if family in ("odometer", "toral"):
+        return m ** len(element) if all(k % m == 0 for k in element) else 0
+    if family == "dihedral":
+        e, k = element
+        roots = m if e == 1 else gcd(2, m)
+        return roots if k % roots == 0 else 0
+    a, b, c = element
+    roots = gcd(b, m)
+    return m * roots if a % m == 0 and c % roots == 0 else 0

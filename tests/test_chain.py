@@ -124,9 +124,11 @@ def test_schreier_generators_on_a_long_cycle_are_fast():
 
 
 def test_schreier_generators_are_refused_before_any_is_spelled(monkeypatch):
-    # 64 points and 4 generators at level 6: 64 * 3 + 1 generators
+    # 64 points and 4 generators at level 6: 64 * 3 + 1 generators, counted
+    # before the orbit is walked
     grigorchuk = ORACLE_CHAINS[-1][0]
     with monkeypatch.context() as patched:
+        patched.setattr(chain_module, "_orbit", None)
         patched.setattr(chain_module, "_spell", None)
         with pytest.raises(BudgetError) as err:
             ca.schreier_generators(grigorchuk, 6, 192)

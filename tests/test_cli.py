@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import cantoract as ca
+from cantoract import cli
 from cantoract.cli import main
 from cantoract.mealy import machine_from_dict
 from cantoract.words import MAX_WORD_LETTERS
@@ -193,6 +194,16 @@ def test_main_in_process(tmp_path, capsys):
     assert main(["validate", str(out)]) == 0
     captured = capsys.readouterr()
     assert '"ok": true' in captured.out
+
+
+def test_build_without_output_is_refused_before_building(monkeypatch, capsys):
+    def family(*args, **budgets):
+        raise AssertionError("the family was built")
+
+    monkeypatch.setitem(cli._FAMILIES, "fragmented", family)
+    assert main(["build", "fragmented", "--depth", "18"]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: build needs -o FILE for the chain file"]
 
 
 def test_build_mealy_from_machine_file(tmp_path):
@@ -645,8 +656,8 @@ def test_internal_error_is_one_line_exit_3(chains, monkeypatch, capsys):
 def test_schreier_generators_past_the_cap_are_refused_at_once(tmp_path):
     """Grigorchuk's level 13 has 8,192 points over four generators, so
     8,192 * 3 + 1 Schreier generators.  They are counted in closed form
-    after the orbit walk and refused before any is spelled, within a second
-    and far under a 1 GB address cap."""
+    and refused before the orbit is walked, within a second and far under
+    a 1 GB address cap."""
     chain = tmp_path / "g14.json"
     ca.save_chain(ca.mealy_chain(machine_from_dict(GRIGORCHUK), name="grigorchuk"), 14, chain)
     proc = run_cli(["local-farber", str(chain), "--base-level", "13", "--depth", "14"],

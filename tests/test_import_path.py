@@ -24,9 +24,7 @@ LOADED = ("import json, sys; "
 
 def _run(code: str) -> list:
     """The JSON lines ``code`` prints in a fresh interpreter that compiles from source."""
-    src = str(Path(cantoract.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr

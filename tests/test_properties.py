@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import cantoract as ca
 
-from oracles import act, core_membership, distance, stabilizer_contains, transversal
+from oracles import (act, affine_element, affine_fixed_count, core_membership, distance,
+                     stabilizer_contains, transversal)
 
 _CHAINS = [
     ca.odometer(2),
@@ -65,6 +66,31 @@ def chain_two_words_level_point(draw):
 
 
 common = settings(max_examples=60, deadline=None)
+
+# the affine families as (chain, family, base, dimension of the space,
+# deepest level walked)
+_AFFINE = [
+    (ca.odometer(2), "odometer", 2, 1, 8),
+    (ca.odometer(3), "odometer", 3, 1, 8),
+    (ca.toral(2, 2), "toral", 2, 2, 8),
+    (ca.dihedral(), "dihedral", 2, 1, 8),
+    (ca.heisenberg(2), "heisenberg", 2, 2, 6),
+    (ca.heisenberg(3), "heisenberg", 3, 2, 4),
+]
+
+
+@st.composite
+def affine_words(draw):
+    """An affine family and a few words over it, each the letters of up to
+    four powers ``g^(t * base^j)``, so that some words fix whole levels."""
+    chain, family, base, dim, depth = draw(st.sampled_from(_AFFINE))
+    power = st.tuples(st.integers(0, len(chain.alphabet) - 1), st.integers(-2, 2),
+                      st.integers(0, 4))
+    words = []
+    for powers in draw(st.lists(st.lists(power, max_size=4), min_size=1, max_size=4)):
+        words.append([(gen, 1 if t > 0 else -1) for gen, t, j in powers
+                      for _ in range(abs(t) * base**j)])
+    return chain, family, base, dim, depth, words
 
 
 @common
@@ -182,3 +208,22 @@ def test_report_invariants(cw, depth):
     assert len(listed) == len(rep.max_fixed_cylinders)
     for c in rep.max_fixed_cylinders:
         assert c.level <= rep.interior_scan_max_level
+
+
+@common
+@given(affine_words())
+def test_walk_counts_match_the_affine_normal_forms(case):
+    """Every fixed count ``walk`` reads, at every level, equals the count
+    the family's group normal form gives in closed form, with no level
+    array read; the words are walked in one call, so deferred words are
+    checked too."""
+    chain, family, base, dim, depth, letters = case
+    words = [ca.Word.of(w) for w in letters]
+    seen = []
+    for i, counts, fixed in chain.walk(words, depth):
+        element = affine_element(family, letters[i], dim)
+        assert counts == [affine_fixed_count(family, element, base, level)
+                          for level in range(1, depth + 1)], (family, letters[i])
+        assert len(fixed) == counts[-1]
+        seen.append(i)
+    assert sorted(seen) == list(range(len(words)))

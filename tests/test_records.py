@@ -7,11 +7,9 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import cantoract
 from cantoract.chain import Cylinder, PointApprox, ValidationReport, Violation
 from cantoract.farber import EVIDENCE_NOTE, FarberReport, WordVerdict
 from cantoract.holonomy import FixedSetReport
@@ -93,9 +91,7 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     ``site``, loads neither ``dataclasses`` nor the ``inspect`` it pulls in."""
     code = ("import cantoract.cli, sys; "
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    src = str(Path(cantoract.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     for flags in ([], ["-S"]):
         proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
                               text=True, env=env, timeout=60)

@@ -112,9 +112,9 @@ def test_valid_towers_never_reach_the_point_scans(monkeypatch):
 
 def _orbits_walked(monkeypatch) -> list:
     walked = []
-    intransitive = chain_module._intransitive
-    monkeypatch.setattr(chain_module, "_intransitive",
-                        lambda lv: walked.append(lv.level) or intransitive(lv))
+    orbit = chain_module._orbit
+    monkeypatch.setattr(chain_module, "_orbit",
+                        lambda chain, level: walked.append(level) or orbit(chain, level))
     return walked
 
 
