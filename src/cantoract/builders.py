@@ -313,6 +313,6 @@ def chain_to_dict(chain: ChainAction, depth: int) -> dict:
 
 def save_chain(chain: ChainAction, depth: int, path) -> None:
     payload = chain_to_dict(chain, depth)
+    # json.dumps runs the C encoder; json.dump always runs the Python one
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")

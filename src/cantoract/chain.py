@@ -334,7 +334,7 @@ class ChainAction:
                 yield i, counts, fixed
             else:
                 deferred.append((i, resume, counts))
-        fiber = None if base_level else range(self.size(level))
+        fiber = None
         for j, image in self.images([words[i] for i, _, _ in deferred], level):
             i, (lvl, points), counts = deferred[j]
             deferred[j] = None
@@ -342,7 +342,8 @@ class ChainAction:
                 reps = compose(self.representatives(level, lvl), points)
                 if compose(image, reps) == reps:
                     if fiber is None:
-                        fiber = self._under(base_level, level, (0,))
+                        fiber = (self._under(base_level, level, (0,)) if base_level
+                                 else self.points(level))
                     got = compose(image, fiber) if base_level else image
                     # a fixed point is its own image, so the fixed set keeps
                     # ``got``'s ints rather than new ones

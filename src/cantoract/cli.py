@@ -11,6 +11,7 @@ with identical (config, seed, input) produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -359,5 +360,18 @@ def main(argv=None) -> int:
         print(f"wall-time: {elapsed_ms:.1f} ms", file=sys.stderr)
 
 
+def run() -> int:
+    """The process entry point of ``python -m cantoract`` and the installed
+    ``cantoract`` script: :func:`main`'s exit code, with the heap frozen
+    (``gc.freeze()``) once it returns.  The collections of interpreter
+    teardown then skip every object the command made, whose memory the OS
+    takes back anyway; atexit handlers, the stdio flush and the exit
+    status run as before.  Tests, library callers and in-process drivers
+    call :func:`main`, which never freezes."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -105,7 +105,12 @@ def render_json(payload: dict) -> str:
         else:
             raise TypeError(f"cannot render {t.__name__} as JSON")
 
-    value(payload, "", "")
+    try:
+        value(payload, "", "")
+    finally:
+        # the two closures refer to each other; break the cycle so ``out``,
+        # ``spans`` and ``layouts`` are freed on return, not by the collector
+        del container, value
     append("\n")
     return "".join(out)
 

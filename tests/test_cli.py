@@ -1,7 +1,11 @@
+import gc
+import importlib
 import json
 import os
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -669,3 +673,62 @@ def test_schreier_generators_past_the_cap_are_refused_at_once(tmp_path):
                       "at level 13 exceed the cap of 128"]
     wall = [line for line in proc.stderr.splitlines() if line.startswith("wall-time:")]
     assert float(wall[0].split()[1]) < 1000
+
+
+# the process entry point: ``run`` is ``main`` with the heap frozen before
+# teardown, and only a process's own entry path calls it
+
+def test_main_never_freezes_the_heap(chains, capsys):
+    frozen = gc.get_freeze_count()
+    assert main(["farber", chains["fragmented"], "--max-word-len", "1", "--depth", "6"]) == 0
+    assert main(["validate", "/nonexistent/chain.json"]) == 1
+    assert gc.get_freeze_count() == frozen
+
+
+def test_run_returns_main_exit_code_after_freezing(chains, monkeypatch, capsys):
+    assert gc.get_freeze_count() == 0
+    monkeypatch.setattr(sys, "argv", ["cantoract", "validate", chains["odometer"]])
+    try:
+        assert cli.run() == 0
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    assert json.loads(capsys.readouterr().out)["result"]["ok"] is True
+
+
+def test_report_through_a_pipe_is_the_output_file(chains, tmp_path):
+    argv = ["farber", chains["fragmented"], "--max-word-len", "2", "--depth", "8"]
+    out = tmp_path / "farber.json"
+    piped = subprocess.run([sys.executable, "-m", "cantoract", *argv], capture_output=True)
+    written = run_cli([*argv, "-o", str(out)])
+    assert piped.returncode == written.returncode == 0
+    assert piped.stdout == out.read_bytes()
+    assert written.stdout == ""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["validate", "{odometer}"], 0),
+    (["validate", "{missing}"], 1),
+    (["farber", "{fragmented}", "--depth", "40"], 2),
+])
+def test_process_exit_codes_and_wall_time_line(chains, tmp_path, argv, code):
+    fill = {"{odometer}": chains["odometer"], "{fragmented}": chains["fragmented"],
+            "{missing}": str(tmp_path / "missing.json")}
+    proc = run_cli([fill.get(arg, arg) for arg in argv])
+    assert proc.returncode == code, proc.stderr
+    *errors, wall = proc.stderr.splitlines()
+    assert len(errors) == (code != 0)
+    assert wall.startswith("wall-time: ") and wall.endswith(" ms")
+    assert float(wall.split()[1]) >= 0
+
+
+def test_installed_script_is_the_function_main_module_calls(monkeypatch):
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["cantoract"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.run
+    monkeypatch.setattr(cli, "run", lambda: "entry point")
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("cantoract", run_name="__main__")
+    assert exited.value.code == "entry point"

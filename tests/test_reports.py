@@ -1,6 +1,7 @@
 """``render_json`` renders exactly what ``json.dumps(sort_keys=True, indent=2)`` does,
 and CSV tables are projected from the JSON payload."""
 
+import gc
 import json
 import tracemalloc
 from fractions import Fraction
@@ -95,6 +96,19 @@ def test_render_peak_is_about_the_report_size():
     # the text itself is len(text) bytes (ASCII); a renderer that also keeps
     # each container's text until the end peaks at about 4x that
     assert peak <= 1.5 * len(text)
+
+
+def test_render_leaves_no_cyclic_garbage():
+    chain = ca.fragmented()
+    payload = farber_payload(ca.farber_check(chain, max_word_len=2, depth=6), chain.alphabet)
+    gc.collect()
+    gc.disable()
+    try:
+        text = render_json(payload)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert text == reference(payload)
 
 
 def test_edge_values():
