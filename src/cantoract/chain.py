@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import partial
-from itertools import accumulate, compress
+from itertools import compress
 from math import inf
-from operator import add, eq, itemgetter
+from operator import eq, itemgetter
 from typing import NamedTuple
 
 from .errors import BudgetError, InvalidChainError
@@ -280,47 +280,46 @@ class ChainAction:
             points = compose(perms[letter], points)
         return tuple(points)
 
-    def walk(self, words, level: int, base_level: int = 0):
+    def walk(self, words, level: int):
         """Yield ``(i, counts, fixed)`` for each ``words[i]``: its fixed
-        counts at levels ``max(base_level, 1)..level`` among the points over
-        the basepoint at ``base_level``, and its level-``level`` fixed set
-        among them, in no order.
+        counts at levels ``1..level`` and its level-``level`` fixed set, in
+        no order.
 
         A point fixed at level ``L`` lies over a vertex fixed at ``L - 1``,
         so each level tests only the children (:meth:`children`) of the
-        vertices fixed one level up, from the basepoint at ``base_level``
-        (every level-1 point at base level 0).  Pass 1 walks each word on
-        its tested points alone (:meth:`apply`).  A word whose tested
-        points, summed over the levels, would pass ``size(level) *
-        DEFER_SHARE`` is deferred where it is; pass 2 images the deferred
-        words over shared prefixes (:meth:`images`) and resumes each there.
-        An image costs a gather of the whole level per letter, so a word
-        whose fixed set soon empties costs a small part of one, and a word
-        that fixes most points wastes at most 1/8 of the image it needed.
-        At the deepest level an image saves no later level, so a word that
-        runs out of budget there is finished point by point unless that
-        costs at least ``DEFER_SHARE`` of its image: ``len(word)`` gathers of
-        its tested points against ``len(word) - 1`` of the whole level.
+        vertices fixed one level up, from every level-1 point.  Pass 1
+        walks each word on its tested points alone (:meth:`apply`).  A word
+        whose tested points, summed over the levels, would pass
+        ``size(level) * DEFER_SHARE`` is deferred where it is; pass 2 images
+        the deferred words over shared prefixes (:meth:`images`) and
+        resumes each there.  An image costs a gather of the whole level per
+        letter, so a word whose fixed set soon empties costs a small part
+        of one, and a word that fixes most points wastes at most 1/8 of the
+        image it needed.  At the deepest level an image saves no later
+        level, so a word that runs out of budget there is finished point by
+        point unless that costs at least ``DEFER_SHARE`` of its image:
+        ``len(word)`` gathers of its tested points against ``len(word) - 1``
+        of the whole level.
 
-        Every fixed point over the base vertex lies under a tested point,
-        so a deferred word fixes at most ``len(points) * size(level) //
-        size(lvl)`` of them, and that many only if it fixes every point
-        under ``points``.  So when the deep points over the tested ones
-        (:meth:`representatives`) are fixed, one pass over the image's base
-        fiber (built at most once per call; the whole level at base level
-        0) counts its fixed points, and if they are that many each level's
-        count is read from the sizes.  Otherwise the walk goes on from the
-        children of the tested points, reading each point's image through
-        its representative and its ancestors (:meth:`ancestors`).  The
-        representatives table reads :meth:`children` at every level below
-        the tested one, so a level without constant fibers is refused here
-        too.  Pass 1 yields in input order; the deferred words follow in
-        image order, so callers store results by ``i``.
+        Every fixed point lies under a tested point, so a deferred word
+        fixes at most ``len(points) * size(level) // size(lvl)`` points, and
+        that many only if it fixes every point under ``points``.  So when
+        the deep points over the tested ones (:meth:`representatives`) are
+        fixed, one pass over the image counts its fixed points, and if they
+        are that many each level's count is read from the sizes.  Otherwise
+        the walk goes on from the children of the tested points, reading
+        each point's image through its representative and its ancestors
+        (:meth:`ancestors`).  The representatives table reads
+        :meth:`children` at every level below the tested one, so a level
+        without constant fibers is refused here too.  Pass 1 yields in input
+        order; the deferred words follow in image order, so callers store
+        results by ``i``.
         """
-        if not 0 <= base_level <= level or level < 1:
-            raise ValueError("fixed counts need 1 <= level and 0 <= base_level <= level")
-        start = (base_level, (0,)) if base_level else (1, self._children_of(1, (0,)))
-        size = self.size(level)
+        if level < 1:
+            raise ValueError("fixed counts need 1 <= level")
+        start = (1, self._children_of(1, (0,)))
+        sizes = [self.size(lvl) for lvl in range(level + 1)]
+        size = sizes[level]
         budget = int(size * DEFER_SHARE)
         deferred = []
         for i, word in enumerate(words):
@@ -334,23 +333,17 @@ class ChainAction:
                 yield i, counts, fixed
             else:
                 deferred.append((i, resume, counts))
-        fiber = None
         for j, image in self.images([words[i] for i, _, _ in deferred], level):
             i, (lvl, points), counts = deferred[j]
             deferred[j] = None
             if lvl < level:
                 reps = compose(self.representatives(level, lvl), points)
                 if compose(image, reps) == reps:
-                    if fiber is None:
-                        fiber = (self._under(base_level, level, (0,)) if base_level
-                                 else self.points(level))
-                    got = compose(image, fiber) if base_level else image
                     # a fixed point is its own image, so the fixed set keeps
-                    # ``got``'s ints rather than new ones
-                    fixed = tuple(compress(got, map(eq, got, fiber)))
-                    if len(fixed) * self.size(lvl) == len(points) * self.size(level):
-                        counts.extend(len(points) * self.size(l) // self.size(lvl)
-                                      for l in range(lvl, level + 1))
+                    # the image's ints rather than new ones
+                    fixed = tuple(compress(image, map(eq, image, self.points(level))))
+                    if len(fixed) * sizes[lvl] == len(points) * size:
+                        counts.extend(len(points) * n // sizes[lvl] for n in sizes[lvl:])
                         yield i, counts, fixed
                         continue
                     counts.append(len(points))
@@ -396,13 +389,6 @@ class ChainAction:
         for column in self.children(level):
             points.extend(compose(column, vertices))
         return points
-
-    def _under(self, base_level: int, level: int, vertices):
-        """The level-``level`` points over level-``base_level`` ``vertices``,
-        in no order, read level by level from the ``children`` columns."""
-        for below in range(base_level + 1, level + 1):
-            vertices = self._children_of(below, vertices)
-        return vertices
 
     def fixed_count(self, word: Word, level: int) -> int:
         return count_fixed(self.word_permutation(word, level))
@@ -481,10 +467,13 @@ class ChainAction:
             raise ValueError("ancestor levels must satisfy 0 <= base_level <= level")
         if not 0 <= vertex < self.size(base_level):
             raise ValueError(f"vertex {vertex} out of range at level {base_level}")
-        return tuple(sorted(self._under(base_level, level, (vertex,))))
+        points = (vertex,)
+        for below in range(base_level + 1, level + 1):
+            points = self._children_of(below, points)
+        return tuple(sorted(points))
 
 
-def _least_rotation(seq: list) -> tuple:
+def _least_rotation(seq: tuple) -> tuple:
     """The lexicographically least rotation of ``seq``, in linear time: two
     candidate starts in the doubled sequence, each comparison run moving
     one past it."""
@@ -507,79 +496,79 @@ def _least_rotation(seq: list) -> tuple:
     return tuple(doubled[start:start + n])
 
 
-def class_keys(chain: ChainAction, base_level: int, words: list[Word]) -> list[tuple]:
-    """Per word, a key shared only by words with the same fixed ratios,
-    the one conjugacy key of the Farber checks and the LCS witness search.
-
-    Words must be nonempty, reduced and in the basepoint stabilizer ``G_b``
-    at ``base_level`` (every word is, at base level 0).  A word is
-    ``u c u^-1`` with ``c`` cyclically reduced, so it fixes as many points
-    over the basepoint as ``c`` fixes over the level-``b`` vertex
-    ``q = u^-1(basepoint)``.  The rotation ``Z X`` of ``c = X Z`` is
-    ``Z c Z^-1`` and counts over ``Z(q)``; ``c^-1`` counts over ``q``.  The
-    key is the least rotation of the pairs ``(c[i], c[i:](q))``, or of the
-    same pairs for ``c^-1``: words with one key are conjugate, up to
-    inversion, by an element of ``G_b``.  Each pair is coded as one int,
-    ``code(letter) * size(b) + state``.
-
-    Each conjugacy orbit is keyed once: when ``c(q) = q``, as in ``G_b``,
-    the key is stored under every rotation ``(Z X, Z(q))`` of ``c`` and of
-    ``c^-1``, while the ``2 n^2`` letters so copied stay within twice the
-    words' total letters.  Time and memory stay linear in those letters.
+def class_keys(words: list[Word]) -> list[tuple]:
+    """Per nonempty reduced word, its cyclic core up to rotation and
+    inversion (the least rotation of the core or of its inverse): the
+    conjugacy key of the Farber checks and the LCS witness search.  A key
+    is stored under every rotation of the core and of its inverse while the
+    ``2 n^2`` letters so copied stay within twice the words' total letters,
+    so time and memory stay linear in those letters.
     """
-    perms = chain.letter_perms(base_level)
-    size = chain.size(base_level)
-    code = {letter: c * size for c, letter in enumerate(perms)}
     spare = 2 * sum(len(w.letters) for w in words)
     memo = {}
     keys = []
     for word in words:
-        m, core = cyclic_core(word.letters)
-        q = 0
-        for g, s in word.letters[:m]:
-            q = perms[g, -s][q]
-        key = memo.get((core, q))
+        core = cyclic_core(word.letters)[1]
+        key = memo.get(core)
         if key is None:
             n = len(core)
-            # states[i] = c[i:](q), the rightmost letter applied first
-            states = list(accumulate(map(perms.__getitem__, reversed(core)),
-                                     lambda x, perm: perm[x], initial=q))[:0:-1]
-            forward = list(map(add, map(code.__getitem__, core), states))
-            # c^-1[j] is core[-1 - j] inverted, and c^-1[j:](q) is c[n - j:](q)
             inverse = tuple((g, -s) for g, s in reversed(core))
-            back = states[:1] + states[:0:-1]
-            backward = list(map(add, map(code.__getitem__, inverse), back))
-            key = memo[core, q] = min(_least_rotation(forward), _least_rotation(backward))
-            if states[0] == q and 2 * n * n <= spare:
+            key = memo[core] = min(_least_rotation(core), _least_rotation(inverse))
+            if 2 * n * n <= spare:
                 spare -= 2 * n * n
                 for r in range(n):
-                    memo[core[r:] + core[:r], states[r]] = key
-                    memo[inverse[r:] + inverse[:r], back[r]] = key
+                    memo[core[r:] + core[:r]] = memo[inverse[r:] + inverse[:r]] = key
         keys.append(key)
     return keys
 
 
-def walk_classes(chain: ChainAction, words: list[Word], level: int, base_level: int = 0):
-    """``(keys, walks)``: the :func:`class_keys` of ``words`` at ``base_level``,
-    and ``(key, word, counts, fixed)`` once per key, as
-    :meth:`ChainAction.walk` yields it for the key's first word; the first
-    words are walked in one call, in order of first occurrence.
-
-    Every number a key's walk gives holds for each word of the key: words
-    with one key are conjugate, up to inversion, by some ``t`` in ``G_b``,
-    which permutes each level's points over the basepoint at
-    ``base_level``.  So ``Fix(t w t^-1) = t Fix(w)`` there, level for
-    level: the fixed counts are the same, and at base level 0 ``t`` moves
-    each maximal fixed cylinder to one of the same level.  ``w^-1`` fixes
-    what ``w`` fixes.
+def walk_classes(chain: ChainAction, words: list[Word], level: int):
+    """``(keys, walks)``: the :func:`class_keys` of ``words``, and ``(key,
+    word, counts, fixed)`` once per key, as :meth:`ChainAction.walk` yields
+    it for the key's first word; the first words are walked in one call, in
+    order of first occurrence.  Words with one key are conjugate, up to
+    inversion, by some ``t``, and ``Fix(t w t^-1) = t Fix(w)``, so every
+    count and cylinder level of the walk holds for each word of the key.
     """
-    keys = class_keys(chain, base_level, words)
+    keys = class_keys(words)
     firsts = {}
     for key, word in zip(keys, words):
         firsts.setdefault(key, word)
     firsts = list(firsts.items())
     return keys, ((*firsts[i], counts, fixed)
-                  for i, counts, fixed in chain.walk([w for _, w in firsts], level, base_level))
+                  for i, counts, fixed in chain.walk([w for _, w in firsts], level))
+
+
+def restrict(chain: ChainAction, base_level: int, words: list[Word]) -> ChainAction:
+    """The tower of fibers over the basepoint at ``base_level``: level ``j``
+    holds the level-``base_level + j`` points over it, numbered in
+    increasing order (so the basepoint stays 0), and letter ``i`` acts as
+    ``words[i]`` does there.  A word must fix the basepoint, so that it
+    maps each fiber onto itself; one that does not is a ValueError when a
+    level is built.  Levels are built on first use, in C-level passes (the
+    ``children`` columns, :meth:`ChainAction.apply` and a dict of
+    positions), and charged against the budget the chain has left.
+    """
+    names = tuple(f"s{i}" for i in range(len(words)))
+    fibers = {0: (0,)}  # level -> its chain points, in increasing order
+
+    def provider(j: int) -> LevelAction:
+        level, above = base_level + j, fibers[j - 1]
+        fiber = sorted(chain._children_of(level, above))
+        points = range(len(fiber))
+        at = dict(zip(fiber, points))
+        try:
+            perms = {name: compose(at, chain.apply(w, level, fiber)) for name, w in zip(names, words)}
+        except KeyError:
+            raise ValueError(f"a word moves the basepoint at level {base_level}") from None
+        fibers[j] = fiber
+        parent = compose(dict(zip(above, points)), compose(chain.level(level).parent, fiber))
+        return LevelAction(j, len(fiber), parent, perms)
+
+    return ChainAction(GeneratorAlphabet(names), provider, name=f"{chain.name} over level {base_level}",
+                       level_size=lambda j: chain.size(base_level + j) // chain.size(base_level),
+                       depth_limit=chain.depth_limit - base_level,
+                       memory_budget=chain.memory_budget - chain._stored_points)
 
 
 def _orbit(chain: ChainAction, level: int) -> tuple[list, list, int]:

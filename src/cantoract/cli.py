@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import cantoract as ca  # its cold names (``cantoract._LAZY``) import their module on first read
 
-from . import __version__, builders, reports
+from . import __version__, builders
 from .builders import load_chain, save_chain
 from .chain import (
     DEFAULT_DEPTH_LIMIT,
@@ -176,10 +176,15 @@ def _tolerance(text: str) -> Fraction:
 _NOT_ECHOED = frozenset({"command", "oracle_command", "chain", "threads", "output"})
 
 
-def _emit(args, command: str, chain, result: dict, to_csv) -> None:
+def _emit(args, command: str, chain, kind: str, *analysis) -> None:
     """Write the report of ``command``: its config (every parsed flag but
-    :data:`_NOT_ECHOED`), the chain, and ``result``; CSV renders the table
-    ``to_csv`` projects from ``result``."""
+    :data:`_NOT_ECHOED`), the chain, and the ``<kind>_payload`` of
+    ``analysis``; CSV renders the table ``<kind>_csv`` projects from it.
+    :mod:`cantoract.reports` is imported here, so ``build``, which writes
+    no report, never compiles it."""
+    from . import reports
+
+    result = getattr(reports, f"{kind}_payload")(*analysis)
     cfg = {key: reports.frac(value) if isinstance(value, Fraction) else value
            for key, value in vars(args).items() if key not in _NOT_ECHOED}
     if args.format == "csv":
@@ -187,7 +192,7 @@ def _emit(args, command: str, chain, result: dict, to_csv) -> None:
                 "prng": PRNG_ALGORITHM, "chain": chain.name}
         for key, value in cfg.items():
             meta[f"config.{key}"] = json.dumps(value, sort_keys=True)
-        text = reports.render_csv(command, *to_csv(result), meta)
+        text = reports.render_csv(command, *getattr(reports, f"{kind}_csv")(result), meta)
     else:
         text = reports.render_json({
             "tool": {"name": "cantoract", "version": __version__},
@@ -260,7 +265,7 @@ def _run_validate(args) -> int:
     if args.depth == 0:
         args.depth = chain.depth_limit
     report = validate_chain(chain, args.depth)
-    _emit(args, "validate", chain, reports.validation_payload(report), reports.validation_csv)
+    _emit(args, "validate", chain, "validation", report)
     if not report.ok:
         for v in report.violations:
             print(
@@ -329,8 +334,7 @@ def _run_report(args) -> int:
     command, kind, analyse = _ANALYSES[args.command]
     chain = load_chain(args.chain, depth_limit=args.depth_limit, memory_budget=args.memory_budget)
     result = analyse(args, chain)
-    _emit(args, command, chain, getattr(reports, f"{kind}_payload")(result, chain.alphabet),
-          getattr(reports, f"{kind}_csv"))
+    _emit(args, command, chain, kind, result, chain.alphabet)
     return 0
 
 

@@ -2,21 +2,14 @@
 
 The classic check asks, per candidate word, what fraction of level-L points
 it fixes; a chain "passes at depth" when every candidate's ratio has fallen
-below the tolerance by the report depth.  The localized check replays the
-same test inside the fiber of a base-level vertex: candidates are words in
-the Schreier generators of the base stabilizer, and words lying in the
-depth-truncated core (fixing the whole base fiber) are classified as
-indistinguishable from the identity rather than failed.  Verdicts are
-always stamped with (depth, word cap, tolerance): passing at a depth is
-evidence about the limit, not a proof.
-
-Both checks score each conjugacy class once: the first candidate of each
-key is walked by :func:`cantoract.chain.walk_classes`, whose docstring says
-why its fixed counts are exact for every candidate of the key, and every
-candidate gets its key's trajectory.  Classic scoring counts the whole
-level, so every conjugator is allowed; localized scoring counts the fiber
-over the basepoint at the base level, so only conjugators in that level's
-basepoint stabilizer ``G_b`` are.
+below the tolerance by the report depth.  The localized check is the
+classic one of the base stabilizer ``G_b`` on the tower of fibers over the
+base level's basepoint (:func:`cantoract.chain.restrict`), with the
+Schreier generators as letters; words in the depth-truncated core (fixing
+the whole base fiber) are indistinguishable from the identity rather than
+failed.  Verdicts are always stamped with (depth, word cap, tolerance):
+passing at a depth is evidence about the limit, not a proof.  Each
+conjugacy key is walked once (:func:`cantoract.chain.walk_classes`).
 """
 
 from __future__ import annotations
@@ -24,8 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .chain import ChainAction, check_depth, schreier_generators, walk_classes
-from .words import Word, check_word_budget, reduced_words
+from .chain import ChainAction, check_depth, restrict, schreier_generators, walk_classes
+from .words import Word, check_word_budget, reduced_words, spelled_words
 
 PASS = "pass-at-depth"
 FAIL = "fail-at-depth"
@@ -63,44 +56,42 @@ def _check(tolerance: Fraction, depth: int) -> None:
 
 
 def _score(
-    chain: ChainAction,
+    tower: ChainAction,
     kind: str,
     base_level: int,
     candidates: list[Word],
+    words: list[Word],
     max_word_len: int | None,
     depth: int,
     tolerance: Fraction,
 ) -> FarberReport:
-    """Score every candidate on the points over the basepoint at ``base_level``.
+    """Score each candidate on ``tower`` (the chain, or at a base level
+    its :func:`~cantoract.chain.restrict`-ed fibers, whose basepoint every
+    candidate fixes: a leading ``(base_level, 1)`` entry), its levels
+    reported ``base_level`` deeper, under its word in ``words``.
 
-    A trajectory entry is the fraction of those points at one level that
-    the candidate fixes.  A candidate fixing every scored point at
-    ``depth`` is indistinguishable from the identity there: on the whole
-    level it acts trivially, and on the base fiber, which holds the
-    basepoint, it also stabilizes the basepoint, so it lies in the core.
-    Only the first word of each key is walked
-    (:func:`~cantoract.chain.walk_classes`), and only its fixed counts are
-    kept.  Keys with the same counts share one ``(verdict, trajectory)``,
-    built once.
+    An entry is the fraction of a level's points the candidate fixes; one
+    fixing every point at ``depth`` lies in the core, indistinguishable
+    from the identity.  Only each key's first word is walked, and keys with
+    the same counts share one ``(verdict, trajectory)``, built once.
     """
-    levels = range(max(base_level, 1), depth + 1)
-    # fiber constancy (checked by ``children``) makes each fiber over the
-    # basepoint the level's size over the base level's
-    sizes = [chain.size(level) // chain.size(base_level) for level in levels]
-    keys, walks = walk_classes(chain, candidates, depth, base_level)
+    levels = range(1, depth - base_level + 1)
+    sizes = [tower.size(level) for level in levels]
+    head = ((base_level, Fraction(1)),) if base_level else ()
+    keys, walks = walk_classes(tower, candidates, levels[-1])
     scored, interned = {}, {}
     for key, _, counts, _ in walks:
         counts = tuple(counts)
         if counts not in interned:
-            traj = tuple((level, Fraction(count, size))
-                         for level, count, size in zip(levels, counts, sizes))
+            traj = head + tuple((base_level + level, Fraction(count, size))
+                                for level, count, size in zip(levels, counts, sizes))
             if traj[-1][1] == 1:
                 verdict = INDISTINGUISHABLE
             else:
                 verdict = PASS if traj[-1][1] < tolerance else FAIL
             interned[counts] = verdict, traj
         scored[key] = interned[counts]
-    verdicts = [WordVerdict(word, *scored[key]) for word, key in zip(candidates, keys)]
+    verdicts = [WordVerdict(word, *scored[key]) for word, key in zip(words, keys)]
     return FarberReport(
         kind=kind,
         base_level=base_level,
@@ -138,7 +129,7 @@ def farber_check(
         cap = None
         if any(not w.letters for w in candidates):
             raise ValueError("candidate words must exclude the identity")
-    return _score(chain, "farber", 0, candidates, cap, depth, tolerance)
+    return _score(chain, "farber", 0, candidates, candidates, cap, depth, tolerance)
 
 
 def local_candidates(
@@ -147,19 +138,17 @@ def local_candidates(
     max_word_len: int,
     *,
     max_generators: int = DEFAULT_MAX_SCHREIER,
-) -> tuple[list[Word], list[Word]]:
-    """Schreier alphabet of the base stabilizer and candidate words over it.
-
-    Candidates are the reduced words over the Schreier letters up to
-    ``max_word_len``, each built as its prefix's product joined to one
-    Schreier generator.  The generators are a free basis, so no candidate
-    repeats or is the identity.  At base level 0 the Schreier alphabet is
-    the generator set itself, so the candidates coincide with the classic
-    enumeration.  The word budget counts the words over the Schreier letters.
+) -> tuple[list[Word], list[tuple[Word, Word]]]:
+    """Schreier alphabet of the base stabilizer and candidate words over it:
+    the reduced words over the Schreier letters up to ``max_word_len``, each
+    with its spelling over the chain's letters
+    (:func:`~cantoract.words.spelled_words`), refused past the word budget.
+    The generators are a free basis, so no spelling repeats or is the
+    identity; at base level 0 they are the chain's generators.
     """
     gens = schreier_generators(chain, base_level, max_generators)
     check_word_budget(len(gens), max_word_len)
-    return gens, list(reduced_words(gens, max_word_len, [g.letters for g in gens]))
+    return gens, list(spelled_words([g.letters for g in gens], max_word_len))
 
 
 def local_farber_check(
@@ -171,18 +160,17 @@ def local_farber_check(
     tolerance: Fraction = DEFAULT_TOLERANCE,
     max_generators: int = DEFAULT_MAX_SCHREIER,
 ) -> FarberReport:
-    """The fixed-coset test localized to the basepoint fiber at ``base_level``.
-
-    Words in the depth-truncated core represent the identity coset of the
-    localized action and are classified indistinguishable; all other
-    candidates are scored by the fraction of the base fiber they fix, level
-    by level.  With ``base_level=0`` this reduces to the classic check.
+    """The fixed-coset test localized to the basepoint fiber at ``base_level``:
+    the classic check over the Schreier letters on the tower of that fiber
+    (:func:`~cantoract.chain.restrict`), each candidate reported as its
+    spelling.  Core words are classified indistinguishable.  At
+    ``base_level=0`` the chain itself is walked.
     """
     _check(tolerance, depth)
     if base_level >= depth:
         raise ValueError("base level must be smaller than the report depth")
-    _, candidates = local_candidates(
-        chain, base_level, max_word_len, max_generators=max_generators
-    )
-    return _score(chain, "local-farber", base_level, candidates, max_word_len, depth,
-                  tolerance)
+    gens, pairs = local_candidates(chain, base_level, max_word_len, max_generators=max_generators)
+    chain.level(depth)  # the tower is charged against what the chain's budget has left
+    tower = restrict(chain, base_level, gens) if base_level else chain
+    return _score(tower, "local-farber", base_level, [w for w, _ in pairs],
+                  [w for _, w in pairs], max_word_len, depth, tolerance)

@@ -207,33 +207,51 @@ def join(u: tuple, v: tuple) -> tuple:
     return u[:len(u) - c] + v[c:]
 
 
-def reduced_words(alphabet: GeneratorAlphabet, max_len: int, images=None) -> Iterator[Word]:
+def reduced_words(alphabet: GeneratorAlphabet, max_len: int) -> Iterator[Word]:
     """Yield all nonempty freely reduced words up to ``max_len`` in canonical order.
 
     Canonical order is by length, then lexicographic over letters with the
     letter order (gen 0, +1) < (gen 0, -1) < (gen 1, +1) < ...  Only
     ``len(alphabet)`` is read, so any sized collection of generators works.
-
-    With ``images``, each word is yielded as the reduced product of its
-    letters' reduced ``images[j]``: its prefix's product with one image
-    :func:`join`-ed on.  Set-up is O(k) and runs at the first word.
     """
-    images = [((g, 1),) for g in range(len(alphabet))] if images is None else images
-    steps = []  # (step, image, last letter that cancels it): letter j is step 2j, its inverse 2j + 1
-    for j, image in enumerate(map(tuple, images)):
-        inverse = tuple((g, -s) for g, s in reversed(image))
-        steps += [(2 * j, image, inverse[-1:]), (2 * j + 1, inverse, image[-1:])]
+    # letter j is step 2j and its inverse 2j + 1, so step i ^ 1 backtracks i
+    steps = list(enumerate(((g, s),) for g in range(len(alphabet)) for s in (1, -1)))
     new = tuple.__new__  # ``Word(word)`` without the Python frame of its ``__new__``
-    products: list[tuple[int, tuple]] = [(-1, ())]  # (step that backtracks, product)
+    words: list[tuple[int, tuple]] = [(-1, ())]  # (step that backtracks, word)
     for _ in range(max_len):
         nxt = []
-        for back, prod in products:
-            last = prod[-1:]
-            for i, image, cancels in steps:
+        for back, prod in words:
+            for i, letter in steps:
                 if i != back:
-                    word = join(prod, image) if last == cancels and last else prod + image
+                    word = prod + letter
                     yield new(Word, (word,))
                     nxt.append((i ^ 1, word))
+        words = nxt
+
+
+def spelled_words(images, max_len: int) -> Iterator[tuple[Word, Word]]:
+    """Yield ``(word, spelled)`` for every word :func:`reduced_words` yields
+    over ``len(images)`` letters, in its order: ``spelled`` is the reduced
+    product of the letters' reduced ``images[j]``, its prefix's product with
+    one image :func:`join`-ed on.  Set-up is O(k) and runs at the first word.
+    """
+    steps = []  # (step, letter, image, last letter that cancels it)
+    for j, image in enumerate(map(tuple, images)):
+        inverse = tuple((g, -s) for g, s in reversed(image))
+        steps += [(2 * j, ((j, 1),), image, inverse[-1:]),
+                  (2 * j + 1, ((j, -1),), inverse, image[-1:])]
+    new = tuple.__new__
+    products: list[tuple[int, tuple, tuple]] = [(-1, (), ())]  # (backtrack, word, product)
+    for _ in range(max_len):
+        nxt = []
+        for back, seq, prod in products:
+            last = prod[-1:]
+            for i, letter, image, cancels in steps:
+                if i != back:
+                    word = seq + letter
+                    spelled = join(prod, image) if last == cancels and last else prod + image
+                    yield new(Word, (word,)), new(Word, (spelled,))
+                    nxt.append((i ^ 1, word, spelled))
         products = nxt
 
 

@@ -7,7 +7,12 @@ kernel's letter tables (``ChainAction.letter_perms``) or word images;
 gathers whole tables (``ChainAction.ancestors``), and ``density_entries``
 is the density profile from those two, point by point.
 ``core_membership`` is the depth-truncated core test the Farber checks
-apply to a candidate's counts, asked of one word at a time.
+apply to a candidate's counts, asked of one word at a time.  ``walk`` is
+the kernel's fixed walk as it was when it took a base level and counted
+over the fiber of the basepoint there, and ``local_farber_check`` scores
+the localized Farber candidates with it and with the pair keys below:
+the reference path of the localized check, which now runs the classic
+check on the base fiber's own tower.
 ``validate_chain_pointwise`` checks a tower one point at a time, as
 ``validate_chain`` did before its C-level passes, and must give the same
 report.  ``class_keys`` is the conjugacy key as it was before pairs were
@@ -36,11 +41,16 @@ form, from the group's normal form alone: no level array is read.
 """
 
 from fractions import Fraction
+from functools import partial
+from itertools import compress
 from math import gcd
+from operator import eq
 from typing import NamedTuple
 
+import cantoract.chain as chain_module
 from cantoract.builders import mealy_chain
 from cantoract.chain import ChainAction, LevelAction, PointApprox, ValidationReport, Violation
+from cantoract.farber import FAIL, INDISTINGUISHABLE, PASS, FarberReport, WordVerdict
 from cantoract.mealy import MealyMachine, StateWord
 from cantoract.punctured import FatCantorPlan
 from cantoract.words import Word, cyclic_core, distinct, free_reduce, reduced_words
@@ -126,8 +136,90 @@ def core_membership(chain: ChainAction, word: Word, base_level: int, level: int)
         raise ValueError("core membership needs base_level <= level")
     if not level:
         return True
-    fixed = next(chain.walk([word], level, base_level))[1][-1]
+    fixed = next(walk(chain, [word], level, base_level))[1][-1]
     return fixed * chain.size(base_level) == chain.size(level)
+
+
+def walk(chain: ChainAction, words, level: int, base_level: int = 0):
+    """Yield ``(i, counts, fixed)`` for each ``words[i]``: its fixed counts
+    at levels ``max(base_level, 1)..level`` among the points over the
+    basepoint at ``base_level``, and its level-``level`` fixed set among
+    them, in no order.
+
+    ``ChainAction.walk`` as it was with a base level: pass 1 walks each word
+    from the basepoint at ``base_level`` (every level-1 point at base level
+    0) on its tested points, deferring it past ``DEFER_SHARE`` of the deep
+    level; pass 2 images the deferred words and settles each word whose
+    deep representatives are fixed by one pass over the image's base fiber,
+    or else reads the image level by level.  ``DEFER_SHARE`` and
+    ``compose`` are read from the chain module at each call, so a test that
+    patches them there patches this walk too.
+    """
+    if not 0 <= base_level <= level or level < 1:
+        raise ValueError("fixed counts need 1 <= level and 0 <= base_level <= level")
+    compose, share = chain_module.compose, chain_module.DEFER_SHARE
+    start = (base_level, (0,)) if base_level else (1, chain._children_of(1, (0,)))
+    size = chain.size(level)
+    budget = int(size * share)
+    deferred = []
+    for i, word in enumerate(words):
+        counts = []
+        last = share * (len(word) - 1) * size / max(len(word), 1)
+        fixed, resume = chain._descend(partial(chain.apply, word), level, start, counts, budget,
+                                       last)
+        if resume is None:
+            yield i, counts, fixed
+        else:
+            deferred.append((i, resume, counts))
+    fiber = None
+    for j, image in chain.images([words[i] for i, _, _ in deferred], level):
+        i, (lvl, points), counts = deferred[j]
+        if lvl < level:
+            reps = compose(chain.representatives(level, lvl), points)
+            if compose(image, reps) == reps:
+                if fiber is None:
+                    fiber = chain.fiber(base_level, level, 0) if base_level else chain.points(level)
+                got = compose(image, fiber) if base_level else image
+                fixed = tuple(compress(got, map(eq, got, fiber)))
+                if len(fixed) * chain.size(lvl) == len(points) * size:
+                    counts.extend(len(points) * chain.size(l) // chain.size(lvl)
+                                  for l in range(lvl, level + 1))
+                    yield i, counts, fixed
+                    continue
+                counts.append(len(points))
+                lvl += 1
+                points = chain._children_of(lvl, points)
+        fixed, _ = chain._descend(partial(chain._read_image, image, level), level,
+                                  (lvl, points), counts, float("inf"))
+        yield i, counts, fixed
+
+
+def local_farber_check(chain: ChainAction, base_level: int, max_word_len: int, depth: int,
+                       tolerance: Fraction) -> FarberReport:
+    """The localized Farber report as it was built before the restricted
+    tower: the spelled candidates of :func:`local_candidates`, one
+    :func:`walk` over the base fiber per pair key (:func:`class_keys` at
+    ``base_level``), and each trajectory over levels ``max(base_level,
+    1)..depth``."""
+    words = local_candidates(chain, base_level, max_word_len)
+    keys = class_keys(chain, base_level, words)
+    firsts = {}
+    for key, w in zip(keys, words):
+        firsts.setdefault(key, w)
+    order = list(firsts)
+    walked = {order[i]: counts
+              for i, counts, _ in walk(chain, list(firsts.values()), depth, base_level)}
+    levels = range(max(base_level, 1), depth + 1)
+    verdicts = []
+    for w, key in zip(words, keys):
+        traj = tuple((level, Fraction(count, chain.size(level) // chain.size(base_level)))
+                     for level, count in zip(levels, walked[key]))
+        last = traj[-1][1]
+        verdict = INDISTINGUISHABLE if last == 1 else PASS if last < tolerance else FAIL
+        verdicts.append(WordVerdict(w, verdict, traj))
+    return FarberReport(kind="local-farber", base_level=base_level, depth=depth,
+                        max_word_len=max_word_len, tolerance=tolerance, words=tuple(verdicts),
+                        overall=FAIL if any(v.verdict == FAIL for v in verdicts) else PASS)
 
 
 def root_permutation(machine: MealyMachine, word: StateWord) -> tuple[int, ...]:

@@ -5,10 +5,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 import cantoract as ca
 import cantoract.chain as chain_module
-from cantoract.chain import class_keys
+from cantoract.chain import class_keys, restrict
 from cantoract.errors import BudgetError
-from cantoract.farber import FAIL, INDISTINGUISHABLE, PASS, local_candidates
-from cantoract.words import check_word_budget, conjugate
+from cantoract.farber import FAIL, INDISTINGUISHABLE, PASS, FarberReport, local_candidates
+from cantoract.words import check_word_budget, conjugate, reduced_words
 
 import oracles
 from conftest import ORACLE_CHAINS, word
@@ -163,15 +163,18 @@ def test_local_candidates_keep_the_word_budget(toral22):
 
 @pytest.mark.parametrize("chain", [chain for chain, _ in ORACLE_CHAINS], ids=lambda c: c.name)
 def test_local_candidates_are_the_reduced_flattened_words(chain):
-    """Candidates built by prefix extension are the reference builder's,
-    which flattens every word over the Schreier letters, reduces it from
-    scratch and drops repeats: there are none to drop.  Levels 0-5, word
+    """Candidates are the words over the Schreier letters in canonical
+    order, and their spellings, built by prefix extension, are the
+    reference builder's, which flattens every word over the Schreier
+    letters, reduces it from scratch and drops repeats: there are none to
+    drop.  Levels 0-5, word
     length 2 over up to 64 Schreier letters and 1 past that."""
     for level in range(6):
         count = chain.size(level) * (len(chain.alphabet) - 1) + 1
         max_len = 2 if count <= 64 else 1
         gens, candidates = local_candidates(chain, level, max_len, max_generators=count)
-        assert candidates == oracles.local_candidates(chain, level, max_len)
+        assert [w for w, _ in candidates] == list(reduced_words(gens, max_len))
+        assert [w for _, w in candidates] == oracles.local_candidates(chain, level, max_len)
         assert len(candidates) == check_word_budget(len(gens), max_len)
 
 
@@ -275,8 +278,42 @@ def test_trajectories_match_brute_force(family):
     _assert_brute_force(chain, rep, 0)
     for base_level in (1, 2):
         rep = ca.local_farber_check(chain, base_level, max_word_len=2, depth=depth)
-        assert [e.word for e in rep.words] == local_candidates(chain, base_level, 2)[1]
+        assert [e.word for e in rep.words] == [
+            w for _, w in local_candidates(chain, base_level, 2)[1]]
         _assert_brute_force(chain, rep, base_level)
+
+
+@pytest.mark.parametrize("family", ORACLE_CHAINS, ids=lambda f: f[0].name)
+def test_local_farber_matches_the_base_level_reference(family):
+    """At base levels 1-3, the localized report, scored on the base fiber's
+    tower, equals field by field the reference path's: spelled candidates
+    keyed by the pair keys and walked over the base fiber by the
+    base-level walk (``oracles.local_farber_check``).  Every trajectory
+    entry is also the share of the base fiber's points that the spelled
+    candidate fixes, point by point (``oracles.act``).  Words of up to 2
+    Schreier letters, or 1 past 13 letters."""
+    chain, depth = family
+    tolerance = Fraction(1, 8)
+    for base in (1, 2, 3):
+        count = chain.size(base) * (len(chain.alphabet) - 1) + 1
+        max_len = 2 if count <= 13 else 1
+        rep = ca.local_farber_check(chain, base, max_word_len=max_len, depth=depth,
+                                    tolerance=tolerance, max_generators=count)
+        ref = oracles.local_farber_check(chain, base, max_len, depth, tolerance)
+        assert len(rep.words) == len(ref.words) == check_word_budget(count, max_len)
+        for field in FarberReport._fields:
+            if field != "words":
+                assert getattr(rep, field) == getattr(ref, field), (base, field)
+        for entry, expected in zip(rep.words, ref.words):
+            assert entry == expected, (base, ca.render_word(entry.word, chain.alphabet))
+        fibers = [(level, [x for x in range(chain.size(level))
+                           if oracles.ancestor(chain, level, x, base) == 0])
+                  for level in range(base, depth + 1)]
+        for entry in rep.words:
+            assert entry.trajectory == tuple(
+                (level, Fraction(sum(oracles.act(chain, entry.word, level, x) == x
+                                     for x in fiber), len(fiber)))
+                for level, fiber in fibers), (base, ca.render_word(entry.word, chain.alphabet))
 
 
 @settings(max_examples=60, deadline=None)
@@ -289,7 +326,7 @@ def test_class_key_is_conjugation_and_inversion_invariant(family, data):
     t = ca.Word.of(data.draw(letters, label="t"))
     assume(w)
     words = [w, conjugate(t, w), w.inverse()]
-    keys = class_keys(chain, 0, words)
+    keys = class_keys(words)
     assert keys[0] == keys[1] == keys[2]
     rep = ca.farber_check(chain, words=words, depth=depth)
     assert rep.words[0].trajectory == rep.words[1].trajectory == rep.words[2].trajectory
@@ -299,10 +336,14 @@ def test_class_key_is_conjugation_and_inversion_invariant(family, data):
                tuple(sorted(c.level for c in r.max_fixed_cylinders)))
               for r in (ca.fixed_set_report(chain, x, depth) for x in words)}
     assert len(ranked) == 1
-    # localized: conjugators from the level-1 basepoint stabilizer
-    schreier = local_candidates(chain, 1, 2)[1]
-    w, t = (data.draw(st.sampled_from(schreier), label=label) for label in ("lw", "lt"))
-    assert len(set(class_keys(chain, 1, [w, conjugate(t, w), w.inverse()]))) == 1
+    # localized: words and conjugators over the Schreier letters of the
+    # level-1 basepoint stabilizer, the letters of its fibers' tower
+    gens, schreier = local_candidates(chain, 1, 2)
+    w, t = (data.draw(st.sampled_from(schreier), label=label)[0] for label in ("lw", "lt"))
+    words = [w, conjugate(t, w), w.inverse()]
+    assert len(set(class_keys(words))) == 1
+    tower = restrict(chain, 1, gens)
+    assert len({tuple(counts) for _, counts, _ in tower.walk(words, depth - 1)}) == 1
 
 
 def _full_level_gathers(monkeypatch, chain, depth, check):
@@ -324,13 +365,15 @@ def _full_level_gathers(monkeypatch, chain, depth, check):
 
 def test_farber_images_one_word_per_class(monkeypatch):
     """Work count, not time: the fragmented chain's 1,456 classic
-    candidates fall into 117 classes and its 936 localized ones into 119,
-    one word per class is walked, and only the words that still fix many
-    points after a few levels are imaged (41 and 72 whole-level gathers;
-    one of each is the involution check of the deepest letter table)."""
+    candidates fall into 117 classes and its 936 localized ones, words over
+    the letters of the base fiber's tower, into 119, one word per class is
+    walked, and only the words that still fix many points after a few
+    levels are imaged (41 whole-level gathers for the classic check, one
+    of them the involution check of the deepest letter table; the
+    localized check walks the tower, whose levels are half the chain's)."""
     frag = ca.fragmented()
-    assert len(set(class_keys(frag, 0, list(ca.reduced_words(frag.alphabet, 6))))) == 117
-    assert len(set(class_keys(frag, 1, local_candidates(frag, 1, 4)[1]))) == 119
+    assert len(set(class_keys(list(ca.reduced_words(frag.alphabet, 6))))) == 117
+    assert len(set(class_keys([w for w, _ in local_candidates(frag, 1, 4)[1]]))) == 119
     classic = _full_level_gathers(
         monkeypatch, frag, 12, lambda: ca.farber_check(frag, max_word_len=6, depth=12))
     assert classic <= 60

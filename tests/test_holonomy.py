@@ -302,8 +302,8 @@ def test_witness_recheck_does_not_trust_the_walk(odo2, monkeypatch):
     assert ca.partial_triviality_witnesses(odo2, 2, 2) == []
     walk = chain_module.ChainAction.walk
 
-    def faulty(self, words, level, base_level=0):
-        for i, counts, fixed in walk(self, words, level, base_level):
+    def faulty(self, words, level):
+        for i, counts, fixed in walk(self, words, level):
             yield i, counts, fixed + fiber if words[i] == a2 else fixed
 
     monkeypatch.setattr(chain_module.ChainAction, "walk", faulty)

@@ -31,9 +31,17 @@ def _run(code: str) -> list:
     return [json.loads(line) for line in proc.stdout.splitlines()]
 
 
-def test_package_and_cli_load_only_the_hot_modules():
-    loaded = _run(f"import cantoract\n{LOADED}\nimport cantoract.cli\n{LOADED}")
-    assert loaded == [HOT, sorted(HOT + ["cantoract.cli", "cantoract.reports"])]
+def test_package_and_cli_load_only_the_hot_modules(tmp_path):
+    """The report module loads when a command writes a report, and
+    ``build``, which writes none, never loads it."""
+    out = str(tmp_path / "frag.json")
+    loaded = _run(f"import cantoract\n{LOADED}\nimport cantoract.cli\n{LOADED}\n"
+                  f"cantoract.cli.main(['build', 'fragmented', '--depth', '2', '-o', {out!r}])\n"
+                  f"{LOADED}\n"
+                  f"cantoract.cli.main(['validate', {out!r}, '--depth', '2', '-o', {out!r} + '.v'])\n"
+                  f"{LOADED}")
+    cli = sorted(HOT + ["cantoract.cli"])
+    assert loaded == [HOT, cli, cli, sorted(cli + ["cantoract.reports"])]
 
 
 def test_every_lazy_name_is_its_module_attribute():

@@ -3,10 +3,12 @@
 Word images built over shared prefixes, the top-down fixed counts of a
 list of words (walked on their tested points, some of them imaged), the
 conjugacy class keys, the memoized ancestor, children
-and representative tables, and the core and density answers read from them
-are each compared with a brute-force oracle: point-by-point action for
-images and fixed counts, the tuple-keyed reference for class keys, a parent
-walk for tables and fibers.
+and representative tables, the tower of a base fiber, and the core and
+density answers read from them are each compared with a brute-force
+oracle: point-by-point action for images and fixed counts, the
+tuple-keyed reference for class keys, a parent walk for tables and
+fibers.  Fixed counts over the fiber of a base level above 0 are the
+reference walk's (``oracles.walk``), checked here point by point.
 """
 
 import random
@@ -23,7 +25,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import cantoract as ca
 import cantoract.chain as chain_module
-from cantoract.chain import Violation, _least_rotation, class_keys, compose, count_fixed, invert
+from cantoract.chain import (Violation, _least_rotation, class_keys, compose, count_fixed, invert,
+                             restrict)
 from cantoract.farber import local_candidates
 from cantoract.lcs import gamma_candidates
 from cantoract.mealy import machine_from_dict
@@ -31,7 +34,8 @@ from cantoract.words import conjugate
 
 from conftest import GRIGORCHUK, ORACLE_CHAINS
 from oracles import (act, adding_machine_chain, ancestor, class_keys as pair_class_keys,
-                     core_membership, density_entries, stabilizer_contains)
+                     core_membership, density_entries, stabilizer_contains,
+                     walk as reference_walk)
 
 # every builder family at depths small enough for brute force
 _FAMILIES = [
@@ -95,8 +99,9 @@ ENTRIES = {"walk-imaging-all": 0, "walk": chain_module.DEFER_SHARE, "walk-imagin
 
 
 def _walked(chain, words, level, base, entry):
-    """``(counts, fixed)`` per word through ``walk``, in input order; each
-    word is reported exactly once, and imaged as ``entry`` says."""
+    """``(counts, fixed)`` per word through ``walk`` (the reference walk
+    over the base fiber at a base level above 0), in input order; each word
+    is reported exactly once, and imaged as ``entry`` says."""
     out, imaged, images = {}, [], chain.images
 
     def counting(ws, lvl):
@@ -105,7 +110,8 @@ def _walked(chain, words, level, base, entry):
 
     with mock.patch.object(chain_module, "DEFER_SHARE", ENTRIES[entry]), \
             mock.patch.object(chain, "images", counting):
-        for i, counts, fixed in chain.walk(words, level, base):
+        walk = reference_walk(chain, words, level, base) if base else chain.walk(words, level)
+        for i, counts, fixed in walk:
             assert i not in out
             out[i] = counts, fixed
     if entry != "walk":
@@ -177,7 +183,7 @@ def test_fixed_counts_stop_once_the_fixed_set_empties(monkeypatch):
     # that ``a`` swaps the two points and so is its own inverse there
     del gathers[:]
     assert [counts for _, counts, _ in odo.walk([ca.Word.generator(0)] * 2, 8)] == [[0] * 8] * 2
-    assert next(odo.walk([ca.Word.generator(0)], 8, 1))[1] == [0] * 8
+    assert next(reference_walk(odo, [ca.Word.generator(0)], 8, 1))[1] == [0] * 8
     assert [len(q) for q in gathers] == [1, 1, 2, 2, 2, 1]
 
 
@@ -392,9 +398,12 @@ def test_farber_classic_class_words_are_settled_without_an_image_walk(monkeypatc
 
 
 def test_walk_refuses_levels_out_of_order(odo2):
+    for level in (0, -1):
+        with pytest.raises(ValueError):
+            next(odo2.walk([ca.Word.identity()], level))
     for level, base in ((0, 0), (2, 3), (2, -1)):
         with pytest.raises(ValueError):
-            next(odo2.walk([ca.Word.identity()], level, base))
+            next(reference_walk(odo2, [ca.Word.identity()], level, base))
 
 
 def test_group_trivial_words_are_imaged_after_an_eighth_of_a_level(monkeypatch):
@@ -476,22 +485,73 @@ def _partition(keys):
     return [first.setdefault(key, i) for i, key in enumerate(keys)]
 
 
+def _spell(word, gens):
+    """A word over the Schreier letters ``gens`` spelled over the chain's
+    letters, flattened and reduced from scratch."""
+    return ca.Word.of(x for j, sign in word.letters
+                      for x in (gens[j] if sign > 0 else gens[j].inverse()).letters)
+
+
 @common
 @given(st.sampled_from(ORACLE_CHAINS), st.integers(0, 2), st.data())
 def test_class_keys_group_words_as_the_pair_keys_do(family, base, data):
+    """At base level 0 the words are the chain's; above it they are words
+    over the Schreier letters of ``G_b``, the letters of the base fiber's
+    tower, keyed as the pair keys at that base level key their spellings."""
     chain, _ = family
-    drawn = data.draw(st.lists(_letters(chain, 6), max_size=6))
-    words = [w for w in map(ca.Word.of, drawn) if w.letters]
-    if base:  # words in the base stabilizer, for which the keys are documented
-        schreier = local_candidates(chain, base, 1)[1]
-        words += data.draw(st.lists(st.sampled_from(schreier), max_size=4))
+    gens = local_candidates(chain, base, 1)[0]
+    letters = st.lists(st.tuples(st.integers(0, len(gens) - 1), st.sampled_from((1, -1))),
+                       max_size=6)
+    words = [w for w in map(ca.Word.of, data.draw(st.lists(letters, max_size=6))) if w.letters]
     # conjugates and inverses, so that keys collide
-    conjugators = [ca.Word.of(t) for t in data.draw(st.lists(_letters(chain, 3), max_size=3))]
+    conjugators = [ca.Word.of(t) for t in data.draw(st.lists(letters, max_size=3))]
     words += [conjugate(t, w) for w in words[:4] for t in conjugators]
     words += [w.inverse() for w in words[:4]]
     words = data.draw(st.permutations(words))
-    assert _partition(class_keys(chain, base, words)) == _partition(
-        pair_class_keys(chain, base, words))
+    assert _partition(class_keys(words)) == _partition(
+        pair_class_keys(chain, base, [_spell(w, gens) for w in words]))
+
+
+@pytest.mark.parametrize("family", ORACLE_CHAINS, ids=lambda f: f[0].name)
+def test_restricted_tower_is_the_base_fiber_under_the_schreier_generators(family):
+    """Level ``j`` of the tower at base level ``b`` holds the level-``b + j``
+    points over the basepoint at ``b`` in increasing order, its parent
+    array numbers each point's parent, and each Schreier generator acts on
+    the numbers as it acts on the points (``oracles.act``).  ``G_b`` is
+    transitive on each fiber, so the tower validates.  A word that moves
+    the basepoint is refused."""
+    chain, depth = family
+    for base in (1, 2):
+        gens = local_candidates(chain, base, 1)[0]
+        tower = restrict(chain, base, gens)
+        assert ca.validate_chain(tower, depth - base).ok
+        for j in range(1, depth - base + 1):
+            fiber, above = _brute_fiber(chain, base, base + j), _brute_fiber(chain, base, base + j - 1)
+            lv = tower.level(j)
+            assert lv.size == len(fiber)
+            assert list(lv.parent) == [above.index(ancestor(chain, base + j, x, base + j - 1))
+                                       for x in fiber]
+            for name, g in zip(tower.alphabet.names, gens):
+                assert list(lv.perms[name]) == [fiber.index(act(chain, g, base + j, x))
+                                                for x in fiber]
+    mover = next(w for w in ca.reduced_words(chain.alphabet, 1) if chain.apply(w, 1, (0,)) != (0,))
+    with pytest.raises(ValueError, match="moves the basepoint at level 1"):
+        restrict(chain, 1, [mover]).level(1)
+
+
+def test_restricted_tower_is_charged_against_what_the_chain_leaves():
+    """fragmented to depth 8 stores 510 points; under a budget of 600 its
+    tower over level 1 may store 90, so its levels 1-5 (62 points) fit and
+    level 6 (64 more) is refused, as is a localized check to depth 8."""
+    chain = ca.fragmented(memory_budget=600)
+    chain.level(8)
+    tower = restrict(chain, 1, local_candidates(chain, 1, 1)[0])
+    tower.level(5)
+    with pytest.raises(ca.BudgetError, match="memory_budget=90 for chain 'fragmented over level 1'"):
+        tower.level(6)
+    with pytest.raises(ca.BudgetError) as err:
+        ca.local_farber_check(chain, 1, max_word_len=1, depth=8)
+    assert err.value.budget == "memory_budget"
 
 
 @common
@@ -500,51 +560,62 @@ def test_least_rotation_is_the_least_of_all_rotations(seq):
     assert _least_rotation(seq) == min(tuple(seq[i:] + seq[:i]) for i in range(len(seq)))
 
 
-def test_class_keys_key_each_core_and_vertex_once(dih, monkeypatch):
-    """``a^m (a r) a^-m`` share a core and, at base level 0, a vertex."""
+def test_class_keys_key_each_core_once(dih, monkeypatch):
+    """``a^m (a r) a^-m`` share a core."""
     words = [ca.Word.of([(0, 1)] * m + [(0, 1), (1, 1)] + [(0, -1)] * m) for m in range(4)]
     rotations = []
     monkeypatch.setattr(chain_module, "_least_rotation",
                         lambda seq: rotations.append(1) or _least_rotation(seq))
-    assert len(set(class_keys(dih, 0, words))) == 1
+    assert len(set(class_keys(words))) == 1
     assert len(rotations) == 2  # the core and its inverse
 
 
 @pytest.mark.parametrize("base", [0, 1])
 def test_class_keys_key_each_orbit_once_on_the_farber_candidates(base, monkeypatch):
     """Work count: the classic candidates of ``fragmented`` at base 0 and
-    the localized ones at base 1 fall into 117 and 119 keys, and each key
-    runs the least rotation twice (its core and its inverse); every later
-    conjugate or inverse is a lookup.  The keys group the words as the pair
-    keys do."""
+    the localized ones at base 1, words over the letters of the base
+    fiber's tower, fall into 117 and 119 keys, and each key runs the least
+    rotation twice (its core and its inverse); every later conjugate or
+    inverse is a lookup.  The keys group the words as the pair keys at the
+    base level group their spellings."""
     frag = ca.fragmented()
-    words = (list(ca.reduced_words(frag.alphabet, 6)) if base == 0 else
-             local_candidates(frag, 1, 4)[1])
+    pairs = local_candidates(frag, base, 6 if base == 0 else 4)[1]
+    words = [w for w, _ in pairs]
+    assert base or words == list(ca.reduced_words(frag.alphabet, 6))
     rotations = []
     monkeypatch.setattr(chain_module, "_least_rotation",
                         lambda seq: rotations.append(1) or _least_rotation(seq))
-    keys = class_keys(frag, base, words)
+    keys = class_keys(words)
     assert len(set(keys)) == (117, 119)[base]
     assert len(rotations) == 2 * len(set(keys))
-    assert _partition(keys) == _partition(pair_class_keys(frag, base, words))
+    assert _partition(keys) == _partition(pair_class_keys(frag, base, [w for _, w in pairs]))
 
 
 def test_class_keys_of_words_outside_the_base_stabilizer_group_as_the_pair_keys_do(dih):
-    """At base level 1, the rotations of a word ``w`` whose core moves its
-    vertex count over other vertices, so its key is not stored under them:
-    each such ``w`` with up to 4 letters, beside its inverse and each of its
-    conjugates by words of up to 2 letters, is grouped as the pair keys
-    group it."""
-    outside = [w for w in ca.reduced_words(dih.alphabet, 4) if dih.apply(w, 1, (0,)) != (0,)]
-    conjugators = [ca.Word.identity(), *ca.reduced_words(dih.alphabet, 2)]
+    """On the tower of dihedral's fibers over the level-1 basepoint, each
+    word of up to 4 letters that moves the tower's level-1 basepoint (so
+    its spelling lies in ``G_1`` but not in ``G_2``), beside its inverse and
+    each of its conjugates by words of up to 2 letters, is grouped as the
+    pair keys at level 1 group their spellings: in one key, whose words fix
+    equally many points of every tower level.  The pair keys at level 2,
+    the first base level whose stabilizer the words leave, key some of
+    those conjugates apart."""
+    gens = local_candidates(dih, 1, 1)[0]
+    tower = restrict(dih, 1, gens)
+    outside = [w for w in ca.reduced_words(gens, 4) if tower.apply(w, 1, (0,)) != (0,)]
+    conjugators = [ca.Word.identity(), *ca.reduced_words(gens, 2)]
     split = 0
     for w in outside:
         for t in conjugators:
             words = [w, conjugate(t, w), w.inverse()]
-            expected = _partition(pair_class_keys(dih, 1, words))
-            assert _partition(class_keys(dih, 1, words)) == expected, (w, t)
-            split += expected[1] != 0
-    assert split  # some conjugates are keyed apart
+            spelled = [_spell(x, gens) for x in words]
+            assert _partition(class_keys(words)) == _partition(
+                pair_class_keys(dih, 1, spelled)) == [0, 0, 0], (w, t)
+            counts = [[sum(act(tower, x, level, y) == y for y in range(tower.size(level)))
+                       for level in range(1, 5)] for x in words]
+            assert counts[0] == counts[1] == counts[2], (w, t)
+            split += _partition(pair_class_keys(dih, 2, spelled))[1] != 0
+    assert outside and split  # some conjugates are keyed apart at level 2
 
 
 def test_class_keys_key_rotations_of_a_long_core_in_linear_time(dih):
@@ -560,7 +631,7 @@ def test_class_keys_key_rotations_of_a_long_core_in_linear_time(dih):
     with mock.patch.object(chain_module, "_least_rotation",
                            lambda seq: rotations.append(1) or least(seq)):
         start = time.perf_counter()
-        keys = class_keys(dih, 0, words)
+        keys = class_keys(words)
         assert time.perf_counter() - start < 5
     assert len(set(keys)) == 1
     assert len(rotations) == 2 * len(words)
@@ -571,7 +642,7 @@ def test_class_keys_are_linear_in_a_long_periodic_core(dih):
     case where a least rotation found by comparing slices is quadratic."""
     w = ca.Word.of([(0, 1), (1, 1)] * 100_000)
     start = time.perf_counter()
-    key, = class_keys(dih, 0, [w])
+    key, = class_keys([w])
     assert time.perf_counter() - start < 1
     assert len(key) == 200_000
 

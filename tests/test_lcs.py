@@ -232,7 +232,7 @@ def test_class_scores_equal_a_report_per_key(family, data):
     depth = data.draw(st.integers(1, max_depth), label="depth")
     n = data.draw(st.integers(1, 3), label="class")
     words = list(gamma_candidates(chain.alphabet, n, 2, 1, max_candidates=24).words)
-    keys = chain_module.class_keys(chain, 0, words)
+    keys = chain_module.class_keys(words)
     per_key = {}
     for key, w in zip(keys, words):
         per_key.setdefault(key, ca.fixed_set_report(chain, w, depth))

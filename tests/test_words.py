@@ -20,6 +20,7 @@ from cantoract.words import (
     join,
     reduced_words,
     render_word,
+    spelled_words,
     take,
 )
 
@@ -115,14 +116,17 @@ _reduced = st.lists(st.tuples(st.integers(0, 2), st.sampled_from((1, -1))), max_
 @settings(deadline=None)
 @given(st.lists(_reduced, min_size=1, max_size=3), st.integers(0, 4))
 def test_image_words_are_the_reduced_flattened_images(images, max_len):
-    """Each word over ``len(images)`` letters, in the classic order, yields
-    the reduced product of its letters' images (an inverse letter reads the
-    image backwards with signs flipped)."""
+    """Each word over ``len(images)`` letters, in the classic order, comes
+    with the reduced product of its letters' images (an inverse letter
+    reads the image backwards with signs flipped)."""
     inverses = [tuple((g, -s) for g, s in reversed(image)) for image in images]
+    words = list(reduced_words(images, max_len))
     expected = [free_reduce([x for j, s in seq.letters
                              for x in (images[j] if s > 0 else inverses[j])])
-                for seq in reduced_words(images, max_len)]
-    assert [word.letters for word in reduced_words(images, max_len, images)] == expected
+                for seq in words]
+    pairs = list(spelled_words(images, max_len))
+    assert [word for word, _ in pairs] == words
+    assert [spelled.letters for _, spelled in pairs] == expected
 
 
 @given(_reduced, _reduced)

@@ -2,7 +2,8 @@
 
 Work counts, unlike times, do not move with the host: each input is built,
 validated and analysed with the calls of the benchmark's in-process
-workloads (variant 0), or of a small Heisenberg LCS search, and every
+workloads (variant 0), of a localized check at a deep base level, or of a
+small Heisenberg LCS search, and every
 ``compose`` the chain and holonomy modules make is counted.  A change to a
 count is a change to the kernel's work; the record is updated with it and
 the reason given.
@@ -34,6 +35,12 @@ def _local_farber():
                                                     tolerance=_TOLERANCE)
 
 
+def _local_farber_deep():
+    chain = ca.fragmented()
+    return chain, 12, lambda: ca.local_farber_check(chain, 5, max_word_len=2, depth=12,
+                                                    tolerance=_TOLERANCE)
+
+
 def _lcs_grigorchuk():
     chain = ca.mealy_chain(load_machine(str(_GRIGORCHUK)), name="grigorchuk")
     return chain, 13, lambda: ca.witness_search(chain, 3, max_word_len=1, conj_len=1,
@@ -53,9 +60,15 @@ def _lcs_heisenberg():
 # four of Grigorchuk's generators pass it).  When it read the first point
 # alone, fragmented's g passed it at levels 3 and up and heisenberg's B at
 # levels 2 and up, and the set-ups gathered (61, 40,952) (farber-classic),
-# (51, 10,232) (local-farber) and (44, 38,228) (lcs-heisenberg).  Level 0's
-# one-point table, built only by the base-0 analyses, does so in the
-# analysis.  Each walk call starts with one one-point gather per level-1
+# (51, 10,232) (local-farber) and (44, 38,228) (lcs-heisenberg).  When the
+# class keys read level 0's one-point letter table, the analyses built it,
+# one gather per generator: farber-classic made (2,181, 229,306), the
+# Grigorchuk search (1,393, 516,376) and the Heisenberg one (120, 28,511).
+# The localized inputs walk the tower of fibers over the base level's
+# basepoint, built from the Schreier generators; when they walked each
+# candidate's spelling over the chain's levels, local-farber made (3,088,
+# 120,472) with 71 whole levels and the deep row (166,497, 4,910,014) with
+# none.  Each walk call starts with one one-point gather per level-1
 # child of the basepoint, and the LCS search walks once per class and once
 # per winner that is not its key's first word; when it walked once per key,
 # the Grigorchuk search made (1,412, 514,482) and the Heisenberg one (131,
@@ -67,10 +80,11 @@ def _lcs_heisenberg():
 # (three of its seven tables unread) and the Heisenberg one (119, 31,327)
 # with 5
 RECORD = {
-    "farber-classic": (_farber_classic, (51, 32_768), (2_181, 229_306), 40),
-    "local-farber": (_local_farber, (43, 8_192), (3_088, 120_472), 71),
-    "lcs-grigorchuk": (_lcs_grigorchuk, (156, 196_584), (1_393, 516_376), 38),
-    "lcs-heisenberg": (_lcs_heisenberg, (39, 32_772), (120, 28_511), 4),
+    "farber-classic": (_farber_classic, (51, 32_768), (2_179, 229_304), 40),
+    "local-farber": (_local_farber, (43, 8_192), (1_512, 49_998), 0),
+    "local-farber-deep": (_local_farber_deep, (51, 32_768), (18_018, 325_580), 0),
+    "lcs-grigorchuk": (_lcs_grigorchuk, (156, 196_584), (1_389, 516_372), 38),
+    "lcs-heisenberg": (_lcs_heisenberg, (39, 32_772), (117, 28_508), 4),
 }
 
 
