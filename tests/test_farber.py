@@ -346,9 +346,8 @@ def test_class_key_is_conjugation_and_inversion_invariant(family, data):
     assert len({tuple(counts) for _, counts, _ in tower.walk(words, depth - 1)}) == 1
 
 
-def _full_level_gathers(monkeypatch, chain, depth, check):
-    """Calls of ``chain.compose`` over an index array of a whole level at ``depth``."""
-    n = chain.size(depth)
+def _level_gathers(monkeypatch, n, check):
+    """Calls of ``chain.compose`` over an index array of ``n`` points."""
     compose = chain_module.compose
     gathers = []
 
@@ -368,15 +367,18 @@ def test_farber_images_one_word_per_class(monkeypatch):
     candidates fall into 117 classes and its 936 localized ones, words over
     the letters of the base fiber's tower, into 119, one word per class is
     walked, and only the words that still fix many points after a few
-    levels are imaged (41 whole-level gathers for the classic check, one
-    of them the involution check of the deepest letter table; the
-    localized check walks the tower, whose levels are half the chain's)."""
+    levels are imaged.  The classic check makes 40 gathers of its deepest
+    level, one of them the involution check of the deepest letter table;
+    the localized one makes 55 of the tower's deepest level (depth 10 over
+    base 1, half the chain's), 14 of them building that level and checking
+    its letters for involutions."""
     frag = ca.fragmented()
     assert len(set(class_keys(list(ca.reduced_words(frag.alphabet, 6))))) == 117
     assert len(set(class_keys([w for w, _ in local_candidates(frag, 1, 4)[1]]))) == 119
-    classic = _full_level_gathers(
-        monkeypatch, frag, 12, lambda: ca.farber_check(frag, max_word_len=6, depth=12))
+    classic = _level_gathers(
+        monkeypatch, frag.size(12), lambda: ca.farber_check(frag, max_word_len=6, depth=12))
     assert classic <= 60
-    local = _full_level_gathers(
-        monkeypatch, frag, 10, lambda: ca.local_farber_check(frag, 1, max_word_len=4, depth=10))
-    assert local <= 100
+    local = _level_gathers(
+        monkeypatch, frag.size(10) // frag.size(1),
+        lambda: ca.local_farber_check(frag, 1, max_word_len=4, depth=10))
+    assert local <= 75

@@ -618,7 +618,7 @@ def test_class_keys_of_words_outside_the_base_stabilizer_group_as_the_pair_keys_
     assert outside and split  # some conjugates are keyed apart at level 2
 
 
-def test_class_keys_key_rotations_of_a_long_core_in_linear_time(dih):
+def test_class_keys_key_rotations_of_a_long_core_in_linear_time():
     """50 rotations of one aperiodic 20,000-letter core: storing the key
     under all 20,000 rotations would copy 800 million letters, past the
     budget of twice the input's million, so each rotation is keyed on its
@@ -637,7 +637,7 @@ def test_class_keys_key_rotations_of_a_long_core_in_linear_time(dih):
     assert len(rotations) == 2 * len(words)
 
 
-def test_class_keys_are_linear_in_a_long_periodic_core(dih):
+def test_class_keys_are_linear_in_a_long_periodic_core():
     """``(a*r)^100000``: every rotation by an even step is the same, the
     case where a least rotation found by comparing slices is quadratic."""
     w = ca.Word.of([(0, 1), (1, 1)] * 100_000)

@@ -25,39 +25,44 @@ _TOLERANCE = Fraction(1, 4)
 
 def _farber_classic():
     chain = ca.fragmented()
-    return chain, 12, lambda: ca.farber_check(chain, max_word_len=6, depth=12,
+    return chain, 12, 0, lambda: ca.farber_check(chain, max_word_len=6, depth=12,
                                               tolerance=_TOLERANCE)
 
 
 def _local_farber():
     chain = ca.fragmented()
-    return chain, 10, lambda: ca.local_farber_check(chain, 1, max_word_len=4, depth=10,
+    return chain, 10, 1, lambda: ca.local_farber_check(chain, 1, max_word_len=4, depth=10,
                                                     tolerance=_TOLERANCE)
 
 
 def _local_farber_deep():
     chain = ca.fragmented()
-    return chain, 12, lambda: ca.local_farber_check(chain, 5, max_word_len=2, depth=12,
+    return chain, 12, 5, lambda: ca.local_farber_check(chain, 5, max_word_len=2, depth=12,
                                                     tolerance=_TOLERANCE)
 
 
 def _lcs_grigorchuk():
     chain = ca.mealy_chain(load_machine(str(_GRIGORCHUK)), name="grigorchuk")
-    return chain, 13, lambda: ca.witness_search(chain, 3, max_word_len=1, conj_len=1,
+    return chain, 13, 0, lambda: ca.witness_search(chain, 3, max_word_len=1, conj_len=1,
                                                 depth=13, max_candidates=128)
 
 
 def _lcs_heisenberg():
     chain = ca.heisenberg(2)
-    return chain, 6, lambda: ca.witness_search(chain, 2, max_word_len=1, conj_len=1,
+    return chain, 6, 0, lambda: ca.witness_search(chain, 2, max_word_len=1, conj_len=1,
                                                depth=6, max_candidates=32)
 
 
 # per input: (compose calls, points gathered) in set-up and in the analysis,
-# and the analysis's gathers of a whole deepest level.  Set-up's letter
-# tables gather a level once per generator that maps the images of its
-# first and last points back to them, the pre-check of an involution (all
-# four of Grigorchuk's generators pass it).  When it read the first point
+# and the analysis's gathers of a whole deepest level of what it walks: the
+# chain's, or at a base level the tower's, of ``size(depth) // size(base)``
+# points.  Of the localized rows' 55 and 1,396, 14 and 434 build the
+# tower's deepest level and check its letters for involutions, and the rest
+# image words in the walk; when this column counted the chain's deepest
+# level there, both read 0.  Set-up's letter tables gather a level once
+# per generator that maps the images of its first and last points back to
+# them, the pre-check of an involution (all four of Grigorchuk's
+# generators pass it).  When it read the first point
 # alone, fragmented's g passed it at levels 3 and up and heisenberg's B at
 # levels 2 and up, and the set-ups gathered (61, 40,952) (farber-classic),
 # (51, 10,232) (local-farber) and (44, 38,228) (lcs-heisenberg).  When the
@@ -81,8 +86,8 @@ def _lcs_heisenberg():
 # with 5
 RECORD = {
     "farber-classic": (_farber_classic, (51, 32_768), (2_179, 229_304), 40),
-    "local-farber": (_local_farber, (43, 8_192), (1_512, 49_998), 0),
-    "local-farber-deep": (_local_farber_deep, (51, 32_768), (18_018, 325_580), 0),
+    "local-farber": (_local_farber, (43, 8_192), (1_512, 49_998), 55),
+    "local-farber-deep": (_local_farber_deep, (51, 32_768), (18_018, 325_580), 1_396),
     "lcs-grigorchuk": (_lcs_grigorchuk, (156, 196_584), (1_389, 516_372), 38),
     "lcs-heisenberg": (_lcs_heisenberg, (39, 32_772), (117, 28_508), 4),
 }
@@ -103,11 +108,11 @@ def test_bench_inputs_do_the_recorded_kernel_work(name, monkeypatch):
 
     for module in (chain_module, holonomy_module):
         monkeypatch.setattr(module, "compose", counting)
-    chain, depth, analyse = build()
+    chain, depth, base, analyse = build()
     chain.level(depth)
     assert ca.validate_chain(chain, depth).ok
     assert (tally["calls"], tally["points"]) == setup
-    size = chain.size(depth)
+    size = chain.size(depth) // chain.size(base)
     tally.update(calls=0, points=0, full=0)
     analyse()
     assert (tally["calls"], tally["points"]) == analysis
@@ -128,6 +133,6 @@ def test_ancestor_tables_are_built_only_for_the_pairs_read(monkeypatch):
         assert list(chain._ancestor_tables) == [(9, base)]
         assert sum(gathered) < 2 * chain.size(9)
         assert chain.ancestors(9, base) is table and len(gathered) == 9 - base
-    chain, _, analyse = _lcs_grigorchuk()
+    chain, _, _, analyse = _lcs_grigorchuk()
     analyse()
     assert sorted(chain._ancestor_tables) == [(13, 6), (13, 10), (13, 11), (13, 12)]
