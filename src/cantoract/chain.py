@@ -164,7 +164,7 @@ class ChainAction:
         self._points: dict[int, tuple] = {}
         self._root = LevelAction(0, 1, (0,), dict.fromkeys(alphabet.names, (0,)))  # level 0
         self._representatives: dict[tuple[int, int], object] = {}
-        self._letter_perms: dict[int, dict] = {}
+        self._letter_perms: dict[int, list] = {}
 
     def level(self, level: int) -> LevelAction:
         if level < 1:
@@ -247,28 +247,27 @@ class ChainAction:
             points = self._points[level] = _checked_inverse(lv, name, lv.perms[name])
         return points
 
-    def letter_perms(self, level: int) -> dict:
-        """``{(gen, sign): image}``, memoized per level: each letter's image
-        array, in alphabet order with sign +1 first (every letter is ``(0,)``
-        at level 0, the one-point space).  An involution, found by one gather
-        of its perm through itself (skipped unless the perm maps the images
-        of the first and the last point back to them), is its own inverse;
-        any other inverse is made of :meth:`points`' ints, and a generator
-        that is no bijection is an :class:`InvalidChainError`.  Callers must
-        not mutate it."""
+    def letter_perms(self, level: int) -> list:
+        """``perms[x]``: letter ``x``'s image array, memoized per level, so a
+        generator's is at ``2*gen`` and its inverse's at ``2*gen + 1`` (every
+        letter is ``(0,)`` at level 0, the one-point space).  An involution,
+        found by one gather of its perm through itself (skipped unless the
+        perm maps the images of the first and the last point back to them),
+        is its own inverse; any other inverse is made of :meth:`points`'
+        ints, and a generator that is no bijection is an
+        :class:`InvalidChainError`.  Callers must not mutate it."""
         perms = self._letter_perms.get(level)
         if perms is None:
             lv, points = self.level(level) if level else self._root, self.points(level)
-            perms = {}
-            for gen, name in enumerate(self.alphabet.names):
+            perms = []
+            for name in self.alphabet.names:
                 perm = lv.perms[name]
                 try:  # an involution is its own inverse, so a bijection
                     own = (perm[perm[0]] == 0 and perm[perm[-1]] == len(perm) - 1
                            and compose(perm, perm) == points)
                 except (IndexError, TypeError):
                     own = False
-                perms[gen, 1] = perm
-                perms[gen, -1] = perm if own else _checked_inverse(lv, name, points)
+                perms += [perm, perm if own else _checked_inverse(lv, name, points)]
             self._letter_perms[level] = perms
         return perms
 
@@ -507,12 +506,13 @@ def class_keys(words: list[Word]) -> list[tuple]:
     spare = 2 * sum(len(w.letters) for w in words)
     memo = {}
     keys = []
-    for word in words:
-        core = cyclic_core(word.letters)[1]
+    for (core,) in words:  # a word's one field, its letters
+        if core[0] == core[-1] ^ 1:  # else it is its own cyclic core
+            core = cyclic_core(core)[1]
         key = memo.get(core)
         if key is None:
             n = len(core)
-            inverse = tuple((g, -s) for g, s in reversed(core))
+            inverse = tuple(x ^ 1 for x in reversed(core))
             key = memo[core] = min(_least_rotation(core), _least_rotation(inverse))
             if 2 * n * n <= spare:
                 spare -= 2 * n * n
@@ -573,13 +573,13 @@ def restrict(chain: ChainAction, base_level: int, words: list[Word]) -> ChainAct
 
 def _orbit(chain: ChainAction, level: int) -> tuple[list, list, int]:
     """``(source, via, reached)`` of a level's breadth-first walk from the
-    basepoint over the letter tables (alphabet order, +1 before -1, an
-    involution's one table read once): ``source[y]`` and ``via[y]`` are the
-    point and the letter ``y`` was first reached from (None off the orbit,
-    and ``via[0]`` None), and ``reached`` is the orbit's size.  The walk
-    stops once the orbit holds every point."""
+    basepoint over the letter tables (in letter order, an involution's one
+    table read once): ``source[y]`` and ``via[y]`` are the point and the
+    letter ``y`` was first reached from (None off the orbit, and ``via[0]``
+    None), and ``reached`` is the orbit's size.  The walk stops once the
+    orbit holds every point."""
     n, perms = chain.size(level), chain.letter_perms(level)
-    steps = [((g, s), perm) for (g, s), perm in perms.items() if s > 0 or perm is not perms[g, 1]]
+    steps = [(x, perm) for x, perm in enumerate(perms) if not x & 1 or perm is not perms[x ^ 1]]
     source, via, orbit = [None] * n, [None] * n, [0]
     source[0] = 0
     for x in orbit:  # the orbit grows while it is read, so each point is visited
@@ -622,15 +622,14 @@ def schreier_generators(chain: ChainAction, level: int, max_generators: float = 
             f"orbit of the basepoint has {reached} of {n} points"
         )
     perms = chain.letter_perms(level)
-    edges = [((gen, 1), (gen, -1), perms[gen, 1]) for gen in range(k)]
     gens = []
     for x in range(n):
-        for plus, minus, perm in edges:
-            y = perm[x]
+        for plus in range(0, 2 * k, 2):
+            y = perms[plus][x]
             # the letter that enters a point fixes the point it came from, so
             # these are the tree edges x -> y by g and y -> x by g^-1
-            if via[y] != plus and via[x] != minus:
-                back = tuple((g, -s) for g, s in reversed(_spell(source, via, y)))
+            if via[y] != plus and via[x] != plus + 1:
+                back = tuple(z ^ 1 for z in reversed(_spell(source, via, y)))
                 gens.append(Word(join(join(back, (plus,)), _spell(source, via, x))))
     return gens
 

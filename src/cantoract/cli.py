@@ -57,6 +57,7 @@ def _at_least(low: int):
 
 
 _count = _at_least(0)  # lengths, counts and budgets
+_positive = _at_least(1)  # word caps, candidate caps and thread counts
 
 
 def _add_common(sp, *, depth_default=10, depth_type=int, report=True):
@@ -65,7 +66,7 @@ def _add_common(sp, *, depth_default=10, depth_type=int, report=True):
     if report:
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.add_argument("--threads", type=int, default=None,
+    sp.add_argument("--threads", type=_positive, default=None,
                     help=f"accepted and validated, but analyses run on one thread "
                          f"(flag wins over ${THREADS_ENV})")
     sp.add_argument("-o", "--output", default=None)
@@ -99,7 +100,7 @@ def _build_parser(argv: list[str]) -> _Parser:
     f = sub.add_parser("farber", help="fixed-coset ratio check per word")
     if command == "farber":
         f.add_argument("chain")
-        f.add_argument("--max-word-len", type=_count, default=4)
+        f.add_argument("--max-word-len", type=_positive, default=4)
         f.add_argument("--words", dest="words_file", default=None,
                        help="file with one word per line")
         f.add_argument("--tol", dest="tolerance", type=_tolerance, default=DEFAULT_TOLERANCE)
@@ -109,7 +110,7 @@ def _build_parser(argv: list[str]) -> _Parser:
     if command == "local-farber":
         lf.add_argument("chain")
         lf.add_argument("--base-level", type=_count, default=1)
-        lf.add_argument("--max-word-len", type=_count, default=4)
+        lf.add_argument("--max-word-len", type=_positive, default=4)
         lf.add_argument("--tol", dest="tolerance", type=_tolerance, default=DEFAULT_TOLERANCE)
         lf.add_argument("--max-schreier", type=_count, default=DEFAULT_MAX_SCHREIER)
         _add_common(lf)
@@ -130,10 +131,10 @@ def _build_parser(argv: list[str]) -> _Parser:
     lw = sub.add_parser("lcs-witness", help="holonomy witness search per commutator class")
     if command == "lcs-witness":
         lw.add_argument("chain")
-        lw.add_argument("--class", dest="max_class", type=_at_least(1), default=2)
-        lw.add_argument("--max-word-len", type=_count, default=4)
+        lw.add_argument("--class", dest="max_class", type=_positive, default=2)
+        lw.add_argument("--max-word-len", type=_positive, default=4)
         lw.add_argument("--conj-len", type=_count, default=2)
-        lw.add_argument("--max-candidates", type=_count, default=DEFAULT_MAX_CANDIDATES)
+        lw.add_argument("--max-candidates", type=_positive, default=DEFAULT_MAX_CANDIDATES)
         _add_common(lw)
 
     oracle = sub.add_parser("oracle", help="small-group oracles")
@@ -141,7 +142,7 @@ def _build_parser(argv: list[str]) -> _Parser:
         osub = oracle.add_subparsers(dest="oracle_command", required=True)
         sc = osub.add_parser("stab-count", help="count point stabilizers in the finite image")
         sc.add_argument("chain")
-        sc.add_argument("--level", type=_at_least(1), required=True)
+        sc.add_argument("--level", type=_positive, required=True)
         sc.add_argument("--word", required=True)
         sc.add_argument("--max-order", type=_count, default=100_000)
         _add_common(sc)
@@ -150,14 +151,16 @@ def _build_parser(argv: list[str]) -> _Parser:
 
 
 def _check_threads(args) -> None:
-    """Validate ``--threads`` / ``$CANTORACT_THREADS``; the value itself is unused."""
-    if args.threads is None:
-        env = os.environ.get(THREADS_ENV)
-        if env:
-            try:
-                int(env)
-            except ValueError:
-                raise SchemaError(f"${THREADS_ENV} must be an integer, got {env!r}")
+    """Validate ``$CANTORACT_THREADS`` unless ``--threads`` (parsed as at
+    least 1) is given, to the same bound; the value itself is unused."""
+    env = os.environ.get(THREADS_ENV) if args.threads is None else None
+    if env:
+        try:
+            threads = int(env)
+        except ValueError:
+            raise SchemaError(f"${THREADS_ENV} must be an integer, got {env!r}") from None
+        if threads < 1:
+            raise SchemaError(f"${THREADS_ENV} must be at least 1, got {threads}")
 
 
 def _tolerance(text: str) -> Fraction:
@@ -281,13 +284,16 @@ def _read_words(path: str, alphabet) -> list:
     """The words of a ``--words`` file, one per non-blank line.  The file
     may hold at most :data:`~cantoract.words.MAX_WORD_LETTERS` bytes; a
     longer one is a ``word_letters`` budget error, read no further, and more
-    words than the word budget are counted before any is parsed."""
+    words than the word budget are counted before any is parsed.  A file
+    with no word is refused: it would make a verdict over no candidate."""
     with open(path, "rb") as fh:
         data = fh.read(MAX_WORD_LETTERS + 1)
     if len(data) > MAX_WORD_LETTERS:
         raise BudgetError("word_letters", f"words file {path} is longer than "
                                           f"the limit of {MAX_WORD_LETTERS} bytes")
     lines = [text for text in (line.decode("utf-8").strip() for line in data.splitlines()) if text]
+    if not lines:
+        raise SchemaError(f"words file {path} holds no word")
     if len(lines) > DEFAULT_WORD_BUDGET:
         raise BudgetError("word_budget", f"words file {path} holds {len(lines)} words, "
                                          f"more than the budget of {DEFAULT_WORD_BUDGET}")

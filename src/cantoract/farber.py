@@ -73,8 +73,11 @@ def _score(
     An entry is the fraction of a level's points the candidate fixes; one
     fixing every point at ``depth`` lies in the core, indistinguishable
     from the identity.  Only each key's first word is walked, and keys with
-    the same counts share one ``(verdict, trajectory)``, built once.
+    the same counts share one ``(verdict, trajectory)``, built once.  No
+    candidate at all is a ValueError, as a pass over none would be vacuous.
     """
+    if not candidates:
+        raise ValueError("no candidate words: the word list is empty or the word cap is 0")
     levels = range(1, depth - base_level + 1)
     sizes = [tower.size(level) for level in levels]
     head = ((base_level, Fraction(1)),) if base_level else ()

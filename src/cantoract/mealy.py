@@ -12,7 +12,6 @@ decidable by closing the word under sections.
 from __future__ import annotations
 
 from .errors import BudgetError, SchemaError, expect, read_json
-from .words import free_reduce
 
 StateLetter = tuple[str, int]  # (state name, sign)
 StateWord = tuple[StateLetter, ...]
@@ -81,7 +80,7 @@ class MealyMachine:
                 pre = self._inverse_outputs[state][cur]
                 sections.append((self.transitions[state][pre], -1))
                 cur = pre
-        return cur, free_reduce(reversed(sections))
+        return cur, reduce_states(reversed(sections))
 
     def section(self, word: StateWord, vertex: tuple[int, ...]) -> StateWord:
         """The state word governing the subtree below ``vertex``."""
@@ -95,6 +94,17 @@ class MealyMachine:
             img, word = self.step(word, letter)
             out.append(img)
         return tuple(out)
+
+
+def reduce_states(letters) -> StateWord:
+    """Cancel adjacent ``(q, s), (q, -s)`` pairs of a state word."""
+    stack: list[StateLetter] = []
+    for q, s in letters:
+        if stack and stack[-1] == (q, -s):
+            stack.pop()
+        else:
+            stack.append((q, s))
+    return tuple(stack)
 
 
 def identity_states(machine: MealyMachine) -> frozenset[str]:
@@ -146,7 +156,7 @@ def is_trivial(machine: MealyMachine, word: StateWord) -> bool:
 
 
 def _strip_identity(word: StateWord, trivial: frozenset[str]) -> StateWord:
-    return free_reduce(l for l in word if l[0] not in trivial)
+    return reduce_states(l for l in word if l[0] not in trivial)
 
 
 def _rows(table, name: str, kind: type) -> dict:

@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 from .chain import ChainAction, Cylinder, PointApprox, check_depth, compose, walk_classes
 from .holonomy import _maximal_fixed_cylinders, _require_nonidentity, interior_scan_limit
-from .words import Word, check_word_budget, free_reduce, reduced_words
+from .words import Word, check_word_budget, reduced_words
 
 
 class DensityProfile(NamedTuple):
@@ -80,11 +80,11 @@ def _mealy_exact(chain: ChainAction, word: Word, cylinder: Cylinder) -> bool:
     """Whether the chain's machine certifies that ``word`` fixes the subtree
     below ``cylinder``: its section at the vertex (base-d digits, least
     significant first) is trivial.  ``word`` moves a point, so it is not."""
-    from .mealy import is_trivial
+    from .mealy import is_trivial, reduce_states
 
     machine, names = chain.mealy, chain.alphabet.names
-    state_word = free_reduce((machine.generator_map[names[gen]], sign)
-                             for gen, sign in word.letters)
+    state_word = reduce_states((machine.generator_map[names[x >> 1]], -1 if x & 1 else 1)
+                               for x in word.letters)
     path, vertex = [], cylinder.vertex
     for _ in range(cylinder.level):
         vertex, letter = divmod(vertex, machine.alphabet_size)

@@ -1,14 +1,14 @@
 """Freely reduced words over a finite generating alphabet.
 
-A word is a tuple of letters ``(generator_index, sign)`` with sign +1 or -1,
-kept freely reduced (no adjacent ``g * g^-1`` pair).  The empty word is the
-identity and renders as the reserved symbol ``e``.
+A word is a tuple of int letters, ``2*g`` for generator ``g`` and ``2*g + 1``
+for its inverse (so ``x ^ 1`` inverts ``x``), kept freely reduced: no ``x, x ^ 1``
+pair is adjacent.  The empty word is the identity and renders as ``e``.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import islice
+from itertools import groupby, islice
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import BudgetError, SchemaError
@@ -26,7 +26,7 @@ MAX_QUOTED = 60
 
 DEFAULT_WORD_BUDGET = 50_000  # most words one enumeration or candidate list may hold
 
-Letter = tuple[int, int]
+Letter = int  # 2*gen for a generator, 2*gen + 1 for its inverse
 
 
 def _quote(text: str) -> str:
@@ -87,13 +87,13 @@ class GeneratorAlphabet:
 
 
 def free_reduce(letters) -> tuple:
-    """Cancel adjacent ``(x, s), (x, -s)`` pairs; letters are ``(symbol, sign)``."""
+    """Cancel adjacent ``x, x ^ 1`` pairs of int letters (a letter and its inverse)."""
     stack: list = []
-    for gen, sign in letters:
-        if stack and stack[-1][0] == gen and stack[-1][1] == -sign:
+    for x in letters:
+        if stack and stack[-1] == x ^ 1:
             stack.pop()
         else:
-            stack.append((gen, sign))
+            stack.append(x)
     return tuple(stack)
 
 
@@ -116,7 +116,7 @@ class Word(NamedTuple):
 
     @staticmethod
     def generator(index: int, sign: int = 1) -> "Word":
-        return Word(((index, 1 if sign > 0 else -1),))
+        return Word((2 * index + (sign <= 0),))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -128,7 +128,7 @@ class Word(NamedTuple):
         return _word(free_reduce(self.letters + other.letters))
 
     def inverse(self) -> "Word":
-        return _word(tuple((g, -s) for g, s in reversed(self.letters)))
+        return _word(tuple(x ^ 1 for x in reversed(self.letters)))
 
     def power(self, k: int) -> "Word":
         """``self^k`` in O(k |self|): with self = u*c*u^-1 and c cyclically
@@ -142,8 +142,8 @@ class Word(NamedTuple):
         return Word.of(letters[:m] + core * abs(k) + letters[len(letters) - m:])
 
     def key(self) -> tuple:
-        # canonical order: length first, then letters with +1 before -1
-        return (len(self.letters), tuple((g, 0 if s > 0 else 1) for g, s in self.letters))
+        # canonical order: length first, then letters, each generator before its inverse
+        return (len(self.letters), self.letters)
 
 
 def _word(letters: tuple) -> Word:
@@ -155,7 +155,7 @@ def cyclic_core(letters: tuple) -> tuple[int, tuple]:
     """``(m, core)`` with ``letters = u + core + u^-1`` for the first ``m``
     letters ``u`` of a reduced word and ``core`` cyclically reduced."""
     m = 0
-    while 2 * m + 1 < len(letters) and letters[m] == (letters[-1 - m][0], -letters[-1 - m][1]):
+    while 2 * m + 1 < len(letters) and letters[m] == letters[-1 - m] ^ 1:
         m += 1
     return m, letters[m:len(letters) - m]
 
@@ -183,26 +183,16 @@ def conjugate(t: Word, x: Word) -> Word:
 
 def render_word(word: Word, alphabet: GeneratorAlphabet) -> str:
     """Render with repeated letters collapsed into powers, e.g. ``a^3*b^-1``."""
-    if not word.letters:
-        return IDENTITY_SYMBOL
-    runs: list[tuple[int, int]] = []  # (gen, signed count)
-    for gen, sign in word.letters:
-        if runs and runs[-1][0] == gen and (runs[-1][1] > 0) == (sign > 0):
-            runs[-1] = (gen, runs[-1][1] + sign)
-        else:
-            runs.append((gen, sign))
-    parts = []
-    for gen, count in runs:
-        name = alphabet.names[gen]
-        parts.append(name if count == 1 else f"{name}^{count}")
-    return "*".join(parts)
+    runs = ((alphabet.names[x >> 1], len(tuple(run)) * (-1 if x & 1 else 1))
+            for x, run in groupby(word.letters))
+    return "*".join(name if n == 1 else f"{name}^{n}" for name, n in runs) or IDENTITY_SYMBOL
 
 
 def join(u: tuple, v: tuple) -> tuple:
     """``free_reduce(u + v)`` for reduced ``u`` and ``v``: they cancel only
     where they meet, so only the junction is compared."""
     c, m = 0, min(len(u), len(v))
-    while c < m and u[-1 - c] == (v[c][0], -v[c][1]):
+    while c < m and u[-1 - c] == v[c] ^ 1:
         c += 1
     return u[:len(u) - c] + v[c:]
 
@@ -210,22 +200,21 @@ def join(u: tuple, v: tuple) -> tuple:
 def reduced_words(alphabet: GeneratorAlphabet, max_len: int) -> Iterator[Word]:
     """Yield all nonempty freely reduced words up to ``max_len`` in canonical order.
 
-    Canonical order is by length, then lexicographic over letters with the
-    letter order (gen 0, +1) < (gen 0, -1) < (gen 1, +1) < ...  Only
-    ``len(alphabet)`` is read, so any sized collection of generators works.
+    Canonical order is by length, then lexicographic in int letter order:
+    gen 0 < gen 0 inverse < gen 1 < ...  Only ``len(alphabet)`` is read, so
+    any sized collection of generators works.
     """
-    # letter j is step 2j and its inverse 2j + 1, so step i ^ 1 backtracks i
-    steps = list(enumerate(((g, s),) for g in range(len(alphabet)) for s in (1, -1)))
+    steps = [(x, (x,)) for x in range(2 * len(alphabet))]
     new = tuple.__new__  # ``Word(word)`` without the Python frame of its ``__new__``
-    words: list[tuple[int, tuple]] = [(-1, ())]  # (step that backtracks, word)
+    words: list[tuple[int, tuple]] = [(-1, ())]  # (letter that backtracks, word)
     for _ in range(max_len):
         nxt = []
         for back, prod in words:
-            for i, letter in steps:
-                if i != back:
+            for x, letter in steps:
+                if x != back:
                     word = prod + letter
                     yield new(Word, (word,))
-                    nxt.append((i ^ 1, word))
+                    nxt.append((x ^ 1, word))
         words = nxt
 
 
@@ -235,23 +224,23 @@ def spelled_words(images, max_len: int) -> Iterator[tuple[Word, Word]]:
     product of the letters' reduced ``images[j]``, its prefix's product with
     one image :func:`join`-ed on.  Set-up is O(k) and runs at the first word.
     """
-    steps = []  # (step, letter, image, last letter that cancels it)
+    steps = []  # (letter, as a word, image, last letter that cancels it)
     for j, image in enumerate(map(tuple, images)):
-        inverse = tuple((g, -s) for g, s in reversed(image))
-        steps += [(2 * j, ((j, 1),), image, inverse[-1:]),
-                  (2 * j + 1, ((j, -1),), inverse, image[-1:])]
+        inverse = tuple(x ^ 1 for x in reversed(image))
+        steps += [(2 * j, (2 * j,), image, inverse[-1:]),
+                  (2 * j + 1, (2 * j + 1,), inverse, image[-1:])]
     new = tuple.__new__
     products: list[tuple[int, tuple, tuple]] = [(-1, (), ())]  # (backtrack, word, product)
     for _ in range(max_len):
         nxt = []
         for back, seq, prod in products:
             last = prod[-1:]
-            for i, letter, image, cancels in steps:
-                if i != back:
+            for x, letter, image, cancels in steps:
+                if x != back:
                     word = seq + letter
                     spelled = join(prod, image) if last == cancels and last else prod + image
                     yield new(Word, (word,)), new(Word, (spelled,))
-                    nxt.append((i ^ 1, word, spelled))
+                    nxt.append((x ^ 1, word, spelled))
         products = nxt
 
 

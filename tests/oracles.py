@@ -38,6 +38,11 @@ chain, the Mealy twin of ``odometer``.  ``affine_element`` and
 ``affine_fixed_count`` give a word's fixed counts on the four affine
 families (``odometer``, ``toral``, ``dihedral``, ``heisenberg``) in closed
 form, from the group's normal form alone: no level array is read.
+Every reference reads a word as ``(gen, sign)`` pairs (:func:`pairs`
+decodes the kernel's int letters, :func:`from_pairs` encodes them) and
+reduces pairs with its own :func:`reduce_pairs`, so none of them shares
+the kernel's letter arithmetic; ``pair_key`` and ``pair_words`` are the
+canonical order and the word enumeration over pairs.
 """
 
 from fractions import Fraction
@@ -53,7 +58,52 @@ from cantoract.chain import ChainAction, LevelAction, PointApprox, ValidationRep
 from cantoract.farber import FAIL, INDISTINGUISHABLE, PASS, FarberReport, WordVerdict
 from cantoract.mealy import MealyMachine, StateWord
 from cantoract.punctured import FatCantorPlan
-from cantoract.words import Word, cyclic_core, distinct, free_reduce, reduced_words
+from cantoract.words import Word, cyclic_core, distinct, reduced_words
+
+
+def pairs(word: Word) -> tuple:
+    """``word``'s letters as ``(gen, sign)`` pairs: letter ``2*gen`` is
+    ``(gen, 1)`` and letter ``2*gen + 1`` is ``(gen, -1)``."""
+    return tuple((x // 2, -1 if x % 2 else 1) for x in word.letters)
+
+
+def reduce_pairs(letters) -> tuple:
+    """Cancel adjacent ``(g, s), (g, -s)`` pairs, from scratch."""
+    stack = []
+    for g, s in letters:
+        if stack and stack[-1] == (g, -s):
+            stack.pop()
+        else:
+            stack.append((g, s))
+    return tuple(stack)
+
+
+def from_pairs(letters) -> Word:
+    """The word of the ``(gen, sign)`` pairs ``letters``, reduced as pairs."""
+    return Word(tuple(2 * g + (1 if s < 0 else 0) for g, s in reduce_pairs(letters)))
+
+
+def _inverse(word: Word) -> tuple:
+    """The pairs of ``word``'s inverse."""
+    return tuple((g, -s) for g, s in reversed(pairs(word)))
+
+
+def pair_key(letters) -> tuple:
+    """The canonical order of ``(gen, sign)`` words: length first, then
+    letters, each generator's ``+1`` before its ``-1``."""
+    return len(letters), tuple((g, 0 if s > 0 else 1) for g, s in letters)
+
+
+def pair_words(k: int, max_len: int) -> list[tuple]:
+    """Every nonempty reduced word of ``(gen, sign)`` pairs over ``k``
+    generators up to ``max_len`` letters, extended letter by letter and
+    sorted by :func:`pair_key`."""
+    letters = [(g, s) for g in range(k) for s in (1, -1)]
+    words, out = [()], []
+    for _ in range(max_len):
+        words = [w + (x,) for w in words for x in letters if not w or w[-1] != (x[0], -x[1])]
+        out += words
+    return sorted(out, key=pair_key)
 
 
 class Distance(NamedTuple):
@@ -101,7 +151,7 @@ def act(chain: ChainAction, word: Word, level: int, x: int) -> int:
     if level == 0:
         return 0
     perms = chain.level(level).perms
-    for gen, sign in reversed(word.letters):
+    for gen, sign in reversed(pairs(word)):
         perm = perms[chain.alphabet.names[gen]]
         x = perm[x] if sign > 0 else perm.index(x)
     return x
@@ -230,7 +280,7 @@ def root_permutation(machine: MealyMachine, word: StateWord) -> tuple[int, ...]:
 def state_word(chain: ChainAction, word: Word) -> StateWord:
     """``word`` as a reduced word in the states of ``chain.mealy``."""
     names, states = chain.alphabet.names, chain.mealy.generator_map
-    return free_reduce((states[names[gen]], sign) for gen, sign in word.letters)
+    return reduce_pairs((states[names[gen]], sign) for gen, sign in pairs(word))
 
 
 def vertex_path(chain: ChainAction, vertex: int, level: int) -> tuple[int, ...]:
@@ -388,12 +438,15 @@ def class_keys(chain: ChainAction, base_level: int, words: list[Word]) -> list[t
     inversion, by an element of ``G_b``.  Time and memory are linear in the
     word's length.
     """
-    perms = chain.letter_perms(base_level)
+    tables = chain.letter_perms(base_level)
+    perms = {(g, s): tables[2 * g + (1 if s < 0 else 0)]
+             for g in range(len(chain.alphabet)) for s in (1, -1)}
     keys = []
     for word in words:
-        m, core = cyclic_core(word.letters)
+        m, letters = cyclic_core(word.letters)[0], pairs(word)
+        head, core = letters[:m], letters[m:len(letters) - m]
         x = 0
-        for g, s in word.letters[:m]:
+        for g, s in head:
             x = perms[g, -s][x]
         states = [0] * len(core)
         for i in range(len(core) - 1, -1, -1):
@@ -416,7 +469,7 @@ def transversal(chain: ChainAction, level: int) -> list[Word]:
             for sign in (1, -1):
                 y = act(chain, Word.generator(gen, sign), level, x)
                 if y not in reps:
-                    reps[y] = Word.of(((gen, sign),) + reps[x].letters)
+                    reps[y] = from_pairs(((gen, sign),) + pairs(reps[x]))
                     queue.append(y)
     assert len(reps) == n, "not transitive"
     return [reps[x] for x in range(n)]
@@ -436,23 +489,19 @@ def local_candidates(chain: ChainAction, base_level: int, max_word_len: int) -> 
     each letter replaced by its generator's letters, the whole reduced, and
     deduplicated in enumeration order."""
     gens = schreier_generators(chain, base_level)
-    images = {1: [g.letters for g in gens], -1: [g.inverse().letters for g in gens]}
-    return list(distinct(Word.of(letter for j, s in seq.letters for letter in images[s][j])
+    images = {1: [pairs(g) for g in gens], -1: [_inverse(g) for g in gens]}
+    return list(distinct(from_pairs(letter for j, s in pairs(seq) for letter in images[s][j])
                          for seq in reduced_words(gens, max_word_len)))
-
-
-def _inverse(word: Word) -> tuple:
-    return tuple((g, -s) for g, s in reversed(word.letters))
 
 
 def commutator(u: Word, v: Word) -> Word:
     """``u * v * u^-1 * v^-1``, its letters flattened and reduced from scratch."""
-    return Word.of(u.letters + v.letters + _inverse(u) + _inverse(v))
+    return from_pairs(pairs(u) + pairs(v) + _inverse(u) + _inverse(v))
 
 
 def conjugate(t: Word, x: Word) -> Word:
     """``t * x * t^-1``, its letters flattened and reduced from scratch."""
-    return Word.of(t.letters + x.letters + _inverse(t))
+    return from_pairs(pairs(t) + pairs(x) + _inverse(t))
 
 
 def lqa_scale_level(chain: ChainAction, max_word_len: int, depth: int) -> int:
@@ -498,9 +547,9 @@ def adding_machine_chain(base: int = 2, **budgets) -> ChainAction:
 
 
 def affine_element(family: str, letters, dim: int = 1) -> tuple:
-    """The element of a word over an affine family's generators, in the
-    group's normal form: the product of its letters' elements taken left to
-    right, as a word acts right to left.  ``odometer`` and ``toral`` give
+    """The element of a word, given as ``(gen, sign)`` pairs, over an affine
+    family's generators, in the group's normal form: the product of its
+    letters' elements taken left to right, as a word acts right to left.  ``odometer`` and ``toral`` give
     the translation ``(k_1, ..., k_dim)`` of (Z/p^L)^dim, ``dihedral`` gives
     ``(e, k)`` for ``x -> e x + k`` (``a = (1, 1)``, ``r = (-1, 0)``), and
     ``heisenberg`` gives ``(a, b, c)`` for ``(x, y) -> (x + a, y + b x +

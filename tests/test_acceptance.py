@@ -141,7 +141,7 @@ def _fuzz_chains():
 def _random_word(rng, chain, max_len=4):
     m = len(chain.alphabet)
     letters = [(rng.randrange(m), rng.choice((1, -1))) for _ in range(rng.randrange(max_len + 1))]
-    return ca.Word.of(letters)
+    return ca.Word.of(2 * g + (s < 0) for g, s in letters)
 
 
 def test_criterion_7_property_fuzz():

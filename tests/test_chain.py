@@ -13,7 +13,7 @@ from cantoract.farber import local_candidates
 
 import oracles
 from conftest import ORACLE_CHAINS, word
-from oracles import act, adding_machine_chain, distance, stabilizer_contains
+from oracles import act, adding_machine_chain, distance, pairs, stabilizer_contains
 
 
 # --- independent oracles ---------------------------------------------------
@@ -36,11 +36,11 @@ def dihedral_apply(letters, x, modulus):
 
 def test_act_matches_modular_oracle(odo2):
     a = word(odo2, "a")
-    assert act(odo2, a, 3, 7) == odometer_apply(a.letters, 7, 8) == 0
+    assert act(odo2, a, 3, 7) == odometer_apply(pairs(a), 7, 8) == 0
     for m in (-3, -1, 1, 2, 5):
         wm = a.power(m)
         for x in range(16):
-            assert act(odo2, wm, 4, x) == odometer_apply(wm.letters, x, 16)
+            assert act(odo2, wm, 4, x) == odometer_apply(pairs(wm), x, 16)
 
 
 def test_act_identity_word(odo2, dih):
@@ -56,7 +56,7 @@ def test_act_dihedral_oracle(dih):
     for text in ("r", "a*r", "r*a", "a^-1*r*a", "r*a^2"):
         u = word(dih, text)
         for x in range(16):
-            assert act(dih, u, 4, x) == dihedral_apply(u.letters, x, 16)
+            assert act(dih, u, 4, x) == dihedral_apply(pairs(u), x, 16)
 
 
 def test_stabilizer_contains(odo2, dih):

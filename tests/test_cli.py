@@ -254,6 +254,34 @@ def test_env_thread_variable(chains, tmp_path):
     assert not (tmp_path / "odo.json").exists()
 
 
+@pytest.mark.parametrize("value", ["-2", "0"])
+def test_env_thread_count_below_one_is_refused(chains, tmp_path, value):
+    """``$CANTORACT_THREADS`` is held to the flag's bound of at least 1,
+    and ``--threads`` wins over it."""
+    env = dict(os.environ, CANTORACT_THREADS=value)
+    for argv in (["validate", chains["fragmented"]],
+                 ["build", "odometer", "--depth", "3", "-o", str(tmp_path / "odo.json")]):
+        proc = run_cli(argv, env=env)
+        assert proc.returncode == 1, argv
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: $CANTORACT_THREADS must be at least 1, got {int(value)}"]
+        assert proc.stdout == ""
+    assert not (tmp_path / "odo.json").exists()
+    assert run_cli(["validate", chains["fragmented"], "--threads", "2"], env=env).returncode == 0
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n\n"])
+def test_words_file_with_no_word_is_refused(chains, tmp_path, text):
+    """An empty ``--words`` file would give a pass over no candidate."""
+    source = tmp_path / "words.txt"
+    source.write_text(text)
+    proc = run_cli(["farber", chains["fragmented"], "--words", str(source), "--depth", "3"])
+    assert proc.returncode == 1
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: words file {source} holds no word"]
+    assert proc.stdout == ""
+
+
 def test_out_of_range_perm_entry_is_one_violation(tmp_path):
     broken = tmp_path / "range.json"
     broken.write_text(json.dumps({
@@ -321,17 +349,31 @@ NESTED_SCHEDULE = "[" * 50_000 + "]" * 50_000
     (["build", "odometer", "--format", "csv", "-o", "{tmp}/chain.json"],
      "unrecognized arguments: --format csv"),
     (["lcs-witness", "{fragmented}", "--max-candidates", "-1", "--depth", "3"],
-     "argument --max-candidates: must be at least 0, got -1"),
+     "argument --max-candidates: must be at least 1, got -1"),
+    (["lcs-witness", "{fragmented}", "--max-candidates", "0", "--depth", "3"],
+     "argument --max-candidates: must be at least 1, got 0"),
     (["lcs-witness", "{fragmented}", "--class", "0", "--depth", "3"],
      "argument --class: must be at least 1, got 0"),
     (["lcs-witness", "{fragmented}", "--class", "-3", "--depth", "3"],
      "argument --class: must be at least 1, got -3"),
     (["farber", "{fragmented}", "--max-word-len", "-1", "--depth", "3"],
-     "argument --max-word-len: must be at least 0, got -1"),
+     "argument --max-word-len: must be at least 1, got -1"),
     (["local-farber", "{fragmented}", "--max-word-len", "-1", "--depth", "3"],
-     "argument --max-word-len: must be at least 0, got -1"),
+     "argument --max-word-len: must be at least 1, got -1"),
     (["lcs-witness", "{fragmented}", "--max-word-len", "-1", "--depth", "3"],
-     "argument --max-word-len: must be at least 0, got -1"),
+     "argument --max-word-len: must be at least 1, got -1"),
+    (["farber", "{fragmented}", "--max-word-len", "0", "--depth", "3"],
+     "argument --max-word-len: must be at least 1, got 0"),
+    (["local-farber", "{fragmented}", "--max-word-len", "0", "--depth", "3"],
+     "argument --max-word-len: must be at least 1, got 0"),
+    (["lcs-witness", "{fragmented}", "--max-word-len", "0", "--depth", "3"],
+     "argument --max-word-len: must be at least 1, got 0"),
+    (["validate", "{fragmented}", "--threads", "-3"],
+     "argument --threads: must be at least 1, got -3"),
+    (["farber", "{fragmented}", "--threads", "0", "--depth", "3"],
+     "argument --threads: must be at least 1, got 0"),
+    (["build", "odometer", "--threads", "-1", "-o", "{tmp}/chain.json"],
+     "argument --threads: must be at least 1, got -1"),
     (["lcs-witness", "{fragmented}", "--conj-len", "-1", "--depth", "3"],
      "argument --conj-len: must be at least 0, got -1"),
     (["local-farber", "{fragmented}", "--max-schreier", "-1", "--depth", "3"],

@@ -38,7 +38,7 @@ def test_odometer_passes(odo2):
     for entry in rep.words:
         assert entry.verdict == PASS
         # a^m fixes everything at levels with 2^l | m and nothing elsewhere
-        m = sum(s for _, s in entry.word.letters)
+        m = sum(s for _, s in oracles.pairs(entry.word))
         for level, ratio in entry.trajectory:
             assert ratio == (1 if m % 2**level == 0 else 0)
 
@@ -67,6 +67,36 @@ def test_identity_word_rejected(dih):
         ca.farber_check(dih, words=[ca.Word.identity()], depth=4)
     with pytest.raises(ValueError):
         ca.farber_check(dih, depth=4, tolerance=Fraction(3, 2))
+
+
+def test_no_candidate_is_refused(frag):
+    """A pass over no candidate would be vacuous, so an empty word list or
+    a word cap of 0 is a ValueError, as the identity word is."""
+    for check in (lambda: ca.farber_check(frag, words=[], depth=3),
+                  lambda: ca.farber_check(frag, max_word_len=0, depth=3),
+                  lambda: ca.local_farber_check(frag, 1, max_word_len=0, depth=3)):
+        with pytest.raises(ValueError, match="no candidate words"):
+            check()
+
+
+def test_a_ratio_equal_to_the_tolerance_fails(frag, dih):
+    """A candidate passes only once its depth ratio is strictly below the
+    tolerance.  ``g`` fixes half of every ``fragmented`` level from level 2
+    on, so at tolerance 1/2 the classic check fails it; the dihedral ``r``
+    fixes 2 of the 32 points over the level-1 basepoint at depth 6, so the
+    localized check at base 1 fails it at tolerance 1/16.  Both pass just
+    above their ratio."""
+    g = word(frag, "g")
+    for tolerance, verdict in ((Fraction(1, 2), FAIL), (Fraction(513, 1024), PASS)):
+        rep = ca.farber_check(frag, words=[g], depth=6, tolerance=tolerance)
+        assert rep.words[0].trajectory[-1] == (6, Fraction(1, 2))
+        assert (rep.words[0].verdict, rep.overall) == (verdict, verdict)
+    r = word(dih, "r")
+    for tolerance, verdict in ((Fraction(1, 16), FAIL), (Fraction(1, 15), PASS)):
+        rep = ca.local_farber_check(dih, 1, max_word_len=1, depth=6, tolerance=tolerance)
+        entry = next(w for w in rep.words if w.word == r)
+        assert entry.trajectory[-1] == (6, Fraction(1, 16))
+        assert entry.verdict == verdict
 
 
 def test_trajectory_non_increasing(frag, dih):
@@ -140,7 +170,7 @@ def test_residual_finiteness_probe(odo2, dih, hei2):
                 (d for d in range(1, max_depth + 1) if not oracles.core_membership(chain, w, 0, d)),
                 None,
             )
-            if oracle(w.letters):
+            if oracle(oracles.pairs(w)):
                 assert exits is None, ca.render_word(w, chain.alphabet)
             else:
                 assert exits is not None, ca.render_word(w, chain.alphabet)
@@ -321,7 +351,7 @@ def test_local_farber_matches_the_base_level_reference(family):
 def test_class_key_is_conjugation_and_inversion_invariant(family, data):
     chain, depth = family
     m = len(chain.alphabet)
-    letters = st.lists(st.tuples(st.integers(0, m - 1), st.sampled_from((1, -1))), max_size=6)
+    letters = st.lists(st.integers(0, 2 * m - 1), max_size=6)
     w = ca.Word.of(data.draw(letters, label="w"))
     t = ca.Word.of(data.draw(letters, label="t"))
     assume(w)

@@ -34,7 +34,7 @@ from cantoract.words import conjugate
 
 from conftest import GRIGORCHUK, ORACLE_CHAINS
 from oracles import (act, adding_machine_chain, ancestor, class_keys as pair_class_keys,
-                     core_membership, density_entries, stabilizer_contains,
+                     core_membership, density_entries, pairs, stabilizer_contains,
                      walk as reference_walk)
 
 # every builder family at depths small enough for brute force
@@ -53,8 +53,7 @@ common = settings(max_examples=60, deadline=None)
 
 def _letters(chain, max_len):
     m = len(chain.alphabet)
-    return st.lists(st.tuples(st.integers(0, m - 1), st.sampled_from((1, -1))),
-                    max_size=max_len)
+    return st.lists(st.integers(0, 2 * m - 1), max_size=max_len)
 
 
 @st.composite
@@ -280,11 +279,11 @@ def test_inverse_tables_hold_the_levels_own_ints(make):
         perms = chain.letter_perms(level)
         held = {id(x) for perm in chain.level(level).perms.values() for x in perm}
         for gen in range(len(chain.alphabet)):
-            perm = perms[gen, 1]
+            perm, inverse = perms[2 * gen], perms[2 * gen + 1]
             involution = all(perm[perm[x]] == x for x in range(len(perm)))
-            assert (perms[gen, -1] is perm) == involution
-            assert all(perms[gen, -1][y] == x for x, y in enumerate(perm))
-            assert held.issuperset(map(id, perms[gen, -1]))
+            assert (inverse is perm) == involution
+            assert all(inverse[y] == x for x, y in enumerate(perm))
+            assert held.issuperset(map(id, inverse))
         assert chain.points(level) == tuple(range(chain.size(level)))
         assert held.issuperset(map(id, chain.points(level)))
 
@@ -488,7 +487,7 @@ def _partition(keys):
 def _spell(word, gens):
     """A word over the Schreier letters ``gens`` spelled over the chain's
     letters, flattened and reduced from scratch."""
-    return ca.Word.of(x for j, sign in word.letters
+    return ca.Word.of(x for j, sign in pairs(word)
                       for x in (gens[j] if sign > 0 else gens[j].inverse()).letters)
 
 
@@ -500,8 +499,7 @@ def test_class_keys_group_words_as_the_pair_keys_do(family, base, data):
     tower, keyed as the pair keys at that base level key their spellings."""
     chain, _ = family
     gens = local_candidates(chain, base, 1)[0]
-    letters = st.lists(st.tuples(st.integers(0, len(gens) - 1), st.sampled_from((1, -1))),
-                       max_size=6)
+    letters = st.lists(st.integers(0, 2 * len(gens) - 1), max_size=6)
     words = [w for w in map(ca.Word.of, data.draw(st.lists(letters, max_size=6))) if w.letters]
     # conjugates and inverses, so that keys collide
     conjugators = [ca.Word.of(t) for t in data.draw(st.lists(letters, max_size=3))]
@@ -562,7 +560,7 @@ def test_least_rotation_is_the_least_of_all_rotations(seq):
 
 def test_class_keys_key_each_core_once(dih, monkeypatch):
     """``a^m (a r) a^-m`` share a core."""
-    words = [ca.Word.of([(0, 1)] * m + [(0, 1), (1, 1)] + [(0, -1)] * m) for m in range(4)]
+    words = [ca.Word.of([0] * m + [0, 2] + [1] * m) for m in range(4)]
     rotations = []
     monkeypatch.setattr(chain_module, "_least_rotation",
                         lambda seq: rotations.append(1) or _least_rotation(seq))
@@ -624,7 +622,7 @@ def test_class_keys_key_rotations_of_a_long_core_in_linear_time():
     budget of twice the input's million, so each rotation is keyed on its
     own, running the least rotation twice, and all share one key."""
     rng = random.Random(20_000)
-    core = [(rng.randrange(2), 1) for _ in range(20_000)]
+    core = [2 * rng.randrange(2) for _ in range(20_000)]
     words = [ca.Word.of(core[r:] + core[:r]) for r in range(0, 20_000, 400)]
     rotations = []
     least = chain_module._least_rotation
@@ -640,7 +638,7 @@ def test_class_keys_key_rotations_of_a_long_core_in_linear_time():
 def test_class_keys_are_linear_in_a_long_periodic_core():
     """``(a*r)^100000``: every rotation by an even step is the same, the
     case where a least rotation found by comparing slices is quadratic."""
-    w = ca.Word.of([(0, 1), (1, 1)] * 100_000)
+    w = ca.Word.of([0, 2] * 100_000)
     start = time.perf_counter()
     key, = class_keys([w])
     assert time.perf_counter() - start < 1

@@ -14,6 +14,7 @@ from cantoract.oracle import closure, image_group
 from cantoract.words import conjugate
 
 from conftest import GRIGORCHUK, ORACLE_CHAINS, word
+from oracles import pairs
 
 
 def _reference_candidates(alphabet, n, max_word_len, conj_len, max_candidates):
@@ -125,7 +126,7 @@ def test_candidates_have_commutator_shape(frag):
     stream = gamma_candidates(frag.alphabet, 2, 2, 2, max_candidates=200)
     for w in stream.words:
         for gen in range(len(frag.alphabet)):
-            assert sum(s for g, s in w.letters if g == gen) == 0
+            assert sum(s for g, s in pairs(w) if g == gen) == 0
 
 
 def test_witness_search_heisenberg(hei2):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import cantoract as ca
 
 from oracles import (act, affine_element, affine_fixed_count, core_membership, distance,
-                     stabilizer_contains, transversal)
+                     from_pairs, stabilizer_contains, transversal)
 
 _CHAINS = [
     ca.odometer(2),
@@ -27,12 +27,7 @@ chains = st.sampled_from(_CHAINS)
 def chain_word(draw, max_len=5):
     chain = draw(chains)
     m = len(chain.alphabet)
-    letters = draw(
-        st.lists(
-            st.tuples(st.integers(0, m - 1), st.sampled_from((1, -1))),
-            max_size=max_len,
-        )
-    )
+    letters = draw(st.lists(st.integers(0, 2 * m - 1), max_size=max_len))
     return chain, ca.Word.of(letters)
 
 
@@ -46,12 +41,7 @@ def chain_word_level_point(draw):
 
 def _word_for(draw, chain, max_len=5):
     m = len(chain.alphabet)
-    letters = draw(
-        st.lists(
-            st.tuples(st.integers(0, m - 1), st.sampled_from((1, -1))),
-            max_size=max_len,
-        )
-    )
+    letters = draw(st.lists(st.integers(0, 2 * m - 1), max_size=max_len))
     return ca.Word.of(letters)
 
 
@@ -218,7 +208,7 @@ def test_walk_counts_match_the_affine_normal_forms(case):
     array read; the words are walked in one call, so deferred words are
     checked too."""
     chain, family, base, dim, depth, letters = case
-    words = [ca.Word.of(w) for w in letters]
+    words = [from_pairs(w) for w in letters]
     seen = []
     for i, counts, fixed in chain.walk(words, depth):
         element = affine_element(family, letters[i], dim)

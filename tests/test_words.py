@@ -34,9 +34,9 @@ def w(text):
 
 
 def test_free_reduction():
-    assert Word.of([(0, 1), (0, -1)]) == Word.identity()
-    assert Word.of([(0, 1), (1, 1), (1, -1), (0, -1)]) == Word.identity()
-    assert Word.of([(0, 1), (0, 1), (0, -1)]) == Word.generator(0)
+    assert Word.of([0, 1]) == Word.identity()
+    assert Word.of([0, 2, 3, 1]) == Word.identity()
+    assert Word.of([0, 0, 1]) == Word.generator(0)
 
 
 def test_multiplication_and_inverse():
@@ -110,7 +110,38 @@ def test_take_and_distinct():
     assert take(distinct([e]), 3) == ([], False)
 
 
-_reduced = st.lists(st.tuples(st.integers(0, 2), st.sampled_from((1, -1))), max_size=6).map(free_reduce)
+_reduced = st.lists(st.integers(0, 5), max_size=6).map(free_reduce)  # over three generators
+ABC = GeneratorAlphabet(("a", "b", "c"))
+
+
+@given(_reduced.map(Word))
+def test_int_letters_render_parse_and_invert_as_pairs(word):
+    """Letter ``2g`` is generator ``g`` and ``2g + 1`` its inverse: a word
+    renders and parses back to itself, and inverting flips each letter's
+    low bit in reverse order, as the pairs' signs flip."""
+    assert parse_word(render_word(word, ABC), ABC) == word
+    assert word.inverse().letters == tuple(x ^ 1 for x in reversed(word.letters))
+    assert oracles.pairs(word.inverse()) == tuple((g, -s) for g, s in reversed(oracles.pairs(word)))
+    assert oracles.from_pairs(oracles.pairs(word)) == word
+
+
+@given(st.lists(_reduced.map(Word), min_size=2, max_size=8))
+def test_key_orders_words_as_the_pair_key(words):
+    """Int order of the letters is the classic order of ``(gen, sign)``
+    pairs, each generator's ``+1`` before its ``-1``."""
+    keys = [oracles.pair_key(oracles.pairs(word)) for word in words]
+    for a, ka in zip(words, keys):
+        for b, kb in zip(words, keys):
+            assert (a.key() < b.key()) == (ka < kb)
+            assert (a.key() == b.key()) == (ka == kb) == (a == b)
+
+
+@pytest.mark.parametrize("k, max_len", [(1, 6), (2, 4), (3, 3)])
+def test_enumeration_is_the_pair_enumeration(k, max_len):
+    """``reduced_words`` lists the reduced words of ``(gen, sign)`` pairs,
+    built and sorted independently, in the same order."""
+    words = list(reduced_words(range(k), max_len))
+    assert [oracles.pairs(w) for w in words] == oracles.pair_words(k, max_len)
 
 
 @settings(deadline=None)
@@ -118,10 +149,10 @@ _reduced = st.lists(st.tuples(st.integers(0, 2), st.sampled_from((1, -1))), max_
 def test_image_words_are_the_reduced_flattened_images(images, max_len):
     """Each word over ``len(images)`` letters, in the classic order, comes
     with the reduced product of its letters' images (an inverse letter
-    reads the image backwards with signs flipped)."""
-    inverses = [tuple((g, -s) for g, s in reversed(image)) for image in images]
+    reads the image backwards with each letter inverted)."""
+    inverses = [Word(image).inverse().letters for image in images]
     words = list(reduced_words(images, max_len))
-    expected = [free_reduce([x for j, s in seq.letters
+    expected = [free_reduce([x for j, s in oracles.pairs(seq)
                              for x in (images[j] if s > 0 else inverses[j])])
                 for seq in words]
     pairs = list(spelled_words(images, max_len))
@@ -173,7 +204,8 @@ def _power_by_products(word, k):
 def test_power_matches_repeated_product():
     rng = random.Random(7)
     for _ in range(300):
-        word = Word.of((rng.randrange(2), rng.choice((1, -1))) for _ in range(rng.randrange(9)))
+        word = Word.of(2 * rng.randrange(2) + (rng.choice((1, -1)) < 0)
+                       for _ in range(rng.randrange(9)))
         k = rng.randrange(-5, 6)
         assert word.power(k) == _power_by_products(word, k)
 
@@ -181,14 +213,14 @@ def test_power_matches_repeated_product():
 def test_power_is_linear():
     started = time.perf_counter()
     word = w("a^100000")
-    assert word.letters == ((0, 1),) * 100000
-    assert w("(b*a^2*b^-1)^50000") == Word.of([(1, 1)] + [(0, 1)] * 100000 + [(1, -1)])
+    assert word.letters == (0,) * 100000
+    assert w("(b*a^2*b^-1)^50000") == Word.of([2] + [0] * 100000 + [3])
     assert time.perf_counter() - started < 2.0
 
 
 def test_product_parse_is_linear():
     started = time.perf_counter()
-    assert w("a*" * 100000 + "b") == Word.of([(0, 1)] * 100000 + [(1, 1)])
+    assert w("a*" * 100000 + "b") == Word.of([0] * 100000 + [2])
     assert w("a*a^-1*" * 50000 + "b") == w("b")
     assert time.perf_counter() - started < 2.0
 
@@ -274,7 +306,7 @@ def test_exponents_do_not_copy_the_rest_of_the_word():
     # text, so k factors a^1 cost O(k^2)
     text = _SliceCounter("a^1*" * 2000 + "b^-2")
     _SliceCounter.copied = 0
-    assert parse_word(text, AB) == Word.of([(0, 1)] * 2000 + [(1, -1)] * 2)
+    assert parse_word(text, AB) == Word.of([0] * 2000 + [3] * 2)
     assert _SliceCounter.copied <= len(text)
 
 
