@@ -295,10 +295,8 @@ class ChainAction:
         letter, so a word whose fixed set soon empties costs a small part
         of one, and a word that fixes most points wastes at most 1/8 of the
         image it needed.  At the deepest level an image saves no later
-        level, so a word that runs out of budget there is finished point by
-        point unless that costs at least ``DEFER_SHARE`` of its image:
-        ``len(word)`` gathers of its tested points against ``len(word) - 1``
-        of the whole level.
+        level, so a word defers only above it, and one that runs out of
+        budget there is finished point by point.
 
         Every fixed point lies under a tested point, so a deferred word
         fixes at most ``len(points) * size(level) // size(lvl)`` points, and
@@ -306,13 +304,13 @@ class ChainAction:
         the deep points over the tested ones (:meth:`representatives`) are
         fixed, one pass over the image counts its fixed points, and if they
         are that many each level's count is read from the sizes.  Otherwise
-        the walk goes on from the children of the tested points, reading
-        each point's image through its representative and its ancestors
-        (:meth:`ancestors`).  The representatives table reads
-        :meth:`children` at every level below the tested one, so a level
-        without constant fibers is refused here too.  Pass 1 yields in input
-        order; the deferred words follow in image order, so callers store
-        results by ``i``.
+        the walk goes on from the tested points, or from their children when
+        the representatives show them fixed, reading each point's image
+        through its representative and its ancestors (:meth:`ancestors`).
+        The representatives table reads :meth:`children` at every level
+        below the tested one, so a level without constant fibers is refused
+        here too.  Pass 1 yields in input order; the deferred words follow
+        in image order, so callers store results by ``i``.
         """
         if level < 1:
             raise ValueError("fixed counts need 1 <= level")
@@ -323,11 +321,7 @@ class ChainAction:
         deferred = []
         for i, word in enumerate(words):
             counts = []
-            # at the deepest level a point costs len(word) gathers and the
-            # image (len(word) - 1) whole levels
-            last = DEFER_SHARE * (len(word) - 1) * size / max(len(word), 1)
-            fixed, resume = self._descend(partial(self.apply, word), level, start, counts,
-                                          budget, last)
+            fixed, resume = self._descend(partial(self.apply, word), level, start, counts, budget)
             if resume is None:
                 yield i, counts, fixed
             else:
@@ -335,19 +329,18 @@ class ChainAction:
         for j, image in self.images([words[i] for i, _, _ in deferred], level):
             i, (lvl, points), counts = deferred[j]
             deferred[j] = None
-            if lvl < level:
-                reps = compose(self.representatives(level, lvl), points)
-                if compose(image, reps) == reps:
-                    # a fixed point is its own image, so the fixed set keeps
-                    # the image's ints rather than new ones
-                    fixed = tuple(compress(image, map(eq, image, self.points(level))))
-                    if len(fixed) * sizes[lvl] == len(points) * size:
-                        counts.extend(len(points) * n // sizes[lvl] for n in sizes[lvl:])
-                        yield i, counts, fixed
-                        continue
-                    counts.append(len(points))
-                    lvl += 1
-                    points = self._children_of(lvl, points)
+            reps = compose(self.representatives(level, lvl), points)
+            if compose(image, reps) == reps:
+                # a fixed point is its own image, so the fixed set keeps the
+                # image's ints rather than new ones
+                fixed = tuple(compress(image, map(eq, image, self.points(level))))
+                if len(fixed) * sizes[lvl] == len(points) * size:
+                    counts.extend(len(points) * n // sizes[lvl] for n in sizes[lvl:])
+                    yield i, counts, fixed
+                    continue
+                counts.append(len(points))
+                lvl += 1
+                points = self._children_of(lvl, points)
             fixed, _ = self._descend(partial(self._read_image, image, level), level,
                                      (lvl, points), counts, inf)
             yield i, counts, fixed
@@ -360,19 +353,18 @@ class ChainAction:
         reps = compose(self.representatives(level, lvl), points)
         return compose(self.ancestors(level, lvl), compose(image, reps))
 
-    def _descend(self, evaluate, level: int, start, counts: list, budget, last=inf):
+    def _descend(self, evaluate, level: int, start, counts: list, budget):
         """Walk one word down from ``start = (lvl, points)``, appending each
         level's fixed count to ``counts``; ``evaluate(lvl, points)`` gives
         the word's images of the points.  Returns ``(fixed, None)`` with the
         level-``level`` fixed set, padding ``counts`` with zeros once it
-        empties, or ``(None, (lvl, points))`` when testing ``points`` would
-        take the tested total past ``budget``, unless they are fewer than
-        ``last`` level-``level`` points, which are tested all the same.
+        empties, or ``(None, (lvl, points))`` when testing ``points`` above
+        ``level`` would take the tested total past ``budget``.
         """
         lvl, points = start
         while True:
             budget -= len(points)
-            if budget < 0 and not (lvl == level and len(points) < last):
+            if budget < 0 and lvl < level:
                 return None, (lvl, points)
             got = evaluate(lvl, points)
             fixed = tuple(compress(points, map(eq, got, points)))
@@ -541,28 +533,28 @@ def walk_classes(chain: ChainAction, words: list[Word], level: int):
 
 def restrict(chain: ChainAction, base_level: int, words: list[Word]) -> ChainAction:
     """The tower of fibers over the basepoint at ``base_level``: level ``j``
-    holds the level-``base_level + j`` points over it, numbered in
-    increasing order (so the basepoint stays 0), and letter ``i`` acts as
-    ``words[i]`` does there.  A word must fix the basepoint, so that it
-    maps each fiber onto itself; one that does not is a ValueError when a
-    level is built.  Levels are built on first use, in C-level passes (the
-    ``children`` columns, :meth:`ChainAction.apply` and a dict of
-    positions), and charged against the budget the chain has left.
+    holds the level-``base_level + j`` points over it, numbered column by
+    column of the ``children`` tables (so the basepoint stays 0, and the
+    parent array repeats ``range`` of the level above), and letter ``i``
+    acts as ``words[i]`` does there.  A word must fix the basepoint, so
+    that it maps each fiber onto itself; one that does not is a ValueError
+    when a level is built.  Levels are built on first use, in C-level
+    passes (the ``children`` columns, :meth:`ChainAction.apply` and a dict
+    of positions), and charged against the budget the chain has left.
     """
     names = tuple(f"s{i}" for i in range(len(words)))
-    fibers = {0: (0,)}  # level -> its chain points, in increasing order
+    fibers = {0: (0,)}  # level -> its chain points, in the tower's order
 
     def provider(j: int) -> LevelAction:
         level, above = base_level + j, fibers[j - 1]
-        fiber = sorted(chain._children_of(level, above))
-        points = range(len(fiber))
-        at = dict(zip(fiber, points))
+        fiber = chain._children_of(level, above)
+        at = dict(zip(fiber, range(len(fiber))))
         try:
             perms = {name: compose(at, chain.apply(w, level, fiber)) for name, w in zip(names, words)}
         except KeyError:
             raise ValueError(f"a word moves the basepoint at level {base_level}") from None
         fibers[j] = fiber
-        parent = compose(dict(zip(above, points)), compose(chain.level(level).parent, fiber))
+        parent = tuple(range(len(above))) * (len(fiber) // len(above))
         return LevelAction(j, len(fiber), parent, perms)
 
     return ChainAction(GeneratorAlphabet(names), provider, name=f"{chain.name} over level {base_level}",

@@ -45,10 +45,13 @@ def _candidate_classes(alphabet: GeneratorAlphabet, max_class: int, max_word_len
     A class is cut off (with a flag, inherited by every later class) at
     ``max_candidates`` words, and no more than one word past the cut is built.
     A class whose words, as they are built, hold more than
-    ``memory_budget`` letters is a ``memory_budget`` BudgetError.
+    ``memory_budget`` letters is a ``memory_budget`` BudgetError, and a cap
+    below 1, which would report classes of no word, a ValueError.
     """
-    if max_candidates < 0:
-        raise ValueError(f"max_candidates must be at least 0, got {max_candidates}")
+    for name, cap in (("max_class", max_class), ("max_word_len", max_word_len),
+                      ("max_candidates", max_candidates)):
+        if cap < 1:
+            raise ValueError(f"{name} must be at least 1, got {cap}")
     truncated = False
     words: list[Word] = []
     for n in range(1, max_class + 1):
@@ -100,10 +103,9 @@ def gamma_candidates(
 
     Candidates are generated in canonical order and cut off (with a flag)
     at ``max_candidates`` per class; a class holding more than
-    :data:`~cantoract.chain.DEFAULT_MEMORY_BUDGET` letters is refused.
+    :data:`~cantoract.chain.DEFAULT_MEMORY_BUDGET` letters is refused, as
+    is a ``class_index`` (the ``max_class``), word length or cap below 1.
     """
-    if class_index < 1:
-        raise ValueError("class index starts at 1")
     for words, truncated in _candidate_classes(alphabet, class_index, max_word_len,
                                                conj_len, max_candidates, DEFAULT_MEMORY_BUDGET):
         pass
@@ -171,9 +173,10 @@ def witness_search(
     flagged all-indistinguishable.  The per-class maxima are the depth
     evidence: estimates staying positive through every class are consistent
     with witnesses at infinite depth, while a collapse to zero at some
-    class bounds the depth at the explored budget.  A negative
-    ``max_candidates`` is a ValueError, and a class holding more letters
-    than the chain's ``memory_budget`` a BudgetError.
+    class bounds the depth at the explored budget.  A ``max_class``,
+    ``max_word_len`` or ``max_candidates`` below 1 is a ValueError, and a
+    class holding more letters than the chain's ``memory_budget`` a
+    BudgetError.
     """
     check_depth(depth)
     reports: list[ClassReport] = []

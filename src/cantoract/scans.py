@@ -94,7 +94,10 @@ def _mealy_exact(chain: ChainAction, word: Word, cylinder: Cylinder) -> bool:
 
 def _scan_words(chain: ChainAction, max_word_len: int) -> list[Word]:
     """The reduced words up to ``max_word_len`` the witness scans read,
-    refused past the word budget before any is built."""
+    refused below length 1, which would scan no word, and past the word
+    budget, before any is built."""
+    if max_word_len < 1:
+        raise ValueError(f"max_word_len must be at least 1, got {max_word_len}")
     check_word_budget(len(chain.alphabet), max_word_len)
     return list(reduced_words(chain.alphabet, max_word_len))
 

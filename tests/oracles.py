@@ -198,12 +198,13 @@ def walk(chain: ChainAction, words, level: int, base_level: int = 0):
 
     ``ChainAction.walk`` as it was with a base level: pass 1 walks each word
     from the basepoint at ``base_level`` (every level-1 point at base level
-    0) on its tested points, deferring it past ``DEFER_SHARE`` of the deep
-    level; pass 2 images the deferred words and settles each word whose
-    deep representatives are fixed by one pass over the image's base fiber,
-    or else reads the image level by level.  ``DEFER_SHARE`` and
-    ``compose`` are read from the chain module at each call, so a test that
-    patches them there patches this walk too.
+    0) on its tested points, deferring it above the deepest level past
+    ``DEFER_SHARE`` of that level; pass 2 images the deferred words and
+    settles each word whose deep representatives are fixed by one pass over
+    the image's base fiber, or else reads the image level by level, from
+    below its tested points when the representatives show them fixed.  ``DEFER_SHARE`` and ``compose`` are read from the chain
+    module at each call, so a test that patches them there patches this
+    walk too.
     """
     if not 0 <= base_level <= level or level < 1:
         raise ValueError("fixed counts need 1 <= level and 0 <= base_level <= level")
@@ -214,9 +215,7 @@ def walk(chain: ChainAction, words, level: int, base_level: int = 0):
     deferred = []
     for i, word in enumerate(words):
         counts = []
-        last = share * (len(word) - 1) * size / max(len(word), 1)
-        fixed, resume = chain._descend(partial(chain.apply, word), level, start, counts, budget,
-                                       last)
+        fixed, resume = chain._descend(partial(chain.apply, word), level, start, counts, budget)
         if resume is None:
             yield i, counts, fixed
         else:
@@ -224,21 +223,20 @@ def walk(chain: ChainAction, words, level: int, base_level: int = 0):
     fiber = None
     for j, image in chain.images([words[i] for i, _, _ in deferred], level):
         i, (lvl, points), counts = deferred[j]
-        if lvl < level:
-            reps = compose(chain.representatives(level, lvl), points)
-            if compose(image, reps) == reps:
-                if fiber is None:
-                    fiber = chain.fiber(base_level, level, 0) if base_level else chain.points(level)
-                got = compose(image, fiber) if base_level else image
-                fixed = tuple(compress(got, map(eq, got, fiber)))
-                if len(fixed) * chain.size(lvl) == len(points) * size:
-                    counts.extend(len(points) * chain.size(l) // chain.size(lvl)
-                                  for l in range(lvl, level + 1))
-                    yield i, counts, fixed
-                    continue
-                counts.append(len(points))
-                lvl += 1
-                points = chain._children_of(lvl, points)
+        reps = compose(chain.representatives(level, lvl), points)
+        if compose(image, reps) == reps:
+            if fiber is None:
+                fiber = chain.fiber(base_level, level, 0) if base_level else chain.points(level)
+            got = compose(image, fiber) if base_level else image
+            fixed = tuple(compress(got, map(eq, got, fiber)))
+            if len(fixed) * chain.size(lvl) == len(points) * size:
+                counts.extend(len(points) * chain.size(l) // chain.size(lvl)
+                              for l in range(lvl, level + 1))
+                yield i, counts, fixed
+                continue
+            counts.append(len(points))
+            lvl += 1
+            points = chain._children_of(lvl, points)
         fixed, _ = chain._descend(partial(chain._read_image, image, level), level,
                                   (lvl, points), counts, float("inf"))
         yield i, counts, fixed

@@ -320,6 +320,15 @@ def test_witness_scans_keep_the_word_budget(frag):
         assert exc.value.budget == "word_budget"
 
 
+@pytest.mark.parametrize("scan", [ca.partial_triviality_witnesses, ca.lqa_scale_estimate],
+                         ids=lambda f: f.__name__)
+def test_witness_scans_refuse_a_zero_word_length(frag, scan):
+    # no word is scanned, so a witness list would be empty and the LQA
+    # scale 0, the quasi-analytic answer, from no evidence
+    with pytest.raises(ValueError, match="max_word_len must be at least 1, got 0"):
+        scan(frag, 0, 4)
+
+
 def test_interior_scan_limit():
     assert interior_scan_limit(8) == 4
     assert interior_scan_limit(3) == 1

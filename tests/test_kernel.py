@@ -92,15 +92,17 @@ def _brute_fiber(chain, base_level, level):
 
 
 # the kernel's fixed walk with its deferral share patched so that every
-# word is imaged and then settled (0), at its default, and so that no word
-# is imaged (3: a walk tests fewer than twice the deepest level's points)
+# word is imaged whose walk starts above its deepest level (0: a word
+# defers only above it), at its default, and so that no word is imaged
+# (3: a walk tests fewer than twice the deepest level's points)
 ENTRIES = {"walk-imaging-all": 0, "walk": chain_module.DEFER_SHARE, "walk-imaging-none": 3}
 
 
 def _walked(chain, words, level, base, entry):
     """``(counts, fixed)`` per word through ``walk`` (the reference walk
     over the base fiber at a base level above 0), in input order; each word
-    is reported exactly once, and imaged as ``entry`` says."""
+    is reported exactly once, and imaged as ``entry`` says: a walk that
+    starts at the deepest level, ``max(base, 1) == level``, images none."""
     out, imaged, images = {}, [], chain.images
 
     def counting(ws, lvl):
@@ -114,7 +116,8 @@ def _walked(chain, words, level, base, entry):
             assert i not in out
             out[i] = counts, fixed
     if entry != "walk":
-        assert len(imaged) == (len(words) if entry == "walk-imaging-all" else 0)
+        imaging = entry == "walk-imaging-all" and max(base, 1) < level
+        assert len(imaged) == (len(words) if imaging else 0)
     assert sorted(out) == list(range(len(words)))
     return [out[i] for i in range(len(words))]
 
@@ -336,7 +339,9 @@ def test_a_word_fixing_the_tested_representatives_but_not_their_subtrees_is_walk
         del read[:]
         with mock.patch.object(chain_module.ChainAction, "_read_image", reading):
             (counts, fixed), = _walked(chain, [word], depth, base, "walk-imaging-all")
-        assert read
+        # at the depth itself the word is not deferred, so it is finished
+        # point by point
+        assert bool(read) == (base < depth)
         fixes = [[x for x in _brute_fiber(chain, base, level) if act(chain, word, level, x) == x]
                  for level in range(max(base, 1), depth + 1)]
         assert counts == [len(f) for f in fixes]
@@ -430,21 +435,20 @@ def test_group_trivial_words_are_imaged_after_an_eighth_of_a_level(monkeypatch):
 def test_a_word_out_of_budget_only_at_the_deepest_level_is_finished_point_by_point(monkeypatch):
     """On the Grigorchuk chain at depth 13 the 10-letter ``[c, [b, a]]``
     tests 646 points at levels 1..12, within the budget of 1,024, and 592
-    at level 13, past it.  Finishing those costs 10 * 592 gathered points,
-    under an eighth of its image's 9 * 8,192, so the walk images nothing.
-    ``B^2`` on heisenberg(2) at depth 5 runs out at its deepest level too,
-    after 116 points, but its 128 points there would cost 2 * 128, not
-    under an eighth of one 1,024-point gather, so it is imaged instead of
-    applied to them.  With ``DEFER_SHARE`` 0 both are imaged."""
-    cases = [(_grigorchuk(), 13, "[c, [b, a]]", (646, 592), 0),
-             (ca.heisenberg(2), 5, "B^2", (116, 0), 1)]
-    for chain, depth, text, tested, imaged in cases:
+    at level 13, past it.  ``B^2`` on heisenberg(2) at depth 5 runs out at
+    its deepest level too, after 116 points, with 128 points there, past
+    its budget of 128.  A word defers only above its deepest level, so
+    both are finished point by point and the walk images neither.  With
+    ``DEFER_SHARE`` 0 both are deferred at level 1 and imaged."""
+    cases = [(_grigorchuk(), 13, "[c, [b, a]]", (646, 592)),
+             (ca.heisenberg(2), 5, "B^2", (116, 128))]
+    for chain, depth, text, tested in cases:
         word = ca.parse_word(text, chain.alphabet)
         levels = range(1, depth + 1)
         expected = ([chain.fixed_count(word, level) for level in levels],
                     [x for x, y in enumerate(chain.word_permutation(word, depth)) if x == y])
         images, apply = chain.images, chain_module.ChainAction.apply
-        for share, want in ((chain_module.DEFER_SHARE, imaged), (0, 1)):
+        for share, want in ((chain_module.DEFER_SHARE, 0), (0, 1)):
             imaged_words, points = [], [0, 0]
 
             def counting(self, w, level, pts):
@@ -513,24 +517,30 @@ def test_class_keys_group_words_as_the_pair_keys_do(family, base, data):
 @pytest.mark.parametrize("family", ORACLE_CHAINS, ids=lambda f: f[0].name)
 def test_restricted_tower_is_the_base_fiber_under_the_schreier_generators(family):
     """Level ``j`` of the tower at base level ``b`` holds the level-``b + j``
-    points over the basepoint at ``b`` in increasing order, its parent
-    array numbers each point's parent, and each Schreier generator acts on
-    the numbers as it acts on the points (``oracles.act``).  ``G_b`` is
-    transitive on each fiber, so the tower validates.  A word that moves
-    the basepoint is refused."""
+    points over the basepoint at ``b``, numbered as the ``k``-th child (in
+    increasing order) of each point one level up in its numbering, for
+    each ``k`` in turn; its parent array numbers each point's parent, and
+    each Schreier generator acts on the numbers as it acts on the points
+    (``oracles.act``).  ``G_b`` is transitive on each fiber, so the tower
+    validates.  A word that moves the basepoint is refused."""
     chain, depth = family
     for base in (1, 2):
         gens = local_candidates(chain, base, 1)[0]
         tower = restrict(chain, base, gens)
         assert ca.validate_chain(tower, depth - base).ok
+        fiber = [0]
         for j in range(1, depth - base + 1):
-            fiber, above = _brute_fiber(chain, base, base + j), _brute_fiber(chain, base, base + j - 1)
+            above, level = fiber, base + j
+            kids = [[x for x in range(chain.size(level)) if ancestor(chain, level, x, level - 1) == v]
+                    for v in above]
+            fiber = [kid[k] for k in range(len(kids[0])) for kid in kids]
+            assert sorted(fiber) == list(_brute_fiber(chain, base, level))
             lv = tower.level(j)
             assert lv.size == len(fiber)
-            assert list(lv.parent) == [above.index(ancestor(chain, base + j, x, base + j - 1))
+            assert list(lv.parent) == [above.index(ancestor(chain, level, x, level - 1))
                                        for x in fiber]
             for name, g in zip(tower.alphabet.names, gens):
-                assert list(lv.perms[name]) == [fiber.index(act(chain, g, base + j, x))
+                assert list(lv.perms[name]) == [fiber.index(act(chain, g, level, x))
                                                 for x in fiber]
     mover = next(w for w in ca.reduced_words(chain.alphabet, 1) if chain.apply(w, 1, (0,)) != (0,))
     with pytest.raises(ValueError, match="moves the basepoint at level 1"):

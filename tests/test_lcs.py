@@ -139,10 +139,23 @@ def test_witness_search_heisenberg(hei2):
 
 
 def test_negative_max_candidates_is_refused(odo2):
-    with pytest.raises(ValueError, match="max_candidates must be at least 0, got -1"):
+    with pytest.raises(ValueError, match="max_candidates must be at least 1, got -1"):
         witness_search(odo2, 1, max_word_len=1, depth=3, max_candidates=-1)
     with pytest.raises(ValueError, match="max_candidates"):
         gamma_candidates(odo2.alphabet, 2, 1, 1, max_candidates=-1)
+
+
+@pytest.mark.parametrize("cap", ["max_class", "max_word_len", "max_candidates"])
+def test_a_zero_cap_is_refused(frag, cap):
+    """A cap of 0 would report classes of no word (``examined`` 0, every
+    class all-indistinguishable), so it is refused like a negative one."""
+    caps = {"max_class": 2, "max_word_len": 1, "max_candidates": 8, cap: 0}
+    with pytest.raises(ValueError, match=f"{cap} must be at least 1, got 0"):
+        witness_search(frag, caps["max_class"], max_word_len=caps["max_word_len"], depth=5,
+                       max_candidates=caps["max_candidates"])
+    with pytest.raises(ValueError, match=f"{cap} must be at least 1, got 0"):
+        gamma_candidates(frag.alphabet, caps["max_class"], caps["max_word_len"], 1,
+                         max_candidates=caps["max_candidates"])
 
 
 def test_class_letters_are_charged_against_the_memory_budget():

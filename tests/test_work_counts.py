@@ -3,7 +3,7 @@
 Work counts, unlike times, do not move with the host: each input is built,
 validated and analysed with the calls of the benchmark's in-process
 workloads (variant 0), of a localized check at a deep base level, or of a
-small Heisenberg LCS search, and every
+small Heisenberg or ``fat_cantor`` LCS search, and every
 ``compose`` the chain and holonomy modules make is counted.  A change to a
 count is a change to the kernel's work; the record is updated with it and
 the reason given.
@@ -53,13 +53,22 @@ def _lcs_heisenberg():
                                                depth=6, max_candidates=32)
 
 
+def _lcs_fat_cantor():
+    chain = ca.fat_cantor()
+    return chain, 8, 0, lambda: ca.witness_search(chain, 3, max_word_len=2, conj_len=1,
+                                               depth=8, max_candidates=32)
+
+
 # per input: (compose calls, points gathered) in set-up and in the analysis,
 # and the analysis's gathers of a whole deepest level of what it walks: the
 # chain's, or at a base level the tower's, of ``size(depth) // size(base)``
-# points.  Of the localized rows' 55 and 1,396, 14 and 434 build the
+# points.  Of the localized rows' 53 and 1,394, 12 and 432 build the
 # tower's deepest level and check its letters for involutions, and the rest
 # image words in the walk; when this column counted the chain's deepest
-# level there, both read 0.  Set-up's letter tables gather a level once
+# level there, both read 0.  When the tower numbered each fiber in
+# increasing order, its parent arrays cost two gathers of each level
+# (one of its deepest), and the localized analyses made (1,512, 49,998)
+# with 55 whole levels and (18,018, 325,580) with 1,396.  Set-up's letter tables gather a level once
 # per generator that maps the images of its first and last points back to
 # them, the pre-check of an involution (all four of Grigorchuk's
 # generators pass it).  When it read the first point
@@ -83,13 +92,18 @@ def _lcs_heisenberg():
 # each request built every table from its level's parent array down to its
 # base, the Grigorchuk search made (1,386, 514,456) with 40 whole levels
 # (three of its seven tables unread) and the Heisenberg one (119, 31,327)
-# with 5
+# with 5.  A deferred word whose tested points' representatives are
+# fixed, but not every point under them, is read from the image one level
+# below its tested points; read from the tested points themselves, the
+# fat_cantor search made (677, 618,965) with 59 whole levels, and no other
+# row differed
 RECORD = {
     "farber-classic": (_farber_classic, (51, 32_768), (2_179, 229_304), 40),
-    "local-farber": (_local_farber, (43, 8_192), (1_512, 49_998), 55),
-    "local-farber-deep": (_local_farber_deep, (51, 32_768), (18_018, 325_580), 1_396),
+    "local-farber": (_local_farber, (43, 8_192), (1_494, 47_954), 53),
+    "local-farber-deep": (_local_farber_deep, (51, 32_768), (18_004, 325_072), 1_394),
     "lcs-grigorchuk": (_lcs_grigorchuk, (156, 196_584), (1_389, 516_372), 38),
     "lcs-heisenberg": (_lcs_heisenberg, (39, 32_772), (117, 28_508), 4),
+    "lcs-fat-cantor": (_lcs_fat_cantor, (40, 49_200), (654, 594_908), 58),
 }
 
 
