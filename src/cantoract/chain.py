@@ -54,6 +54,12 @@ def invert(p, points=None) -> tuple[int, ...] | None:
         return None
 
 
+def fixed_among(points, got) -> tuple[int, ...]:
+    """The ``points`` their images ``got`` leave in place: the kernel's
+    one per-point scan."""
+    return tuple(compress(points, map(eq, got, points)))
+
+
 def count_fixed(image) -> int:
     """Fixed points of an image array."""
     return sum(map(eq, image, range(len(image))))
@@ -131,12 +137,12 @@ class ChainAction:
     table, each letter's image array at a level (:meth:`letter_perms`),
     the images of a few points under a word (:meth:`apply`), word images
     built over shared prefixes (:meth:`images`), the memoized
-    :meth:`ancestors`, :meth:`children` and :meth:`representatives`
-    tables, and :meth:`walk`, the one reading of a word's fixed counts and
-    deepest fixed set.  Every memoized table is a tuple of the ints a
-    level's :meth:`points` hold, so a gather through one makes no int, and
-    an ancestor table is built only for the (level, base level) pair a
-    caller reads.
+    :meth:`ancestors`, :meth:`children`, :meth:`representatives` and
+    :meth:`descendants` tables, and :meth:`walk`, the one reading of a
+    word's fixed counts and deepest fixed set.  Every memoized table holds
+    only the ints a level's :meth:`points` hold, so a gather through one
+    makes no int, and an ancestor or descendant table is built only for
+    the (level, base level) pair a caller reads.
     """
 
     def __init__(
@@ -163,7 +169,7 @@ class ChainAction:
         self._children: dict[int, tuple] = {}
         self._points: dict[int, tuple] = {}
         self._root = LevelAction(0, 1, (0,), dict.fromkeys(alphabet.names, (0,)))  # level 0
-        self._representatives: dict[tuple[int, int], object] = {}
+        self._descendants: dict[tuple[int, int], tuple] = {}
         self._letter_perms: dict[int, list] = {}
 
     def level(self, level: int) -> LevelAction:
@@ -300,17 +306,17 @@ class ChainAction:
 
         Every fixed point lies under a tested point, so a deferred word
         fixes at most ``len(points) * size(level) // size(lvl)`` points, and
-        that many only if it fixes every point under ``points``.  So when
-        the deep points over the tested ones (:meth:`representatives`) are
-        fixed, one pass over the image counts its fixed points, and if they
-        are that many each level's count is read from the sizes.  Otherwise
-        the walk goes on from the tested points, or from their children when
-        the representatives show them fixed, reading each point's image
-        through its representative and its ancestors (:meth:`ancestors`).
-        The representatives table reads :meth:`children` at every level
-        below the tested one, so a level without constant fibers is refused
-        here too.  Pass 1 yields in input order; the deferred words follow
-        in image order, so callers store results by ``i``.
+        that many only if it fixes every point under ``points``.  Pass 2
+        gathers each column of the (level, ``lvl``) :meth:`descendants` over
+        the tested points and compares it with its image; if every column is
+        fixed, they are the fixed set and each count is read from the sizes.
+        Otherwise the walk goes on from the tested points, or from their
+        children when the first column (the representatives) is fixed,
+        reading each point's image through its :meth:`representatives` and
+        :meth:`ancestors`.  The descendants read :meth:`children` below the
+        tested level, so a level without constant fibers is refused here
+        too.  Pass 1 yields in input order; the deferred words follow in
+        image order, so callers store results by ``i``.
         """
         if level < 1:
             raise ValueError("fixed counts need 1 <= level")
@@ -329,15 +335,17 @@ class ChainAction:
         for j, image in self.images([words[i] for i, _, _ in deferred], level):
             i, (lvl, points), counts = deferred[j]
             deferred[j] = None
-            reps = compose(self.representatives(level, lvl), points)
-            if compose(image, reps) == reps:
-                # a fixed point is its own image, so the fixed set keeps the
-                # image's ints rather than new ones
-                fixed = tuple(compress(image, map(eq, image, self.points(level))))
-                if len(fixed) * sizes[lvl] == len(points) * size:
-                    counts.extend(len(points) * n // sizes[lvl] for n in sizes[lvl:])
-                    yield i, counts, fixed
-                    continue
+            fixed = []
+            for column in self.descendants(level, lvl):
+                deep = compose(column, points)
+                if compose(image, deep) != deep:
+                    break
+                fixed += deep
+            else:
+                counts.extend(len(points) * n // sizes[lvl] for n in sizes[lvl:])
+                yield i, counts, tuple(fixed)
+                continue
+            if fixed:  # the first column, the representatives, is fixed
                 counts.append(len(points))
                 lvl += 1
                 points = self._children_of(lvl, points)
@@ -356,10 +364,11 @@ class ChainAction:
     def _descend(self, evaluate, level: int, start, counts: list, budget):
         """Walk one word down from ``start = (lvl, points)``, appending each
         level's fixed count to ``counts``; ``evaluate(lvl, points)`` gives
-        the word's images of the points.  Returns ``(fixed, None)`` with the
-        level-``level`` fixed set, padding ``counts`` with zeros once it
-        empties, or ``(None, (lvl, points))`` when testing ``points`` above
-        ``level`` would take the tested total past ``budget``.
+        the word's images of the points, and only a level where some point
+        moves is scanned (:func:`fixed_among`).  Returns ``(fixed, None)``
+        with the level-``level`` fixed set, padding ``counts`` with zeros
+        once it empties, or ``(None, (lvl, points))`` when testing ``points``
+        above ``level`` would take the tested total past ``budget``.
         """
         lvl, points = start
         while True:
@@ -367,7 +376,7 @@ class ChainAction:
             if budget < 0 and lvl < level:
                 return None, (lvl, points)
             got = evaluate(lvl, points)
-            fixed = tuple(compress(points, map(eq, got, points)))
+            fixed = points if got == points else fixed_among(points, got)
             counts.append(len(fixed))
             if lvl == level or not fixed:
                 counts.extend([0] * (level - lvl))
@@ -375,11 +384,11 @@ class ChainAction:
             lvl += 1
             points = self._children_of(lvl, fixed)
 
-    def _children_of(self, level: int, vertices) -> list[int]:
+    def _children_of(self, level: int, vertices) -> tuple[int, ...]:
         points = []
         for column in self.children(level):
-            points.extend(compose(column, vertices))
-        return points
+            points += compose(column, vertices)
+        return tuple(points)
 
     def fixed_count(self, word: Word, level: int) -> int:
         return count_fixed(self.word_permutation(word, level))
@@ -408,47 +417,52 @@ class ChainAction:
 
         The points over one vertex are listed in increasing order, and
         every vertex must have the same number of them (fiber constancy).
-        A level without it, or whose first generator (the array the sorted
-        :meth:`points` are read from) is no bijection, is an
-        :class:`InvalidChainError`.  The columns are memoized tuples of
-        :meth:`points`' ints, so a gather through them makes no int; callers
-        must not mutate them.
+        In the digit layout (a parent array of ``points(level - 1)`` repeated,
+        as all but the torus-based builders make it) the columns are slices
+        of :meth:`points`; any other is sorted by parent and checked.  A
+        level without fiber constancy, or whose first generator (the array :meth:`points`
+        is read from) is no bijection, is an :class:`InvalidChainError`.
+        The columns are memoized tuples of :meth:`points`' ints, so a gather
+        through them makes no int; callers must not mutate them.
         """
         table = self._children.get(level)
         if table is None:
             lv = self.level(level)
             n, below = lv.size, self.size(level - 1)
             parent, k = lv.parent, n // below
-            # the points are in increasing order, so the stable sort by parent
-            # keeps siblings ascending
-            order = sorted(self.points(level), key=parent.__getitem__)
-            columns = [order[j::k] for j in range(k)]
-            if k * below != n or not all(all(map(eq, compose(parent, c), range(below)))
-                                         for c in columns):
-                _, detail = (_first_offender("fiber-constancy", lv, below)
-                             or _first_offender("parent-range", lv, below))
-                raise InvalidChainError(f"level {level}: {detail}")
+            points, above = self.points(level), self.points(level - 1)
+            if parent == above * k:  # the digit layout: point j * below + v
+                columns = [points[j * below:(j + 1) * below] for j in range(k)]
+            else:
+                # a stable sort of the increasing points keeps siblings ascending
+                order = sorted(points, key=parent.__getitem__)
+                columns = [order[j::k] for j in range(k)]
+                if k * below != n or not all(compose(parent, c) == above for c in columns):
+                    _, detail = (_first_offender("fiber-constancy", lv, below)
+                                 or _first_offender("parent-range", lv, below))
+                    raise InvalidChainError(f"level {level}: {detail}")
             table = self._children[level] = tuple(map(tuple, columns))
         return table
 
-    def representatives(self, level: int, base_level: int):
-        """``table[v]``: one level-``level`` point over level-``base_level`` vertex ``v``.
+    def representatives(self, level: int, base_level: int) -> tuple:
+        """``table[v]``: one level-``level`` point over level-``base_level``
+        vertex ``v``, the first column of :meth:`descendants`."""
+        return self.descendants(level, base_level)[0]
 
-        Memoized per (level, base level) and built from the deep side, one
-        gather per level: a vertex's point is the one over its first child.
-        The table is a memoized tuple of ``points(level)``'s ints, read from
-        the :meth:`children` columns, so a gather through it makes no int;
-        callers must not mutate it.
-        """
+    def descendants(self, level: int, base_level: int) -> tuple:
+        """``table[j][v]``: the ``j``-th level-``level`` point over
+        level-``base_level`` vertex ``v``, the deepest :meth:`children`
+        column the top digit of ``j``, so ``table[0]`` takes the first child
+        at every level.  Built coarse-first, one gather per column, and
+        memoized per pair at one pointer per point; do not mutate it."""
         if not 0 <= base_level < level:
-            raise ValueError("representative levels must satisfy 0 <= base_level < level")
-        key = (level, base_level)
-        table = self._representatives.get(key)
+            raise ValueError("descendant levels must satisfy 0 <= base_level < level")
+        table = self._descendants.get((level, base_level))
         if table is None:
-            first = self.children(base_level + 1)[0]
-            if base_level < level - 1:
-                first = compose(self.representatives(level, base_level + 1), first)
-            table = self._representatives[key] = first
+            table = self.children(base_level + 1)
+            for lvl in range(base_level + 2, level + 1):
+                table = tuple(compose(c, col) for c in self.children(lvl) for col in table)
+            self._descendants[level, base_level] = table
         return table
 
     def fiber(self, base_level: int, level: int, vertex: int) -> tuple[int, ...]:

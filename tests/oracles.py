@@ -6,6 +6,11 @@ kernel's letter tables (``ChainAction.letter_perms``) or word images;
 ``ancestor`` walks one point up the parent arrays, where the kernel
 gathers whole tables (``ChainAction.ancestors``), and ``density_entries``
 is the density profile from those two, point by point.
+``children_table`` and ``descendant`` read the kernel's ``children`` and
+``descendants`` tables (and so ``representatives``, the descendants'
+first column) one parent entry at a time, and ``relabel`` renames every
+level's points by bijections that fix the basepoint, a copy of a tower
+whose children no longer sit in the digit layout.
 ``core_membership`` is the depth-truncated core test the Farber checks
 apply to a candidate's counts, asked of one word at a time.  ``walk`` is
 the kernel's fixed walk as it was when it took a base level and counted
@@ -155,6 +160,49 @@ def act(chain: ChainAction, word: Word, level: int, x: int) -> int:
         perm = perms[chain.alphabet.names[gen]]
         x = perm[x] if sign > 0 else perm.index(x)
     return x
+
+
+def children_table(chain: ChainAction, level: int) -> list[tuple]:
+    """``table[j][v]``: the ``j``-th smallest level-``level`` point whose
+    parent is ``v``, read one parent entry at a time."""
+    over = [[] for _ in range(chain.size(level - 1))]
+    for x, v in enumerate(chain.level(level).parent):
+        over[v].append(x)
+    assert len({len(points) for points in over}) == 1, "fibers are not constant"
+    return list(zip(*over))
+
+
+def descendant(chain: ChainAction, level: int, base_level: int, j: int, v: int) -> int:
+    """The ``j``-th level-``level`` point over level-``base_level`` vertex
+    ``v``: going down from ``v``, the child taken at each level ``L`` is
+    digit ``j * size(base_level) // size(L - 1) % k`` of the ``k``
+    :func:`children_table` entries over the point reached (the deepest
+    level's digit the most significant), so ``j = 0`` is the point reached
+    by the first child at every level."""
+    x = v
+    for lvl in range(base_level + 1, level + 1):
+        table = children_table(chain, lvl)
+        x = table[j * chain.size(base_level) // chain.size(lvl - 1) % len(table)][x]
+    return x
+
+
+def relabel(chain: ChainAction, depth: int, sigma: list) -> ChainAction:
+    """``chain`` to ``depth`` with each level-``L`` point ``x`` renamed
+    ``sigma[L][x]`` (``sigma[0] == [0]``, and each ``sigma[L]`` fixes the
+    basepoint): the parent of ``sigma[L][x]`` is ``sigma[L-1]`` of the parent
+    of ``x``, and each generator maps ``sigma[L][x]`` to ``sigma[L]`` of its
+    image of ``x``, so the copy is the same action with other point names."""
+    def provider(level: int) -> LevelAction:
+        lv, names, up = chain.level(level), sigma[level], sigma[level - 1]
+        back = [0] * lv.size
+        for x, y in enumerate(names):
+            back[y] = x
+        parent = tuple(up[lv.parent[x]] for x in back)
+        perms = {g: tuple(names[p[x]] for x in back) for g, p in lv.perms.items()}
+        return LevelAction(level, lv.size, parent, perms)
+
+    return ChainAction(chain.alphabet, provider, name=f"{chain.name} relabelled",
+                       level_size=chain.size, depth_limit=depth)
 
 
 def density_entries(chain: ChainAction, word: Word, depth: int, center: int) -> list[Fraction]:

@@ -467,17 +467,38 @@ def test_a_word_out_of_budget_only_at_the_deepest_level_is_finished_point_by_poi
                 assert tuple(points) == tested
 
 
+def test_a_word_whose_tested_total_meets_the_budget_is_finished_in_the_first_pass(monkeypatch):
+    """The identity on odometer(2) at depth 4 tests 2 + 4 + 8 = 14 points at
+    levels 1..3.  With ``DEFER_SHARE`` 14/16 its budget is 14, which the
+    total meets at level 3 without passing it, so the word goes on to level
+    4, its deepest, and is finished point by point with no image.  With a
+    budget of 13 it is deferred at level 3 and imaged."""
+    chain, depth, word = ca.odometer(2), 4, ca.Word.identity()
+    images = chain.images
+    for share, want in ((14 / 16, 0), (13 / 16, 1)):
+        imaged = []
+        with monkeypatch.context() as patch:
+            patch.setattr(chain_module, "DEFER_SHARE", share)
+            patch.setattr(chain, "images", lambda ws, level: imaged.extend(ws) or images(ws, level))
+            (_, counts, fixed), = chain.walk([word], depth)
+        assert len(imaged) == want
+        assert (counts, sorted(fixed)) == ([2, 4, 8, 16], list(range(16)))
+
+
 @pytest.mark.parametrize("make, depth", [(_grigorchuk, 13), (ca.fragmented, 14)],
                          ids=["grigorchuk", "fragmented"])
 def test_children_and_representatives_hold_the_points_own_ints(make, depth):
-    """The ``children`` columns and the ``representatives`` tables are
-    tuples of ``points(level)``'s own int objects, so a gather through
-    them makes no int."""
+    """The ``children`` columns, the ``representatives`` tables and the
+    ``descendants`` columns of the three levels above are tuples of
+    ``points(level)``'s own int objects, so a gather through them makes no
+    int."""
     chain = make()
     for level in range(1, depth + 1):
         points = chain.points(level)
         for table in (*chain.children(level),
-                      *(chain.representatives(level, base) for base in range(level))):
+                      *(chain.representatives(level, base) for base in range(level)),
+                      *(column for base in range(max(level - 3, 0), level)
+                        for column in chain.descendants(level, base))):
             assert type(table) is tuple
             assert all(points[x] is x for x in table)
 
@@ -689,6 +710,10 @@ def test_fibers_match_parent_walk_at_every_vertex(family):
     for base, level, vertex in ((2, 1, 0), (-1, 1, 0), (1, 2, chain.size(1))):
         with pytest.raises(ValueError):
             chain.fiber(base, level, vertex)
+    for level, base in ((1, 1), (1, 2), (1, -1)):
+        for table in (chain.representatives, chain.descendants):
+            with pytest.raises(ValueError):
+                table(level, base)
 
 
 @pytest.mark.parametrize("bases", [[8, 7, 6, 5, 4, 3, 2, 1], [1, 2, 3, 4, 5, 6, 7, 8],

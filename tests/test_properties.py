@@ -1,13 +1,17 @@
 """Property suite over randomly drawn chains, words, levels, and points."""
 
+import random
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 import cantoract as ca
+import cantoract.chain as chain_module
 
-from oracles import (act, affine_element, affine_fixed_count, core_membership, distance,
-                     from_pairs, stabilizer_contains, transversal)
+from conftest import ORACLE_CHAINS
+from oracles import (act, affine_element, affine_fixed_count, children_table, core_membership,
+                     descendant, distance, from_pairs, relabel, stabilizer_contains, transversal)
 
 _CHAINS = [
     ca.odometer(2),
@@ -217,3 +221,61 @@ def test_walk_counts_match_the_affine_normal_forms(case):
         assert len(fixed) == counts[-1]
         seen.append(i)
     assert sorted(seen) == list(range(len(words)))
+
+
+@st.composite
+def relabelled_towers(draw):
+    """A bundled family to a depth of at most 5, its copy with every level's
+    points renamed by a seeded shuffle that fixes the basepoint, the
+    renaming, and a few words, the identity among them."""
+    chain, depth = draw(st.sampled_from(ORACLE_CHAINS))
+    depth = draw(st.integers(2, min(depth, 5)))
+    shuffle = random.Random(draw(st.integers(0, 2**32 - 1))).shuffle
+    sigma = [[0]]
+    for level in range(1, depth + 1):
+        rest = list(range(1, chain.size(level)))
+        shuffle(rest)
+        sigma.append([0, *rest])
+    words = [ca.Word.of(w) for w in draw(st.lists(
+        st.lists(st.integers(0, 2 * len(chain.alphabet) - 1), max_size=6), max_size=5))]
+    return chain, relabel(chain, depth, sigma), sigma, [ca.Word.identity(), *words], depth
+
+
+@common
+@given(relabelled_towers(), st.data())
+def test_a_relabelled_tower_walks_and_scores_the_same(case, data):
+    """Renaming the points changes neither a word's fixed counts nor its
+    fixed set (up to the renaming), nor the Farber and LCS reports' counts,
+    on towers whose ``children`` tables are sorted by parent rather than
+    read as slices, with every word walked both ways: deferred at level 1
+    and settled or read from its image (``DEFER_SHARE`` 0), and at the
+    default share.  The kernel's children and descendant tables (whose
+    first column is the representatives) of both towers match their
+    point-wise definitions.  The local
+    Farber check is left out: its Schreier basis lists the base level's
+    points in label order, so its candidate words change with the names."""
+    chain, copy, sigma, words, depth = case
+    for share in (0, chain_module.DEFER_SHARE):
+        with mock.patch.object(chain_module, "DEFER_SHARE", share):
+            walked = {i: (counts, fixed) for i, counts, fixed in chain.walk(words, depth)}
+            renamed = {i: (counts, fixed) for i, counts, fixed in copy.walk(words, depth)}
+        assert sorted(walked) == sorted(renamed) == list(range(len(words)))
+        for i, (counts, fixed) in walked.items():
+            assert renamed[i][0] == counts
+            assert sorted(renamed[i][1]) == sorted(sigma[depth][x] for x in fixed)
+    for tower in (chain, copy):
+        for level in range(1, depth + 1):
+            assert list(tower.children(level)) == children_table(tower, level)
+        level = data.draw(st.integers(1, depth))
+        base = data.draw(st.integers(0, level - 1))
+        assert [list(column) for column in tower.descendants(level, base)] == [
+            [descendant(tower, level, base, j, v) for v in range(tower.size(base))]
+            for j in range(tower.size(level) // tower.size(base))]
+    farber = [ca.farber_check(tower, max_word_len=2, depth=depth) for tower in (chain, copy)]
+    assert farber[0] == farber[1]
+    lcs = [[(c.best_word, c.best and (c.best.fixed_counts, c.best.hol_estimate),
+             c.all_indistinguishable)
+            for c in ca.witness_search(tower, 2, max_word_len=1, conj_len=1, depth=depth,
+                                       max_candidates=16).classes]
+           for tower in (chain, copy)]
+    assert lcs[0] == lcs[1]

@@ -60,9 +60,30 @@ def _lcs_fat_cantor():
 
 
 # per input: (compose calls, points gathered) in set-up and in the analysis,
-# and the analysis's gathers of a whole deepest level of what it walks: the
+# the analysis's gathers of a whole deepest level of what it walks (the
 # chain's, or at a base level the tower's, of ``size(depth) // size(base)``
-# points.  Of the localized rows' 53 and 1,394, 12 and 432 build the
+# points), and the points it scans one at a time (``fixed_among``, the
+# kernel's per-point fixed test).  A level's tested points are kept whole
+# when their image equals them, a deferred word is settled column by column
+# of its ``descendants`` table instead of by a scan of its whole image, and
+# a ``children`` table in the digit layout is read as slices: the analyses
+# went (2,179, 229,304) → (2,445, 308,154) (farber-classic), (1,494,
+# 47,954) → (1,804, 66,968) and (18,004, 325,072) → (31,888, 539,266) (the
+# localized rows, whose towers are small, so their columns are many and
+# short), (1,389, 516,372) → (1,433, 560,406) (Grigorchuk), (117, 28,508)
+# → (119, 34,648) (Heisenberg) and (654, 594,908) → (728, 656,510)
+# (fat_cantor), the gathers of each descendants table and of its columns.
+# The representatives are the descendants' first column; built on their
+# own, one gather per level from the deep side, the Grigorchuk search made
+# (1,435, 563,478) and no other row differed.
+# The scans those gathers replace read 88,406, 14,170, 141,276, 60,912,
+# 4,704 and 130,488 points in the same row order, and the children sort by
+# parent keyed 8,190, 3,066, 8,382, 16,382, 5,460 and 9,840 more; only
+# Heisenberg's torus layout still sorts, 5,456 points.  The localized rows
+# read 53 and 1,394 whole levels before: the chain's level-10 and level-8
+# ``children`` checks each gathered two columns of 512 and 128 points, the
+# size of the tower's deepest level, and the slice read checks nothing.
+# Of the localized rows' 51 and 1,392, 12 and 432 build the
 # tower's deepest level and check its letters for involutions, and the rest
 # image words in the walk; when this column counted the chain's deepest
 # level there, both read 0.  When the tower numbered each fiber in
@@ -98,21 +119,21 @@ def _lcs_fat_cantor():
 # fat_cantor search made (677, 618,965) with 59 whole levels, and no other
 # row differed
 RECORD = {
-    "farber-classic": (_farber_classic, (51, 32_768), (2_179, 229_304), 40),
-    "local-farber": (_local_farber, (43, 8_192), (1_494, 47_954), 53),
-    "local-farber-deep": (_local_farber_deep, (51, 32_768), (18_004, 325_072), 1_394),
-    "lcs-grigorchuk": (_lcs_grigorchuk, (156, 196_584), (1_389, 516_372), 38),
-    "lcs-heisenberg": (_lcs_heisenberg, (39, 32_772), (117, 28_508), 4),
-    "lcs-fat-cantor": (_lcs_fat_cantor, (40, 49_200), (654, 594_908), 58),
+    "farber-classic": (_farber_classic, (51, 32_768), (2_445, 308_154), 40, 514),
+    "local-farber": (_local_farber, (43, 8_192), (1_804, 66_968), 51, 292),
+    "local-farber-deep": (_local_farber_deep, (51, 32_768), (31_888, 539_266), 1_392, 264),
+    "lcs-grigorchuk": (_lcs_grigorchuk, (156, 196_584), (1_433, 560_406), 38, 19_270),
+    "lcs-heisenberg": (_lcs_heisenberg, (39, 32_772), (119, 34_648), 4, 268),
+    "lcs-fat-cantor": (_lcs_fat_cantor, (40, 49_200), (728, 656_510), 58, 45_939),
 }
 
 
 @pytest.mark.parametrize("name", RECORD)
 def test_bench_inputs_do_the_recorded_kernel_work(name, monkeypatch):
-    build, setup, analysis, full = RECORD[name]
-    tally = {"calls": 0, "points": 0, "full": 0}
+    build, setup, analysis, full, scanned = RECORD[name]
+    tally = {"calls": 0, "points": 0, "full": 0, "scanned": 0}
     size = None
-    compose = chain_module.compose
+    compose, fixed_among = chain_module.compose, chain_module.fixed_among
 
     def counting(p, q):
         tally["calls"] += 1
@@ -120,17 +141,22 @@ def test_bench_inputs_do_the_recorded_kernel_work(name, monkeypatch):
         tally["full"] += len(q) == size
         return compose(p, q)
 
+    def scanning(points, got):
+        tally["scanned"] += len(points)
+        return fixed_among(points, got)
+
     for module in (chain_module, holonomy_module):
         monkeypatch.setattr(module, "compose", counting)
+    monkeypatch.setattr(chain_module, "fixed_among", scanning)
     chain, depth, base, analyse = build()
     chain.level(depth)
     assert ca.validate_chain(chain, depth).ok
     assert (tally["calls"], tally["points"]) == setup
     size = chain.size(depth) // chain.size(base)
-    tally.update(calls=0, points=0, full=0)
+    tally.update(calls=0, points=0, full=0, scanned=0)
     analyse()
     assert (tally["calls"], tally["points"]) == analysis
-    assert tally["full"] == full
+    assert (tally["full"], tally["scanned"]) == (full, scanned)
 
 
 def test_ancestor_tables_are_built_only_for_the_pairs_read(monkeypatch):
