@@ -478,10 +478,10 @@ class ChainAction:
         return tuple(sorted(points))
 
 
-def _least_rotation(seq: tuple) -> tuple:
-    """The lexicographically least rotation of ``seq``, in linear time: two
-    candidate starts in the doubled sequence, each comparison run moving
-    one past it."""
+def _least_start(seq: tuple) -> int:
+    """Where the lexicographically least rotation of ``seq`` starts, in
+    linear time: two candidate starts in the doubled sequence, each
+    comparison run moving one past it."""
     n = len(seq)
     doubled = seq + seq
     i, j, k = 0, 1, 0
@@ -497,8 +497,7 @@ def _least_rotation(seq: tuple) -> tuple:
         if i == j:
             j += 1
         k = 0
-    start = min(i, j)
-    return tuple(doubled[start:start + n])
+    return min(i, j)
 
 
 def class_keys(words: list[Word]) -> list[tuple]:
@@ -519,13 +518,29 @@ def class_keys(words: list[Word]) -> list[tuple]:
         if key is None:
             n = len(core)
             inverse = tuple(x ^ 1 for x in reversed(core))
-            key = memo[core] = min(_least_rotation(core), _least_rotation(inverse))
+            key = memo[core] = min(c[i:] + c[:i] for c in (core, inverse) for i in [_least_start(c)])
             if 2 * n * n <= spare:
                 spare -= 2 * n * n
                 for r in range(n):
                     memo[core[r:] + core[:r]] = memo[inverse[r:] + inverse[:r]] = key
         keys.append(key)
     return keys
+
+
+def conjugator(first: Word, word: Word) -> tuple:
+    """The letters of a ``g`` with ``word = g first^e g^-1`` (``e = ±1``) for
+    words of one :func:`class_keys` key, in linear time; words of different
+    keys are a ValueError.  With cyclic cores ``first = u c u^-1`` and ``word
+    = v d v^-1``, ``d = X^-1 c^e X`` for ``X`` the letters of ``c^e`` before
+    the offset of the two least rotation starts, so ``g = v X^-1 u^-1``."""
+    (m, core), (k, target) = cyclic_core(first.letters), cyclic_core(word.letters)
+    s = _least_start(target)
+    for c in (core, Word(core).inverse().letters):
+        t = _least_start(c)
+        if len(c) == len(target) and c[t:] + c[:t] == target[s:] + target[:s]:
+            x, u = Word(c[:(t - s) % len(c)]), Word(first.letters[:m])
+            return (Word(word.letters[:k]) * x.inverse() * u.inverse()).letters
+    raise ValueError("the words have different conjugacy keys")
 
 
 def walk_classes(chain: ChainAction, words: list[Word], level: int):

@@ -21,7 +21,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-from .chain import ChainAction, Cylinder, check_depth, compose
+from .chain import ChainAction, Cylinder, check_depth, compose, conjugator
 from .words import Word
 
 
@@ -86,6 +86,15 @@ def _maximal_fixed_cylinders(chain: ChainAction, fixed, depth: int, cap: int) ->
                    if v not in moved and parent[v] in above]
         moved = above
     return out
+
+
+def _moved_cylinders(chain: ChainAction, first: Word, cylinders, word: Word) -> tuple:
+    """``first``'s maximal fixed ``cylinders`` moved to ``word = g first^±1 g^-1``
+    of its key by ``g`` (:func:`~cantoract.chain.conjugator`), as ``Fix(g w g^-1)
+    = g Fix(w)``, and re-sorted: one :meth:`~ChainAction.apply` of one vertex each."""
+    g = Word(conjugator(first, word))
+    return tuple(sorted(Cylinder(c.level, chain.apply(g, c.level, (c.vertex,))[0])
+                        for c in cylinders))
 
 
 def fixed_set_report(chain: ChainAction, word: Word, depth: int) -> FixedSetReport:

@@ -11,8 +11,8 @@ Candidates are scored once per conjugacy class: every number the search
 ranks by (fixed counts, the interior bound, the holonomy estimate and
 indistinguishability) is the same for each word of one key, as
 :func:`~cantoract.chain.walk_classes` says, so only the first word of each
-key is walked and reported.  The winner, whose cylinders move with the
-conjugator, gets its own report.
+key is walked and reported.  Keys are ranked, and the winner takes its
+key's report, its cylinders moved by its :func:`~cantoract.chain.conjugator`.
 Candidate words are capped at :data:`~cantoract.words.MAX_WORD_LETTERS`
 letters: a class whose words grow past it is a ``word_letters`` budget
 error.  Word length about doubles per class, so each class's letters are
@@ -21,11 +21,14 @@ also charged against a memory budget as the class is built.
 
 from __future__ import annotations
 
+from itertools import tee
 from typing import NamedTuple
 
 from .chain import DEFAULT_MEMORY_BUDGET, ChainAction, check_depth, walk_classes
 from .errors import BudgetError
-from .holonomy import FixedSetReport, fixed_set_from_walk, fixed_set_report
+# the bench tracer wraps ``fixed_set_report`` (no longer called here), ``reduced_words`` and
+# ``gamma_candidates`` by these names: they stay until ROADMAP item 1, stage B, moves its spans
+from .holonomy import FixedSetReport, _moved_cylinders, fixed_set_from_walk, fixed_set_report
 from .words import (GeneratorAlphabet, Word, commutator, conjugate, distinct, reduced_words,
                     take)
 
@@ -78,17 +81,22 @@ def _commutators(alphabet: GeneratorAlphabet, prev: list[Word], max_word_len: in
                  conj_len: int):
     """The words ``t * [w, u] * t^-1`` of the class after ``prev``, grouped
     by ``u`` in ``prev`` and then by generator word ``w``, the bare
-    commutator before its conjugates.  Over one generator every commutator
-    reduces to the identity, so there are none."""
+    commutator before its conjugates.  Each ``w`` and ``t`` is built with its
+    inverse once, as far as read: each pass replays a ``__copy__`` of an
+    unread tee.  Over one generator every commutator reduces to the
+    identity, so there are none."""
     if len(alphabet) < 2:
         return
+    gens, conjugators = (tee(((w, w.inverse()) for w in reduced_words(alphabet, n)), 1)[0]
+                         for n in (max_word_len, conj_len))
     for u in prev:
-        for w in reduced_words(alphabet, max_word_len):
-            x = commutator(w, u)
+        u_inv = u.inverse()
+        for w, w_inv in gens.__copy__():
+            x = commutator(w, u, w_inv, u_inv)
             if x.letters:
                 yield x
-                for t in reduced_words(alphabet, conj_len):
-                    yield conjugate(t, x)
+                for t, t_inv in conjugators.__copy__():
+                    yield conjugate(t, x, t_inv)
 
 
 def gamma_candidates(
@@ -136,23 +144,23 @@ def _score_class(chain: ChainAction, words: list[Word],
     is indistinguishable from the identity at ``depth``.
 
     One report per key, built from the one walk of the keys' first words
-    (:func:`~cantoract.chain.walk_classes`), scores every word of the key.
-    The best word has the largest estimate, ties to the shorter word, then
-    canonical order; only the words tied on both are keyed by their
-    letters.  It gets its own report unless it is its key's first word.
+    (:func:`~cantoract.chain.walk_classes`), scores every word of the key,
+    so keys are ranked.  The best word has the top estimate, ties to the
+    shorter word, then canonical order: the least ``Word.key()`` over the
+    top keys' words.  Its report is its key's, cylinders moved: no second walk.
     """
     if not words:
         return None, True
     keys, walks = walk_classes(chain, words, depth)
     reports = {key: fixed_set_from_walk(chain, word, depth, counts, fixed)
                for key, word, counts, fixed in walks}
-    ranks = [(reports[key].hol_estimate, -len(word)) for word, key in zip(words, keys)]
-    top = max(ranks)
-    key, winner = min(((key, word) for word, key, rank in zip(words, keys, ranks)
-                       if rank == top), key=lambda pair: pair[1].key())
-    best = reports[key]
-    if best.word != winner:
-        best = fixed_set_report(chain, winner, depth)
+    top = max(r.hol_estimate for r in reports.values())
+    tied = {key for key, r in reports.items() if r.hol_estimate == top}
+    key, winner = min(((key, word) for word, key in zip(words, keys) if key in tied),
+                      key=lambda pair: pair[1].key())
+    first = reports[key]
+    best = first._replace(word=winner, max_fixed_cylinders=_moved_cylinders(
+        chain, first.word, first.max_fixed_cylinders, winner))
     return best, all(r.indistinguishable for r in reports.values())
 
 

@@ -7,7 +7,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .chain import ChainAction, Cylinder, PointApprox, check_depth, compose, walk_classes
-from .holonomy import _maximal_fixed_cylinders, _require_nonidentity, interior_scan_limit
+from .holonomy import (_maximal_fixed_cylinders, _moved_cylinders, _require_nonidentity,
+                       interior_scan_limit)
 from .words import Word, check_word_budget, reduced_words
 
 
@@ -103,14 +104,14 @@ def _scan_words(chain: ChainAction, max_word_len: int) -> list[Word]:
 
 
 def _fixing_words(chain: ChainAction, walks, depth: int):
-    """Yield ``(first, cylinders)`` for each depth-``depth`` walk tuple
-    ``(first, ..., fixed)`` whose word moves a point and fixes some
-    cylinder fiber, with its maximal fixed cylinders, in walk order."""
+    """Yield ``(head, cylinders)`` for each depth-``depth`` walk tuple
+    ``(*head, fixed)`` whose word moves a point and fixes some cylinder
+    fiber, with its maximal fixed cylinders, in walk order."""
     cap = interior_scan_limit(depth)
-    for first, *_, fixed in walks:
+    for *head, fixed in walks:
         cylinders = _maximal_fixed_cylinders(chain, fixed, depth, cap)
         if cylinders and cylinders[0].level:
-            yield first, cylinders
+            yield head, cylinders
 
 
 def partial_triviality_witnesses(
@@ -120,22 +121,27 @@ def partial_triviality_witnesses(
 
     Scans all reduced words up to ``max_word_len`` in canonical order and
     returns, per word, its maximal fully fixed cylinders (levels 1 up to the
-    interior scan cap).  Each returned witness is re-checked by evaluating
-    the word letter by letter on the cylinder's fiber.  On a chain built
-    from a transducer, a witness is exact where the word's section at the
-    cylinder is trivial.
+    interior scan cap), walking one word per key and moving its cylinders to
+    the others (:func:`~cantoract.holonomy._moved_cylinders`).  Each witness
+    is re-checked by evaluating its word letter by letter on the cylinder's
+    fiber, built once per scan.  On a chain built from a transducer, a
+    witness is exact where the word's section at the cylinder is trivial.
     """
     check_depth(depth)
     words = _scan_words(chain, max_word_len)
-    found: list[list[TrivialityWitness]] = [[] for _ in words]
-    for i, cylinders in _fixing_words(chain, chain.walk(words, depth), depth):
-        for cyl in cylinders:
-            fiber = chain.fiber(cyl.level, depth, cyl.vertex)
-            if chain.apply(words[i], depth, fiber) != fiber:
+    keys, walks = walk_classes(chain, words, depth)
+    fixing = {key: (first, cylinders)
+              for (key, first, _), cylinders in _fixing_words(chain, walks, depth)}
+    fibers, found = {}, []
+    for word, key in zip(words, keys):
+        for cyl in _moved_cylinders(chain, *fixing[key], word) if key in fixing else ():
+            if cyl not in fibers:
+                fibers[cyl] = chain.fiber(cyl.level, depth, cyl.vertex)
+            if chain.apply(word, depth, fibers[cyl]) != fibers[cyl]:
                 raise AssertionError("witness failed direct re-check")
-            exact = chain.mealy is not None and _mealy_exact(chain, words[i], cyl)
-            found[i].append(TrivialityWitness(word=words[i], cylinder=cyl, exact=exact))
-    return [w for witnesses in found for w in witnesses]
+            exact = chain.mealy is not None and _mealy_exact(chain, word, cyl)
+            found.append(TrivialityWitness(word=word, cylinder=cyl, exact=exact))
+    return found
 
 
 def lqa_scale_estimate(chain: ChainAction, max_word_len: int, depth: int) -> LqaScaleEstimate:

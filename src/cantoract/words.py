@@ -166,19 +166,21 @@ def _check_letters(count: int) -> None:
                                           f"more than the limit of {MAX_WORD_LETTERS}")
 
 
-def commutator(u: Word, v: Word) -> Word:
+def commutator(u: Word, v: Word, u_inv: Word | None = None, v_inv: Word | None = None) -> Word:
     """Reduced word ``u * v * u^-1 * v^-1``, its reduced factors :func:`join`-ed
     at their three junctions; a ``word_letters`` BudgetError, before
-    building it, past :data:`MAX_WORD_LETTERS` letters."""
+    building it, past :data:`MAX_WORD_LETTERS` letters.  A caller that
+    reuses a factor may pass its inverse, built once, as ``u_inv`` or ``v_inv``."""
     _check_letters(2 * (len(u) + len(v)))
-    return _word(join(join(join(u.letters, v.letters), u.inverse().letters), v.inverse().letters))
+    return _word(join(join(join(u.letters, v.letters), (u_inv or u.inverse()).letters),
+                      (v_inv or v.inverse()).letters))
 
 
-def conjugate(t: Word, x: Word) -> Word:
+def conjugate(t: Word, x: Word, t_inv: Word | None = None) -> Word:
     """Reduced word ``t * x * t^-1``, joined at its two junctions, under the
-    same letter limit as :func:`commutator`."""
+    same letter limit as :func:`commutator`; ``t_inv``, if given, is ``t^-1``."""
     _check_letters(2 * len(t) + len(x))
-    return _word(join(join(t.letters, x.letters), t.inverse().letters))
+    return _word(join(join(t.letters, x.letters), (t_inv or t.inverse()).letters))
 
 
 def render_word(word: Word, alphabet: GeneratorAlphabet) -> str:

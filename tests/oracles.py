@@ -37,9 +37,13 @@ and reduced from scratch.  ``commutator`` and ``conjugate`` likewise
 flatten the LCS candidates' factors and reduce them from scratch, where
 the word layer joins the factors at their junctions.  ``lqa_scale_level``
 is the LQA scale by its definition, read from every scan word's image,
-where the library walks one word per conjugacy key.  ``adding_machine`` and
-``adding_machine_chain`` build the binary-odometer transducer and its
-chain, the Mealy twin of ``odometer``.  ``affine_element`` and
+where the library walks one word per conjugacy key.
+``partial_triviality_witnesses`` is the witness scan by its definition:
+every scan word walked and its own maximal fixed cylinders read, each
+witness re-checked on a fiber built for it alone, where the library walks
+one word per key and moves its cylinders by the conjugator.
+``adding_machine`` and ``adding_machine_chain`` build the binary-odometer
+transducer and its chain, the Mealy twin of ``odometer``.  ``affine_element`` and
 ``affine_fixed_count`` give a word's fixed counts on the four affine
 families (``odometer``, ``toral``, ``dihedral``, ``heisenberg``) in closed
 form, from the group's normal form alone: no level array is read.
@@ -61,8 +65,10 @@ import cantoract.chain as chain_module
 from cantoract.builders import mealy_chain
 from cantoract.chain import ChainAction, LevelAction, PointApprox, ValidationReport, Violation
 from cantoract.farber import FAIL, INDISTINGUISHABLE, PASS, FarberReport, WordVerdict
+from cantoract.holonomy import _maximal_fixed_cylinders
 from cantoract.mealy import MealyMachine, StateWord
 from cantoract.punctured import FatCantorPlan
+from cantoract.scans import TrivialityWitness, _mealy_exact
 from cantoract.words import Word, cyclic_core, distinct, reduced_words
 
 
@@ -572,6 +578,27 @@ def lqa_scale_level(chain: ChainAction, max_word_len: int, depth: int) -> int:
                         deepest = max(deepest, k)
                         break
     return deepest + 1
+
+
+def partial_triviality_witnesses(chain: ChainAction, max_word_len: int,
+                                 depth: int) -> list[TrivialityWitness]:
+    """Every reduced word up to ``max_word_len`` that moves a point, with each
+    of its own maximal fixed cylinders of levels 1..``depth // 2``, in word
+    order; each witness applied to its cylinder's fiber, and exact where the
+    chain's machine certifies its section there."""
+    words = list(reduced_words(chain.alphabet, max_word_len))
+    found = [[] for _ in words]
+    for i, _, fixed in chain.walk(words, depth):
+        cylinders = _maximal_fixed_cylinders(chain, fixed, depth, depth // 2)
+        if not cylinders or not cylinders[0].level:
+            continue
+        for cyl in cylinders:
+            fiber = chain.fiber(cyl.level, depth, cyl.vertex)
+            if chain.apply(words[i], depth, fiber) != fiber:
+                raise AssertionError("witness failed direct re-check")
+            exact = chain.mealy is not None and _mealy_exact(chain, words[i], cyl)
+            found[i].append(TrivialityWitness(word=words[i], cylinder=cyl, exact=exact))
+    return [w for witnesses in found for w in witnesses]
 
 
 def adding_machine(base: int = 2) -> MealyMachine:

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cantoract as ca
 import cantoract.chain as chain_module
@@ -10,7 +11,9 @@ from cantoract.punctured import FatCantorPlan
 from cantoract.scans import _fixing_words
 
 from conftest import GRIGORCHUK, ORACLE_CHAINS, word
-from oracles import adding_machine_chain, ancestor, lqa_scale_level, state_word, vertex_path
+from oracles import (adding_machine_chain, ancestor, lqa_scale_level,
+                     partial_triviality_witnesses as all_words_witnesses, state_word,
+                     vertex_path)
 
 
 def test_identity_word_rejected(odo2):
@@ -286,6 +289,20 @@ def test_lqa_scale_walks_one_word_per_conjugacy_key(monkeypatch):
                         lambda self, ws, *args: walked.append(len(ws)) or walk(self, ws, *args))
     assert ca.lqa_scale_estimate(frag, 6, 14).scale_level == every
     assert (len(words), walked) == (1_456, [117])
+
+
+@pytest.mark.parametrize("family", ORACLE_CHAINS, ids=lambda f: f[0].name)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_witness_scan_of_one_word_per_key_is_the_all_words_scan(family, data):
+    """The scan walks one word per conjugacy key and moves its cylinders to
+    every other word of the key by their conjugator; the list, ``exact``
+    flags included, is the one the walk of every word gives."""
+    chain, max_depth = family
+    max_word_len = data.draw(st.integers(1, 4 if len(chain.alphabet) < 3 else 3))
+    depth = data.draw(st.integers(1, max_depth))
+    assert (ca.partial_triviality_witnesses(chain, max_word_len, depth)
+            == all_words_witnesses(chain, max_word_len, depth))
 
 
 def test_witness_recheck_does_not_trust_the_walk(odo2, monkeypatch):

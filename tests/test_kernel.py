@@ -25,7 +25,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import cantoract as ca
 import cantoract.chain as chain_module
-from cantoract.chain import (Violation, _least_rotation, class_keys, compose, count_fixed, invert,
+from cantoract.chain import (Violation, _least_start, class_keys, compose, count_fixed, invert,
                              restrict)
 from cantoract.farber import local_candidates
 from cantoract.lcs import gamma_candidates
@@ -586,15 +586,16 @@ def test_restricted_tower_is_charged_against_what_the_chain_leaves():
 @common
 @given(st.lists(st.integers(0, 2), min_size=1, max_size=12))
 def test_least_rotation_is_the_least_of_all_rotations(seq):
-    assert _least_rotation(seq) == min(tuple(seq[i:] + seq[:i]) for i in range(len(seq)))
+    start = _least_start(seq)
+    assert tuple(seq[start:] + seq[:start]) == min(tuple(seq[i:] + seq[:i]) for i in range(len(seq)))
 
 
 def test_class_keys_key_each_core_once(dih, monkeypatch):
     """``a^m (a r) a^-m`` share a core."""
     words = [ca.Word.of([0] * m + [0, 2] + [1] * m) for m in range(4)]
     rotations = []
-    monkeypatch.setattr(chain_module, "_least_rotation",
-                        lambda seq: rotations.append(1) or _least_rotation(seq))
+    monkeypatch.setattr(chain_module, "_least_start",
+                        lambda seq: rotations.append(1) or _least_start(seq))
     assert len(set(class_keys(words))) == 1
     assert len(rotations) == 2  # the core and its inverse
 
@@ -612,8 +613,8 @@ def test_class_keys_key_each_orbit_once_on_the_farber_candidates(base, monkeypat
     words = [w for w, _ in pairs]
     assert base or words == list(ca.reduced_words(frag.alphabet, 6))
     rotations = []
-    monkeypatch.setattr(chain_module, "_least_rotation",
-                        lambda seq: rotations.append(1) or _least_rotation(seq))
+    monkeypatch.setattr(chain_module, "_least_start",
+                        lambda seq: rotations.append(1) or _least_start(seq))
     keys = class_keys(words)
     assert len(set(keys)) == (117, 119)[base]
     assert len(rotations) == 2 * len(set(keys))
@@ -656,8 +657,8 @@ def test_class_keys_key_rotations_of_a_long_core_in_linear_time():
     core = [2 * rng.randrange(2) for _ in range(20_000)]
     words = [ca.Word.of(core[r:] + core[:r]) for r in range(0, 20_000, 400)]
     rotations = []
-    least = chain_module._least_rotation
-    with mock.patch.object(chain_module, "_least_rotation",
+    least = chain_module._least_start
+    with mock.patch.object(chain_module, "_least_start",
                            lambda seq: rotations.append(1) or least(seq)):
         start = time.perf_counter()
         keys = class_keys(words)
@@ -674,6 +675,41 @@ def test_class_keys_are_linear_in_a_long_periodic_core():
     key, = class_keys([w])
     assert time.perf_counter() - start < 1
     assert len(key) == 200_000
+
+
+_REDUCED = st.lists(st.integers(0, 5), max_size=10).map(ca.Word.of)
+
+
+@common
+@given(_REDUCED, _REDUCED, st.sampled_from([1, -1]))
+def test_conjugator_carries_a_word_to_its_conjugates(f, t, sign):
+    assume(f.letters)
+    power = f if sign > 0 else f.inverse()
+    w = t * power * t.inverse()
+    g = ca.Word(chain_module.conjugator(f, w))
+    assert g * power * g.inverse() == w
+
+
+@common
+@given(_REDUCED, _REDUCED)
+def test_conjugator_refuses_words_of_different_keys(f, w):
+    assume(f.letters and w.letters and class_keys([f]) != class_keys([w]))
+    with pytest.raises(ValueError, match="different conjugacy keys"):
+        chain_module.conjugator(f, w)
+
+
+def test_conjugator_is_linear_in_a_long_periodic_core():
+    """``(a^316 b)^316``, about 10^5 letters, against a conjugate of its
+    inverse rotated off its period: a search rotation by rotation compares
+    hundreds of letters at each of the ~10^5 starts."""
+    f = ca.Word.of(([0] * 316 + [2]) * 316)
+    core = f.inverse().letters
+    t = ca.Word.of([4, 2, 3])
+    w = t * ca.Word.of(core[1_000:] + core[:1_000]) * t.inverse()
+    start = time.perf_counter()
+    g = ca.Word(chain_module.conjugator(f, w))
+    assert time.perf_counter() - start < 0.5
+    assert g * f.inverse() * g.inverse() == w
 
 
 @common

@@ -104,10 +104,9 @@ def _lcs_fat_cantor():
 # candidate's spelling over the chain's levels, local-farber made (3,088,
 # 120,472) with 71 whole levels and the deep row (166,497, 4,910,014) with
 # none.  Each walk call starts with one one-point gather per level-1
-# child of the basepoint, and the LCS search walks once per class and once
-# per winner that is not its key's first word; when it walked once per key,
-# the Grigorchuk search made (1,412, 514,482) and the Heisenberg one (131,
-# 31,339).  Before the deepest level's per-point rule the Grigorchuk search
+# child of the basepoint, and the LCS search walks once per class; when it
+# walked once per key, the Grigorchuk search made (1,412, 514,482) and the
+# Heisenberg one (131, 31,339).  Before the deepest level's per-point rule the Grigorchuk search
 # gathered 750,078 points, 71 whole levels among them.  The ancestor tables
 # are built coarse-first, and only the (level, base level) pairs read; when
 # each request built every table from its level's parent array down to its
@@ -117,14 +116,19 @@ def _lcs_fat_cantor():
 # fixed, but not every point under them, is read from the image one level
 # below its tested points; read from the tested points themselves, the
 # fat_cantor search made (677, 618,965) with 59 whole levels, and no other
-# row differed
+# row differed.  A class winner that is not its key's first word takes its
+# key's report, its cylinders moved by the conjugator (one gather of their
+# vertices per level per letter); when each such winner was walked again,
+# the LCS rows made (1,433, 560,406) with 38 whole levels and 19,270
+# scanned points (Grigorchuk), (119, 34,648) with 268 scanned (Heisenberg)
+# and (728, 656,510) with 58 whole levels and 45,939 scanned (fat_cantor)
 RECORD = {
     "farber-classic": (_farber_classic, (51, 32_768), (2_445, 308_154), 40, 514),
     "local-farber": (_local_farber, (43, 8_192), (1_804, 66_968), 51, 292),
     "local-farber-deep": (_local_farber_deep, (51, 32_768), (31_888, 539_266), 1_392, 264),
-    "lcs-grigorchuk": (_lcs_grigorchuk, (156, 196_584), (1_433, 560_406), 38, 19_270),
-    "lcs-heisenberg": (_lcs_heisenberg, (39, 32_772), (119, 34_648), 4, 268),
-    "lcs-fat-cantor": (_lcs_fat_cantor, (40, 49_200), (728, 656_510), 58, 45_939),
+    "lcs-grigorchuk": (_lcs_grigorchuk, (156, 196_584), (1_196, 511_358), 35, 16_326),
+    "lcs-heisenberg": (_lcs_heisenberg, (39, 32_772), (110, 34_628), 4, 264),
+    "lcs-fat-cantor": (_lcs_fat_cantor, (40, 49_200), (668, 600_024), 54, 39_378),
 }
 
 
@@ -176,3 +180,22 @@ def test_ancestor_tables_are_built_only_for_the_pairs_read(monkeypatch):
     chain, _, _, analyse = _lcs_grigorchuk()
     analyse()
     assert sorted(chain._ancestor_tables) == [(13, 6), (13, 10), (13, 11), (13, 12)]
+
+
+# the witness scan of fragmented's 1,456 reduced words up to length 6 at
+# depth 14: (words walked per walk call, fiber builds) for its 192
+# witnesses.  It walks the first words of the 117 conjugacy keys and builds
+# the fiber of each of the 2 distinct cylinders once; when it walked every
+# word and built a fiber per witness, it made ([1,456], 192)
+WITNESS_SCAN = ([117], 2)
+
+
+def test_witness_scan_walks_once_per_key_and_builds_each_fiber_once(monkeypatch):
+    walks, fibers = [], []
+    walk, fiber = chain_module.ChainAction.walk, chain_module.ChainAction.fiber
+    monkeypatch.setattr(chain_module.ChainAction, "walk",
+                        lambda self, words, *args: walks.append(len(words)) or walk(self, words, *args))
+    monkeypatch.setattr(chain_module.ChainAction, "fiber",
+                        lambda self, *args: fibers.append(args) or fiber(self, *args))
+    assert len(ca.partial_triviality_witnesses(ca.fragmented(), 6, 14)) == 192
+    assert (walks, len(fibers)) == WITNESS_SCAN
