@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import partial
-from itertools import compress
+from itertools import chain as chain_iter, compress
 from math import inf
 from operator import eq, itemgetter
 from typing import NamedTuple
@@ -136,13 +136,12 @@ class ChainAction:
     The permutation kernel every analysis calls lives here: the letter
     table, each letter's image array at a level (:meth:`letter_perms`),
     the images of a few points under a word (:meth:`apply`), word images
-    built over shared prefixes (:meth:`images`), the memoized
-    :meth:`ancestors`, :meth:`children`, :meth:`representatives` and
-    :meth:`descendants` tables, and :meth:`walk`, the one reading of a
-    word's fixed counts and deepest fixed set.  Every memoized table holds
-    only the ints a level's :meth:`points` hold, so a gather through one
-    makes no int, and an ancestor or descendant table is built only for
-    the (level, base level) pair a caller reads.
+    built over shared prefixes (:meth:`images`), each level's memoized
+    digit :meth:`order`, its inverse :meth:`pos` and :meth:`children`, the
+    :meth:`ancestors`, :meth:`representatives` and :meth:`descendants`
+    read from them when asked, and :meth:`walk`, the one reading of a
+    word's fixed counts and deepest fixed set.  Every table holds only the
+    ints a level's :meth:`points` hold, so a gather through one makes none.
     """
 
     def __init__(
@@ -165,11 +164,11 @@ class ChainAction:
         self._level_size = level_size
         self._levels: list[LevelAction] = []
         self._stored_points = 0
-        self._ancestor_tables: dict[tuple[int, int], tuple] = {}
         self._children: dict[int, tuple] = {}
         self._points: dict[int, tuple] = {}
+        self._order: dict[int, tuple] = {}
+        self._pos: dict[int, tuple] = {}
         self._root = LevelAction(0, 1, (0,), dict.fromkeys(alphabet.names, (0,)))  # level 0
-        self._descendants: dict[tuple[int, int], tuple] = {}
         self._letter_perms: dict[int, list] = {}
 
     def level(self, level: int) -> LevelAction:
@@ -217,11 +216,12 @@ class ChainAction:
 
         Words are visited in lexicographic letter order.  The appended
         letter acts first, so extending a prefix by one letter costs one
-        gather, and the stack keeps only the prefix images the next word
-        shares: at most ``max(len(w))`` images are alive at once.  Callers
-        store results by ``i`` to keep input order.
+        gather; the stack keeps the prefix images the next word shares, as
+        many as ``memory_budget`` has room for after the stored levels (a
+        longer shared prefix is recomputed).  Callers store results by ``i``.
         """
         perms = self.letter_perms(level)
+        room = (self.memory_budget - self._stored_points) // self.size(level)
         order = sorted(range(len(words)), key=lambda i: words[i].letters)
         # stack[t]: image of the current word's first t letters; None stands
         # for the identity, so a word's first letter costs no gather
@@ -229,11 +229,8 @@ class ChainAction:
         for pos, i in enumerate(order):
             letters = words[i].letters
             following = words[order[pos + 1]].letters if pos + 1 < len(order) else ()
-            keep = 0
-            for a, b in zip(letters, following):
-                if a != b:
-                    break
-                keep += 1
+            keep = next((t for t, (a, b) in enumerate(zip(letters[:room], following)) if a != b),
+                        min(len(letters), len(following), room))
             image = stack[-1]
             for t in range(len(stack) - 1, len(letters)):
                 perm = perms[letters[t]]
@@ -246,7 +243,7 @@ class ChainAction:
     def points(self, level: int) -> tuple[int, ...]:
         """``range(size(level))`` as a memoized tuple of the int objects the
         level's first generator holds (its inverse keyed by its own entries),
-        so the tables built from it make none.  Callers must not mutate it."""
+        so the tables read from it make none.  Callers must not mutate it."""
         points = self._points.get(level)
         if points is None:
             lv, name = self.level(level) if level else self._root, self.alphabet.names[0]
@@ -291,9 +288,9 @@ class ChainAction:
         no order.
 
         A point fixed at level ``L`` lies over a vertex fixed at ``L - 1``,
-        so each level tests only the children (:meth:`children`) of the
-        vertices fixed one level up, from every level-1 point.  Pass 1
-        walks each word on its tested points alone (:meth:`apply`).  A word
+        so each level tests only the :meth:`children` of the vertices fixed
+        one level up, from every level-1 point.  Pass 1 walks each word on
+        its tested points alone (:meth:`apply`).  A word
         whose tested points, summed over the levels, would pass
         ``size(level) * DEFER_SHARE`` is deferred where it is; pass 2 images
         the deferred words over shared prefixes (:meth:`images`) and
@@ -307,16 +304,15 @@ class ChainAction:
         Every fixed point lies under a tested point, so a deferred word
         fixes at most ``len(points) * size(level) // size(lvl)`` points, and
         that many only if it fixes every point under ``points``.  Pass 2
-        gathers each column of the (level, ``lvl``) :meth:`descendants` over
-        the tested points and compares it with its image; if every column is
-        fixed, they are the fixed set and each count is read from the sizes.
-        Otherwise the walk goes on from the tested points, or from their
-        children when the first column (the representatives) is fixed,
-        reading each point's image through its :meth:`representatives` and
-        :meth:`ancestors`.  The descendants read :meth:`children` below the
-        tested level, so a level without constant fibers is refused here
-        too.  Pass 1 yields in input order; the deferred words follow in
-        image order, so callers store results by ``i``.
+        reads the (level, ``lvl``) :meth:`descendants` of the tested points
+        a column at a time and compares each with its image; if every
+        column is fixed, they are the fixed set and each count is read from
+        the sizes.  Otherwise the walk goes on from the tested points, or
+        from their children when the first column (the representatives) is
+        fixed, reading the image of each point's representative at its
+        :meth:`ancestors_of`.  Reading :meth:`order` refuses a level without
+        constant fibers.  Pass 1 yields in input order; the deferred words
+        follow in image order, so callers store results by ``i``.
         """
         if level < 1:
             raise ValueError("fixed counts need 1 <= level")
@@ -336,14 +332,13 @@ class ChainAction:
             i, (lvl, points), counts = deferred[j]
             deferred[j] = None
             fixed = []
-            for column in self.descendants(level, lvl):
-                deep = compose(column, points)
+            for deep in self.descendants(level, lvl, points):
                 if compose(image, deep) != deep:
                     break
                 fixed += deep
             else:
                 counts.extend(len(points) * n // sizes[lvl] for n in sizes[lvl:])
-                yield i, counts, tuple(fixed)
+                yield i, counts, (fixed := tuple(fixed))  # the list is not kept while the caller reads
                 continue
             if fixed:  # the first column, the representatives, is fixed
                 counts.append(len(points))
@@ -358,8 +353,7 @@ class ChainAction:
         ``image``: the ancestor at ``lvl`` of the image of a point over each."""
         if lvl == level:
             return compose(image, points)
-        reps = compose(self.representatives(level, lvl), points)
-        return compose(self.ancestors(level, lvl), compose(image, reps))
+        return self.ancestors_of(level, lvl, compose(image, self.representatives(level, lvl, points)))
 
     def _descend(self, evaluate, level: int, start, counts: list, budget):
         """Walk one word down from ``start = (lvl, points)``, appending each
@@ -393,89 +387,97 @@ class ChainAction:
     def fixed_count(self, word: Word, level: int) -> int:
         return count_fixed(self.word_permutation(word, level))
 
-    def ancestors(self, level: int, base_level: int) -> tuple[int, ...]:
-        """``table[x]``: the level-``base_level`` ancestor of level-``level`` point ``x``.
+    def order(self, level: int) -> tuple[int, ...]:
+        """The level's points in digit order: the ``j``-th child of the
+        ``i``-th point of ``order(level - 1)`` at ``j * size(level - 1) + i``,
+        siblings ascending, so ``order(b)[m % size(b)]`` is the level-``b``
+        ancestor of ``order(level)[m]``.  In the digit layout (parents
+        ``points(level - 1)`` repeated, as all but the torus builders make
+        them) from level 1 down it is :meth:`points`; any other level is
+        sorted by parent once, checked for fiber constancy (else an
+        :class:`InvalidChainError`) and gathered through the order above."""
+        order = self._order.get(level) if level else self.points(0)
+        if order is None:
+            lv, above, below = self.level(level), self.order(level - 1), self.points(level - 1)
+            points, parent, s, k = self.points(level), lv.parent, len(below), lv.size // len(below)
+            if parent == below * k:  # the digit layout: the j-th child of v is j * s + v
+                columns = () if above is below else [points[j * s:(j + 1) * s] for j in range(k)]
+            else:  # a stable sort keeps siblings ascending, and a vertex's run of k ends on it
+                ordered = sorted(points, key=parent.__getitem__)
+                columns = [ordered[j::k] for j in range(k)]
+                if k * s != lv.size or not (compose(parent, columns[0]) == below
+                                            == compose(parent, columns[-1])):
+                    _, detail = (_first_offender("fiber-constancy", lv, s)
+                                 or _first_offender("parent-range", lv, s))
+                    raise InvalidChainError(f"level {level}: {detail}")
+            order = self._order[level] = tuple(  # no columns: the digit layout from level 1
+                chain_iter.from_iterable(compose(c, above) for c in columns)) if columns else points
+        return order
 
-        Built coarse-first: from ``points(base_level)``, each finer parent
-        array is gathered through the table so far, so a table costs fewer
-        than two gathers of its level and is a tuple of ``points(base_level)``'s
-        ints.  Only the requested (level, base level) pair is memoized;
-        callers must not mutate it.
-        """
+    def pos(self, level: int) -> tuple[int, ...]:
+        """``pos(level)[x]``: where point ``x`` sits in :meth:`order`; memoized."""
+        pos = self._pos.get(level)
+        if pos is None:
+            order, points = self.order(level), self.points(level)
+            pos = self._pos[level] = order if order is points else invert(order, points)
+        return pos
+
+    def ancestors(self, level: int, base_level: int) -> tuple[int, ...]:
+        """``table[x]``: the level-``base_level`` ancestor of level-``level`` point
+        ``x``, ``order(base_level)`` repeated, read at ``pos(level)`` if not points."""
         if not 0 <= base_level <= level:
             raise ValueError("ancestor levels must satisfy 0 <= base_level <= level")
-        table = self._ancestor_tables.get((level, base_level))
-        if table is None:
-            table = self.points(base_level)
-            for lvl in range(base_level + 1, level + 1):
-                table = compose(table, self.level(lvl).parent)
-            self._ancestor_tables[level, base_level] = table
-        return table
+        table, pos = self.order(base_level) * (self.size(level) // self.size(base_level)), self.pos(level)
+        return table if pos is self.points(level) else compose(table, pos)
+
+    def ancestors_of(self, level: int, base_level: int, points) -> tuple[int, ...]:
+        """The level-``base_level`` ancestors of level-``level`` ``points``: from
+        two levels up in the digit layout one gather of the :meth:`ancestors`
+        table, a repeat made for the call; else up the parent arrays, a
+        gather per level that needs no ``pos``.  Neither makes an int."""
+        if level - base_level > 1 and self.order(level) is self.points(level):
+            return compose(self.ancestors(level, base_level), points)
+        for lvl in range(level, base_level, -1):
+            points = compose(self.level(lvl).parent, points)
+        return tuple(points)
 
     def children(self, level: int) -> tuple:
-        """``table[j][v]``: the ``j``-th level-``level`` point over vertex ``v`` one level up.
-
-        The points over one vertex are listed in increasing order, and
-        every vertex must have the same number of them (fiber constancy).
-        In the digit layout (a parent array of ``points(level - 1)`` repeated,
-        as all but the torus-based builders make it) the columns are slices
-        of :meth:`points`; any other is sorted by parent and checked.  A
-        level without fiber constancy, or whose first generator (the array :meth:`points`
-        is read from) is no bijection, is an :class:`InvalidChainError`.
-        The columns are memoized tuples of :meth:`points`' ints, so a gather
-        through them makes no int; callers must not mutate them.
-        """
+        """``table[j][v]``: the ``j``-th level-``level`` point over vertex ``v``
+        one level up, ``descendants(level, level - 1)`` memoized for the walk."""
         table = self._children.get(level)
         if table is None:
-            lv = self.level(level)
-            n, below = lv.size, self.size(level - 1)
-            parent, k = lv.parent, n // below
-            points, above = self.points(level), self.points(level - 1)
-            if parent == above * k:  # the digit layout: point j * below + v
-                columns = [points[j * below:(j + 1) * below] for j in range(k)]
-            else:
-                # a stable sort of the increasing points keeps siblings ascending
-                order = sorted(points, key=parent.__getitem__)
-                columns = [order[j::k] for j in range(k)]
-                if k * below != n or not all(compose(parent, c) == above for c in columns):
-                    _, detail = (_first_offender("fiber-constancy", lv, below)
-                                 or _first_offender("parent-range", lv, below))
-                    raise InvalidChainError(f"level {level}: {detail}")
-            table = self._children[level] = tuple(map(tuple, columns))
+            table = self._children[level] = tuple(self.descendants(level, level - 1))
         return table
 
-    def representatives(self, level: int, base_level: int) -> tuple:
-        """``table[v]``: one level-``level`` point over level-``base_level``
-        vertex ``v``, the first column of :meth:`descendants`."""
-        return self.descendants(level, base_level)[0]
+    def representatives(self, level: int, base_level: int, vertices=None) -> tuple:
+        """The first column of :meth:`descendants`: one level-``level``
+        point over each level-``base_level`` vertex."""
+        return next(self.descendants(level, base_level, vertices))
 
-    def descendants(self, level: int, base_level: int) -> tuple:
-        """``table[j][v]``: the ``j``-th level-``level`` point over
-        level-``base_level`` vertex ``v``, the deepest :meth:`children`
-        column the top digit of ``j``, so ``table[0]`` takes the first child
-        at every level.  Built coarse-first, one gather per column, and
-        memoized per pair at one pointer per point; do not mutate it."""
+    def descendants(self, level: int, base_level: int, vertices=None):
+        """Yield the columns ``table[j]``: over each level-``base_level`` vertex
+        in ``vertices`` (default all, so ``table[j][v]``), its ``j``-th
+        level-``level`` point, the deepest :meth:`children` column the top
+        digit of ``j``: the ``j``-th ``size(base_level)`` slice of ``order(level)``
+        read at ``pos(base_level)``, in the digit layout the slice alone."""
         if not 0 <= base_level < level:
             raise ValueError("descendant levels must satisfy 0 <= base_level < level")
-        table = self._descendants.get((level, base_level))
-        if table is None:
-            table = self.children(base_level + 1)
-            for lvl in range(base_level + 2, level + 1):
-                table = tuple(compose(c, col) for c in self.children(lvl) for col in table)
-            self._descendants[level, base_level] = table
-        return table
+        order, size, pos = self.order(level), self.size(base_level), self.pos(base_level)
+        digit = pos is self.points(base_level)
+        if vertices is None and digit:  # every vertex: slices of the order
+            return (order[c:c + size] for c in range(0, len(order), size))
+        at = pos if vertices is None else vertices if digit else compose(pos, vertices)
+        first = at if order is self.points(level) else compose(order, at)
+        return chain_iter((first,), (compose(order[c:c + size], at) for c in range(size, len(order), size)))
 
     def fiber(self, base_level: int, level: int, vertex: int) -> tuple[int, ...]:
         """All level-``level`` points over ``vertex`` at ``base_level``, in
-        increasing order, read level by level from the ``children`` columns."""
+        increasing order: a residue class of positions in :meth:`order`."""
         if not 0 <= base_level <= level:
             raise ValueError("ancestor levels must satisfy 0 <= base_level <= level")
         if not 0 <= vertex < self.size(base_level):
             raise ValueError(f"vertex {vertex} out of range at level {base_level}")
-        points = (vertex,)
-        for below in range(base_level + 1, level + 1):
-            points = self._children_of(below, points)
-        return tuple(sorted(points))
+        return tuple(sorted(self.order(level)[self.pos(base_level)[vertex]::self.size(base_level)]))
 
 
 def _least_start(seq: tuple) -> int:
@@ -562,29 +564,27 @@ def walk_classes(chain: ChainAction, words: list[Word], level: int):
 
 def restrict(chain: ChainAction, base_level: int, words: list[Word]) -> ChainAction:
     """The tower of fibers over the basepoint at ``base_level``: level ``j``
-    holds the level-``base_level + j`` points over it, numbered column by
-    column of the ``children`` tables (so the basepoint stays 0, and the
-    parent array repeats ``range`` of the level above), and letter ``i``
-    acts as ``words[i]`` does there.  A word must fix the basepoint, so
-    that it maps each fiber onto itself; one that does not is a ValueError
-    when a level is built.  Levels are built on first use, in C-level
-    passes (the ``children`` columns, :meth:`ChainAction.apply` and a dict
-    of positions), and charged against the budget the chain has left.
+    holds the level-``base_level + j`` points over it, numbered in
+    :meth:`~ChainAction.order` (so the basepoint stays 0, and the parent
+    array repeats ``range`` of the level above), and letter ``i`` acts as
+    ``words[i]`` does there.  A word must fix the basepoint, so that it
+    maps each fiber onto itself; one that does not is a ValueError when a
+    level is built.  Levels are built on first use, in C-level passes (a
+    slice of the order, :meth:`ChainAction.apply` and a dict of
+    positions), and charged against the budget the chain has left.
     """
-    names = tuple(f"s{i}" for i in range(len(words)))
-    fibers = {0: (0,)}  # level -> its chain points, in the tower's order
+    names, size = tuple(f"s{i}" for i in range(len(words))), chain.size(base_level)
 
     def provider(j: int) -> LevelAction:
-        level, above = base_level + j, fibers[j - 1]
-        fiber = chain._children_of(level, above)
+        level = base_level + j
+        fiber = chain.order(level)[chain.pos(base_level)[0]::size]  # the points over the basepoint
         at = dict(zip(fiber, range(len(fiber))))
         try:
             perms = {name: compose(at, chain.apply(w, level, fiber)) for name, w in zip(names, words)}
         except KeyError:
             raise ValueError(f"a word moves the basepoint at level {base_level}") from None
-        fibers[j] = fiber
-        parent = tuple(range(len(above))) * (len(fiber) // len(above))
-        return LevelAction(j, len(fiber), parent, perms)
+        above = chain.size(level - 1) // size
+        return LevelAction(j, len(fiber), tuple(range(above)) * (len(fiber) // above), perms)
 
     return ChainAction(GeneratorAlphabet(names), provider, name=f"{chain.name} over level {base_level}",
                        level_size=lambda j: chain.size(base_level + j) // chain.size(base_level),

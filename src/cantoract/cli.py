@@ -280,12 +280,14 @@ def _run_validate(args) -> int:
     return 0
 
 
-def _read_words(path: str, alphabet) -> list:
+def _read_words(path: str, chain) -> list:
     """The words of a ``--words`` file, one per non-blank line.  The file
     may hold at most :data:`~cantoract.words.MAX_WORD_LETTERS` bytes; a
     longer one is a ``word_letters`` budget error, read no further, and more
-    words than the word budget are counted before any is parsed.  A file
-    with no word is refused: it would make a verdict over no candidate."""
+    words than the word budget are counted before any is parsed.  Each
+    line's letters are charged against the chain's memory budget as it is
+    parsed, so a file whose powers expand past it is refused.  A file with
+    no word is refused: it would make a verdict over no candidate."""
     with open(path, "rb") as fh:
         data = fh.read(MAX_WORD_LETTERS + 1)
     if len(data) > MAX_WORD_LETTERS:
@@ -297,7 +299,14 @@ def _read_words(path: str, alphabet) -> list:
     if len(lines) > DEFAULT_WORD_BUDGET:
         raise BudgetError("word_budget", f"words file {path} holds {len(lines)} words, "
                                          f"more than the budget of {DEFAULT_WORD_BUDGET}")
-    return [ca.parse_word(line, alphabet) for line in lines]
+    words, letters = [], 0
+    for line in lines:
+        words.append(ca.parse_word(line, chain.alphabet))
+        letters += len(words[-1].letters)
+        if letters > chain.memory_budget:
+            raise BudgetError("memory_budget", f"words file {path} holds more than "
+                              f"{chain.memory_budget} letters; raise --memory-budget")
+    return words
 
 
 def _point(args, chain) -> PointApprox:
@@ -319,7 +328,7 @@ def _point(args, chain) -> PointApprox:
 # of the loaded chain.
 _ANALYSES = {
     "farber": ("farber", "farber", lambda args, chain: farber_check(
-        chain, words=_read_words(args.words_file, chain.alphabet) if args.words_file else None,
+        chain, words=_read_words(args.words_file, chain) if args.words_file else None,
         max_word_len=args.max_word_len, depth=args.depth, tolerance=args.tolerance)),
     "local-farber": ("local-farber", "farber", lambda args, chain: local_farber_check(
         chain, args.base_level, max_word_len=args.max_word_len, depth=args.depth,

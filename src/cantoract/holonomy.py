@@ -21,7 +21,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-from .chain import ChainAction, Cylinder, check_depth, compose, conjugator
+from .chain import ChainAction, Cylinder, check_depth, conjugator
 from .words import Word
 
 
@@ -66,8 +66,9 @@ def _maximal_fixed_cylinders(chain: ChainAction, fixed, depth: int, cap: int) ->
     then by vertex.
 
     A level-``cap`` vertex is fixed iff ``size(depth) // size(cap)`` points
-    of ``fixed`` lie over it, so one gather of the ancestor table over
-    ``fixed`` and a count per vertex find them, in O(|fixed|).  The other
+    of ``fixed`` lie over it, so the ancestors of ``fixed`` alone
+    (:meth:`~ChainAction.ancestors_of`) and a count per vertex find them,
+    in O(|fixed|).  The other
     vertices, whose fiber moves, are walked up through the parent arrays; a
     fixed vertex is maximal when its parent moves.  The answer is
     ``[Cylinder(0, 0)]`` exactly when the word fixes every point.
@@ -75,7 +76,7 @@ def _maximal_fixed_cylinders(chain: ChainAction, fixed, depth: int, cap: int) ->
     if len(fixed) == chain.size(depth):
         return [Cylinder(0, 0)]
     per_vertex = chain.size(depth) // chain.size(cap)
-    over = Counter(compose(chain.ancestors(depth, cap), fixed))
+    over = Counter(chain.ancestors_of(depth, cap, fixed))
     moved = set(range(chain.size(cap))).difference(
         v for v, count in over.items() if count == per_vertex)
     out: list[Cylinder] = []

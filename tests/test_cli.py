@@ -455,6 +455,41 @@ def test_words_file_past_the_byte_cap_is_a_budget_error(chains, tmp_path, source
                       f"than the limit of {MAX_WORD_LETTERS} bytes"]
 
 
+def test_words_sharing_a_long_prefix_keep_a_bounded_image_stack(chains, tmp_path):
+    """``g^20000`` and ``g^19999`` share 19,999 letters, and a prefix image
+    per letter of 256 points would take ~40 MB; the stack keeps only what
+    the memory budget has room for, recomputing the rest, so the two-word
+    run ends under a 1 GB address cap with each word's own trajectory."""
+    def run(*lines):
+        words = tmp_path / "words.txt"
+        words.write_text("".join(f"{line}\n" for line in lines))
+        proc = run_cli(["farber", chains["fragmented"], "--words", str(words), "--depth", "8"],
+                       timeout=60, preexec_fn=_address_space_cap())
+        assert proc.returncode == 0, proc.stderr
+        return {w["word"]: w["trajectory"] for w in json.loads(proc.stdout)["result"]["words"]}
+
+    both = run("g^20000", "g^19999")
+    assert len(both) == 2
+    for word, trajectory in both.items():
+        assert run(word) == {word: trajectory}
+
+
+def test_words_file_letters_past_the_memory_budget_are_refused(chains, tmp_path):
+    """Five lines of ``g^999999`` expand to ~5,000,000 letters, past the
+    default memory budget of 4,000,000: the letters are charged as each
+    line is parsed, so the run exits 2 at the fifth line, in seconds."""
+    words = tmp_path / "words.txt"
+    words.write_text("g^999999\n" * 5)
+    proc = run_cli(["farber", chains["fragmented"], "--words", str(words), "--depth", "4"],
+                   timeout=30, preexec_fn=_address_space_cap())
+    assert proc.returncode == 2, proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: budget memory_budget exceeded: words file {words} holds more "
+                      "than 4000000 letters; raise --memory-budget"]
+    wall = [line for line in proc.stderr.splitlines() if line.startswith("wall-time:")]
+    assert float(wall[0].split()[1]) < 5_000
+
+
 WORD_BUDGET = "error: budget word_budget exceeded: word enumeration exceeded budget of 50000 words"
 
 

@@ -2,13 +2,14 @@
 
 Word images built over shared prefixes, the top-down fixed counts of a
 list of words (walked on their tested points, some of them imaged), the
-conjugacy class keys, the memoized ancestor, children
-and representative tables, the tower of a base fiber, and the core and
-density answers read from them are each compared with a brute-force
-oracle: point-by-point action for images and fixed counts, the
-tuple-keyed reference for class keys, a parent walk for tables and
-fibers.  Fixed counts over the fiber of a base level above 0 are the
-reference walk's (``oracles.walk``), checked here point by point.
+conjugacy class keys, each level's digit order and the ancestor,
+children, representative and descendant tables read from it, the tower
+of a base fiber, and the core and density answers read from them are
+each compared with a brute-force oracle: point-by-point action for
+images and fixed counts, the tuple-keyed reference for class keys, a
+parent walk for tables and fibers.  Fixed counts over the fiber of a
+base level above 0 are the reference walk's (``oracles.walk``), checked
+here point by point.
 """
 
 import random
@@ -34,8 +35,8 @@ from cantoract.words import conjugate
 
 from conftest import GRIGORCHUK, ORACLE_CHAINS
 from oracles import (act, adding_machine_chain, ancestor, class_keys as pair_class_keys,
-                     core_membership, density_entries, pairs, stabilizer_contains,
-                     walk as reference_walk)
+                     core_membership, density_entries, descendant, pairs, relabel,
+                     stabilizer_contains, walk as reference_walk)
 
 # every builder family at depths small enough for brute force
 _FAMILIES = [
@@ -175,10 +176,13 @@ def test_fixed_counts_stop_once_the_fixed_set_empties(monkeypatch):
     assert _walked(odo, a, 8, 1, "walk-imaging-all") == [([0] * 8, ())]
     # the word is imaged at once, which gathers nothing for one letter, and
     # level 1 alone is tested: the root's two children are gathered one
-    # column at a time, two gathers over them check their deep
-    # representatives, which move, then three walk them; at base level 1
-    # two and three over the basepoint; nothing deeper either time
-    assert [len(q) for q in gathers] == [1, 1, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1]
+    # column at a time, one gather of the image checks their deep
+    # representatives, which move, then two walk them, the image of each
+    # point's representative (in the digit layout the point itself, with
+    # no gather) and its ancestor through the ancestor table; at base
+    # level 1 two over the basepoint and the same two reads of its one
+    # point; nothing deeper either time
+    assert [len(q) for q in gathers] == [1, 1, 2, 2, 2, 1, 1, 1, 1]
     # the walk gathers the root's children once per call, then applies each
     # word's one letter to them alone, and images neither word; the first
     # application builds level 1's letter table, whose one gather finds
@@ -715,7 +719,26 @@ def test_conjugator_is_linear_in_a_long_periodic_core():
 @common
 @given(st.sampled_from(_FAMILIES), st.data())
 def test_ancestor_tables_and_fibers_match_parent_walk(family, data):
+    """Ancestors, fibers, children, representatives and descendant columns
+    against the parent walk, on each family and on a copy with a drawn set
+    of levels renamed, so that digit-layout and sorted levels mix: a level
+    is kept, shuffled, or renamed digit by digit after the level above (so
+    that a digit-layout level may lie under a sorted one)."""
     chain, max_depth = family
+    if data.draw(st.booleans()):
+        shuffle = random.Random(data.draw(st.integers(0, 2**32 - 1))).shuffle
+        sigma = [[0]]
+        for lvl in range(1, max_depth + 1):
+            n, above = chain.size(lvl), sigma[-1]
+            rename = data.draw(st.sampled_from(["keep", "shuffle", "lift"]))
+            if rename == "lift":
+                sigma.append([x - x % len(above) + above[x % len(above)] for x in range(n)])
+                continue
+            rest = list(range(1, n))
+            if rename == "shuffle":
+                shuffle(rest)
+            sigma.append([0, *rest])
+        chain = relabel(chain, max_depth, sigma)
     level = data.draw(st.integers(0, max_depth))
     base = data.draw(st.integers(0, level))
     table = chain.ancestors(level, base)
@@ -732,6 +755,11 @@ def test_ancestor_tables_and_fibers_match_parent_walk(family, data):
         assert [column[vertex] for column in chain.children(base + 1)] == below
         rep = chain.representatives(level, base)[vertex]
         assert brute[rep] == vertex
+        j = data.draw(st.integers(0, chain.size(level) // chain.size(base) - 1))
+        assert list(chain.descendants(level, base))[j] == tuple(
+            descendant(chain, level, base, j, v) for v in range(chain.size(base)))
+        assert list(chain.descendants(level, base, (vertex,)))[j] == (
+            descendant(chain, level, base, j, vertex),)
 
 
 @pytest.mark.parametrize("family", _FAMILIES, ids=lambda f: f[0].name)
@@ -752,23 +780,74 @@ def test_fibers_match_parent_walk_at_every_vertex(family):
                 table(level, base)
 
 
-@pytest.mark.parametrize("bases", [[8, 7, 6, 5, 4, 3, 2, 1], [1, 2, 3, 4, 5, 6, 7, 8],
-                                   [4, 7, 1, 8, 2, 6, 3, 5]])
-def test_ancestor_tables_cost_one_gather_per_level_in_any_order(monkeypatch, bases):
-    """Each base level's table costs one gather per level from it to ``level``,
-    in any request order; only the requested pairs are kept, and none is rebuilt."""
-    chain = ca.odometer(2)
-    chain.level(9)
+def _per_level_tables_only(chain):
+    """Every table the chain holds is keyed by one level: it keeps no table
+    per (level, base level) pair."""
+    return all(type(key) is int for table in vars(chain).values() if isinstance(table, dict)
+               for key in table)
+
+
+@pytest.mark.parametrize("family", [
+    *(f for f in _FAMILIES if not f[0].name.startswith(("toral", "heisenberg"))),
+    (ca.odometer(2), 10), (_grigorchuk(), 9)],
+                         ids=lambda f: f[0].name)
+def test_digit_layout_tables_make_no_gather(family, monkeypatch):
+    """In the digit layout each level's order and positions are its points,
+    so the ancestor table is a repeat of the base level's points, the
+    descendant columns are slices of the level's, the representatives their
+    first, and a fiber a strided slice: none of them gathers."""
+    chain, depth = family
+    for level in range(depth + 1):
+        chain.points(level)
     gathers = []
-    monkeypatch.setattr(chain_module, "compose", lambda p, q: gathers.append(1) or compose(p, q))
-    tables = {b: chain.ancestors(9, b) for b in bases}
-    cost = sum(9 - b for b in bases)
-    assert len(gathers) == cost
-    assert sorted(chain._ancestor_tables) == sorted((9, b) for b in bases)
-    assert all(chain.ancestors(9, b) is tables[b] for b in bases)
-    assert len(gathers) == cost
-    for b in bases:
-        assert list(tables[b]) == [ancestor(chain, 9, x, b) for x in range(chain.size(9))]
+    monkeypatch.setattr(chain_module, "compose", lambda p, q: gathers.append(len(q)) or compose(p, q))
+    for level in range(1, depth + 1):
+        assert chain.order(level) is chain.pos(level) is chain.points(level)
+        for base in range(level):
+            assert chain.ancestors(level, base) == chain.points(base) * (
+                chain.size(level) // chain.size(base))
+            assert len(list(chain.descendants(level, base))) == chain.size(level) // chain.size(base)
+            assert chain.representatives(level, base) == chain.points(base)
+            assert len(chain.fiber(base, level, chain.size(base) - 1)) == (
+                chain.size(level) // chain.size(base))
+    assert gathers == []
+    assert _per_level_tables_only(chain)
+
+
+@pytest.mark.parametrize("make", [partial(ca.toral, 2, 2), partial(ca.heisenberg, 2)],
+                         ids=["toral", "heisenberg"])
+def test_torus_tables_make_the_stated_gathers(make, monkeypatch):
+    """The torus families number levels 2 and up other than by digits, so
+    those are sorted by parent.  With the orders and positions built, an
+    ancestor table is one gather of the level where its ``pos`` is not its
+    points, the descendants one gather of the base level per column where
+    the base's ``pos`` is not, the representatives the first of those, and
+    a fiber no gather; nothing is kept per (level, base level) pair."""
+    chain, depth = make(), 4
+    for level in range(depth + 1):
+        chain.pos(level)
+    moved = [level for level in range(depth + 1) if chain.pos(level) is not chain.points(level)]
+    assert moved == [2, 3, 4]
+    gathers = []
+    monkeypatch.setattr(chain_module, "compose", lambda p, q: gathers.append(len(q)) or compose(p, q))
+    for level in range(1, depth + 1):
+        size = chain.size(level)
+        for base in range(level):
+            below, columns = chain.size(base), size // chain.size(base)
+            del gathers[:]
+            assert list(chain.ancestors(level, base)) == [ancestor(chain, level, x, base)
+                                                           for x in range(size)]
+            assert gathers == ([size] if level in moved else [])
+            del gathers[:]
+            assert len(list(chain.descendants(level, base))) == columns
+            assert gathers == ([below] * columns if base in moved else [])
+            del gathers[:]
+            assert len(chain.representatives(level, base)) == below
+            assert gathers == ([below] if base in moved else [])
+            del gathers[:]
+            assert len(chain.fiber(base, level, below - 1)) == columns
+            assert gathers == []
+    assert _per_level_tables_only(chain)
 
 
 def test_images_share_prefixes(frag, monkeypatch):
@@ -787,6 +866,20 @@ def test_images_share_prefixes(frag, monkeypatch):
     assert order != list(range(len(words)))  # visited in letter order, reported by index
     # the first letter's image is its permutation; every later letter is one gather
     assert len(gathers) == sum(1 for w in words if len(w) >= 2)
+
+
+def test_images_keep_no_more_prefix_images_than_the_budget_has_room_for():
+    """Two words sharing a 39-letter prefix on a chain whose budget has room
+    for five level-8 images past its stored levels: the stack holds at most
+    five, the next word recomputes the rest, and both images are right."""
+    chain = ca.fragmented(memory_budget=510 + 5 * 256)  # levels 1..8 store 510 points
+    chain.level(8)
+    g = chain.alphabet.names.index("g")
+    words = [ca.Word.of([2 * g] * 40), ca.Word.of([2 * g] * 39)]
+    stream = chain.images(words, 8)
+    for i, image in stream:
+        assert len(stream.gi_frame.f_locals["stack"]) <= 5 + 1
+        assert image == _brute_image(chain, words[i], 8)
 
 
 def test_compose_and_invert():

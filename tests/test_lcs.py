@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 import cantoract as ca
 import cantoract.chain as chain_module
-import cantoract.holonomy as holonomy_module
 import cantoract.lcs as lcs_module
 from cantoract.chain import compose, invert
 from cantoract.lcs import gamma_candidates, witness_search
@@ -283,8 +282,7 @@ def test_search_makes_at_most_three_full_level_gathers_per_candidate(monkeypatch
         walks.append(len(words))
         return walk(self, words, *args, **kwargs)
 
-    for module in (chain_module, holonomy_module):
-        monkeypatch.setattr(module, "compose", counting)
+    monkeypatch.setattr(chain_module, "compose", counting)
     monkeypatch.setattr(chain_module.ChainAction, "walk", counting_walk)
     winners = []
     monkeypatch.setattr(lcs_module, "fixed_set_report", lambda chain, w, depth: (

@@ -16,7 +16,6 @@ import pytest
 
 import cantoract as ca
 import cantoract.chain as chain_module
-import cantoract.holonomy as holonomy_module
 from cantoract.mealy import load_machine
 
 _GRIGORCHUK = Path(__file__).resolve().parents[1] / "bench" / "grigorchuk.json"
@@ -62,10 +61,40 @@ def _lcs_fat_cantor():
 # per input: (compose calls, points gathered) in set-up and in the analysis,
 # the analysis's gathers of a whole deepest level of what it walks (the
 # chain's, or at a base level the tower's, of ``size(depth) // size(base)``
-# points), and the points it scans one at a time (``fixed_among``, the
-# kernel's per-point fixed test).  A level's tested points are kept whole
-# when their image equals them, a deferred word is settled column by column
-# of its ``descendants`` table instead of by a scan of its whole image, and
+# points), the points it scans one at a time (``fixed_among``, the
+# kernel's per-point fixed test), and the table entries the chain holds
+# after it (``_held``).  Each level keeps one digit order, its positions
+# and its children; the ancestor and descendant tables are read from the
+# orders when asked and kept by no one.  When the chain memoized them per
+# (level, base level) pair, the analyses made (2,445, 308,154)
+# (farber-classic), (1,804, 66,968) and (31,888, 539,266) (the localized
+# rows), (1,196, 511,358) with 35 whole levels (Grigorchuk), (110, 34,628)
+# with 4 (Heisenberg) and (668, 600,024) with 54 (fat_cantor), and the
+# chain held 12,286, 2,044, 8,128, 65,534, 9,556 and 29,523 entries in
+# the same row order.  The digit-layout rows gathered each descendants
+# table (12, 12, 12, 16 and 9 gathers of a column), the first column of
+# the tested points in pass 2 (now the points themselves), the ancestor
+# tables (13 gathers, 51,072 points, for Grigorchuk; 5, 16,281 for
+# fat_cantor) and a point's representative before reading its image; an
+# image read now takes two gathers, the image and then the ancestors,
+# through the parent array one level up and further up through the
+# ancestor table, a repeat of the base level's points made for the read;
+# reading ``x % size(base)`` instead made (1,135, 406,250) (Grigorchuk)
+# and (629, 518,223) (fat_cantor), and made a fresh int per point.  The
+# localized rows number the tower's points by a slice of the chain's
+# order, not by gathers of its children (18 and 14 calls).  Heisenberg's
+# levels 2 and up are sorted by parent: each checks fiber constancy on the
+# first and last column of the sort (10 gathers, 2,728 points), gathers
+# the sort's columns through the order above (20, 5,456), and from level
+# 3 reads its children from the order at the positions above (16, 5,440),
+# where the children were the sort's columns checked one by one (20,
+# 5,456) and an ancestor table cost 3 gathers (5,376); the orders and
+# positions hold more entries than the one ancestor table did.  When a
+# sorted level kept its sort's columns as its children, the search made
+# (126, 33,132).
+# A level's tested points are kept whole when their image equals them, a
+# deferred word is settled column by column of its ``descendants`` table
+# instead of by a scan of its whole image, and
 # a ``children`` table in the digit layout is read as slices: the analyses
 # went (2,179, 229,304) → (2,445, 308,154) (farber-classic), (1,494,
 # 47,954) → (1,804, 66,968) and (18,004, 325,072) → (31,888, 539,266) (the
@@ -123,18 +152,27 @@ def _lcs_fat_cantor():
 # scanned points (Grigorchuk), (119, 34,648) with 268 scanned (Heisenberg)
 # and (728, 656,510) with 58 whole levels and 45,939 scanned (fat_cantor)
 RECORD = {
-    "farber-classic": (_farber_classic, (51, 32_768), (2_445, 308_154), 40, 514),
-    "local-farber": (_local_farber, (43, 8_192), (1_804, 66_968), 51, 292),
-    "local-farber-deep": (_local_farber_deep, (51, 32_768), (31_888, 539_266), 1_392, 264),
-    "lcs-grigorchuk": (_lcs_grigorchuk, (156, 196_584), (1_196, 511_358), 35, 16_326),
-    "lcs-heisenberg": (_lcs_heisenberg, (39, 32_772), (110, 34_628), 4, 264),
-    "lcs-fat-cantor": (_lcs_fat_cantor, (40, 49_200), (668, 600_024), 54, 39_378),
+    "farber-classic": (_farber_classic, (51, 32_768), (2_413, 296_122), 40, 514, 1_022),
+    "local-farber": (_local_farber, (43, 8_192), (1_750, 63_642), 51, 292, 0),
+    "local-farber-deep": (_local_farber_deep, (51, 32_768), (30_869, 522_932), 1_392, 264, 0),
+    "lcs-grigorchuk": (_lcs_grigorchuk, (156, 196_584), (1_152, 427_334), 31, 16_326, 16_382),
+    "lcs-heisenberg": (_lcs_heisenberg, (39, 32_772), (142, 38_572), 3, 264, 12_276),
+    "lcs-fat-cantor": (_lcs_fat_cantor, (40, 49_200), (639, 557_499), 52, 39_378, 9_840),
 }
+
+
+def _held(chain) -> int:
+    """The entries of the kernel tables ``chain`` holds past its points:
+    its children columns, and each order and positions table that is not
+    the level's points."""
+    return (sum(len(column) for table in chain._children.values() for column in table)
+            + sum(len(table) for tables in (chain._order, chain._pos)
+                  for level, table in tables.items() if table is not chain._points[level]))
 
 
 @pytest.mark.parametrize("name", RECORD)
 def test_bench_inputs_do_the_recorded_kernel_work(name, monkeypatch):
-    build, setup, analysis, full, scanned = RECORD[name]
+    build, setup, analysis, full, scanned, held = RECORD[name]
     tally = {"calls": 0, "points": 0, "full": 0, "scanned": 0}
     size = None
     compose, fixed_among = chain_module.compose, chain_module.fixed_among
@@ -149,8 +187,7 @@ def test_bench_inputs_do_the_recorded_kernel_work(name, monkeypatch):
         tally["scanned"] += len(points)
         return fixed_among(points, got)
 
-    for module in (chain_module, holonomy_module):
-        monkeypatch.setattr(module, "compose", counting)
+    monkeypatch.setattr(chain_module, "compose", counting)
     monkeypatch.setattr(chain_module, "fixed_among", scanning)
     chain, depth, base, analyse = build()
     chain.level(depth)
@@ -160,26 +197,28 @@ def test_bench_inputs_do_the_recorded_kernel_work(name, monkeypatch):
     tally.update(calls=0, points=0, full=0, scanned=0)
     analyse()
     assert (tally["calls"], tally["points"]) == analysis
-    assert (tally["full"], tally["scanned"]) == (full, scanned)
+    assert (tally["full"], tally["scanned"], _held(chain)) == (full, scanned, held)
 
 
-def test_ancestor_tables_are_built_only_for_the_pairs_read(monkeypatch):
-    """One request memoizes its own pair alone, in fewer gathered points than
-    two of its level, and the Grigorchuk search builds only the tables it reads."""
+def test_the_grigorchuk_search_keeps_no_table_per_level_pair(monkeypatch):
+    """The ancestor and descendant tables are read from each level's digit
+    order when asked: the search keeps no table per (level, base level)
+    pair, every order and positions table it reads is the level's points,
+    and a descendant column over a few tested points costs a gather of
+    those points alone."""
+    chain, depth, _, analyse = _lcs_grigorchuk()
+    analyse()
+    assert all(type(level) is int for tables in vars(chain).values() if isinstance(tables, dict)
+               for level in tables)
+    assert sorted(chain._order) == list(range(1, depth + 1))
+    assert all(chain._order[level] is chain.points(level) for level in chain._order)
     gathered, compose = [], chain_module.compose
     monkeypatch.setattr(chain_module, "compose",
                         lambda p, q: gathered.append(len(q)) or compose(p, q))
-    for base in (0, 1, 5, 8, 9):
-        chain = ca.odometer(2)
-        chain.level(9)
-        gathered.clear()
-        table = chain.ancestors(9, base)
-        assert list(chain._ancestor_tables) == [(9, base)]
-        assert sum(gathered) < 2 * chain.size(9)
-        assert chain.ancestors(9, base) is table and len(gathered) == 9 - base
-    chain, _, _, analyse = _lcs_grigorchuk()
-    analyse()
-    assert sorted(chain._ancestor_tables) == [(13, 6), (13, 10), (13, 11), (13, 12)]
+    tested = (0, 5, 9)
+    columns = list(chain.descendants(depth, 10, tested))
+    assert len(columns) == chain.size(depth) // chain.size(10) and columns[0] == tested
+    assert gathered == [len(tested)] * (len(columns) - 1)
 
 
 # the witness scan of fragmented's 1,456 reduced words up to length 6 at
