@@ -11,27 +11,18 @@ from .chain import (
     schreier_generators,
     validate_chain,
 )
-from .builders import (
-    chain_from_dict,
-    chain_to_dict,
-    dihedral,
-    fragmented,
-    heisenberg,
-    load_chain,
-    mealy_chain,
-    odometer,
-    save_chain,
-    toral,
-)
+from .builders import chain_to_dict, fragmented, load_chain, mealy_chain, save_chain
 from .errors import BudgetError, CantorActError, InvalidChainError, SchemaError
 from .farber import FarberReport, farber_check, local_farber_check
 from .holonomy import FixedSetReport, fixed_set_report, interior_scan_limit
 from .lcs import LcsWitnessReport, gamma_candidates, witness_search
 from .words import GeneratorAlphabet, Word, commutator, reduced_words, render_word
 
-# Names whose module no Farber or LCS analysis reaches: each module is
+# Names whose module no Farber or LCS run reaches: each module is
 # imported (and so compiled) on the first read of one of its names.
 _LAZY = {
+    **dict.fromkeys(("dihedral", "heisenberg", "odometer", "toral"), "affine"),
+    "chain_from_dict": "chainfile",
     **dict.fromkeys(("DensityProfile", "LqaScaleEstimate", "TrivialityWitness", "density_profile",
                      "lqa_scale_estimate", "partial_triviality_witnesses", "sample_uniform"),
                     "scans"),

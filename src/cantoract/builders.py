@@ -1,35 +1,22 @@
-"""Canonical chain families and chain file I/O.
-
-Families:
-  odometer(p)      +1 on Z/p^L at each level; free at every level.
-  toral(d, p)      d independent +1 coordinates on (Z/p^L)^d.
-  dihedral()       +1 and negation on Z/2^L.
-  heisenberg(p)    (x,y) -> (x+1,y), (x,y+x), (x,y+1) on (Z/p^L)^2.
-  fragmented()     +1 together with "shift odd points by 2" on Z/2^L.
-  fat_cantor(s)    ternary tree with a sparsely punctured fixed set; see
-                   :mod:`cantoract.punctured`.
-  mealy(machine)   transduction action of an invertible letter transducer.
-
-Chain files hold static levels: :func:`load_chain` reads one and
-:func:`save_chain` writes one.
-"""
+"""The families the in-process runs build, ``fragmented()`` and
+``mealy_chain(machine)``, on the string layout :func:`_strings` that the
+affine (:mod:`cantoract.affine`) and fat-Cantor (:mod:`cantoract.punctured`)
+families share too, and chain files: :func:`load_chain` reads one through
+:mod:`cantoract.chainfile` and :func:`save_chain` writes one."""
 
 from __future__ import annotations
 
 import json
 from typing import TYPE_CHECKING
 
+# the bench tracer wraps ``validate_chain`` (now called from ``chainfile``) by this name:
+# it stays until ROADMAP item 1, stage B, moves its spans
 from .chain import ChainAction, LevelAction, compose, validate_chain
-from .errors import InvalidChainError, SchemaError, expect, json_type, read_json
+from .errors import SchemaError, read_json
 from .words import GeneratorAlphabet
 
 if TYPE_CHECKING:
     from .mealy import MealyMachine
-
-
-def _check_base(p: int):
-    if p < 2:
-        raise SchemaError(f"base must be >= 2, got {p}")
 
 
 def _strings(base: int, names: tuple, name: str, perms, **budgets) -> ChainAction:
@@ -46,87 +33,6 @@ def _strings(base: int, names: tuple, name: str, perms, **budgets) -> ChainActio
 
     return ChainAction(GeneratorAlphabet(names), provider, name=name,
                        level_size=lambda level: base**level, **budgets)
-
-
-def _torus(dim: int, base: int, level: int) -> tuple:
-    """``(n, parent, shifts)`` of level ``level`` of the torus (Z/p^L)^dim:
-    point ``x`` has coordinates ``x // m**i % m`` with ``m = p**L``, and
-    ``shifts[i]`` adds 1 to coordinate ``i``."""
-    m = base**level
-    lower = m // base
-    n = m**dim
-    points = tuple(range(n))
-    shifts = []
-    for i in range(dim):
-        stride = m**i
-        # each run of m*stride points turns by stride
-        perm = []
-        for start in range(0, n, m * stride):
-            perm += points[start + stride:start + m * stride] + points[start:start + stride]
-        shifts.append(tuple(perm))
-    # one coordinate at a time, each the most significant so far: a point
-    # whose coordinate i is c has the parent of its lower coordinates plus
-    # lower**i * (c % lower), gathered from a slice of the points
-    parent = (0,)
-    for i in range(dim):
-        span = lower**i
-        shifted = []
-        for r in range(lower):
-            shifted += compose(points[r * span:(r + 1) * span], parent)
-        parent = tuple(shifted) * base
-    return n, parent, shifts
-
-
-def odometer(base: int = 2, **budgets) -> ChainAction:
-    _check_base(base)
-    return _strings(base, ("a",), f"odometer({base})",
-                    lambda level, points: (points[1:] + points[:1],), **budgets)
-
-
-def toral(dim: int = 2, base: int = 2, **budgets) -> ChainAction:
-    _check_base(base)
-    if dim < 1:
-        raise SchemaError(f"dimension must be >= 1, got {dim}")
-    names = tuple(f"t{i}" for i in range(dim))
-
-    def provider(level: int) -> LevelAction:
-        n, parent, shifts = _torus(dim, base, level)
-        return LevelAction(level, n, parent, dict(zip(names, shifts)))
-
-    return ChainAction(GeneratorAlphabet(names), provider, name=f"toral({dim},{base})",
-                       level_size=lambda level: (base**level) ** dim, **budgets)
-
-
-def dihedral(**budgets) -> ChainAction:
-    return _strings(2, ("a", "r"), "dihedral",
-                    lambda level, points: (points[1:] + points[:1], points[:1] + points[:0:-1]),
-                    **budgets)
-
-
-def heisenberg(base: int = 2, **budgets) -> ChainAction:
-    """Coordinate action of the discrete Heisenberg generators on (Z/p^L)^2.
-
-    A shifts x, C shifts y, and B shears y by x, so B's fixed points at
-    level L are exactly the points with x = 0 mod p^L.  The point-0
-    stabilizers here are non-normal, which is what makes the family
-    interesting; a congruence-kernel tower would be normal and force a free
-    action.
-    """
-    _check_base(base)
-
-    def provider(level: int) -> LevelAction:
-        n, parent, (a, c) = _torus(2, base, level)
-        m = base**level
-        # B turns column x (the points x + m*y) by x; C has already turned
-        # it by one, so B turns C's column x - 1 more
-        b = [0] * n
-        for x in range(m):
-            column = c[x::m]
-            b[x::m] = column[x - 1:] + column[:x - 1]
-        return LevelAction(level, n, parent, {"A": a, "B": b, "C": c})
-
-    return ChainAction(GeneratorAlphabet(("A", "B", "C")), provider, name=f"heisenberg({base})",
-                       level_size=lambda level: (base**level) ** 2, **budgets)
 
 
 def fragmented(**budgets) -> ChainAction:
@@ -195,103 +101,9 @@ def mealy_chain(machine: MealyMachine, name: str = "mealy", **budgets) -> ChainA
     return _strings(d, gen_names, name, perms, mealy=machine, **budgets)
 
 
-_INT = frozenset({int})
-
-
-def _int_array(values, where: str) -> tuple:
-    """``values`` as a tuple, refused with a one-line ``SchemaError``
-    unless it is an array of JSON integers (so no bool, float or str)."""
-    if not isinstance(values, (list, tuple)):
-        raise SchemaError(f"{where} must be an array, got {json_type(values)}")
-    if not _INT.issuperset(map(type, values)):
-        bad = next(v for v in values if type(v) is not int)
-        raise SchemaError(f"{where} entries must be integers, got {json_type(bad)}")
-    return tuple(values)
-
-
-def _level_fields(level: int, entry) -> tuple:
-    """The size, parent and perms of a chain-file level entry, type-checked
-    so that a wrong JSON type is a one-line ``SchemaError``."""
-    if not isinstance(entry, dict):
-        raise SchemaError(f"level {level}: expected an object, got {json_type(entry)}")
-    try:
-        size, parent, perms = entry["size"], entry["parent"], entry["perms"]
-    except KeyError as exc:
-        raise SchemaError(f"malformed level {level}: missing {exc}") from exc
-    expect(size, int, f"level {level}: size")
-    if parent is not None:
-        if not isinstance(parent, (list, tuple)):
-            raise SchemaError(f"level {level}: parent must be null or an array, "
-                              f"got {json_type(parent)}")
-        parent = _int_array(parent, f"level {level}: parent")
-    perms = {str(g): _int_array(perm, f"level {level}: perms[{g!r}]")
-             for g, perm in expect(perms, dict, f"level {level}: perms").items()}
-    return size, parent, perms
-
-
-def chain_from_dict(data: dict, *, validate: bool = True, **budgets) -> ChainAction:
-    expect(data, dict, "chain file")
-    try:
-        name, generators, raw_levels = data["name"], data["generators"], data["levels"]
-    except KeyError as exc:
-        raise SchemaError(f"malformed chain file: {exc}") from exc
-    if not expect(name, str, "chain file: name").isprintable():
-        raise SchemaError("chain file: name must be printable, no control or surrogate characters")
-    generators = tuple(expect(g, str, f"chain file: generators[{i}]")
-                       for i, g in enumerate(expect(generators, list, "chain file: generators")))
-    expect(raw_levels, list, "chain file: levels")
-    if not raw_levels:
-        raise SchemaError("chain file provides no levels")
-    alphabet = GeneratorAlphabet(generators)
-    levels: list[LevelAction] = []
-    for i, entry in enumerate(raw_levels):
-        size, parent, perms = _level_fields(i + 1, entry)
-        if size < 1:
-            raise SchemaError(f"level {i + 1}: size must be at least 1, got {size}")
-        if set(perms) != set(generators):
-            raise SchemaError(
-                f"level {i + 1}: permutations given for {sorted(perms)}, expected {sorted(generators)}"
-            )
-        # every level has a permutation (the alphabet is never empty), so
-        # this bounds the size by the file's own data before (0,) * size
-        for g in generators:
-            if len(perms[g]) != size:
-                raise SchemaError(
-                    f"level {i + 1}: size {size} disagrees with the {len(perms[g])} entries "
-                    f"of permutation {g!r}"
-                )
-        if parent is None:
-            if i != 0:
-                raise SchemaError(f"level {i + 1}: only the first level may omit the parent array")
-            parent = (0,) * size
-        # the parser made an int per entry: share one per point between the
-        # level's arrays, but leave an out-of-range one for validation to name
-        points = tuple(range(size))
-        parent, *arrays = [compose(points, a) if a and min(a) >= 0 and max(a) < size else a
-                           for a in (parent, *perms.values())]
-        perms = dict(zip(perms, arrays))
-        levels.append(LevelAction(i + 1, size, parent, perms))
-
-    def provider(level: int) -> LevelAction:
-        return levels[level - 1]
-
-    budgets.setdefault("depth_limit", len(levels))
-    budgets["depth_limit"] = min(budgets["depth_limit"], len(levels))
-    chain = ChainAction(alphabet, provider, name=name,
-                        level_size=lambda level: levels[level - 1].size, **budgets)
-    if validate:
-        report = validate_chain(chain, len(levels))
-        if not report.ok:
-            v = report.violations[0]
-            raise InvalidChainError(
-                f"chain {name!r} failed validation: {v.invariant} at "
-                f"(level={v.level}, generator={v.generator}, point={v.point}): {v.detail}",
-                report=report,
-            )
-    return chain
-
-
 def load_chain(path, *, validate: bool = True, **budgets) -> ChainAction:
+    from .chainfile import chain_from_dict
+
     with open(path, "r", encoding="utf-8") as fh:
         data = read_json(fh.read(), f"chain file {path} is not valid JSON")
     return chain_from_dict(data, validate=validate, **budgets)

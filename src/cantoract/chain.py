@@ -10,7 +10,6 @@ materialized, and materialization is memoized per chain.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import partial
 from itertools import chain as chain_iter, compress
 from math import inf
@@ -407,6 +406,7 @@ class ChainAction:
                 columns = [ordered[j::k] for j in range(k)]
                 if k * s != lv.size or not (compose(parent, columns[0]) == below
                                             == compose(parent, columns[-1])):
+                    from .chainfile import _first_offender
                     _, detail = (_first_offender("fiber-constancy", lv, s)
                                  or _first_offender("parent-range", lv, s))
                     raise InvalidChainError(f"level {level}: {detail}")
@@ -660,40 +660,11 @@ def _checked_inverse(lv: LevelAction, name: str, points) -> tuple[int, ...]:
     bijection is refused with validation's offender and violation."""
     inverse = invert(lv.perms[name], points)
     if inverse is None:
+        from .chainfile import _first_offender
         point, detail = _first_offender("bijectivity", lv, 1, name)
         raise InvalidChainError(f"level {lv.level}: {detail}", ValidationReport(
             lv.level, (Violation("bijectivity", lv.level, name, point, detail),)))
     return inverse
-
-
-def _first_offender(invariant: str, lv: LevelAction, prev_size: int, name=None, below=None):
-    """``(point, detail)`` for the first point of ``lv`` that breaks
-    ``invariant`` (for generator ``name``, whose array one level down is
-    ``below``), or None.  A per-point scan, so :func:`validate_chain` and
-    the kernel tables call it only to name the offender on a level that
-    failed a C-level check."""
-    n, parent, k = lv.size, lv.parent, lv.size // prev_size
-    if invariant == "bijectivity":
-        seen = set()
-        for x, v in enumerate(lv.perms[name]):
-            if not 0 <= v < n or v in seen:
-                return x, f"perm[{x}] = {v} breaks bijectivity"
-            seen.add(v)
-    elif invariant == "parent-range":
-        for x, p in enumerate(parent):
-            if not 0 <= p < prev_size:
-                return x, f"parent[{x}] = {p} not a level-{lv.level - 1} point"
-    elif invariant == "fiber-constancy":
-        counts = Counter(parent)
-        for v in range(prev_size):
-            if counts[v] != k:
-                return v, f"level-{lv.level - 1} point {v} has {counts[v]} preimages, expected {k}"
-    else:
-        perm = lv.perms[name]
-        for x in range(n):
-            if parent[perm[x]] != below[parent[x]]:
-                return x, f"parent(g.{x}) = {parent[perm[x]]} but g.parent({x}) = {below[parent[x]]}"
-    return None
 
 
 def validate_chain(chain: ChainAction, depth: int) -> ValidationReport:
@@ -704,8 +675,8 @@ def validate_chain(chain: ChainAction, depth: int) -> ValidationReport:
     ``depth``.  Each invariant is one pass per level (the letter tables'
     inversions, ``min``/``max``, slices of the sorted parents, two gathers
     per generator), and only a level that fails one reaches the per-point
-    ``_first_offender``.  Transitivity reads the size of the basepoint's
-    orbit from :func:`_orbit`, the breadth-first walk whose tree
+    ``chainfile._first_offender``.  Transitivity reads the basepoint's
+    orbit size from :func:`_orbit`, the breadth-first walk whose tree
     :func:`schreier_generators` spells.  Parents are equivariant and onto,
     so a tower with no other violation is transitive at every level if it
     is at ``depth``, and only that orbit is walked; otherwise each level's
@@ -718,6 +689,7 @@ def validate_chain(chain: ChainAction, depth: int) -> ValidationReport:
             violations.append(Violation(invariant, level, generator, point, detail))
 
     def offend(invariant: str, lv: LevelAction, name=None, below=None) -> bool:
+        from .chainfile import _first_offender
         found = _first_offender(invariant, lv, prev_size, name, below)
         if found:
             add(invariant, lv.level, name, *found)

@@ -14,6 +14,7 @@ import argparse
 import gc
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -163,13 +164,27 @@ def _check_threads(args) -> None:
             raise SchemaError(f"${THREADS_ENV} must be at least 1, got {threads}")
 
 
+# the exponent ending a ``Fraction`` literal, whose ``10**exponent`` it computes
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def _tolerance(text: str) -> Fraction:
+    """The ``--tol`` value, in (0, 1) with a denominator of at most
+    ``sys.get_int_max_str_digits()`` digits (a report renders no more); an
+    exponent past that is refused from the text, before ``Fraction`` pays."""
+    limit = sys.get_int_max_str_digits()
+    too_long = SchemaError(f"tolerance {text!r} needs more than {limit} digits to render")
+    exponent = _EXPONENT.search(text)
+    if limit and exponent and abs(float(exponent[1])) > limit + len(text):
+        raise too_long
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad tolerance {text!r}: {exc}") from exc
     if not 0 < value < 1:
         raise SchemaError(f"tolerance must lie strictly in (0, 1), got {text!r}")
+    if limit and value.denominator >= 10**limit:
+        raise too_long
     return value
 
 
@@ -235,10 +250,10 @@ def _machine(path):
 
 # Each build family's constructor, called with the parsed flags and budgets.
 _FAMILIES = {
-    "odometer": lambda args, **budgets: builders.odometer(args.base, **budgets),
-    "toral": lambda args, **budgets: builders.toral(args.dim, args.base, **budgets),
-    "dihedral": lambda args, **budgets: builders.dihedral(**budgets),
-    "heisenberg": lambda args, **budgets: builders.heisenberg(args.base, **budgets),
+    "odometer": lambda args, **budgets: ca.odometer(args.base, **budgets),
+    "toral": lambda args, **budgets: ca.toral(args.dim, args.base, **budgets),
+    "dihedral": lambda args, **budgets: ca.dihedral(**budgets),
+    "heisenberg": lambda args, **budgets: ca.heisenberg(args.base, **budgets),
     "fragmented": lambda args, **budgets: builders.fragmented(**budgets),
     "fat_cantor": lambda args, **budgets: ca.fat_cantor(_schedule(args.schedule), **budgets),
     "mealy": lambda args, **budgets: builders.mealy_chain(_machine(args.machine), **budgets),

@@ -5,6 +5,7 @@ import os
 import runpy
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -208,6 +209,33 @@ def test_build_without_output_is_refused_before_building(monkeypatch, capsys):
     assert main(["build", "fragmented", "--depth", "18"]) == 1
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
     assert errors == ["error: build needs -o FILE for the chain file"]
+
+
+@pytest.mark.parametrize("command", ["farber", "local-farber"])
+def test_tolerance_past_the_render_limit_is_refused_from_its_text(chains, capsys, command):
+    """``Fraction('1e-10000000')`` alone takes seconds, and no report could
+    render its denominator."""
+    started = time.perf_counter()
+    assert main([command, chains["fragmented"], "--tol", "1e-10000000"]) == 1
+    assert time.perf_counter() - started < 1.0
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: tolerance '1e-10000000' needs more than "
+                      f"{sys.get_int_max_str_digits()} digits to render"]
+
+
+@pytest.mark.parametrize("tol", ["1e-5000", f"1e-{sys.get_int_max_str_digits() + 2}"])
+def test_tolerance_past_the_render_limit_is_refused_before_the_chain_loads(
+        chains, monkeypatch, capsys, tol):
+    """Refused from the exponent, or, within ``len(text)`` of the limit,
+    from the parsed denominator."""
+    def load(*args, **budgets):
+        raise AssertionError("the chain was loaded")
+
+    monkeypatch.setattr(cli, "load_chain", load)
+    assert main(["farber", chains["fragmented"], "--tol", tol]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: tolerance {tol!r} needs more than "
+                      f"{sys.get_int_max_str_digits()} digits to render"]
 
 
 def test_build_mealy_from_machine_file(tmp_path):

@@ -1,15 +1,19 @@
 """What a process compiles.  ``import cantoract`` loads only the modules
-the Farber and LCS analyses run; the scans, the stabilizer-count oracle,
-the fat-Cantor family, the word parser and the transducer module load on
-the first read of one of their names; and no analysis imports a module,
-so none compiles one inside its own timing.  Each check runs in a fresh
-interpreter, as a command does."""
+the Farber and LCS runs execute; the affine families, the chain-file
+parser, the scans, the stabilizer-count oracle, the fat-Cantor family, the
+word parser and the transducer module load on the first read of one of
+their names; and no analysis imports a module, so none compiles one inside
+its own timing.  Each check runs in a fresh interpreter, as a command
+does."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import cantoract
 
@@ -41,7 +45,47 @@ def test_package_and_cli_load_only_the_hot_modules(tmp_path):
                   f"cantoract.cli.main(['validate', {out!r}, '--depth', '2', '-o', {out!r} + '.v'])\n"
                   f"{LOADED}")
     cli = sorted(HOT + ["cantoract.cli"])
-    assert loaded == [HOT, cli, cli, sorted(cli + ["cantoract.reports"])]
+    report = sorted(cli + ["cantoract.chainfile", "cantoract.reports"])
+    assert loaded == [HOT, cli, cli, report]
+
+
+@pytest.mark.parametrize("argv, cold", [
+    (["build", "toral"], {"affine"}),
+    (["farber", "{chain}", "--max-word-len", "1"], {"chainfile", "reports"}),
+    (["local-farber", "{chain}", "--max-word-len", "1"], {"chainfile", "reports"}),
+    (["lcs-witness", "{chain}", "--max-word-len", "1", "--conj-len", "0"],
+     {"chainfile", "reports"}),
+    (["holonomy", "{chain}", "--word", "g"], {"chainfile", "parse", "reports"}),
+], ids=lambda value: value[0] if isinstance(value, list) else None)
+def test_each_command_loads_only_its_cold_modules(tmp_path, argv, cold):
+    """``build`` of an affine family loads ``affine`` and no parser; a
+    report command reads its chain file through ``chainfile`` and never
+    loads the affine families."""
+    chain = str(tmp_path / "frag.json")
+    cantoract.save_chain(cantoract.fragmented(), 4, chain)
+    argv = [arg.format(chain=chain) for arg in argv]
+    argv += ["--depth", "4", "-o", str(tmp_path / "out")]
+    (loaded,) = _run(f"import cantoract.cli\nassert cantoract.cli.main({argv!r}) == 0\n{LOADED}")
+    assert set(loaded) == set(HOT) | {"cantoract.cli"} | {f"cantoract.{m}" for m in cold}
+
+
+# Ceilings on the AST nodes of the package modules each import loads, the
+# counts rounded up to the next hundred when set (11,242 and 13,939):
+# compiling from source costs about 1 us a node, in every fresh process.
+NODE_CEILINGS = {"cantoract": 11_300, "cantoract.cli": 14_000}
+
+
+@pytest.mark.parametrize("module", sorted(NODE_CEILINGS))
+def test_import_path_stays_under_its_node_ceiling(module):
+    (files,) = _run(f"import json, sys, {module}\n"
+                    "print(json.dumps(sorted(m.__file__ for name, m in sys.modules.items()\n"
+                    "                        if name.split('.')[0] == 'cantoract')))")
+    nodes = sum(sum(1 for _ in ast.walk(ast.parse(Path(f).read_text(encoding="utf-8"))))
+                for f in files)
+    assert nodes <= NODE_CEILINGS[module], (
+        f"import {module} loads {nodes} AST nodes, over its ceiling of {NODE_CEILINGS[module]}: "
+        f"move cold code off the import path (cantoract._LAZY), or raise the ceiling "
+        f"with a note in CHANGES.md")
 
 
 def test_every_lazy_name_is_its_module_attribute():
@@ -56,7 +100,8 @@ def test_every_lazy_name_is_its_module_attribute():
         "                 is ca.partial_triviality_witnesses))")
     assert names == sorted(cantoract._LAZY)
     assert forwarded
-    assert set(cantoract._LAZY.values()) == {"mealy", "oracle", "parse", "punctured", "scans"}
+    assert set(cantoract._LAZY.values()) == {"affine", "chainfile", "mealy", "oracle", "parse",
+                                             "punctured", "scans"}
 
 
 def test_fat_cantor_stays_the_function_after_its_module_loads():
@@ -69,7 +114,8 @@ def test_fat_cantor_stays_the_function_after_its_module_loads():
 
 def test_no_analysis_imports_a_module():
     """The bench workloads' analysis calls, at small depths, after the
-    chains are built and validated as the workloads' set-up does."""
+    chains are built and validated as the workloads' set-up does; neither
+    set-up nor analysis loads the affine families or the chain-file parser."""
     added = _run(
         "import json, sys\n"
         "import cantoract as ca\n"
@@ -88,6 +134,8 @@ def test_no_analysis_imports_a_module():
         "]\n"
         "print(json.dumps(sorted(set(sys.modules) - before)))\n"
         "print(json.dumps([len(reports[0].words), len(reports[1].words),\n"
-        "                  sum(c.examined for c in reports[2].classes)]))")
+        "                  sum(c.examined for c in reports[2].classes)]))\n"
+        "print(json.dumps(sorted({'cantoract.affine', 'cantoract.chainfile'} & set(sys.modules))))")
     assert added[0] == []
     assert all(added[1])  # every analysis scored candidates
+    assert added[2] == []

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import cantoract as ca
 import cantoract.chain as chain_module
+import cantoract.chainfile as chainfile
 from cantoract.chain import ChainAction, LevelAction, Violation
 from cantoract.mealy import machine_from_dict
 
@@ -96,7 +97,7 @@ def test_valid_towers_never_reach_the_point_scans(monkeypatch):
     def refuse(*args):
         raise AssertionError("a valid tower reached the per-point scans")
 
-    monkeypatch.setattr(chain_module, "_first_offender", refuse)
+    monkeypatch.setattr(chainfile, "_first_offender", refuse)
     families = [ca.odometer(2), ca.odometer(3), ca.toral(2, 2), ca.dihedral(), ca.heisenberg(2),
                 ca.fragmented(), ca.fat_cantor(), adding_machine_chain(2)]
     for chain in families:
